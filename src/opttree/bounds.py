@@ -1,8 +1,15 @@
-"""Analytical pruning rules and counting bounds, each a pure function.
+"""Bound switches and the paper's counting results.
 
-Pruning predicates operate on exact rationals so every threshold test is
-decidable.  The counting bounds (remaining/total tree evaluations, search
-space size, symmetry savings) use big-integer arithmetic and report
+The pruning rules run where the search evaluates them, on integers scaled
+by N*q (lam = p/q): node support is ``Leaf.dead``; the hierarchical lower
+bound, lookahead and equivalent points form ``_Run._push_gate``; leaf and
+incremental accuracy are checked in ``_Run.expand``, similar support in
+``_Run._similar_skip``, and the remaining-evaluations bound is summed in
+``_Run._record_trace`` with ``cumulative_perm``.  The leaf-count caps need
+no check of their own: lam*H <= b < best already bounds H.
+
+What stays here is counting with big integers (a priori leaf cap, total
+tree evaluations, search-space size, symmetry savings), reported as
 floor(log10) where the magnitudes are astronomical.
 """
 
@@ -12,10 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, perm
-from typing import Optional, Sequence
-
-from .bitvec import BitVector
-from .tree import Leaf, TreeState
 
 
 @dataclass
@@ -30,75 +33,16 @@ class BoundToggles:
     permutation_cache: bool = True
     similar_support: bool = False
 
-    @property
-    def hierarchical(self) -> bool:
-        return True
-
-    def replace(self, **kwargs) -> "BoundToggles":
-        d = self.__dict__.copy()
-        d.update(kwargs)
-        return BoundToggles(**d)
-
 
 def _floor_ratio(a: Fraction, b: Fraction) -> int:
     """floor(a / b) for positive b, exactly."""
     return (a.numerator * b.denominator) // (a.denominator * b.numerator)
 
 
-def leaf_is_dead(n_captured: int, lam: Fraction, n_samples: int) -> bool:
-    """Support below 2*lam: such a leaf may exist but is never split."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    return Fraction(n_captured, n_samples) < 2 * lam
-
-
-def child_accuracy_admissible(n_correct: int, lam: Fraction,
-                              n_samples: int) -> bool:
-    """Every leaf of an optimal tree classifies at least lam*N correctly."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    return Fraction(n_correct, n_samples) >= lam
-
-
-def split_gain(parent: Leaf, left: Leaf, right: Leaf, n_samples: int,
-               lam: Fraction) -> tuple[Fraction, bool]:
-    """Incremental accuracy of a split and whether the pair must be split
-    further (gain below lam)."""
-    if (left.capture & right.capture).count_ones() != 0 \
-            or (left.capture | right.capture) != parent.capture:
-        raise ValueError("children do not partition the parent capture")
-    a_k = Fraction(left.n_correct + right.n_correct - parent.n_correct,
-                   n_samples)
-    return a_k, a_k < lam
-
-
-def lookahead_prunes(b: Fraction, lam: Fraction, best: Fraction) -> bool:
-    """No child can beat best when b + lam already reaches it."""
-    return b + lam >= best
-
-
-def equivalent_points_floor(tree: TreeState) -> Fraction:
-    """Irreducible error among the splittable leaves' captured samples."""
-    return Fraction(tree.b0_splittable(), tree.n_samples)
-
-
 def max_leaves_apriori(lam: Fraction, n_features: int) -> int:
     if lam <= 0:
         raise ValueError("lam must be positive")
     return min(_floor_ratio(Fraction(1, 2), lam), 2 ** n_features)
-
-
-def max_leaves_current(best: Fraction, lam: Fraction,
-                       n_features: int) -> int:
-    return min(_floor_ratio(best, lam), 2 ** n_features)
-
-
-def max_leaves_parent_specific(parent_b: Fraction, parent_h: int,
-                               best: Fraction, lam: Fraction,
-                               n_features: int) -> int:
-    """Strict cap: children must have leaf count < the returned value."""
-    return min(parent_h + _floor_ratio(best - parent_b, lam),
-               2 ** n_features)
 
 
 @lru_cache(maxsize=4096)
@@ -108,41 +52,10 @@ def cumulative_perm(slots: int, f: int) -> int:
     return sum(perm(slots, k) for k in range(f + 1))
 
 
-def remaining_evaluations(best: Fraction,
-                          queue_snapshot: Sequence[tuple[Fraction, int]],
-                          lam: Fraction, n_features: int) -> int:
-    """Exact big-integer upper bound on trees evaluated from here on."""
-    pool = 3 ** n_features
-    total = 0
-    for b, leaf_count in queue_snapshot:
-        slots = pool - leaf_count
-        if best > b:
-            f = min(_floor_ratio(best - b, lam), slots)
-        else:
-            f = 0
-        f = max(f, 0)
-        total += cumulative_perm(slots, f)
-    return total
-
-
-def remaining_evaluations_log10(
-        best: Fraction, queue_snapshot: Sequence[tuple[Fraction, int]],
-        lam: Fraction, n_features: int) -> Optional[int]:
-    """floor(log10) of the remaining-evaluations bound; None when the queue
-    is empty (nothing remains)."""
-    total = remaining_evaluations(best, queue_snapshot, lam, n_features)
-    if total == 0:
-        return None
-    return len(str(total)) - 1
-
-
 def total_evaluations_bound_log10(lam: Fraction, n_features: int) -> int:
     """floor(log10) of the a priori cap on trees ever evaluated."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    k_max = min(_floor_ratio(Fraction(1, 2), lam), 2 ** n_features)
-    pool = 3 ** n_features
-    total = sum(perm(pool, k) for k in range(k_max + 1))
+    total = cumulative_perm(3 ** n_features,
+                            max_leaves_apriori(lam, n_features))
     return len(str(total)) - 1
 
 
@@ -179,9 +92,3 @@ def count_trees(p: int, d: int) -> int:
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
     return sum(_trees_at_depth(p, dt) for dt in range(1, d + 1))
-
-
-def similar_support_omega(t1_capture: BitVector, T1_capture: BitVector,
-                          n_samples: int) -> Fraction:
-    """Normalized support captured by exactly one of two subtrees."""
-    return Fraction((t1_capture ^ T1_capture).count_ones(), n_samples)

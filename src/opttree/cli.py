@@ -10,7 +10,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace as dc_replace
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -56,18 +56,16 @@ def _parse_lambda(text: str) -> Fraction:
 
 
 def _load(path: str, label: str) -> Dataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise
+    # become part of the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         return load_csv(fh, label)
 
 
 def _toggles_from_args(args) -> BoundToggles:
-    t = BoundToggles()
-    for flag, field in ABLATION_FLAGS.items():
-        if getattr(args, flag.replace("-", "_")):
-            t = t.replace(**{field: False})
-    if getattr(args, "similar_support", False):
-        t = t.replace(similar_support=True)
-    return t
+    off = {field: False for flag, field in ABLATION_FLAGS.items()
+           if getattr(args, flag.replace("-", "_"))}
+    return BoundToggles(**off, similar_support=args.similar_support)
 
 
 def _config_from_args(args) -> SearchConfig:
@@ -159,9 +157,30 @@ def cmd_fit(args) -> int:
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
 
+def _check_model(model) -> None:
+    """Reject a model JSON whose shape predict cannot read."""
+    if not isinstance(model, dict) or not isinstance(model.get("leaves"),
+                                                     list):
+        raise DataFormatError("model JSON must be an object with a "
+                              "'leaves' list")
+    for i, leaf in enumerate(model["leaves"]):
+        if not isinstance(leaf, dict) \
+                or not isinstance(leaf.get("clauses"), list) \
+                or leaf.get("prediction") not in (0, 1):
+            raise DataFormatError(f"model leaf {i} needs a 'clauses' list "
+                                  "and a 0/1 'prediction'")
+        for clause in leaf["clauses"]:
+            if not isinstance(clause, dict) \
+                    or not isinstance(clause.get("feature"), str) \
+                    or clause.get("value") not in (0, 1):
+                raise DataFormatError(f"model leaf {i} has a clause without "
+                                      "a string 'feature' and a 0/1 'value'")
+
+
 def cmd_predict(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
         model = json.load(fh)
+    _check_model(model)
     ds = _load(args.data, args.label)
     name_to_col = {name: i for i, name in enumerate(ds.feature_names)}
     for leaf in model["leaves"]:
@@ -220,12 +239,12 @@ def _ablate_variants(base: SearchConfig):
     yield "all_bounds", base
     for flag, field in ABLATION_FLAGS.items():
         name = flag.replace("-", "_")
-        yield name, dc_replace(base,
-                               toggles=base.toggles.replace(**{field: False}))
+        yield name, replace(base,
+                            toggles=replace(base.toggles, **{field: False}))
     for pol in Policy:
         if pol is base.policy:
             continue
-        yield f"policy_{pol.value}", dc_replace(base, policy=pol)
+        yield f"policy_{pol.value}", replace(base, policy=pol)
 
 
 def cmd_ablate(args) -> int:
@@ -273,8 +292,6 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--max-trees", type=int)
     p.add_argument("--max-cache-entries", type=int)
     p.add_argument("--trace-interval", type=int, default=1000)
-    p.add_argument("--warm-start", dest="warm_start", action="store_true",
-                   default=True)
     p.add_argument("--no-warm-start", dest="warm_start",
                    action="store_false")
     for flag in ABLATION_FLAGS:

@@ -1,8 +1,10 @@
 """Worklist priority policies and the search queue.
 
-Every policy yields a total order via (priority value, generation counter);
-the counter makes runs deterministic and breaks ties in insertion order.
-Lower keys are popped first.
+Every policy yields a total order via (priority value, generation): each
+pushed tree has its own generation number, assigned in creation order, so
+ties break deterministically towards older trees.  Lower keys are popped
+first.  The bound-based keys read the integer sums a tree computed when it
+was built.
 """
 
 from __future__ import annotations
@@ -47,10 +49,10 @@ def priority(tree: TreeState, policy: Policy, ds: Dataset):
     if policy is Policy.CURIOSITY:
         # lower bound scaled by inverse unchanged-leaf support; the root
         # has no unchanged leaves, so fall back to the bound itself
-        cap = tree.unchanged_capture_count()
+        cap = tree.unchanged_capture
         if cap == 0:
             return tree.lower_bound
-        return tree.lower_bound / Fraction(cap, n)
+        return Fraction(tree.b_s * n, tree.scale * cap)
     if policy is Policy.ENTROPY:
         total = 0.0
         for leaf, s in zip(tree.leaves, tree.splittable):
@@ -80,20 +82,17 @@ class SearchQueue:
         self.policy = policy
         self.ds = ds
         self._heap: list[tuple] = []
-        self._counter = 0  # guards against ever comparing TreeStates
         self.max_size = 0
 
     def push(self, tree: TreeState) -> None:
         key = priority(tree, self.policy, self.ds)
-        heapq.heappush(self._heap,
-                       (key, tree.generation, self._counter, tree))
-        self._counter += 1
+        heapq.heappush(self._heap, (key, tree.generation, tree))
         self.max_size = max(self.max_size, len(self._heap))
 
     def pop(self, is_live: Optional[Callable[[TreeState], bool]] = None
             ) -> Optional[TreeState]:
         while self._heap:
-            _, _, _, tree = heapq.heappop(self._heap)
+            _, _, tree = heapq.heappop(self._heap)
             if is_live is None or is_live(tree):
                 return tree
         return None
@@ -102,16 +101,12 @@ class SearchQueue:
         return len(self._heap)
 
     def trees(self):
-        for _, _, _, tree in self._heap:
+        for _, _, tree in self._heap:
             yield tree
-
-    def snapshot(self) -> list[tuple[Fraction, int]]:
-        """(lower bound, leaf count) pairs for diagnostics bounds."""
-        return [(t.lower_bound, len(t.leaves)) for _, _, _, t in self._heap]
 
     def min_lower_bound(self,
                         is_live: Optional[Callable[[TreeState], bool]] = None
                         ) -> Optional[Fraction]:
-        bounds = [t.lower_bound for _, _, _, t in self._heap
+        bounds = [t.lower_bound for _, _, t in self._heap
                   if is_live is None or is_live(t)]
         return min(bounds) if bounds else None

@@ -6,14 +6,17 @@ reachable leaf-set/partition state is produced by induction on these moves,
 and the tree cache absorbs order duplicates.
 
 All pruning comparisons run on integers: with lam = p/q over N samples,
-a value e/N + lam*H scales to e*q + H*p*N.  This keeps the hot loop free
-of rational normalization while staying exact.
+a value e/N + lam*H scales to e*q + H*p*N.  Each tree carries its scaled
+lower bound, objective and equivalent-points floor (``b_s``, ``r_s``,
+``b0_s``), summed once when it is built, so the hot loop stays free of
+rational normalization while staying exact.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -21,8 +24,8 @@ from .bounds import BoundToggles, cumulative_perm
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
 from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
 from .scheduler import Policy, SearchQueue
-from .tree import (Clause, Leaf, TreeState, make_child_leaf, make_leaf,
-                   root_tree, sort_leaves)
+from .tree import (Clause, Leaf, TreeState, make_child_leaf, root_tree,
+                   sort_leaves)
 
 
 @dataclass
@@ -43,6 +46,8 @@ class SearchConfig:
                 "leaves and the leaf-count bounds degenerate")
         if self.trace_interval < 1:
             raise ValueError("trace_interval must be >= 1")
+        if self.max_cache_entries is not None and self.max_cache_entries < 1:
+            raise ValueError("max_cache_entries must be >= 1")
 
 
 @dataclass
@@ -107,15 +112,7 @@ class _Run:
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
 
-    # -- scaled helpers -------------------------------------------------
-
-    def _scale(self, value: Fraction) -> int:
-        scaled = value * self.n * self.q
-        assert scaled.denominator == 1
-        return scaled.numerator
-
-    def _tree_b_s(self, tree: TreeState) -> int:
-        return self.q * tree.err_unchanged() + self.lam_s * tree.h
+    # -- gates ------------------------------------------------------------
 
     def _push_gate(self, b_s: int, b0_s: int) -> bool:
         """True if a tree with these scaled bounds may still lead to an
@@ -130,8 +127,7 @@ class _Run:
         return True
 
     def _is_live(self, tree: TreeState) -> bool:
-        return self._push_gate(self._tree_b_s(tree),
-                               self.q * tree.b0_splittable())
+        return self._push_gate(tree.b_s, tree.b0_s)
 
     def _expandable_index(self, tree: TreeState) -> Optional[int]:
         for i, (leaf, s) in enumerate(zip(tree.leaves, tree.splittable)):
@@ -145,10 +141,22 @@ class _Run:
 
     # -- best tracking ---------------------------------------------------
 
-    def _consider_best(self, tree: TreeState, r_s: int) -> None:
-        if r_s < self.best_s:
-            self.best_s = r_s
-            self.best_obj = Fraction(r_s, self.n * self.q)
+    def _evaluate(self, child: TreeState) -> bool:
+        """Count a new child as evaluated unless the hierarchical bound or
+        the permutation cache rejects it."""
+        if child.b_s >= self.best_s:
+            return False
+        if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
+                tree_key(child), child.lower_bound):
+            self.stats.duplicates_skipped += 1
+            return False
+        self.stats.trees_evaluated += 1
+        return True
+
+    def _consider_best(self, tree: TreeState) -> None:
+        if tree.r_s < self.best_s:
+            self.best_s = tree.r_s
+            self.best_obj = tree.objective
             self.best_tree = tree
             self.stats.trees_to_optimum = self.stats.trees_evaluated
             self.stats.time_to_optimum = time.perf_counter() - self._t0
@@ -169,20 +177,16 @@ class _Run:
         if idx is None:
             return []
         leaf = tree.leaves[idx]
-        parent_b_s = self._tree_b_s(tree)
         out: list[TreeState] = []
 
-        retire = self._make_retire_child(tree, idx, parent_b_s)
+        retire = self._make_retire_child(tree, idx)
         if retire is not None:
             out.append(retire)
 
         others = tuple(l for i, l in enumerate(tree.leaves) if i != idx)
         other_flags = tuple(s for i, s in enumerate(tree.splittable)
                             if i != idx)
-        err_split_others = sum(l.mistakes for l, s in
-                               zip(others, other_flags) if s)
-        delta_h = 2 if tree.h == 0 else 1
-        child_h = tree.h + delta_h
+        child_h = 2 if tree.h == 0 else tree.h + 1
         used = {c.feature for c in leaf.clauses}
 
         # similar-support memory: floors of feature splits already proven
@@ -207,6 +211,8 @@ class _Run:
             if c1.n_captured == 0 or c2.n_captured == 0:
                 leaf.dead_features.add(f)
                 continue
+            # leaf accuracy: every leaf of an optimal tree classifies at
+            # least lam*N samples correctly
             if self.toggles.leaf_accuracy and (
                     self.q * c1.n_correct < self.lam_s
                     or self.q * c2.n_correct < self.lam_s):
@@ -218,6 +224,8 @@ class _Run:
                 self.stats.similar_support_skips += 1
                 continue
 
+            # incremental accuracy: a split gaining less than lam may not
+            # leave both children unchanged
             gain_s = self.q * (c1.n_correct + c2.n_correct - leaf.n_correct)
             must_split = (self.toggles.incremental_accuracy
                           and gain_s < self.lam_s)
@@ -236,33 +244,27 @@ class _Run:
                         continue
                     if must_split and not s1 and not s2:
                         continue
-                    child, b_s, r_s, b0_s = self._make_split_child(
-                        tree, others, other_flags, err_split_others,
-                        child_h, delta_h, parent_b_s, c1, c2, s1, s2,
-                        base_pairs)
-                    floor_s = b_s + b0_s
+                    leaves, flags = sort_leaves(others + (c1, c2),
+                                                other_flags + (s1, s2))
+                    child = TreeState(leaves=leaves, splittable=flags,
+                                      h=child_h, n_samples=self.n,
+                                      lam=self.lam,
+                                      must_split_pairs=base_pairs,
+                                      generation=self._next_gen())
+                    floor_s = child.b_s + child.b0_s
                     if min_floor_s is None or floor_s < min_floor_s:
                         min_floor_s = floor_s
-                    if b_s >= self.best_s:
-                        continue
-                    if self.toggles.permutation_cache:
-                        if self.tree_cache.seen_or_mark(
-                                tree_key(child),
-                                Fraction(b_s, self.n * self.q)):
-                            self.stats.duplicates_skipped += 1
-                            continue
-                    emitted_any = True
-                    self.stats.trees_evaluated += 1
-                    self._consider_best(child, r_s)
-                    if not self._push_gate(b_s, b0_s):
-                        continue
-                    if self._expandable_index(child) is None:
-                        continue
-                    out.append(child)
+                    if self._evaluate(child):
+                        emitted_any = True
+                        self._consider_best(child)
+                        out.append(child)
             if self.toggles.similar_support and not emitted_any \
                     and min_floor_s is not None:
                 rejected_floors.append((min_floor_s, c1.capture))
-        return out
+        # the incumbent only improves, so one gate at the end keeps exactly
+        # the children that every earlier gate would have kept
+        return [c for c in out
+                if self._is_live(c) and self._expandable_index(c) is not None]
 
     def _child_key(self, leaf: Leaf, f: int, polarity: bool):
         return tuple(sorted(list(leaf.clauses) + [Clause(f, polarity)],
@@ -277,8 +279,8 @@ class _Run:
                 return True
         return False
 
-    def _make_retire_child(self, tree: TreeState, idx: int,
-                           parent_b_s: int) -> Optional[TreeState]:
+    def _make_retire_child(self, tree: TreeState,
+                           idx: int) -> Optional[TreeState]:
         leaf = tree.leaves[idx]
         # a gain-deficient sibling pair may not end with both unchanged
         for pair in tree.must_split_pairs:
@@ -289,60 +291,20 @@ class _Run:
                         return None
         flags = tuple(s if i != idx else False
                       for i, s in enumerate(tree.splittable))
-        b_s = parent_b_s + self.q * leaf.mistakes
-        if b_s >= self.best_s:
-            return None
-        child = TreeState(leaves=tree.leaves, splittable=flags, h=tree.h,
-                          n_samples=self.n, lam=self.lam,
-                          must_split_pairs=tree.must_split_pairs,
-                          generation=self._next_gen())
-        if self.toggles.permutation_cache:
-            if self.tree_cache.seen_or_mark(tree_key(child),
-                                            Fraction(b_s, self.n * self.q)):
-                self.stats.duplicates_skipped += 1
-                return None
-        self.stats.trees_evaluated += 1
+        child = replace(tree, splittable=flags, generation=self._next_gen())
         # same leaf set, same objective as the parent: no best update
-        b0_s = self.q * child.b0_splittable()
-        if not self._push_gate(b_s, b0_s):
-            return None
-        if self._expandable_index(child) is None:
-            return None
-        return child
-
-    def _make_split_child(self, tree, others, other_flags, err_split_others,
-                          child_h, delta_h, parent_b_s, c1, c2, s1, s2,
-                          pairs):
-        leaves = others + (c1, c2)
-        flags = other_flags + (s1, s2)
-        leaves, flags = sort_leaves(leaves, flags)
-        new_unchanged_err = (0 if s1 else c1.mistakes) \
-            + (0 if s2 else c2.mistakes)
-        b_s = parent_b_s + self.lam_s * delta_h + self.q * new_unchanged_err
-        err_split = err_split_others + (c1.mistakes if s1 else 0) \
-            + (c2.mistakes if s2 else 0)
-        r_s = b_s + self.q * err_split
-        b0 = sum(l.b0_count for l, s in zip(others, other_flags) if s) \
-            + (c1.b0_count if s1 else 0) + (c2.b0_count if s2 else 0)
-        child = TreeState(leaves=leaves, splittable=flags, h=child_h,
-                          n_samples=self.n, lam=self.lam,
-                          must_split_pairs=pairs,
-                          generation=self._next_gen())
-        return child, b_s, r_s, self.q * b0
+        return child if self._evaluate(child) else None
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
         self._t0 = time.perf_counter()
-        root = root_tree(self.ds, self.lam, self.eq)
-        root_leaf = self.leaf_cache.intern(root.leaves[0].key,
-                                           lambda: root.leaves[0])
-        root = TreeState(leaves=(root_leaf,), splittable=(True,), h=0,
-                         n_samples=self.n, lam=self.lam,
-                         generation=self._next_gen())
+        root = replace(root_tree(self.ds, self.lam, self.eq),
+                       generation=self._next_gen())
+        self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
         self.best_tree = root
         self.best_obj = root.objective
-        self.best_s = self._scale(self.best_obj)
+        self.best_s = root.r_s
         self.stats.trees_evaluated = 1
 
         if self.config.warm_start:
@@ -350,35 +312,35 @@ class _Run:
             seed = greedy_fit(self.ds, GreedyParams.default(self.lam,
                                                             self.ds),
                               self.lam, eq=self.eq)
-            seed_s = self._scale(seed.objective)
-            if seed_s < self.best_s:
-                self.best_s = seed_s
+            if seed.r_s < self.best_s:
+                self.best_s = seed.r_s
                 self.best_obj = seed.objective
                 self.best_tree = seed
 
         self.tree_cache.seen_or_mark(tree_key(root), root.lower_bound)
-        if self._push_gate(self._tree_b_s(root),
-                           self.q * root.b0_splittable()) \
-                and self._expandable_index(root) is not None:
+        if self._is_live(root) and self._expandable_index(root) is not None:
             self.queue.push(root)
 
         next_trace = self.config.trace_interval
-        try:
-            while True:
-                tree = self.queue.pop(self._is_live)
-                if tree is None:
+        while True:
+            tree = self.queue.pop(self._is_live)
+            if tree is None:
+                break
+            try:
+                children = self.expand(tree)
+            except CacheLimitError as exc:
+                # the unfinished subtree is still uncovered: requeue its
+                # root so that its bound enters the gap
+                self.stats.limit_hit = str(exc)
+                self.queue.push(tree)
+                break
+            for child in children:
+                self.queue.push(child)
+            if self.stats.trees_evaluated >= next_trace:
+                next_trace += self.config.trace_interval
+                self._record_trace()
+                if self._limit_tripped():
                     break
-                for child in self.expand(tree):
-                    if self._push_gate(self._tree_b_s(child),
-                                       self.q * child.b0_splittable()):
-                        self.queue.push(child)
-                if self.stats.trees_evaluated >= next_trace:
-                    next_trace += self.config.trace_interval
-                    self._record_trace()
-                    if self._limit_tripped():
-                        break
-        except CacheLimitError as exc:
-            self.stats.limit_hit = str(exc)
 
         self._record_trace()
         return self._finish()
@@ -395,15 +357,16 @@ class _Run:
         return False
 
     def _record_trace(self) -> None:
-        # integer-scaled rendition of bounds.remaining_evaluations, cheap
-        # enough to run at every trace interval on large queues
+        # remaining-evaluations bound: a queued tree with lower bound b and
+        # L leaves may still add up to f = floor((best - b) / lam) of the
+        # 3^M - L unused leaves, in any order
         pool = 3 ** self.ds.n_features
         min_b_s = None
         remaining = 0
         size = 0
         for tree in self.queue.trees():
             size += 1
-            b_s = self._tree_b_s(tree)
+            b_s = tree.b_s
             if min_b_s is None or b_s < min_b_s:
                 min_b_s = b_s
             slots = pool - len(tree.leaves)
@@ -425,8 +388,9 @@ class _Run:
 
     def _finish(self) -> SearchResult:
         min_live = self.queue.min_lower_bound(self._is_live)
-        certified = min_live is None
-        gap = Fraction(0) if certified else self.best_obj - min_live
+        # a run stopped by a limit is never certified, even with no gap
+        certified = min_live is None and self.stats.limit_hit is None
+        gap = Fraction(0) if min_live is None else self.best_obj - min_live
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)
@@ -446,9 +410,11 @@ def fit(ds: Dataset, config: SearchConfig,
 
 def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
            config: SearchConfig, best: Fraction) -> list[TreeState]:
-    """Stateless child generation for one tree (testing surface)."""
+    """Stateless child generation for one tree against incumbent ``best``
+    (testing surface)."""
     run = _Run(ds, config, eq)
     run._t0 = time.perf_counter()
-    run.best_s = run._scale(best)
+    # integer scaled values compare with ceil(x) exactly as with x
+    run.best_s = math.ceil(best * run.n * run.q)
     run.best_obj = best
     return run.expand(tree)

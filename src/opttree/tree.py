@@ -6,8 +6,11 @@ zero, so its objective is just the minority-class fraction.  The lower
 bound counts only the mistakes of unchanged leaves, which is valid for
 every descendant because unchanged leaves are never split again.
 
-All values are exact rationals (``fractions.Fraction``); the search keeps
-integer-scaled copies so that pruning comparisons never touch floats.
+A tree sums its bounds once, when it is built, as integers scaled by N*q
+(lam = p/q); the search compares those integers and ``lower_bound`` and
+``objective`` turn them into exact rationals.  The module-level
+``objective`` recomputes a tree's objective from its leaves alone, as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -108,12 +111,20 @@ def make_child_leaf(parent: Leaf, feature: int, polarity: bool, ds: Dataset,
 MustSplitPairs = frozenset  # of frozenset({LeafKey, LeafKey})
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeState:
     """A tree as a set of leaves partitioned into unchanged and splittable.
 
     ``h`` is the penalized leaf count: 0 for the root-only tree, the true
     leaf count for any split tree.
+
+    The bound sums are taken once, when the tree is built, and kept scaled
+    to integers: with lam = p/q over N samples, a value e/N + lam*H is
+    stored as e*q + H*p*N, in units of 1/(N*q) (``scale``).  ``b_s`` is the
+    lower bound (unchanged mistakes plus the leaf penalty), ``r_s`` the
+    objective (``b_s`` plus the splittable leaves' mistakes), ``b0_s`` the
+    equivalent-points floor under the splittable leaves, and
+    ``unchanged_capture`` the number of samples the unchanged leaves hold.
     """
 
     leaves: tuple[Leaf, ...]          # canonically ordered by leaf key
@@ -123,39 +134,36 @@ class TreeState:
     lam: Fraction
     must_split_pairs: MustSplitPairs = frozenset()
     generation: int = 0
+    scale: int = field(init=False, repr=False)
+    b_s: int = field(init=False, repr=False)
+    r_s: int = field(init=False, repr=False)
+    b0_s: int = field(init=False, repr=False)
+    unchanged_capture: int = field(init=False, repr=False)
 
-    @property
-    def n_unchanged(self) -> int:
-        return sum(1 for s in self.splittable if not s)
-
-    def err_unchanged(self) -> int:
-        return sum(l.mistakes for l, s in zip(self.leaves, self.splittable)
-                   if not s)
-
-    def err_splittable(self) -> int:
-        return sum(l.mistakes for l, s in zip(self.leaves, self.splittable)
-                   if s)
-
-    def b0_splittable(self) -> int:
-        return sum(l.b0_count for l, s in zip(self.leaves, self.splittable)
-                   if s)
+    def __post_init__(self) -> None:
+        err_unchanged = err_splittable = b0 = capture = 0
+        for leaf, s in zip(self.leaves, self.splittable):
+            if s:
+                err_splittable += leaf.mistakes
+                b0 += leaf.b0_count
+            else:
+                err_unchanged += leaf.mistakes
+                capture += leaf.n_captured
+        q = self.lam.denominator
+        self.scale = self.n_samples * q
+        self.b_s = q * err_unchanged \
+            + self.lam.numerator * self.n_samples * self.h
+        self.r_s = self.b_s + q * err_splittable
+        self.b0_s = q * b0
+        self.unchanged_capture = capture
 
     @property
     def lower_bound(self) -> Fraction:
-        return Fraction(self.err_unchanged(), self.n_samples) \
-            + self.lam * self.h
+        return Fraction(self.b_s, self.scale)
 
     @property
     def objective(self) -> Fraction:
-        return self.lower_bound + Fraction(self.err_splittable(),
-                                           self.n_samples)
-
-    def unchanged_capture_count(self) -> int:
-        return sum(l.n_captured for l, s in zip(self.leaves, self.splittable)
-                   if not s)
-
-    def is_terminal(self) -> bool:
-        return not any(self.splittable)
+        return Fraction(self.r_s, self.scale)
 
     def check_partition(self) -> None:
         """Debug invariant: leaf captures partition the samples."""
@@ -185,33 +193,3 @@ def objective(tree: TreeState, lam: Fraction) -> Fraction:
     """From-scratch objective: all leaves' mistakes plus the leaf penalty."""
     err = sum(l.mistakes for l in tree.leaves)
     return Fraction(err, tree.n_samples) + lam * tree.h
-
-
-def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
-    """From-scratch lower bound: unchanged mistakes plus the leaf penalty."""
-    return Fraction(tree.err_unchanged(), tree.n_samples) + lam * tree.h
-
-
-def incremental_lower_bound(parent_b: Fraction,
-                            newly_unchanged: Sequence[Leaf],
-                            lam: Fraction, delta_h: int,
-                            n_samples: int) -> Fraction:
-    """Child lower bound from the parent's: add the penalty increase and the
-    mistakes of leaves that moved into the unchanged set."""
-    if delta_h < 0:
-        raise ValueError("delta_h must be nonnegative")
-    extra = sum(l.mistakes for l in newly_unchanged)
-    return parent_b + lam * delta_h + Fraction(extra, n_samples)
-
-
-def incremental_objective(child_b: Fraction, splittable: Sequence[Leaf],
-                          n_samples: int) -> Fraction:
-    """Child objective from its lower bound: add splittable-leaf mistakes."""
-    extra = sum(l.mistakes for l in splittable)
-    return child_b + Fraction(extra, n_samples)
-
-
-def normalized_support(capture: BitVector, n_samples: int) -> Fraction:
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    return Fraction(capture.count_ones(), n_samples)

@@ -20,12 +20,10 @@ from opttree.cli import main
 from opttree.dataset import build_equivalence_index, from_rows, load_csv
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
-from opttree.search import SearchConfig, fit
-from opttree.tree import (TreeState, incremental_lower_bound,
-                          incremental_objective, lower_bound, make_child_leaf,
-                          objective, sort_leaves)
+from opttree.search import SearchConfig, expand, fit
+from opttree.tree import objective
 from tests.conftest import LAMBDAS, random_dataset
-from tests.test_tree_core import _random_tree
+from tests.test_tree_core import _random_tree, scratch_bounds
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 COMPAS_PATH = DATA_DIR / "compas_binary.csv"
@@ -78,12 +76,12 @@ def test_criterion_2_ablation_and_policy_soundness(report):
     for ds, lam in _instance_set(200):
         ref = exhaustive_optimum(ds, lam).objective
         variants = [SearchConfig(
-            lam=lam, toggles=BoundToggles().replace(**{field: False}))
+            lam=lam, toggles=BoundToggles(**{field: False}))
             for field in fields]
         variants += [SearchConfig(lam=lam, policy=policy)
                      for policy in Policy]
         variants.append(SearchConfig(
-            lam=lam, toggles=BoundToggles().replace(similar_support=True)))
+            lam=lam, toggles=BoundToggles(similar_support=True)))
         for cfg in variants:
             runs += 1
             res = fit(ds, cfg)
@@ -111,9 +109,9 @@ def test_criterion_3_ablation_direction(report):
     lam = Fraction(1, 100)
     base = fit(ds, SearchConfig(lam=lam))
     no_la = fit(ds, SearchConfig(
-        lam=lam, toggles=BoundToggles().replace(lookahead=False)))
+        lam=lam, toggles=BoundToggles(lookahead=False)))
     no_eq = fit(ds, SearchConfig(
-        lam=lam, toggles=BoundToggles().replace(equivalent_points=False)))
+        lam=lam, toggles=BoundToggles(equivalent_points=False)))
     ok = (base.certified and no_la.certified and no_eq.certified
           and base.objective == no_la.objective == no_eq.objective
           and no_la.stats.trees_evaluated > base.stats.trees_evaluated
@@ -140,6 +138,8 @@ def test_criterion_4_search_space_counting(capsys, report):
 
 
 def test_criterion_5_incremental_equals_scratch(report):
+    """The bounds the search prunes with, kept on each tree it builds, equal
+    a from-scratch sum over the tree's leaves; so does every incumbent."""
     rng = random.Random(99)
     lam = Fraction(1, 20)
     mismatches = 0
@@ -148,39 +148,22 @@ def test_criterion_5_incremental_equals_scratch(report):
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, lam, rng)
-        options = [
-            (i, f) for i, (leaf, s) in enumerate(zip(parent.leaves,
-                                                     parent.splittable))
-            if s
-            for f in range(ds.n_features)
-            if f not in {c.feature for c in leaf.clauses}
-        ]
-        if not options:
-            continue
-        i, f = rng.choice(options)
-        leaf = parent.leaves[i]
-        c1 = make_child_leaf(leaf, f, False, ds, eq, lam)
-        c2 = make_child_leaf(leaf, f, True, ds, eq, lam)
-        s1, s2 = rng.random() < 0.5, rng.random() < 0.5
-        delta_h = 2 if parent.h == 0 else 1
-        leaves, flags = sort_leaves(
-            tuple(l for j, l in enumerate(parent.leaves) if j != i)
-            + (c1, c2),
-            tuple(s for j, s in enumerate(parent.splittable) if j != i)
-            + (s1, s2))
-        child = TreeState(leaves=leaves, splittable=flags,
-                          h=parent.h + delta_h, n_samples=ds.n_samples,
-                          lam=lam)
-        newly = [c for c, s in ((c1, s1), (c2, s2)) if not s]
-        inc_b = incremental_lower_bound(parent.lower_bound, newly, lam,
-                                        delta_h, ds.n_samples)
-        split = [l for l, s in zip(child.leaves, child.splittable) if s]
-        if inc_b != lower_bound(child, lam) \
-                or incremental_objective(inc_b, split, ds.n_samples) \
-                != objective(child, lam):
+        best = Fraction(rng.randint(1, 20), 20)
+        for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+            b, r, b0 = scratch_bounds(child, lam)
+            if child.lower_bound != b or child.objective != r \
+                    or Fraction(child.b0_s, child.scale) != b0 \
+                    or child.lower_bound < parent.lower_bound:
+                mismatches += 1
+            checked += 1
+    fits = 0
+    for ds, fit_lam in _instance_set(50):
+        res = fit(ds, SearchConfig(lam=fit_lam))
+        fits += 1
+        if res.objective != objective(res.best_tree, fit_lam):
             mismatches += 1
-        checked += 1
-    report(5, mismatches == 0, f"{checked} pairs, {mismatches} mismatches")
+    report(5, mismatches == 0,
+           f"{checked} children, {fits} incumbents, {mismatches} mismatches")
 
 
 def test_criterion_6_remaining_bound_soundness(report):

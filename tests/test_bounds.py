@@ -1,95 +1,157 @@
+"""Each pruning rule, checked where the search evaluates it: ``Leaf.dead``,
+``_Run._push_gate``, the accuracy and gain checks in ``_Run.expand``,
+``_Run._similar_skip`` and ``_Run._record_trace``."""
+
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from opttree.bitvec import BitVector
-from opttree.bounds import (BoundToggles, child_accuracy_admissible,
-                            count_trees, equivalent_points_floor,
-                            leaf_is_dead, lookahead_prunes,
-                            max_leaves_apriori, max_leaves_current,
-                            max_leaves_parent_specific,
-                            remaining_evaluations,
-                            remaining_evaluations_log10, similar_support_omega,
-                            split_gain, symmetry_savings,
-                            total_evaluations_bound_log10)
+from opttree.bounds import (BoundToggles, count_trees, max_leaves_apriori,
+                            symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.tree import Clause, make_child_leaf, make_leaf, root_tree
+from opttree.search import SearchConfig, _Run, expand
+from opttree.tree import (Clause, TreeState, make_child_leaf, make_leaf,
+                          root_tree, sort_leaves)
 from tests.conftest import random_dataset
+
+
+def _run_at(ds, lam, best, **toggles):
+    """A search run on ds whose incumbent objective is best."""
+    run = _Run(ds, SearchConfig(lam=lam, toggles=BoundToggles(**toggles)))
+    run._t0 = 0.0
+    run.best_s = _scaled(run, best)
+    run.best_obj = best
+    return run
+
+
+def _scaled(run, value: Fraction) -> int:
+    scaled = value * run.n * run.q
+    assert scaled.denominator == 1
+    return scaled.numerator
+
+
+def _leaf_capturing(k, n, lam):
+    """The leaf f0=1 over n samples, k of which have f0=1."""
+    ds = from_rows(["a"], [[1]] * k + [[0]] * (n - k),
+                   [1] * k + [0] * (n - k))
+    return make_leaf([Clause(0, True)], ds, build_equivalence_index(ds), lam)
 
 
 def test_toggles_defaults_and_replace():
     t = BoundToggles()
-    assert t.hierarchical
     assert t.lookahead and t.equivalent_points and t.permutation_cache
     assert not t.similar_support
-    t2 = t.replace(lookahead=False)
+    t2 = replace(t, lookahead=False)
     assert not t2.lookahead and t.lookahead
 
 
 def test_leaf_is_dead():
     lam = Fraction(1, 100)
-    assert leaf_is_dead(15, lam, 1000)
-    assert not leaf_is_dead(20, lam, 1000)  # boundary: equality passes
-    assert not leaf_is_dead(0, Fraction(0), 1000)  # lam=0: never dead
-    with pytest.raises(ValueError):
-        leaf_is_dead(1, lam, 0)
+    assert _leaf_capturing(15, 1000, lam).dead
+    assert not _leaf_capturing(20, 1000, lam).dead  # boundary: equality passes
+    assert not _leaf_capturing(0, 1000, Fraction(0)).dead  # lam=0: never dead
+
+    # the search never splits a dead leaf unless node support is off
+    rows = [[1, i % 2] for i in range(15)] + [[0, i % 2] for i in range(985)]
+    ds = from_rows(["a", "b"], rows, [i % 3 == 0 for i in range(1000)])
+    eq = build_equivalence_index(ds)
+    small = make_leaf([Clause(0, True)], ds, eq, lam)
+    big = make_leaf([Clause(0, False)], ds, eq, lam)
+    assert small.dead and not big.dead
+    leaves, flags = sort_leaves((small, big), (True, False))
+    tree = TreeState(leaves=leaves, splittable=flags, h=2,
+                     n_samples=ds.n_samples, lam=lam)
+    assert expand(tree, ds, eq, SearchConfig(lam=lam), Fraction(1)) == []
+    assert small.dead_features == set()  # no split of it was tried
+    off = SearchConfig(lam=lam, toggles=BoundToggles(node_support=False))
+    expand(tree, ds, eq, off, Fraction(1))
+    assert small.dead_features == {1}  # tried, then refused by leaf accuracy
+
+
+def _accuracy_dead_features(ds, lam, **toggles):
+    eq = build_equivalence_index(ds)
+    root = root_tree(ds, lam, eq)
+    config = SearchConfig(lam=lam, toggles=BoundToggles(**toggles))
+    expand(root, ds, eq, config, Fraction(1))
+    return root.leaves[0].dead_features
 
 
 def test_child_accuracy_admissible():
+    # lam*N = 10: f0=1 holds 9 samples (at most 9 correct), f1=1 holds 10,
+    # all labelled 1; the other children hold ~990 samples.  f2 and f3
+    # negate f0 and f1, putting the small child on the other side.
+    rows = [[1, 0, 0, 1]] * 9 + [[0, 1, 1, 0]] * 10 + [[0, 0, 1, 1]] * 981
+    labels = [1] * 19 + [i % 2 for i in range(981)]
+    ds = from_rows(["a", "b", "c", "d"], rows, labels)
     lam = Fraction(1, 100)
-    assert not child_accuracy_admissible(9, lam, 1000)
-    assert child_accuracy_admissible(10, lam, 1000)  # >= is inclusive
-    assert not child_accuracy_admissible(0, lam, 1000)
+    assert _accuracy_dead_features(ds, lam) == {0, 2}  # 10 correct passes
+    assert _accuracy_dead_features(ds, lam, leaf_accuracy=False) == set()
 
 
 def test_monotone_in_lambda():
-    for n in (0, 5, 10, 20):
-        for a, b in ((Fraction(1, 100), Fraction(1, 10)),):
-            if leaf_is_dead(n, a, 100):
-                assert leaf_is_dead(n, b, 100)
-            if not child_accuracy_admissible(n, a, 100):
-                assert not child_accuracy_admissible(n, b, 100)
+    a, b = Fraction(1, 100), Fraction(1, 10)
+    for k in (0, 5, 10, 20):
+        if _leaf_capturing(k, 100, a).dead:
+            assert _leaf_capturing(k, 100, b).dead
+    rng = random.Random(4)
+    for _ in range(50):
+        ds = random_dataset(rng, rng.randint(4, 60), rng.randint(2, 5))
+        assert _accuracy_dead_features(ds, a) \
+            <= _accuracy_dead_features(ds, b)
 
 
-def _split_leaves(rows, labels, feature):
-    ds = from_rows([f"f{j}" for j in range(len(rows[0]))], rows, labels)
+def _gain_dataset(deltas):
+    """100 samples, 60 labelled 1.  Splitting the root on feature j gains
+    exactly deltas[j] correct samples: its 0 side holds 10 ones and
+    10 + deltas[j] zeros."""
+    rows = []
+    for i in range(100):
+        k = i if i < 60 else i - 60  # rank within the label class
+        rows.append([0 if k < 10 + (0 if i < 60 else d) else 1
+                     for d in deltas])
+    return from_rows([f"f{j}" for j in range(len(deltas))], rows,
+                     [1] * 60 + [0] * 40)
+
+
+def _must_split_by_feature(deltas, lam, **toggles):
+    """For every root split the search keeps, whether it carries the
+    must-split obligation of an incremental-accuracy deficit."""
+    ds = _gain_dataset(deltas)
     eq = build_equivalence_index(ds)
-    lam = Fraction(1, 100)
-    parent = make_leaf([], ds, eq, lam)
-    left = make_child_leaf(parent, feature, False, ds, eq, lam)
-    right = make_child_leaf(parent, feature, True, ds, eq, lam)
-    return ds, parent, left, right
+    root = root_tree(ds, lam, eq)
+    config = SearchConfig(lam=lam, toggles=BoundToggles(
+        lookahead=False, equivalent_points=False, **toggles))
+    seen = {}
+    for child in expand(root, ds, eq, config, root.objective):
+        if child.h != 2:
+            continue  # the retired root
+        (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
+        pair = frozenset(leaf.key for leaf in child.leaves)
+        obliged = child.must_split_pairs == {pair}
+        assert obliged or not child.must_split_pairs
+        if obliged:
+            assert any(child.splittable)
+        seen.setdefault(f, set()).add(obliged)
+    return {f: flags.pop() for f, flags in seen.items() if len(flags) == 1}
 
 
 def test_split_gain_formula():
-    # parent 10 captured / 7 correct; children 6/5 and 4/4 (counts as in
-    # the formula; stubs carry real capture vectors for the partition check)
-    from types import SimpleNamespace
-    parent_bits = [1] * 10 + [0] * 90
-    left_bits = [1] * 6 + [0] * 94
-    right_bits = [0] * 6 + [1] * 4 + [0] * 90
-    parent = SimpleNamespace(capture=BitVector.make(parent_bits), n_correct=7)
-    left = SimpleNamespace(capture=BitVector.make(left_bits), n_correct=5)
-    right = SimpleNamespace(capture=BitVector.make(right_bits), n_correct=4)
-    a_k, must = split_gain(parent, left, right, 100, Fraction(1, 100))
-    assert a_k == Fraction(2, 100)
-    assert not must
+    # lam = 1/50 over 100 samples: a split must gain 2 correct samples
+    lam = Fraction(1, 50)
+    assert _must_split_by_feature((1, 2), lam) == {0: True, 1: False}
+    assert _must_split_by_feature((1, 2), lam, incremental_accuracy=False) \
+        == {0: False, 1: False}
 
 
 def test_split_gain_zero_gain_must_split():
-    rows = [[0], [1]]
-    ds, parent, left, right = _split_leaves(rows, [0, 0], 0)
-    a_k, must = split_gain(parent, left, right, 2, Fraction(1, 100))
-    assert a_k == 0
-    assert must
-
-
-def test_split_gain_rejects_capture_mismatch():
-    rows = [[0, 0], [1, 1]]
-    ds, parent, left, _ = _split_leaves(rows, [0, 1], 0)
-    with pytest.raises(ValueError):
-        split_gain(parent, left, left, 2, Fraction(1, 100))
+    # lam = 1/100 over 100 samples: gain 0 obliges, gain exactly lam not
+    assert _must_split_by_feature((0, 1), Fraction(1, 100)) \
+        == {0: True, 1: False}
 
 
 def test_split_gain_nonnegative_random():
@@ -102,39 +164,60 @@ def test_split_gain_nonnegative_random():
         f = rng.randrange(ds.n_features)
         left = make_child_leaf(parent, f, False, ds, eq, lam)
         right = make_child_leaf(parent, f, True, ds, eq, lam)
-        a_k, _ = split_gain(parent, left, right, ds.n_samples, lam)
-        assert a_k >= 0
+        assert (left.capture & right.capture).count_ones() == 0
+        assert left.capture | right.capture == parent.capture
+        assert left.n_correct + right.n_correct >= parent.n_correct
 
 
 def test_lookahead_prunes():
     lam = Fraction(1, 100)
-    assert lookahead_prunes(Fraction(30, 100), lam, Fraction(305, 1000))
-    assert not lookahead_prunes(Fraction(30, 100), lam, Fraction(32, 100))
-    assert lookahead_prunes(Fraction(31, 100), lam, Fraction(32, 100))
+    ds = from_rows(["a"], [[0], [1]] * 50, [0, 1] * 50)
+
+    def pruned(b, best, **toggles):
+        run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
+        return not run._push_gate(_scaled(run, b), 0)
+
+    assert pruned(Fraction(30, 100), Fraction(305, 1000))
+    assert not pruned(Fraction(30, 100), Fraction(32, 100))
+    assert pruned(Fraction(31, 100), Fraction(32, 100))  # b + lam == best
+    assert not pruned(Fraction(30, 100), Fraction(305, 1000),
+                      lookahead=False)
+    # the hierarchical bound alone: b >= best
+    assert pruned(Fraction(30, 100), Fraction(30, 100), lookahead=False)
 
 
 def test_equivalent_points_floor():
     rows = [[0, 1]] * 4 + [[1, 0]] * 2
     labels = [1, 1, 1, 1, 0, 1]
     ds = from_rows(["a", "b"], rows, labels)
+    lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
-    tree = root_tree(ds, Fraction(1, 100), eq)
-    assert equivalent_points_floor(tree) == Fraction(1, 6)
+    tree = root_tree(ds, lam, eq)
+    assert Fraction(tree.b0_s, tree.scale) == Fraction(1, 6)
+    # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
+    assert not _run_at(ds, lam, Fraction(106, 600))._is_live(tree)
+    assert _run_at(ds, lam, Fraction(107, 600))._is_live(tree)
+    assert _run_at(ds, lam, Fraction(106, 600),
+                   equivalent_points=False)._is_live(tree)
 
     distinct = from_rows(["a", "b"], [[0, 0], [0, 1], [1, 0]], [1, 0, 1])
-    root = root_tree(distinct, Fraction(1, 100),
-                     build_equivalence_index(distinct))
-    assert equivalent_points_floor(root) == 0
+    root = root_tree(distinct, lam, build_equivalence_index(distinct))
+    assert root.b0_s == 0
 
 
 def test_equivalent_points_floor_le_splittable_error():
     rng = random.Random(5)
+    lam = Fraction(1, 20)
+    trees = 0
     for _ in range(100):
         ds = random_dataset(rng, rng.randint(4, 30), 3, duplicate_bias=0.5)
         eq = build_equivalence_index(ds)
-        tree = root_tree(ds, Fraction(1, 20), eq)
-        assert equivalent_points_floor(tree) \
-            <= Fraction(tree.err_splittable(), ds.n_samples)
+        root = root_tree(ds, lam, eq)
+        for tree in [root] + expand(root, ds, eq, SearchConfig(lam=lam),
+                                    Fraction(1)):
+            trees += 1
+            assert 0 <= tree.b0_s <= tree.r_s - tree.b_s
+    assert trees > 100
 
 
 def test_max_leaves_formulas():
@@ -144,32 +227,50 @@ def test_max_leaves_formulas():
     with pytest.raises(ValueError):
         max_leaves_apriori(Fraction(0), 4)
 
-    assert max_leaves_current(Fraction(33, 100), Fraction(1, 200), 12) == 66
-    assert max_leaves_current(Fraction(1, 10), Fraction(1, 10), 12) == 1
-    assert max_leaves_current(Fraction(1, 2), Fraction(1, 200), 12) \
-        == max_leaves_apriori(Fraction(1, 200), 12)
-
-    lam = Fraction(1, 100)
-    assert max_leaves_parent_specific(Fraction(0), 0, Fraction(33, 100),
-                                      Fraction(1, 200), 12) == 66
-    assert max_leaves_parent_specific(Fraction(1, 10), 4,
-                                      Fraction(1, 10) + lam, lam, 10) == 5
-    assert max_leaves_parent_specific(Fraction(1, 10), 4,
-                                      Fraction(1, 10) + 3 * lam, lam, 10) == 7
+    # the current and parent-specific caps follow from the lower-bound
+    # gate: every child the search keeps satisfies both
+    rng = random.Random(12)
+    lam = Fraction(1, 20)
+    children = 0
+    for _ in range(200):
+        ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
+        eq = build_equivalence_index(ds)
+        best = Fraction(rng.randint(1, 10), 20)
+        parents = [root_tree(ds, lam, eq)]
+        parents += expand(parents[0], ds, eq, SearchConfig(lam=lam), best)
+        for parent in parents:
+            for child in expand(parent, ds, eq, SearchConfig(lam=lam),
+                                best):
+                children += 1
+                assert child.h <= min(math.floor(best / lam),
+                                      2 ** ds.n_features)
+                assert child.h < parent.h + math.floor(
+                    (best - parent.lower_bound) / lam)
+    assert children > 50
 
 
 def test_remaining_evaluations():
     lam = Fraction(1, 10)
-    assert remaining_evaluations_log10(Fraction(1, 2), [], lam, 3) is None
-    # single entry with f = 0: only the k=0 term, Gamma = 1
-    assert remaining_evaluations(Fraction(1, 10),
-                                 [(Fraction(1, 10), 2)], lam, 3) == 1
-    assert remaining_evaluations_log10(Fraction(1, 10),
-                                       [(Fraction(1, 10), 2)], lam, 3) == 0
-    # f = 2, L = 1, M = 1: slots = 2, 1 + 2 + 2 = 5
-    got = remaining_evaluations(Fraction(3, 10), [(Fraction(1, 10), 1)],
-                                lam, 1)
-    assert got == 5
+    ds = from_rows(["a"], [[0], [1]] * 5, [0, 1] * 5)  # M = 1, N = 10
+    root = root_tree(ds, lam, build_equivalence_index(ds))  # b = 0, L = 1
+
+    def traced(best, trees):
+        run = _run_at(ds, lam, best)
+        for tree in trees:
+            run.queue.push(tree)
+        run._record_trace()
+        return run.trace[-1]
+
+    empty = traced(Fraction(1, 2), [])
+    assert empty.remaining_bound == 0 and empty.log10_remaining_bound is None
+    # f = 0 when best <= b: only the k=0 term, Gamma = 1
+    assert traced(Fraction(0), [root]).remaining_bound == 1
+    assert traced(Fraction(0), [root]).log10_remaining_bound == 0
+    # f = 2, L = 1, M = 1: slots = 2, 1 + 2 + 2 = 5; f = 3 is capped at 2
+    assert traced(Fraction(2, 10), [root]).remaining_bound == 5
+    both = traced(Fraction(3, 10),
+                  [replace(root, generation=1), replace(root, generation=2)])
+    assert both.remaining_bound == 10 and both.log10_remaining_bound == 1
 
 
 def test_total_evaluations_bound():
@@ -202,10 +303,23 @@ def test_count_trees_table():
 
 
 def test_similar_support_omega():
+    # a split is skipped when a rejected companion's floor reaches
+    # best + omega, omega being the support captured by exactly one side
+    ds = from_rows(["a"], [[0], [1]] * 5, [0, 1] * 5)  # N = 10
+    run = _run_at(ds, Fraction(1, 10), Fraction(1, 2))
+    per_sample = _scaled(run, Fraction(1, 10))
+
+    def skipped(t1, t2, floor_over_best):
+        floor_s = run.best_s + floor_over_best
+        return run._similar_skip(SimpleNamespace(capture=t1),
+                                 [(floor_s, t2)])
+
     a = BitVector.make([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
     b = BitVector.make([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
-    assert similar_support_omega(a, b, 10) == Fraction(2, 10)
-    assert similar_support_omega(a, a, 10) == 0
+    assert skipped(a, b, 2 * per_sample)  # omega = 2/10
+    assert not skipped(a, b, 2 * per_sample - 1)
+    assert skipped(a, a, 0)  # omega = 0
     c = BitVector.make([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
     d = BitVector.make([0, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    assert similar_support_omega(c, d, 10) == Fraction(3, 10)
+    assert skipped(c, d, 3 * per_sample)  # omega = 3/10
+    assert not skipped(c, d, 3 * per_sample - 1)

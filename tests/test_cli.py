@@ -182,3 +182,38 @@ def test_determinism_byte_identical_models(tmp_path, toy_csv):
 
 def test_unknown_subcommand_exit_code():
     assert main(["frobnicate"]) == 1
+
+
+def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):
+    data = tmp_path / "bom.csv"
+    data.write_bytes(b"\xef\xbb\xbf" + "y,a,b\n1,0,1\n0,1,0\n1,0,1\n".encode())
+    out = tmp_path / "m.json"
+    code = main(["fit", "--data", str(data), "--label", "y",
+                 "--lambda", "0.01", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    features = {c["feature"] for leaf in json.loads(out.read_text())["leaves"]
+                for c in leaf["clauses"]}
+    assert features <= {"a", "b"}
+
+
+@pytest.mark.parametrize("model", [
+    {"objective": "1/50"},                                   # no leaves
+    [{"clauses": [], "prediction": 1}],                      # top-level list
+    {"leaves": [{"clauses": [{"feature": "a"}], "prediction": 1}]},
+], ids=["missing-leaves", "top-level-list", "clause-without-value"])
+def test_predict_malformed_model_is_format_error(tmp_path, toy_csv, capsys,
+                                                 model):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(model))
+    code = main(["predict", "--model", str(path), "--data", str(toy_csv),
+                 "--label", "y"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: model") and err.count("\n") == 1
+
+
+def test_warm_start_has_only_the_off_switch(tmp_path, toy_csv):
+    code, _ = _fit(tmp_path, toy_csv, "--no-warm-start")
+    assert code == 0
+    code, _ = _fit(tmp_path, toy_csv, "--warm-start")
+    assert code == 1

@@ -10,7 +10,7 @@ from tests.conftest import random_dataset
 def test_perfect_split_found(toy_ds):
     lam = Fraction(1, 100)
     tree = greedy_fit(toy_ds, GreedyParams(max_depth=1), lam)
-    assert tree.is_terminal()
+    assert not any(tree.splittable)
     assert len(tree.leaves) == 2
     assert sum(l.mistakes for l in tree.leaves) == 0
     assert {c.feature for leaf in tree.leaves for c in leaf.clauses} == {0}
@@ -57,7 +57,7 @@ def test_greedy_objective_consistency_random():
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
         tree = greedy_fit(ds, GreedyParams.default(lam, ds), lam)
         tree.check_partition()
-        assert tree.is_terminal()
+        assert not any(tree.splittable)
         assert tree.objective == objective(tree, lam)
         # never worse than predicting the majority class outright
         majority = min(ds.label_one_count,

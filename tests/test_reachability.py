@@ -1,0 +1,74 @@
+"""Every public function of the bound and tree modules is run by the
+program itself, so tests cannot come to check a copy of the arithmetic
+instead of the code that prunes."""
+
+import inspect
+import random
+import sys
+from fractions import Fraction
+
+import opttree.bounds
+import opttree.tree
+from opttree.cli import main
+from opttree.search import SearchConfig, fit
+from tests.conftest import random_dataset
+
+# name -> why nothing in `fit` or `opttree count` runs it
+NOT_RUN = {
+    "opttree.tree.objective":
+        "from-scratch reference used by tests and the benchmark",
+    "opttree.tree.TreeState.check_partition":
+        "from-scratch reference used by tests and the benchmark",
+    "opttree.bounds.symmetry_savings": "paper counting result",
+    "opttree.bounds.total_evaluations_bound_log10": "paper counting result",
+}
+
+
+def _public_functions(module):
+    """(qualified name, code object) of each public function, method and
+    property defined in the module."""
+    def code_of(obj):
+        if isinstance(obj, property):
+            obj = obj.fget
+        obj = inspect.unwrap(obj)
+        return obj.__code__ if inspect.isfunction(obj) else None
+
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) \
+                != module.__name__:
+            continue
+        if inspect.isclass(obj):
+            for attr, member in vars(obj).items():
+                code = None if attr.startswith("_") else code_of(member)
+                if code is not None:
+                    yield f"{module.__name__}.{name}.{attr}", code
+        else:
+            code = code_of(obj)
+            if code is not None:
+                yield f"{module.__name__}.{name}", code
+
+
+def test_public_bound_and_tree_functions_are_reached(capsys):
+    opttree.bounds.cumulative_perm.cache_clear()  # memo hits skip the body
+    rng = random.Random(1)
+    ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        fit(ds, SearchConfig(lam=Fraction(1, 30), trace_interval=5))
+        assert main(["count", "--features", "3", "--depth", "2"]) == 0
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+
+    functions = dict(_public_functions(opttree.bounds))
+    functions.update(_public_functions(opttree.tree))
+    assert set(NOT_RUN) <= set(functions), "stale allowlist entry"
+    unreached = sorted(name for name, code in functions.items()
+                       if code not in reached and name not in NOT_RUN)
+    assert unreached == []

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -67,9 +68,9 @@ def test_queue_orders_and_breaks_ties_by_generation(ds):
     a = _split_tree(ds, (False, True), lam)
     b = _split_tree(ds, (True, False), lam)
     c = _split_tree(ds, (True, True), lam)  # lower b: nothing unchanged
-    a = TreeState(**{**a.__dict__, "generation": 2})
-    b = TreeState(**{**b.__dict__, "generation": 3})
-    c = TreeState(**{**c.__dict__, "generation": 4})
+    a = replace(a, generation=2)
+    b = replace(b, generation=3)
+    c = replace(c, generation=4)
     q.push(a)
     q.push(b)
     q.push(c)
@@ -90,11 +91,10 @@ def test_queue_lazy_invalidation(ds):
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
     a = _split_tree(ds, (False, True))
-    b = _split_tree(ds, (True, True))
+    b = replace(_split_tree(ds, (True, True)), generation=2)
     q.push(a)
     q.push(b)
     assert q.max_size == 2
     assert q.min_lower_bound() == min(a.lower_bound, b.lower_bound)
     assert q.min_lower_bound(lambda t: t is a) == a.lower_bound
-    snap = q.snapshot()
-    assert sorted(snap) == sorted([(a.lower_bound, 2), (b.lower_bound, 2)])
+    assert sorted(t.generation for t in q.trees()) == [1, 2]

@@ -85,6 +85,36 @@ def test_cache_limit():
     res = fit(ds, cfg)
     assert res.stats.limit_hit is not None
     assert "cache" in res.stats.limit_hit
+    assert not res.certified
+
+
+def test_cache_limit_must_be_positive(toy_ds):
+    with pytest.raises(ValueError, match="max_cache_entries"):
+        fit(toy_ds, SearchConfig(lam=Fraction(1, 100), max_cache_entries=0))
+
+
+LIMITS = ([{"max_cache_entries": k} for k in (1, 2, 5, 10, 20, 50, 200)]
+          + [{"max_trees": k} for k in (1, 5, 20, 100, 400)]
+          + [{"time_limit": t} for t in (0.0, 0.002, 0.02)])
+
+
+@pytest.mark.parametrize("limit", LIMITS, ids=lambda d: "{}={}".format(
+    *next(iter(d.items()))))
+def test_limits_never_overstate(limit):
+    """Whatever stops the search, objective - gap bounds the optimum from
+    below, and a certificate means the optimum was found."""
+    rng = random.Random(31)
+    for _ in range(12):
+        ds = random_dataset(rng, rng.randint(10, 40), rng.randint(3, 5),
+                            duplicate_bias=rng.choice([0.0, 0.4]))
+        lam = rng.choice((Fraction(1, 100), Fraction(1, 30)))
+        optimum = exhaustive_optimum(ds, lam).objective
+        res = fit(ds, SearchConfig(lam=lam, trace_interval=3, **limit))
+        assert res.objective - res.gap <= optimum <= res.objective
+        assert res.gap >= 0
+        if res.certified:
+            assert res.stats.limit_hit is None
+            assert res.objective == optimum
 
 
 def test_trace_monotonicity_lower_bound_policy():
@@ -162,11 +192,11 @@ def test_ablations_preserve_answer(noisy_ds):
     reference = fit(noisy_ds, SearchConfig(lam=lam)).objective
     for field in ("lookahead", "node_support", "incremental_accuracy",
                   "leaf_accuracy", "equivalent_points", "permutation_cache"):
-        toggles = BoundToggles().replace(**{field: False})
+        toggles = BoundToggles(**{field: False})
         res = fit(noisy_ds, SearchConfig(lam=lam, toggles=toggles))
         assert res.certified, field
         assert res.objective == reference, field
-    on = BoundToggles().replace(similar_support=True)
+    on = BoundToggles(similar_support=True)
     res = fit(noisy_ds, SearchConfig(lam=lam, toggles=on))
     assert res.certified and res.objective == reference
 

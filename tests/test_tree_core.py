@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
+from opttree.search import SearchConfig, expand
 from opttree.tree import (Clause, TreeState, canonical_clauses,
-                          incremental_lower_bound, incremental_objective,
-                          lower_bound, make_child_leaf, make_leaf,
-                          normalized_support, objective, root_tree,
+                          make_child_leaf, make_leaf, objective, root_tree,
                           sort_leaves)
 from tests.conftest import random_dataset
 
@@ -100,26 +99,6 @@ def test_objective_examples():
     assert two.objective == two.lower_bound  # terminal: no splittable error
 
 
-def test_incremental_formula_arithmetic():
-    lam = Fraction(1, 100)
-
-    class FakeLeaf:
-        def __init__(self, mistakes):
-            self.mistakes = mistakes
-
-    got = incremental_lower_bound(Fraction(0), [FakeLeaf(3), FakeLeaf(1)],
-                                  lam, 2, 100)
-    assert got == Fraction(6, 100)
-    assert incremental_lower_bound(Fraction(1, 4), [], lam, 1, 100) \
-        == Fraction(1, 4) + lam
-    with pytest.raises(ValueError):
-        incremental_lower_bound(Fraction(0), [], lam, -1, 100)
-    assert incremental_objective(Fraction(6, 100), [FakeLeaf(2)], 100) \
-        == Fraction(8, 100)
-    assert incremental_objective(Fraction(6, 100), [], 100) \
-        == Fraction(6, 100)
-
-
 def _random_tree(ds, eq, lam, rng):
     """Random split sequence from the root; returns a valid TreeState."""
     leaves = [make_leaf([], ds, eq, lam)]
@@ -143,7 +122,20 @@ def _random_tree(ds, eq, lam, rng):
                      n_samples=ds.n_samples, lam=lam)
 
 
+def scratch_bounds(tree, lam):
+    """Lower bound, objective and equivalent-points floor summed from the
+    leaves, independently of the sums the tree keeps."""
+    n = tree.n_samples
+    unchanged = [l for l, s in zip(tree.leaves, tree.splittable) if not s]
+    split = [l for l, s in zip(tree.leaves, tree.splittable) if s]
+    b = Fraction(sum(l.mistakes for l in unchanged), n) + lam * tree.h
+    b0 = Fraction(sum(l.b0_count for l in split), n)
+    return b, objective(tree, lam), b0
+
+
 def test_incremental_equals_scratch_on_random_pairs():
+    """Children the search builds carry the bounds that a from-scratch sum
+    over their leaves gives, and never a smaller bound than their parent."""
     rng = random.Random(42)
     lam = Fraction(1, 20)
     checked = 0
@@ -151,35 +143,15 @@ def test_incremental_equals_scratch_on_random_pairs():
         ds = random_dataset(rng, rng.randint(4, 25), rng.randint(2, 4))
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, lam, rng)
-        splittable_idx = [i for i, s in enumerate(parent.splittable) if s]
-        if not splittable_idx:
-            continue
-        i = rng.choice(splittable_idx)
-        leaf = parent.leaves[i]
-        avail = [f for f in range(ds.n_features)
-                 if f not in {c.feature for c in leaf.clauses}]
-        if not avail:
-            continue
-        f = rng.choice(avail)
-        c1 = make_child_leaf(leaf, f, False, ds, eq, lam)
-        c2 = make_child_leaf(leaf, f, True, ds, eq, lam)
-        s1, s2 = rng.random() < 0.5, rng.random() < 0.5
-        others = [l for j, l in enumerate(parent.leaves) if j != i]
-        oflags = [s for j, s in enumerate(parent.splittable) if j != i]
-        delta_h = 2 if parent.h == 0 else 1
-        leaves, flags = sort_leaves(tuple(others + [c1, c2]),
-                                    tuple(oflags + [s1, s2]))
-        child = TreeState(leaves=leaves, splittable=flags,
-                          h=parent.h + delta_h, n_samples=ds.n_samples,
-                          lam=lam)
-        newly = [c for c, s in ((c1, s1), (c2, s2)) if not s]
-        inc_b = incremental_lower_bound(parent.lower_bound, newly, lam,
-                                        delta_h, ds.n_samples)
-        assert inc_b == lower_bound(child, lam)
-        split = [l for l, s in zip(child.leaves, child.splittable) if s]
-        assert incremental_objective(inc_b, split, ds.n_samples) \
-            == objective(child, lam)
-        checked += 1
+        best = Fraction(rng.randint(1, 20), 20)
+        for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+            child.check_partition()
+            b, r, b0 = scratch_bounds(child, lam)
+            assert child.lower_bound == b
+            assert child.objective == r
+            assert Fraction(child.b0_s, child.scale) == b0
+            assert parent.lower_bound <= child.lower_bound <= child.objective
+            checked += 1
 
 
 def test_partition_check(toy_ds):
@@ -198,11 +170,3 @@ def test_lower_bound_le_objective(toy_ds):
     lam = Fraction(1, 10)
     tree = root_tree(toy_ds, lam, _eq(toy_ds))
     assert tree.lower_bound <= tree.objective
-
-
-def test_normalized_support(toy_ds):
-    from opttree.bitvec import BitVector
-    assert normalized_support(BitVector.make([1, 1, 0, 0]), 4) \
-        == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        normalized_support(BitVector.make([1]), 0)
