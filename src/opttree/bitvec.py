@@ -25,13 +25,12 @@ class BitVector:
 
     @classmethod
     def make(cls, values: Iterable[object]) -> "BitVector":
-        bits = 0
-        n = 0
-        for v in values:
-            if v:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
+        return cls.from_string("".join(["1" if v else "0" for v in values]))
+
+    @classmethod
+    def from_string(cls, s: str) -> "BitVector":
+        """Parse a string of "0"/"1" characters, bit 0 first."""
+        return cls(len(s), int(s[::-1], 2) if s else 0)
 
     @classmethod
     def zeros(cls, length: int) -> "BitVector":
@@ -88,12 +87,18 @@ class BitVector:
     def __len__(self) -> int:
         return self.length
 
+    def to_string(self) -> str:
+        """The bits as "0"/"1" characters, bit 0 first."""
+        if not self.length:
+            return ""
+        return format(self._bits, f"0{self.length}b")[::-1]
+
     def to_list(self) -> list[int]:
-        return [self._bits >> i & 1 for i in range(self.length)]
+        return list(map(int, self.to_string()))
 
     def __repr__(self) -> str:
         if self.length <= 64:
-            body = "".join(str(b) for b in self.to_list())
+            body = self.to_string()
         else:
             body = f"len={self.length} ones={self.count_ones()}"
         return f"<BitVector {body}>"

@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, count_trees
-from .dataset import DataFormatError, Dataset, load_csv
+from .bitvec import BitVector
+from .dataset import DataFormatError, Dataset, literal_column, load_csv
 from .oracle import OracleLimits, OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
 from .search import SearchConfig, SearchResult, fit
@@ -188,20 +189,31 @@ def cmd_predict(args) -> int:
             if clause["feature"] not in name_to_col:
                 raise DataFormatError(
                     f"model feature {clause['feature']!r} missing from data")
+    # a leaf's capture is the AND of its literal columns; the leaves must
+    # cover every sample exactly once
+    n = ds.n_samples
     mistakes = 0
-    for n in range(ds.n_samples):
-        matches = [
-            leaf for leaf in model["leaves"]
-            if all(ds.columns[name_to_col[c["feature"]]].get(n)
-                   == bool(c["value"]) for c in leaf["clauses"])
-        ]
-        if len(matches) != 1:
-            print(f"internal error: sample {n} matched {len(matches)} "
-                  "leaves; model leaves do not partition the data",
-                  file=sys.stderr)
-            return EXIT_INTERNAL
-        if matches[0]["prediction"] != int(ds.labels.get(n)):
-            mistakes += 1
+    covered = BitVector.zeros(n)
+    covered_twice = BitVector.zeros(n)
+    captures = []
+    for leaf in model["leaves"]:
+        capture = BitVector.ones(n)
+        for c in leaf["clauses"]:
+            capture &= literal_column(ds, name_to_col[c["feature"]],
+                                      bool(c["value"]))
+        wrong = ds.labels.invert() if leaf["prediction"] else ds.labels
+        mistakes += (capture & wrong).count_ones()
+        covered_twice |= covered & capture
+        covered |= capture
+        captures.append(capture)
+    unmatched_or_twice = covered.invert() | covered_twice
+    if not unmatched_or_twice.is_zero():
+        first = unmatched_or_twice.to_string().index("1")
+        matched = sum(c.get(first) for c in captures)
+        print(f"internal error: sample {first} matched {matched} "
+              "leaves; model leaves do not partition the data",
+              file=sys.stderr)
+        return EXIT_INTERNAL
     acc = (ds.n_samples - mistakes) / ds.n_samples
     print(f"samples: {ds.n_samples}")
     print(f"mistakes: {mistakes}")

@@ -93,6 +93,8 @@ class _Run:
     def __init__(self, ds: Dataset, config: SearchConfig,
                  eq: Optional[EquivalenceIndex] = None):
         config.validate()
+        # limits and total_time cover the whole fit, index included
+        self._t0 = time.perf_counter()
         self.ds = ds
         self.config = config
         self.eq = eq if eq is not None else build_equivalence_index(ds)
@@ -298,7 +300,6 @@ class _Run:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
-        self._t0 = time.perf_counter()
         root = replace(root_tree(self.ds, self.lam, self.eq),
                        generation=self._next_gen())
         self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
@@ -322,7 +323,9 @@ class _Run:
             self.queue.push(root)
 
         next_trace = self.config.trace_interval
-        while True:
+        # limits are checked before every expansion, and only while work
+        # is left: a search that has run out of trees stays certified
+        while len(self.queue) and not self._limit_tripped():
             tree = self.queue.pop(self._is_live)
             if tree is None:
                 break
@@ -339,8 +342,6 @@ class _Run:
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
-                if self._limit_tripped():
-                    break
 
         self._record_trace()
         return self._finish()
@@ -413,7 +414,6 @@ def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
     """Stateless child generation for one tree against incumbent ``best``
     (testing surface)."""
     run = _Run(ds, config, eq)
-    run._t0 = time.perf_counter()
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     run.best_obj = best

@@ -1,5 +1,6 @@
 import csv
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -62,7 +63,6 @@ def test_fit_bad_csv_is_format_error(tmp_path, capsys):
 
 def test_fit_time_limit_uncertified(tmp_path):
     hard = tmp_path / "hard.csv"
-    import random
     rng = random.Random(1)
     rows = ["".join(str(rng.randint(0, 1)) for _ in range(9))
             for _ in range(80)]
@@ -217,3 +217,66 @@ def test_warm_start_has_only_the_off_switch(tmp_path, toy_csv):
     assert code == 0
     code, _ = _fit(tmp_path, toy_csv, "--warm-start")
     assert code == 1
+
+
+def _random_partition(rng, features, clauses=()):
+    """Leaves of a random tree over the features: they partition the data."""
+    used = {c["feature"] for c in clauses}
+    free = [f for f in features if f not in used]
+    if not free or rng.random() < 0.3:
+        return [{"clauses": list(clauses), "prediction": rng.randint(0, 1)}]
+    f = rng.choice(free)
+    return [leaf for v in (0, 1)
+            for leaf in _random_partition(
+                rng, features, clauses + ({"feature": f, "value": v},))]
+
+
+def _per_row_predict(leaves, header, rows):
+    """(first sample not matched exactly once, its match count) or the
+    mistake count, recounted one row at a time."""
+    mistakes = 0
+    for i, row in enumerate(rows):
+        cells = dict(zip(header, row))
+        matched = [leaf for leaf in leaves
+                   if all(cells[c["feature"]] == c["value"]
+                          for c in leaf["clauses"])]
+        if len(matched) != 1:
+            return (i, len(matched))
+        mistakes += matched[0]["prediction"] != cells["y"]
+    return mistakes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_predict_matches_per_row_recount(tmp_path, capsys, seed):
+    rng = random.Random(seed)
+    m = rng.randint(1, 5)
+    features = [f"f{j}" for j in range(m)]
+    header = features + ["y"]
+    rows = [[rng.randint(0, 1) for _ in header]
+            for _ in range(rng.randint(1, 120))]
+    data = tmp_path / "data.csv"
+    data.write_text(",".join(header) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    leaves = _random_partition(rng, features)
+    broken = []
+    if len(leaves) > 1:
+        broken.append(leaves[1:])  # a leaf removed
+    broken.append(leaves + [rng.choice(leaves)])  # two overlapping leaves
+    broken.append(leaves + [{"clauses": [], "prediction": 0}])
+    for model_leaves in [leaves] + broken:
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"leaves": model_leaves}))
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--label", "y"])
+        out, err = capsys.readouterr()
+        expected = _per_row_predict(model_leaves, header, rows)
+        if isinstance(expected, tuple):
+            sample, matched = expected
+            assert code == 2
+            assert err.startswith(f"internal error: sample {sample} "
+                                  f"matched {matched} leaves;")
+        else:
+            assert code == 0, err
+            assert f"mistakes: {expected}\n" in out
+            assert f"samples: {len(rows)}\n" in out
+    assert code == 2  # the last model always overlaps

@@ -2,11 +2,13 @@ import io
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opttree.dataset import (DataFormatError, build_equivalence_index,
-                             from_rows, literal_column, load_csv, write_csv)
+from opttree.bitvec import BitVector
+from opttree.dataset import (DataFormatError, EquivalenceIndex,
+                             build_equivalence_index, from_rows,
+                             literal_column, load_csv, write_csv)
 
 
 def test_load_csv_basic():
@@ -105,3 +107,87 @@ def test_class_ids_stable_by_first_occurrence():
     rows = [[1, 0], [0, 1], [1, 0], [0, 1]]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, [0, 1, 1, 0]))
     assert eq.class_of == (0, 1, 0, 1)
+
+
+def _brute_force_index(rows, labels):
+    """Per-row grouping, written independently of the library."""
+    n = len(rows)
+    class_ids: dict[tuple, int] = {}
+    class_of = [class_ids.setdefault(tuple(r), len(class_ids)) for r in rows]
+    ones = [0] * len(class_ids)
+    sizes = [0] * len(class_ids)
+    for cid, y in zip(class_of, labels):
+        sizes[cid] += 1
+        ones[cid] += y
+    minority = [1 if ones[c] < sizes[c] - ones[c] else 0
+                for c in range(len(sizes))]
+    theta = [Fraction(min(ones[c], sizes[c] - ones[c]), n)
+             for c in range(len(sizes))]
+    z = BitVector.make([y == minority[cid]
+                        for cid, y in zip(class_of, labels)])
+    return EquivalenceIndex(tuple(class_of), tuple(minority), tuple(theta), z)
+
+
+# rows drawn from a small pool: duplicates, all-identical rows (pool of
+# one) and tied label counts are all common
+grouped_data = st.integers(1, 5).flatmap(lambda m: st.tuples(
+    st.just(m),
+    st.lists(st.lists(st.integers(0, 1), min_size=m, max_size=m),
+             min_size=1, max_size=6),
+    st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)),
+             min_size=1, max_size=200),
+    st.randoms(use_true_random=False)))
+
+
+@given(grouped_data)
+@settings(max_examples=60, deadline=None)
+def test_equivalence_index_and_padded_csv_match_per_row(data):
+    m, pool, picks, rnd = data
+    rows = [pool[i % len(pool)] for i, _ in picks]
+    labels = [y for _, y in picks]
+    names = [f"f{j}" for j in range(m)]
+    ds = from_rows(names, rows, labels)
+    assert build_equivalence_index(ds) == _brute_force_index(rows, labels)
+
+    def pad(cell):
+        return (rnd.choice(["", " ", "  ", "\t"]) + cell
+                + rnd.choice(["", " ", "\t"]))
+    lines = [",".join(names + ["y"])]
+    for row, y in zip(rows, labels):
+        if rnd.random() < 0.1:
+            lines.append("")
+        lines.append(",".join(pad(str(v)) for v in row + [y]))
+    assert load_csv(io.StringIO("\n".join(lines) + "\n"), "y") == ds
+
+
+def _valid_rows(k):
+    return "".join(f"{i % 2},{(i // 2) % 2},{(i // 3) % 2}\n"
+                   for i in range(k))
+
+
+def test_load_csv_short_row_deep_in_file():
+    text = "a,b,y\n" + _valid_rows(140) + "1,0\n" + _valid_rows(10)
+    with pytest.raises(DataFormatError,
+                       match=r"^row 141: expected 3 cells, got 2$"):
+        load_csv(io.StringIO(text), "y")
+
+
+def test_load_csv_first_nonbinary_cell_is_reported():
+    text = ("a,b,y\n" + _valid_rows(56) + "1,2,0\n" + _valid_rows(20)
+            + "x,1,1\n")
+    with pytest.raises(DataFormatError) as exc:
+        load_csv(io.StringIO(text), "y")
+    assert str(exc.value) == "row 57, column 'b': non-binary cell '2'"
+
+
+def test_load_csv_accepts_padded_cells():
+    ds = load_csv(io.StringIO("a,b,y\n 1 , 0 , 1 \n0,1, 0\n"), "y")
+    assert ds == from_rows(["a", "b"], [[1, 0], [0, 1]], [1, 0])
+
+
+@pytest.mark.parametrize("cell", [" 10 ", "", " "])
+def test_load_csv_rejects_padded_or_empty_cells_that_are_not_bits(cell):
+    with pytest.raises(DataFormatError,
+                       match=f"^row 2, column 'b': non-binary cell "
+                             f"{cell.strip()!r}$"):
+        load_csv(io.StringIO(f"a,b,y\n0,1,1\n1,{cell},0\n"), "y")

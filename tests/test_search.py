@@ -210,3 +210,49 @@ def test_stats_populated(noisy_ds):
     assert s.leaf_cache_size >= 1
     assert res.trace  # final record always present
     assert res.trace[-1].trees_evaluated == s.trees_evaluated
+
+
+def _limit_ds():
+    return random_dataset(random.Random(7), 200, 10)
+
+
+def test_max_trees_one_stops_at_root():
+    res = fit(_limit_ds(), SearchConfig(lam=Fraction(1, 100), max_trees=1))
+    assert res.stats.trees_evaluated == 1
+    assert res.stats.limit_hit == "max_trees"
+    assert not res.certified
+
+
+@pytest.mark.parametrize("limit", [{"max_trees": 1}, {"time_limit": 0.0}])
+def test_limit_keeps_certificate_when_no_work_is_left(limit):
+    # one label only: the root is optimal and nothing is ever queued
+    ds = from_rows(["a", "b"], [[0, 1], [1, 0], [1, 1]], [1, 1, 1])
+    res = fit(ds, SearchConfig(lam=Fraction(1, 100), **limit))
+    assert res.certified and res.stats.limit_hit is None
+
+
+@pytest.mark.parametrize("k", [2, 10, 50, 300])
+def test_max_trees_overshoots_by_at_most_one_expansion(k):
+    # the limit is checked before every expansion, and one expansion
+    # evaluates at most a retire child plus four children per feature
+    ds = _limit_ds()
+    res = fit(ds, SearchConfig(lam=Fraction(1, 100), max_trees=k))
+    assert res.stats.limit_hit == "max_trees"
+    assert k <= res.stats.trees_evaluated <= k + 4 * ds.n_features + 1
+
+
+def test_time_limit_covers_equivalence_index(monkeypatch):
+    import time
+
+    import opttree.search as search
+    real = search.build_equivalence_index
+
+    def slow_index(ds):
+        time.sleep(0.2)
+        return real(ds)
+    monkeypatch.setattr(search, "build_equivalence_index", slow_index)
+    res = fit(_limit_ds(), SearchConfig(lam=Fraction(1, 100),
+                                        time_limit=0.1))
+    assert res.stats.limit_hit == "time_limit"
+    assert res.stats.total_time >= 0.2
+    assert not res.certified
