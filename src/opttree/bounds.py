@@ -47,16 +47,38 @@ def max_leaves_apriori(lam: Fraction, n_features: int) -> int:
 
 @lru_cache(maxsize=4096)
 def cumulative_perm(slots: int, f: int) -> int:
-    """Sum of perm(slots, k) for k = 0..f; queue entries repeat (slots, f)
-    pairs heavily, so this is memoized."""
-    return sum(perm(slots, k) for k in range(f + 1))
+    """Sum of perm(slots, k) for k = 0..f, as one running product:
+    perm(slots, k) = perm(slots, k - 1) * (slots - k + 1).  Queue entries
+    repeat (slots, f) pairs heavily, so this is memoized."""
+    total = term = 1
+    for k in range(1, f + 1):
+        term *= slots - k + 1
+        total += term
+    return total
+
+
+def floor_log10(n: int) -> int:
+    """floor(log10(n)) for a positive integer, exactly and without
+    converting n to decimal (CPython refuses ints over 4300 digits)."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    # 2^(b-1) <= n < 2^b and log10(2) ~ 0.30103: the estimate is off by
+    # at most one, and the two loops correct it against powers of ten
+    k = (n.bit_length() - 1) * 30103 // 100000
+    power = 10 ** k
+    while power > n:
+        k -= 1
+        power //= 10
+    while power * 10 <= n:
+        k += 1
+        power *= 10
+    return k
 
 
 def total_evaluations_bound_log10(lam: Fraction, n_features: int) -> int:
     """floor(log10) of the a priori cap on trees ever evaluated."""
-    total = cumulative_perm(3 ** n_features,
-                            max_leaves_apriori(lam, n_features))
-    return len(str(total)) - 1
+    return floor_log10(cumulative_perm(3 ** n_features,
+                                       max_leaves_apriori(lam, n_features)))
 
 
 def symmetry_savings(n_features: int, max_leaves: int) -> int:

@@ -4,7 +4,9 @@ A dataset is held column-wise: one bit-vector per feature plus the labels.
 Loading, writing and indexing all work on whole columns, joining or
 formatting a column's cells as one "0"/"1" string, so each costs
 O(N*M) for N samples and M features; nothing reads a single sample's bit
-in a loop over samples.
+in a loop over samples.  ``load_csv`` parses ``BLOCK_ROWS`` rows at a
+time and keeps only each column's joined strings, so its memory is one
+block of cells plus the columns.
 
 Samples with identical feature vectors can never be separated by any tree,
 so each duplicate group contributes its minority-label count as an
@@ -20,8 +22,7 @@ import io
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
-from operator import itemgetter
+from itertools import compress, islice
 from typing import NoReturn, TextIO
 
 from .bitvec import BitVector
@@ -77,6 +78,7 @@ def from_rows(feature_names, rows, labels) -> Dataset:
 
 
 BINARY_CELLS = frozenset(("0", "1"))
+BLOCK_ROWS = 1024
 
 
 def load_csv(source: TextIO | str, label_column: str) -> Dataset:
@@ -101,30 +103,37 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
     if any(not name for name in feature_names):
         raise DataFormatError("empty feature name in header")
 
-    records = list(reader)
-    rows = [row for row in records if row]
-    if not rows:
+    # only one block of records is held at a time; each column grows by
+    # one "0"/"1" string per block
+    parts: list[list[str]] = [[] for _ in header]
+    n_rows = 0
+    first = 1  # number of the block's first record, blank lines counted
+    while records := list(islice(reader, BLOCK_ROWS)):
+        rows = [row for row in records if row]
+        if rows:
+            if set(map(len, rows)) != {len(header)}:
+                _raise_first_error(header, records, first)
+            for part, cells in zip(parts, zip(*rows)):
+                if not BINARY_CELLS.issuperset(cells):
+                    cells = [c.strip() for c in cells]
+                    if not BINARY_CELLS.issuperset(cells):
+                        _raise_first_error(header, records, first)
+                part.append("".join(cells))
+            n_rows += len(rows)
+        first += len(records)
+    if not n_rows:
         raise DataFormatError("no data rows")
-    if set(map(len, rows)) != {len(header)}:
-        _raise_first_error(header, records)
-    bits = []
-    for j in range(len(header)):
-        # one column at a time: zip(*rows) would hold an iterator per row
-        cells = list(map(itemgetter(j), rows))
-        if not BINARY_CELLS.issuperset(cells):
-            cells = [c.strip() for c in cells]
-            if not BINARY_CELLS.issuperset(cells):
-                _raise_first_error(header, records)
-        bits.append(BitVector.from_string("".join(cells)))
+    bits = [BitVector.from_string("".join(part)) for part in parts]
     labels = bits.pop(label_idx)
-    return Dataset(len(rows), len(feature_names), feature_names,
+    return Dataset(n_rows, len(feature_names), feature_names,
                    tuple(bits), labels)
 
 
-def _raise_first_error(header: list[str],
-                       records: list[list[str]]) -> NoReturn:
-    """Report the first short/long row or non-binary cell, in file order."""
-    for rownum, row in enumerate(records, start=1):
+def _raise_first_error(header: list[str], records: list[list[str]],
+                       first: int) -> NoReturn:
+    """Report the first short/long row or non-binary cell of a block whose
+    first record is number ``first``, in file order."""
+    for rownum, row in enumerate(records, start=first):
         if not row:
             continue
         if len(row) != len(header):

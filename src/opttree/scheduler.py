@@ -3,8 +3,17 @@
 Every policy yields a total order via (priority value, generation): each
 pushed tree has its own generation number, assigned in creation order, so
 ties break deterministically towards older trees.  Lower keys are popped
-first.  The bound-based keys read the integer sums a tree computed when it
-was built.
+first.
+
+The bound-based keys are integers read from the sums a tree computed when
+it was built, in units of 1/(N*q) for lam = p/q over N samples.  Within
+one search N and q are fixed, so ``b_s`` orders trees exactly as their
+lower bounds and ``r_s`` exactly as their objectives.  The curiosity key,
+lower bound over the fraction c/N of samples held by unchanged leaves
+(c = N when there are none), is b_s/(q*c) as a rational.  Every c is at
+most N, so two different values of b_s/c differ by at least 1/N^2, and
+the integer ``b_s * N * N // c`` orders and ties exactly as the rational.
+Only the entropy (float) and Gini (Fraction) keys are not integers.
 """
 
 from __future__ import annotations
@@ -13,6 +22,7 @@ import heapq
 import math
 from enum import Enum
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Optional
 
 from .dataset import Dataset
@@ -43,16 +53,13 @@ def priority(tree: TreeState, policy: Policy, ds: Dataset):
     if policy is Policy.DFS:
         return -tree.h
     if policy is Policy.LOWER_BOUND:
-        return tree.lower_bound
+        return tree.b_s
     if policy is Policy.OBJECTIVE:
-        return tree.objective
+        return tree.r_s
     if policy is Policy.CURIOSITY:
-        # lower bound scaled by inverse unchanged-leaf support; the root
-        # has no unchanged leaves, so fall back to the bound itself
-        cap = tree.unchanged_capture
-        if cap == 0:
-            return tree.lower_bound
-        return Fraction(tree.b_s * n, tree.scale * cap)
+        # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);
+        # c = N when no leaf is unchanged, as in the root
+        return tree.b_s * n * n // (tree.unchanged_capture or n)
     if policy is Policy.ENTROPY:
         total = 0.0
         for leaf, s in zip(tree.leaves, tree.splittable):
@@ -106,7 +113,9 @@ class SearchQueue:
 
     def min_lower_bound(self,
                         is_live: Optional[Callable[[TreeState], bool]] = None
-                        ) -> Optional[Fraction]:
-        bounds = [t.lower_bound for _, _, t in self._heap
-                  if is_live is None or is_live(t)]
-        return min(bounds) if bounds else None
+                        ) -> Optional[TreeState]:
+        """The (live) queued tree with the smallest lower bound, compared
+        as integer ``b_s``; None when there is none."""
+        return min((t for _, _, t in self._heap
+                    if is_live is None or is_live(t)),
+                   key=attrgetter("b_s"), default=None)

@@ -5,27 +5,42 @@ split per expansion; a "retire" move reflags it unchanged instead.  Every
 reachable leaf-set/partition state is produced by induction on these moves,
 and the tree cache absorbs order duplicates.
 
-All pruning comparisons run on integers: with lam = p/q over N samples,
-a value e/N + lam*H scales to e*q + H*p*N.  Each tree carries its scaled
-lower bound, objective and equivalent-points floor (``b_s``, ``r_s``,
-``b0_s``), summed once when it is built, so the hot loop stays free of
-rational normalization while staying exact.
+Every comparison the loop makes is an integer comparison: with lam = p/q
+over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each tree
+carries its scaled lower bound, objective and equivalent-points floor
+(``b_s``, ``r_s``, ``b0_s``), summed once when it is built.  The pruning
+gates, the heap keys (see ``scheduler``), the tree cache and its purge all
+compare these integers, which order exactly as the rationals they scale;
+``Fraction`` appears only in what a run reports (incumbent objective,
+trace records, gap).
+
+Leaves stay in canonical (leaf-key) order by construction: a child's two
+new leaves are inserted into the parent's ordered remaining leaves with
+``bisect``, and a new clause into its leaf's feature-ordered clauses, so
+nothing in the loop sorts.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
-from .bounds import BoundToggles, cumulative_perm
+from .bounds import BoundToggles, cumulative_perm, floor_log10
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
 from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
 from .scheduler import Policy, SearchQueue
+# sort_leaves is no longer called here; it stays a module global because
+# perfbench/tracing.py wraps it as the tree layer's sorting span
 from .tree import (Clause, Leaf, TreeState, make_child_leaf, root_tree,
-                   sort_leaves)
+                   sort_leaves)  # noqa: F401
+
+
+_feature = attrgetter("feature")
 
 
 @dataclass
@@ -149,7 +164,7 @@ class _Run:
         if child.b_s >= self.best_s:
             return False
         if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
-                tree_key(child), child.lower_bound):
+                tree_key(child), child.b_s):
             self.stats.duplicates_skipped += 1
             return False
         self.stats.trees_evaluated += 1
@@ -162,9 +177,9 @@ class _Run:
             self.best_tree = tree
             self.stats.trees_to_optimum = self.stats.trees_evaluated
             self.stats.time_to_optimum = time.perf_counter() - self._t0
-            margin = self.lam if self.toggles.lookahead else Fraction(0)
+            margin = self.lam_s if self.toggles.lookahead else 0
             self.stats.tree_cache_purged += \
-                self.tree_cache.garbage_collect(self.best_obj, margin)
+                self.tree_cache.garbage_collect(self.best_s, margin)
 
     # -- expansion --------------------------------------------------------
 
@@ -185,9 +200,11 @@ class _Run:
         if retire is not None:
             out.append(retire)
 
-        others = tuple(l for i, l in enumerate(tree.leaves) if i != idx)
-        other_flags = tuple(s for i, s in enumerate(tree.splittable)
-                            if i != idx)
+        # the remaining leaves stay in canonical order; each split's two
+        # leaves are inserted at their places below
+        others = tree.leaves[:idx] + tree.leaves[idx + 1:]
+        other_flags = tree.splittable[:idx] + tree.splittable[idx + 1:]
+        other_keys = [l.clauses for l in others]
         child_h = 2 if tree.h == 0 else tree.h + 1
         used = {c.feature for c in leaf.clauses}
 
@@ -236,6 +253,9 @@ class _Run:
             if must_split:
                 base_pairs = base_pairs | {frozenset((c1.key, c2.key))}
 
+            j1 = bisect_left(other_keys, c1.clauses)
+            j2 = bisect_left(other_keys, c2.clauses, j1)
+            leaves = others[:j1] + (c1,) + others[j1:j2] + (c2,) + others[j2:]
             emitted_any = False
             min_floor_s: Optional[int] = None
             for s1 in (False, True):
@@ -246,8 +266,8 @@ class _Run:
                         continue
                     if must_split and not s1 and not s2:
                         continue
-                    leaves, flags = sort_leaves(others + (c1, c2),
-                                                other_flags + (s1, s2))
+                    flags = other_flags[:j1] + (s1,) + other_flags[j1:j2] \
+                        + (s2,) + other_flags[j2:]
                     child = TreeState(leaves=leaves, splittable=flags,
                                       h=child_h, n_samples=self.n,
                                       lam=self.lam,
@@ -269,8 +289,9 @@ class _Run:
                 if self._is_live(c) and self._expandable_index(c) is not None]
 
     def _child_key(self, leaf: Leaf, f: int, polarity: bool):
-        return tuple(sorted(list(leaf.clauses) + [Clause(f, polarity)],
-                            key=lambda c: c.feature))
+        clauses = leaf.clauses
+        i = bisect_left(clauses, f, key=_feature)
+        return clauses[:i] + (Clause(f, polarity),) + clauses[i:]
 
     def _similar_skip(self, c1: Leaf, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
@@ -318,7 +339,7 @@ class _Run:
                 self.best_obj = seed.objective
                 self.best_tree = seed
 
-        self.tree_cache.seen_or_mark(tree_key(root), root.lower_bound)
+        self.tree_cache.seen_or_mark(tree_key(root), root.b_s)
         if self._is_live(root) and self._expandable_index(root) is not None:
             self.queue.push(root)
 
@@ -362,14 +383,14 @@ class _Run:
         # L leaves may still add up to f = floor((best - b) / lam) of the
         # 3^M - L unused leaves, in any order
         pool = 3 ** self.ds.n_features
-        min_b_s = None
+        min_tree = None
         remaining = 0
         size = 0
         for tree in self.queue.trees():
             size += 1
             b_s = tree.b_s
-            if min_b_s is None or b_s < min_b_s:
-                min_b_s = b_s
+            if min_tree is None or b_s < min_tree.b_s:
+                min_tree = tree
             slots = pool - len(tree.leaves)
             f = 0
             if self.best_s > b_s:
@@ -379,19 +400,21 @@ class _Run:
             elapsed_s=time.perf_counter() - self._t0,
             trees_evaluated=self.stats.trees_evaluated,
             best_objective=self.best_obj,
-            min_queue_lower_bound=None if min_b_s is None
-            else Fraction(min_b_s, self.n * self.q),
+            min_queue_lower_bound=None if min_tree is None
+            else min_tree.lower_bound,
             queue_size=size,
             log10_remaining_bound=None if remaining == 0
-            else len(str(remaining)) - 1,
+            else floor_log10(remaining),
             remaining_bound=remaining,
         ))
 
     def _finish(self) -> SearchResult:
-        min_live = self.queue.min_lower_bound(self._is_live)
+        # the live tree of least b_s; its bound is the one Fraction made
+        min_tree = self.queue.min_lower_bound(self._is_live)
         # a run stopped by a limit is never certified, even with no gap
-        certified = min_live is None and self.stats.limit_hit is None
-        gap = Fraction(0) if min_live is None else self.best_obj - min_live
+        certified = min_tree is None and self.stats.limit_hit is None
+        gap = Fraction(0) if min_tree is None \
+            else self.best_obj - min_tree.lower_bound
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)

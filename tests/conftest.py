@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from opttree.dataset import Dataset, from_rows
+from opttree.dataset import Dataset, build_equivalence_index, from_rows
+from opttree.search import SearchConfig, expand
+from opttree.tree import root_tree
 
 
 def random_dataset(rng: random.Random, n: int, m: int,
@@ -18,6 +20,22 @@ def random_dataset(rng: random.Random, n: int, m: int,
         rows = [[rng.randint(0, 1) for _ in range(m)] for _ in range(n)]
     labels = [rng.randint(0, 1) for _ in range(n)]
     return from_rows([f"f{j}" for j in range(m)], rows, labels)
+
+
+def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,
+                   levels: int = 3, width: int = 3) -> list:
+    """The root and the children ``expand`` builds below it, expanding up
+    to ``width`` random children of each level."""
+    eq = build_equivalence_index(ds)
+    config = SearchConfig(lam=lam)
+    frontier = [root_tree(ds, lam, eq)]
+    trees = list(frontier)
+    for _ in range(levels):
+        children = [c for t in frontier
+                    for c in expand(t, ds, eq, config, Fraction(1))]
+        trees += children
+        frontier = rng.sample(children, min(width, len(children)))
+    return trees
 
 
 @pytest.fixture

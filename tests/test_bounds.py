@@ -11,7 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from opttree.bitvec import BitVector
-from opttree.bounds import (BoundToggles, count_trees, max_leaves_apriori,
+from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
+                            floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
@@ -282,6 +283,31 @@ def test_total_evaluations_bound():
         prev = cur
     with pytest.raises(ValueError):
         total_evaluations_bound_log10(Fraction(0), 3)
+    # far beyond CPython's 4300-digit int-to-str limit
+    assert total_evaluations_bound_log10(Fraction(1, 3000), 30) > 4300
+
+
+def test_floor_log10_exact():
+    rng = random.Random(3)
+    for n in [1, 9, 10, 11, 99, 100, 101] + [
+            rng.getrandbits(rng.randint(1, 4000)) | 1 for _ in range(200)]:
+        assert floor_log10(n) == len(str(n)) - 1
+    # around powers of ten, also past 4300 digits where str(n) fails
+    for k in (1, 15, 16, 300, 4299, 4300, 4301, 10 ** 4):
+        assert floor_log10(10 ** k - 1) == k - 1
+        assert floor_log10(10 ** k) == k
+        assert floor_log10(10 ** k + 1) == k
+        assert floor_log10(7 * 10 ** k + 3) == k
+    with pytest.raises(ValueError):
+        floor_log10(0)
+
+
+def test_cumulative_perm_is_the_sum_of_perms():
+    cumulative_perm.cache_clear()
+    for slots in range(0, 12):
+        for f in range(0, 14):
+            assert cumulative_perm(slots, f) \
+                == sum(math.perm(slots, k) for k in range(f + 1))
 
 
 def test_symmetry_savings_values():

@@ -77,30 +77,38 @@ def test_tree_key_distinguishes_flags(ds):
 def test_tree_cache_seen_or_mark(ds):
     cache = TreeCache()
     key = tree_key(_two_leaf_tree(ds))
-    assert not cache.seen_or_mark(key, Fraction(1, 5))
-    assert cache.seen_or_mark(key, Fraction(1, 5))
+    assert not cache.seen_or_mark(key, 200)
+    assert cache.seen_or_mark(key, 200)
     assert len(cache) == 1
 
 
 def test_tree_cache_limit(ds):
     cache = TreeCache(max_entries=1)
-    cache.seen_or_mark(tree_key(_two_leaf_tree(ds)), Fraction(0))
+    cache.seen_or_mark(tree_key(_two_leaf_tree(ds)), 0)
     with pytest.raises(CacheLimitError):
         other = _two_leaf_tree(ds)
         flipped = TreeState(leaves=other.leaves,
                             splittable=tuple(not s for s in other.splittable),
                             h=2, n_samples=4, lam=Fraction(1, 10))
-        cache.seen_or_mark(tree_key(flipped), Fraction(0))
+        cache.seen_or_mark(tree_key(flipped), 0)
 
 
 def test_tree_cache_garbage_collect(ds):
     cache = TreeCache()
     t = _two_leaf_tree(ds)
-    cache.seen_or_mark(tree_key(t), Fraction(305, 1000))
-    lam = Fraction(1, 100)
+    # bounds scaled to units of 1/1000: b = 0.305, lam = 0.01, best = 0.30
+    cache.seen_or_mark(tree_key(t), 305)
     # 0.305 + lam >= 0.30: no longer improvable, dropped
-    purged = cache.garbage_collect(Fraction(30, 100), lam)
+    purged = cache.garbage_collect(300, 10)
     assert purged == 1 and len(cache) == 0
-    cache.seen_or_mark(tree_key(t), Fraction(25, 100))
-    assert cache.garbage_collect(Fraction(30, 100), lam) == 0
+    cache.seen_or_mark(tree_key(t), 289)
+    # 0.289 + lam < 0.30: kept
+    assert cache.garbage_collect(300, 10) == 0
+    assert len(cache) == 1
+    other = TreeState(leaves=t.leaves,
+                      splittable=tuple(not s for s in t.splittable),
+                      h=2, n_samples=4, lam=Fraction(1, 10))
+    cache.seen_or_mark(tree_key(other), 290)
+    # 0.29 + lam reaches 0.30 exactly: dropped
+    assert cache.garbage_collect(300, 10) == 1
     assert len(cache) == 1

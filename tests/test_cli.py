@@ -184,6 +184,28 @@ def test_unknown_subcommand_exit_code():
     assert main(["frobnicate"]) == 1
 
 
+def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
+    # 3^30 unused leaves and, without the warm start's incumbent, room
+    # for hundreds more leaves: the remaining-evaluations bound that the
+    # trace reports has thousands of digits
+    rng = random.Random(11)
+    names = [f"f{j}" for j in range(30)] + ["y"]
+    rows = [[rng.randint(0, 1) for _ in names] for _ in range(100)]
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(names) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    trace = tmp_path / "trace.csv"
+    code = main(["fit", "--data", str(data), "--label", "y",
+                 "--lambda", "1/1000", "--max-trees", "50",
+                 "--trace-interval", "10", "--trace", str(trace),
+                 "--no-warm-start",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == 3, capsys.readouterr().err  # uncertified: max_trees
+    logs = [int(r["log10_remaining_bound"])
+            for r in csv.DictReader(trace.open())]
+    assert max(logs) > 4300
+
+
 def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):
     data = tmp_path / "bom.csv"
     data.write_bytes(b"\xef\xbb\xbf" + "y,a,b\n1,0,1\n0,1,0\n1,0,1\n".encode())

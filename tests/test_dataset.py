@@ -1,10 +1,13 @@
 import io
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opttree import dataset
 from opttree.bitvec import BitVector
 from opttree.dataset import (DataFormatError, EquivalenceIndex,
                              build_equivalence_index, from_rows,
@@ -191,3 +194,60 @@ def test_load_csv_rejects_padded_or_empty_cells_that_are_not_bits(cell):
                        match=f"^row 2, column 'b': non-binary cell "
                              f"{cell.strip()!r}$"):
         load_csv(io.StringIO(f"a,b,y\n0,1,1\n1,{cell},0\n"), "y")
+
+
+def _records_with_blank_lines(k):
+    """k valid records, with a blank line before every seventh."""
+    lines = []
+    for i in range(k):
+        if i % 7 == 3:
+            lines.append("")
+        lines.append(f"{i % 2},{(i // 2) % 2},{(i // 3) % 2}")
+    return lines
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64, 1024])
+def test_load_csv_blocks_keep_rows_and_error_numbers(monkeypatch,
+                                                     block_rows):
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
+    lines = _records_with_blank_lines(150)
+    rows = [[int(c) for c in line.split(",")] for line in lines if line]
+    expected = from_rows(["a", "b"], [r[:2] for r in rows],
+                         [r[2] for r in rows])
+    assert load_csv(io.StringIO("a,b,y\n" + "\n".join(lines)), "y") \
+        == expected
+    # row numbers count blank lines; the first error in file order wins
+    for at in (0, 4, 63, 64, 65, 150):
+        short = lines[:at] + ["1,0"] + lines[at:]
+        with pytest.raises(DataFormatError,
+                           match=rf"^row {at + 1}: expected 3 cells, got 2$"):
+            load_csv(io.StringIO("a,b,y\n" + "\n".join(short)), "y")
+        bad = lines[:at] + ["1, 2 ,0"] + lines[at:] + ["x,1,1"]
+        with pytest.raises(DataFormatError,
+                           match=rf"^row {at + 1}, column 'b': "
+                                 rf"non-binary cell '2'$"):
+            load_csv(io.StringIO("a,b,y\n" + "\n".join(bad)), "y")
+    with pytest.raises(DataFormatError, match="^no data rows$"):
+        load_csv(io.StringIO("a,b,y\n" + "\n" * 2 * block_rows), "y")
+
+
+def test_load_csv_memory_is_bounded_by_a_block(tmp_path):
+    """Loading holds one block of parsed rows, not the whole file: the
+    peak stays near the size of the finished columns (50 000 rows x 9
+    columns of one character each, 0.45 MB)."""
+    rng = random.Random(2)
+    path = tmp_path / "big.csv"
+    with path.open("w") as fh:
+        fh.write(",".join(f"f{j}" for j in range(8)) + ",y\n")
+        for _ in range(50_000):
+            fh.write(",".join(rng.choice("01") for _ in range(9)) + "\n")
+    tracemalloc.start()
+    try:
+        with path.open() as fh:
+            ds = load_csv(fh, "y")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.n_samples == 50_000
+    # the whole file's rows as lists of cells take about 11 MB
+    assert peak < 3_000_000

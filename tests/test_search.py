@@ -10,7 +10,7 @@ from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, expand, fit
 from opttree.tree import root_tree
-from tests.conftest import random_dataset
+from tests.conftest import expanded_trees, random_dataset
 
 
 def test_lambda_must_be_positive(toy_ds):
@@ -156,6 +156,20 @@ def test_expand_prunes_by_best(toy_ds):
     cfg = SearchConfig(lam=lam)
     # best below 2*lam: every split child fails the hierarchical gate
     assert expand(root, toy_ds, eq, cfg, Fraction(1, 100)) == []
+
+
+def test_expand_keeps_leaves_in_canonical_order():
+    """Children are built without sorting: their leaf keys must still be
+    strictly increasing, so ``tree_key`` is the sorted (key, flag) set."""
+    rng = random.Random(7)
+    for _ in range(100):
+        ds = random_dataset(rng, rng.randint(10, 80), rng.randint(2, 5))
+        lam = Fraction(1, rng.randint(10, 80))
+        for tree in expanded_trees(ds, lam, rng, levels=5):
+            keys = [leaf.key for leaf in tree.leaves]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            assert tree_key(tree) == tuple(sorted(zip(keys,
+                                                      tree.splittable)))
 
 
 def test_zero_gain_split_forbids_both_unchanged():
