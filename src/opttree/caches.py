@@ -61,7 +61,6 @@ class LeafCache:
 class TreeCache:
     max_entries: int | None = None
     _store: dict[TreeKey, int] = field(default_factory=dict)
-    purged: int = 0
 
     def seen_or_mark(self, key: TreeKey, b_s: int) -> bool:
         """True if the key was already evaluated; otherwise record it with
@@ -81,7 +80,6 @@ class TreeCache:
                   if b_s + lam_s >= best_s]
         for k in doomed:
             del self._store[k]
-        self.purged += len(doomed)
         return len(doomed)
 
     def __len__(self) -> int:

@@ -74,7 +74,6 @@ def _config_from_args(args) -> SearchConfig:
         lam=_parse_lambda(args.lam),
         policy=Policy(args.policy),
         toggles=_toggles_from_args(args),
-        warm_start=args.warm_start,
         time_limit=args.time_limit,
         max_trees=args.max_trees,
         max_cache_entries=args.max_cache_entries,
@@ -304,8 +303,6 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--max-trees", type=int)
     p.add_argument("--max-cache-entries", type=int)
     p.add_argument("--trace-interval", type=int, default=1000)
-    p.add_argument("--no-warm-start", dest="warm_start",
-                   action="store_false")
     for flag in ABLATION_FLAGS:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--similar-support", action="store_true")

@@ -11,8 +11,9 @@ block of cells plus the columns.
 Samples with identical feature vectors can never be separated by any tree,
 so each duplicate group contributes its minority-label count as an
 irreducible error floor.  ``build_equivalence_index`` groups the samples
-in one pass over the rows of the column strings; the search consults the
-result through each leaf's captured minority-indicator popcount.
+in one pass over the rows of the column strings and keeps only the
+minority indicator ``z`` and the number of groups; the search consults
+``z`` through each leaf's captured popcount.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import compress, islice
 from typing import NoReturn, TextIO
 
@@ -47,24 +47,17 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EquivalenceIndex:
-    """Partition of samples into identical-feature-vector classes.
+    """The equivalent-points floor of a dataset.
 
-    ``z`` marks exactly the minority-label members of every class; a
-    capture vector ANDed with ``z`` counts the unavoidable mistakes among
-    captured samples.
+    ``z`` marks exactly the minority-label members of every class of
+    samples with identical feature vectors; a capture vector ANDed with
+    ``z`` counts the unavoidable mistakes among captured samples, and
+    ``z.count_ones() / N`` is the floor under every tree's error.
+    ``n_classes`` is the number of such classes.
     """
 
-    class_of: tuple[int, ...]
-    minority_label: tuple[int, ...]
-    theta: tuple[Fraction, ...]
     z: BitVector
-
-    @property
-    def n_classes(self) -> int:
-        return len(self.theta)
-
-    def total_theta(self) -> Fraction:
-        return sum(self.theta, Fraction(0))
+    n_classes: int
 
 
 def from_rows(feature_names, rows, labels) -> Dataset:
@@ -170,32 +163,21 @@ def build_equivalence_index(ds: Dataset) -> EquivalenceIndex:
     """Group samples by exact feature-vector equality, in one pass.
 
     A sample's key is its row across the column strings, so grouping and
-    the per-class label counts are linear in N*M.  Class ids follow first
-    occurrence, so the result is deterministic.  A class with equally many
-    0 and 1 labels takes minority label 0; theta is invariant to that
-    choice.
+    the per-class label counts are linear in N*M.  A class with equally
+    many 0 and 1 labels takes minority label 0; its count of minority
+    members is the same either way.
     """
-    n = ds.n_samples
     key_to_class: dict[tuple[str, ...], int] = {}
     keys = zip(*[c.to_string() for c in ds.columns]) if ds.columns \
-        else [()] * n
+        else [()] * ds.n_samples
     class_of = [key_to_class.setdefault(key, len(key_to_class))
                 for key in keys]
     sizes = Counter(class_of)
     ones = Counter(compress(class_of, ds.labels.to_list()))
-    minority = []
-    theta = []
-    for cid in range(len(key_to_class)):
-        q = 1 if 2 * ones[cid] < sizes[cid] else 0
-        minority.append(q)
-        theta.append(Fraction(ones[cid] if q else sizes[cid] - ones[cid], n))
+    minority = ["1" if 2 * ones[cid] < sizes[cid] else "0"
+                for cid in range(len(key_to_class))]
     # z marks the samples whose label is their class's minority label
-    minority_bits = "".join(map(str, minority))
     sample_minority = BitVector.from_string(
-        "".join([minority_bits[cid] for cid in class_of]))
-    return EquivalenceIndex(
-        class_of=tuple(class_of),
-        minority_label=tuple(minority),
-        theta=tuple(theta),
-        z=(ds.labels ^ sample_minority).invert(),
-    )
+        "".join([minority[cid] for cid in class_of]))
+    return EquivalenceIndex(z=(ds.labels ^ sample_minority).invert(),
+                            n_classes=len(key_to_class))

@@ -1,19 +1,19 @@
-"""Top-down impurity-greedy trees, used to warm-start the exact search.
+"""Top-down impurity-greedy trees: a standalone baseline.
 
-No optimality machinery here: recursive splitting on the best exact
-impurity reduction, with deterministic tie-breaking (lowest feature index
-wins) so runs are reproducible.
+``fit`` does not call this module; the exact search starts from the root
+alone.  No optimality machinery here: recursive splitting on the best
+exact Gini impurity reduction down to ``max_depth``, with deterministic
+tie-breaking (lowest feature index wins) so runs are reproducible.  The
+leaf penalty lam enters only the returned tree's objective.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .bitvec import BitVector
-from .bounds import max_leaves_apriori
 from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
 from .tree import Clause, Leaf, TreeState, make_leaf, sort_leaves
 
@@ -22,13 +22,6 @@ from .tree import Clause, Leaf, TreeState, make_leaf, sort_leaves
 class GreedyParams:
     max_depth: int
     min_leaf_samples: int = 1
-
-    @classmethod
-    def default(cls, lam: Fraction, ds: Dataset) -> "GreedyParams":
-        """Depth just large enough to reach the a-priori leaf budget."""
-        cap = max_leaves_apriori(lam, ds.n_features)
-        depth = max(1, math.ceil(math.log2(cap))) if cap > 1 else 1
-        return cls(max_depth=min(depth, ds.n_features))
 
 
 def _gini(n_ones: int, n: int) -> Fraction:

@@ -27,7 +27,6 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import attrgetter
 from typing import Optional
 
 from .bounds import BoundToggles, cumulative_perm, floor_log10
@@ -36,11 +35,8 @@ from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Clause, Leaf, TreeState, make_child_leaf, root_tree,
+from .tree import (Leaf, TreeState, child_key, make_child_leaf, root_tree,
                    sort_leaves)  # noqa: F401
-
-
-_feature = attrgetter("feature")
 
 
 @dataclass
@@ -48,7 +44,6 @@ class SearchConfig:
     lam: Fraction
     policy: Policy = Policy.CURIOSITY
     toggles: BoundToggles = field(default_factory=BoundToggles)
-    warm_start: bool = True
     time_limit: Optional[float] = None
     max_trees: Optional[int] = None
     max_cache_entries: Optional[int] = None
@@ -59,6 +54,11 @@ class SearchConfig:
             raise ValueError(
                 "lam must be positive: lam = 0 admits trees with up to 2^M "
                 "leaves and the leaf-count bounds degenerate")
+        # `not >= 0` rejects NaN as well as negative values
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError("time_limit must be >= 0 seconds")
+        if self.max_trees is not None and self.max_trees < 0:
+            raise ValueError("max_trees must be >= 0")
         if self.trace_interval < 1:
             raise ValueError("trace_interval must be >= 1")
         if self.max_cache_entries is not None and self.max_cache_entries < 1:
@@ -207,6 +207,9 @@ class _Run:
         other_keys = [l.clauses for l in others]
         child_h = 2 if tree.h == 0 else tree.h + 1
         used = {c.feature for c in leaf.clauses}
+        # must-split pairs that survive the split of this leaf
+        kept_pairs = frozenset(
+            p for p in tree.must_split_pairs if leaf.key not in p)
 
         # similar-support memory: floors of feature splits already proven
         # hopeless, compared pairwise against new candidates via omega
@@ -218,11 +221,11 @@ class _Run:
             if self.toggles.leaf_accuracy and f in leaf.dead_features:
                 continue
             c1 = self.leaf_cache.intern(
-                self._child_key(leaf, f, False),
+                child_key(leaf, f, False),
                 lambda: make_child_leaf(leaf, f, False, self.ds, self.eq,
                                         self.lam))
             c2 = self.leaf_cache.intern(
-                self._child_key(leaf, f, True),
+                child_key(leaf, f, True),
                 lambda: make_child_leaf(leaf, f, True, self.ds, self.eq,
                                         self.lam))
             # a split capturing nothing (or everything) on one side can
@@ -248,10 +251,9 @@ class _Run:
             gain_s = self.q * (c1.n_correct + c2.n_correct - leaf.n_correct)
             must_split = (self.toggles.incremental_accuracy
                           and gain_s < self.lam_s)
-            base_pairs = frozenset(
-                p for p in tree.must_split_pairs if leaf.key not in p)
+            pairs = kept_pairs
             if must_split:
-                base_pairs = base_pairs | {frozenset((c1.key, c2.key))}
+                pairs = kept_pairs | {frozenset((c1.key, c2.key))}
 
             j1 = bisect_left(other_keys, c1.clauses)
             j2 = bisect_left(other_keys, c2.clauses, j1)
@@ -271,7 +273,7 @@ class _Run:
                     child = TreeState(leaves=leaves, splittable=flags,
                                       h=child_h, n_samples=self.n,
                                       lam=self.lam,
-                                      must_split_pairs=base_pairs,
+                                      must_split_pairs=pairs,
                                       generation=self._next_gen())
                     floor_s = child.b_s + child.b0_s
                     if min_floor_s is None or floor_s < min_floor_s:
@@ -287,11 +289,6 @@ class _Run:
         # the children that every earlier gate would have kept
         return [c for c in out
                 if self._is_live(c) and self._expandable_index(c) is not None]
-
-    def _child_key(self, leaf: Leaf, f: int, polarity: bool):
-        clauses = leaf.clauses
-        i = bisect_left(clauses, f, key=_feature)
-        return clauses[:i] + (Clause(f, polarity),) + clauses[i:]
 
     def _similar_skip(self, c1: Leaf, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
@@ -328,17 +325,6 @@ class _Run:
         self.best_obj = root.objective
         self.best_s = root.r_s
         self.stats.trees_evaluated = 1
-
-        if self.config.warm_start:
-            from .greedy import GreedyParams, greedy_fit
-            seed = greedy_fit(self.ds, GreedyParams.default(self.lam,
-                                                            self.ds),
-                              self.lam, eq=self.eq)
-            if seed.r_s < self.best_s:
-                self.best_s = seed.r_s
-                self.best_obj = seed.objective
-                self.best_tree = seed
-
         self.tree_cache.seen_or_mark(tree_key(root), root.b_s)
         if self._is_live(root) and self._expandable_index(root) is not None:
             self.queue.push(root)

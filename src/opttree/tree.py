@@ -15,8 +15,10 @@ independent reference.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .bitvec import BitVector
@@ -29,6 +31,8 @@ class Clause(NamedTuple):
 
 
 LeafKey = tuple[Clause, ...]  # clauses sorted by feature index
+
+_feature = attrgetter("feature")
 
 
 def canonical_clauses(clauses: Sequence[Clause]) -> LeafKey:
@@ -95,12 +99,20 @@ def make_leaf(clauses: Sequence[Clause], ds: Dataset, eq: EquivalenceIndex,
     return Leaf(key, capture, ds, eq, lam)
 
 
+def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
+    """Key of ``leaf`` extended by one literal on a feature it does not
+    use: the clause is inserted at its place in the feature order."""
+    clauses = leaf.clauses
+    i = bisect_left(clauses, feature, key=_feature)
+    return clauses[:i] + (Clause(feature, polarity),) + clauses[i:]
+
+
 def make_child_leaf(parent: Leaf, feature: int, polarity: bool, ds: Dataset,
                     eq: EquivalenceIndex, lam: Fraction) -> Leaf:
     """Extend a leaf by one literal, reusing the parent's capture vector."""
     if any(c.feature == feature for c in parent.clauses):
         raise ValueError(f"feature {feature} already in leaf clauses")
-    key = canonical_clauses(list(parent.clauses) + [Clause(feature, polarity)])
+    key = child_key(parent, feature, polarity)
     capture = parent.capture & literal_column(ds, feature, polarity)
     return Leaf(key, capture, ds, eq, lam,
                 dead_features=set(parent.dead_features))

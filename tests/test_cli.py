@@ -185,8 +185,8 @@ def test_unknown_subcommand_exit_code():
 
 
 def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
-    # 3^30 unused leaves and, without the warm start's incumbent, room
-    # for hundreds more leaves: the remaining-evaluations bound that the
+    # 3^30 unused leaves and, under the root's incumbent, room for
+    # hundreds more leaves: the remaining-evaluations bound that the
     # trace reports has thousands of digits
     rng = random.Random(11)
     names = [f"f{j}" for j in range(30)] + ["y"]
@@ -198,7 +198,6 @@ def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
     code = main(["fit", "--data", str(data), "--label", "y",
                  "--lambda", "1/1000", "--max-trees", "50",
                  "--trace-interval", "10", "--trace", str(trace),
-                 "--no-warm-start",
                  "--out", str(tmp_path / "m.json")])
     assert code == 3, capsys.readouterr().err  # uncertified: max_trees
     logs = [int(r["log10_remaining_bound"])
@@ -234,11 +233,25 @@ def test_predict_malformed_model_is_format_error(tmp_path, toy_csv, capsys,
     assert err.startswith("error: model") and err.count("\n") == 1
 
 
-def test_warm_start_has_only_the_off_switch(tmp_path, toy_csv):
-    code, _ = _fit(tmp_path, toy_csv, "--no-warm-start")
-    assert code == 0
-    code, _ = _fit(tmp_path, toy_csv, "--warm-start")
+@pytest.mark.parametrize("extra, message", [
+    # the search starts from the root alone: there is no warm start to
+    # switch on or off
+    (["--warm-start"], "unrecognized arguments: --warm-start"),
+    (["--no-warm-start"], "unrecognized arguments: --no-warm-start"),
+    # NaN would compare false against the clock and never stop the fit
+    (["--time-limit", "nan"], "time_limit must be >= 0 seconds"),
+    (["--time-limit", "-1"], "time_limit must be >= 0 seconds"),
+    (["--max-trees", "-1"], "max_trees must be >= 0"),
+], ids=["warm-start", "no-warm-start", "time-limit-nan",
+        "negative-time-limit", "negative-max-trees"])
+def test_fit_rejects_bad_options(tmp_path, toy_csv, capsys, extra, message):
+    code, out = _fit(tmp_path, toy_csv, *extra)
+    err = capsys.readouterr().err
     assert code == 1
+    assert not out.exists()
+    # the message is one line (after argparse's usage line, if any)
+    assert err.endswith(f"error: {message}\n")
+    assert "Traceback" not in err
 
 
 def _random_partition(rng, features, clauses=()):

@@ -42,20 +42,12 @@ def test_min_leaf_samples_blocks_unbalanced_split():
     assert len(blocked.leaves) == 1
 
 
-def test_default_params_depth_guard():
-    ds = from_rows(["a", "b"], [[0, 1], [1, 0]], [0, 1])
-    p = GreedyParams.default(Fraction(1, 1000), ds)
-    assert 1 <= p.max_depth <= ds.n_features
-    p2 = GreedyParams.default(Fraction(1, 2), ds)
-    assert p2.max_depth == 1
-
-
 def test_greedy_objective_consistency_random():
     rng = random.Random(8)
     lam = Fraction(1, 20)
     for _ in range(50):
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
-        tree = greedy_fit(ds, GreedyParams.default(lam, ds), lam)
+        tree = greedy_fit(ds, GreedyParams(max_depth=ds.n_features), lam)
         tree.check_partition()
         assert not any(tree.splittable)
         assert tree.objective == objective(tree, lam)

@@ -21,6 +21,12 @@ NOT_RUN = {
         "from-scratch reference used by tests and the benchmark",
     "opttree.bounds.symmetry_savings": "paper counting result",
     "opttree.bounds.total_evaluations_bound_log10": "paper counting result",
+    "opttree.bounds.max_leaves_apriori":
+        "paper counting result, reached only through "
+        "total_evaluations_bound_log10",
+    "opttree.tree.sort_leaves":
+        "canonical-order helper for greedy_fit and the tests; perfbench "
+        "wraps it by name as the tree layer's sorting span",
 }
 
 

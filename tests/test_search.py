@@ -33,14 +33,6 @@ def test_matches_oracle_on_noisy_instance(noisy_ds):
         assert res.objective == exhaustive_optimum(noisy_ds, lam).objective
 
 
-def test_warm_start_changes_work_not_answer(noisy_ds):
-    lam = Fraction(1, 20)
-    with_ws = fit(noisy_ds, SearchConfig(lam=lam, warm_start=True))
-    without = fit(noisy_ds, SearchConfig(lam=lam, warm_start=False))
-    assert with_ws.objective == without.objective
-    assert with_ws.certified and without.certified
-
-
 def test_deterministic_runs(noisy_ds):
     a = fit(noisy_ds, SearchConfig(lam=Fraction(1, 20)))
     b = fit(noisy_ds, SearchConfig(lam=Fraction(1, 20)))
@@ -196,7 +188,7 @@ def test_permutation_dedup_counts_duplicates():
     # deep enough search that the same leaf set is reached in two orders
     rng = random.Random(0)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
-    res = fit(ds, SearchConfig(lam=Fraction(1, 60), warm_start=False))
+    res = fit(ds, SearchConfig(lam=Fraction(1, 60)))
     assert res.certified
     assert res.stats.duplicates_skipped > 0
 
