@@ -110,7 +110,10 @@ def _trees_at_depth(p: int, depth: int) -> int:
 
 
 def count_trees(p: int, d: int) -> int:
-    """Cumulative number of distinct trees over p features up to depth d."""
+    """Cumulative number of distinct trees over p features up to depth d.
+
+    A root-to-leaf path uses each feature at most once, so no tree is
+    deeper than p and the depth is capped there."""
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
-    return sum(_trees_at_depth(p, dt) for dt in range(1, d + 1))
+    return sum(_trees_at_depth(p, dt) for dt in range(1, min(d, p) + 1))

@@ -1,9 +1,15 @@
 """Symmetry-aware stores: leaf interning and permutation-bound tree dedup.
 
-Leaves are identified by their canonically ordered clause set, trees by the
-multiset of (leaf key, splittable flag) pairs in leaf-key order, so any
-permutation of the same leaves maps to one cache entry.  A tree keeps its
-leaves in that order already, so its key is read off without sorting.
+Leaves are identified by their canonically ordered clause set.  Within one
+search, ``LeafCache`` hands out one ``Leaf`` object per leaf key, and a
+tree keeps its leaves in leaf-key order, so two trees hold the same
+multiset of (leaf, splittable flag) pairs exactly when their ``leaves``
+tuples hold the same objects in the same order and their flag tuples are
+equal.  A tree's key is therefore the pair of tuples it already has,
+``(tree.leaves, tree.splittable)``: nothing is built or sorted, and leaves
+hash and compare by identity.  Any permutation of the same leaves maps to
+one cache entry.  The invariant holds only for trees whose leaves came
+from one ``LeafCache``, so a key means nothing outside its search.
 
 The tree cache stores each tree's scaled lower bound ``b_s`` (units of
 1/(N*q) for lam = p/q) and purges with integer comparisons against the
@@ -18,7 +24,7 @@ from typing import Callable
 
 from .tree import Leaf, LeafKey, TreeState
 
-TreeKey = tuple[tuple[LeafKey, bool], ...]
+TreeKey = tuple[tuple[Leaf, ...], tuple[bool, ...]]
 
 
 class CacheLimitError(RuntimeError):
@@ -26,9 +32,8 @@ class CacheLimitError(RuntimeError):
 
 
 def tree_key(tree: TreeState) -> TreeKey:
-    """(leaf key, flag) pairs of a tree whose leaves are in canonical
-    order; leaf keys are distinct, so this is the sorted multiset."""
-    return tuple(zip([l.clauses for l in tree.leaves], tree.splittable))
+    """The tree's interned leaves, in canonical order, and their flags."""
+    return (tree.leaves, tree.splittable)
 
 
 @dataclass
@@ -38,13 +43,15 @@ class LeafCache:
     hits: int = 0
     misses: int = 0
 
-    def intern(self, key: LeafKey, build: Callable[[], Leaf]) -> Leaf:
+    def intern(self, key: LeafKey, build: Callable[..., Leaf],
+               *args) -> Leaf:
+        """The leaf stored under ``key``; on a miss, ``build(*args)``."""
         leaf = self._store.get(key)
         if leaf is not None:
             self.hits += 1
             return leaf
         self.misses += 1
-        leaf = build()
+        leaf = build(*args)
         if leaf.key != key:
             raise ValueError("built leaf does not match its key")
         self._store[key] = leaf

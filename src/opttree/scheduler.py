@@ -14,6 +14,12 @@ lower bound over the fraction c/N of samples held by unchanged leaves
 most N, so two different values of b_s/c differ by at least 1/N^2, and
 the integer ``b_s * N * N // c`` orders and ties exactly as the rational.
 Only the entropy (float) and Gini (Fraction) keys are not integers.
+
+Besides the heap, the queue counts its entries, stale ones included, per
+(``b_s``, leaf count) bucket.  Everything the search's trace reports about
+the queue (its least lower bound and the remaining-evaluations bound)
+depends on a tree only through that pair, so a trace record costs time in
+the number of distinct buckets, not in the number of queued trees.
 """
 
 from __future__ import annotations
@@ -83,23 +89,37 @@ def priority(tree: TreeState, policy: Policy, ds: Dataset):
 
 class SearchQueue:
     """Min-heap worklist with deterministic tie-breaking and lazy
-    invalidation: stale entries are discarded at pop time."""
+    invalidation: stale entries are discarded at pop time.
+
+    ``buckets`` maps (``b_s``, leaf count) to the number of heap entries,
+    stale ones included, with that pair; a pair with no entry has no key.
+    """
 
     def __init__(self, policy: Policy, ds: Dataset):
         self.policy = policy
         self.ds = ds
         self._heap: list[tuple] = []
+        self.buckets: dict[tuple[int, int], int] = {}
         self.max_size = 0
 
     def push(self, tree: TreeState) -> None:
         key = priority(tree, self.policy, self.ds)
         heapq.heappush(self._heap, (key, tree.generation, tree))
+        bucket = (tree.b_s, len(tree.leaves))
+        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.max_size = max(self.max_size, len(self._heap))
 
     def pop(self, is_live: Optional[Callable[[TreeState], bool]] = None
             ) -> Optional[TreeState]:
-        while self._heap:
-            _, _, tree = heapq.heappop(self._heap)
+        heap, buckets = self._heap, self.buckets
+        while heap:
+            _, _, tree = heapq.heappop(heap)
+            bucket = (tree.b_s, len(tree.leaves))
+            count = buckets[bucket]
+            if count == 1:
+                del buckets[bucket]
+            else:
+                buckets[bucket] = count - 1
             if is_live is None or is_live(tree):
                 return tree
         return None

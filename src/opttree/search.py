@@ -18,6 +18,14 @@ Leaves stay in canonical (leaf-key) order by construction: a child's two
 new leaves are inserted into the parent's ordered remaining leaves with
 ``bisect``, and a new clause into its leaf's feature-ordered clauses, so
 nothing in the loop sorts.
+
+The work per child does not grow with the queue.  Child leaves are
+interned, so the permutation cache keys a tree on the leaf and flag tuples
+it already holds (see ``caches``), and a leaf's key is built once, for the
+lookup, and handed to ``make_child_leaf`` on a miss.  A trace record sums
+the remaining-evaluations bound over the queue's (``b_s``, leaf count)
+buckets rather than over its trees; only ``_finish`` scans the heap, once
+per fit, to find the least live bound behind the gap.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -220,14 +228,12 @@ class _Run:
                 continue
             if self.toggles.leaf_accuracy and f in leaf.dead_features:
                 continue
-            c1 = self.leaf_cache.intern(
-                child_key(leaf, f, False),
-                lambda: make_child_leaf(leaf, f, False, self.ds, self.eq,
-                                        self.lam))
-            c2 = self.leaf_cache.intern(
-                child_key(leaf, f, True),
-                lambda: make_child_leaf(leaf, f, True, self.ds, self.eq,
-                                        self.lam))
+            k1 = child_key(leaf, f, False)
+            c1 = self.leaf_cache.intern(k1, make_child_leaf, leaf, f, False,
+                                        k1, self.ds, self.eq, self.lam)
+            k2 = child_key(leaf, f, True)
+            c2 = self.leaf_cache.intern(k2, make_child_leaf, leaf, f, True,
+                                        k2, self.ds, self.eq, self.lam)
             # a split capturing nothing (or everything) on one side can
             # never help; cache the rejection on the leaf
             if c1.n_captured == 0 or c2.n_captured == 0:
@@ -309,17 +315,19 @@ class _Run:
                 for l, s in zip(tree.leaves, tree.splittable):
                     if l.key == other_key and not s:
                         return None
-        flags = tuple(s if i != idx else False
-                      for i, s in enumerate(tree.splittable))
-        child = replace(tree, splittable=flags, generation=self._next_gen())
+        flags = tree.splittable[:idx] + (False,) + tree.splittable[idx + 1:]
+        child = TreeState(leaves=tree.leaves, splittable=flags, h=tree.h,
+                          n_samples=self.n, lam=self.lam,
+                          must_split_pairs=tree.must_split_pairs,
+                          generation=self._next_gen())
         # same leaf set, same objective as the parent: no best update
         return child if self._evaluate(child) else None
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
-        root = replace(root_tree(self.ds, self.lam, self.eq),
-                       generation=self._next_gen())
+        root = root_tree(self.ds, self.lam, self.eq)
+        root.generation = self._next_gen()
         self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
         self.best_tree = root
         self.best_obj = root.objective
@@ -367,28 +375,25 @@ class _Run:
     def _record_trace(self) -> None:
         # remaining-evaluations bound: a queued tree with lower bound b and
         # L leaves may still add up to f = floor((best - b) / lam) of the
-        # 3^M - L unused leaves, in any order
+        # 3^M - L unused leaves, in any order.  Both terms depend on the
+        # tree only through (b_s, L), so the sum runs over the queue's
+        # buckets of that pair, stale entries included.
         pool = 3 ** self.ds.n_features
-        min_tree = None
         remaining = 0
-        size = 0
-        for tree in self.queue.trees():
-            size += 1
-            b_s = tree.b_s
-            if min_tree is None or b_s < min_tree.b_s:
-                min_tree = tree
-            slots = pool - len(tree.leaves)
+        for (b_s, n_leaves), count in self.queue.buckets.items():
+            slots = pool - n_leaves
             f = 0
             if self.best_s > b_s:
                 f = min((self.best_s - b_s) // self.lam_s, slots)
-            remaining += cumulative_perm(slots, f)
+            remaining += count * cumulative_perm(slots, f)
+        min_b_s = min((b_s for b_s, _ in self.queue.buckets), default=None)
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,
             trees_evaluated=self.stats.trees_evaluated,
             best_objective=self.best_obj,
-            min_queue_lower_bound=None if min_tree is None
-            else min_tree.lower_bound,
-            queue_size=size,
+            min_queue_lower_bound=None if min_b_s is None
+            else Fraction(min_b_s, self.n * self.q),
+            queue_size=len(self.queue),
             log10_remaining_bound=None if remaining == 0
             else floor_log10(remaining),
             remaining_bound=remaining,

@@ -104,15 +104,19 @@ def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
     use: the clause is inserted at its place in the feature order."""
     clauses = leaf.clauses
     i = bisect_left(clauses, feature, key=_feature)
+    if i < len(clauses) and clauses[i].feature == feature:
+        raise ValueError(f"feature {feature} already in leaf clauses")
     return clauses[:i] + (Clause(feature, polarity),) + clauses[i:]
 
 
-def make_child_leaf(parent: Leaf, feature: int, polarity: bool, ds: Dataset,
-                    eq: EquivalenceIndex, lam: Fraction) -> Leaf:
-    """Extend a leaf by one literal, reusing the parent's capture vector."""
-    if any(c.feature == feature for c in parent.clauses):
-        raise ValueError(f"feature {feature} already in leaf clauses")
-    key = child_key(parent, feature, polarity)
+def make_child_leaf(parent: Leaf, feature: int, polarity: bool,
+                    key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
+                    lam: Fraction) -> Leaf:
+    """Extend a leaf by one literal, reusing the parent's capture vector.
+
+    ``key`` must be ``child_key(parent, feature, polarity)``: the search
+    builds it once, for the leaf-cache lookup, and hands it over on a miss.
+    """
     capture = parent.capture & literal_column(ds, feature, polarity)
     return Leaf(key, capture, ds, eq, lam,
                 dead_features=set(parent.dead_features))

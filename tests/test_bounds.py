@@ -16,8 +16,8 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, make_child_leaf, make_leaf,
-                          root_tree, sort_leaves)
+from opttree.tree import (Clause, TreeState, child_key, make_child_leaf,
+                          make_leaf, root_tree, sort_leaves)
 from tests.conftest import random_dataset
 
 
@@ -163,8 +163,10 @@ def test_split_gain_nonnegative_random():
         lam = Fraction(1, 50)
         parent = make_leaf([], ds, eq, lam)
         f = rng.randrange(ds.n_features)
-        left = make_child_leaf(parent, f, False, ds, eq, lam)
-        right = make_child_leaf(parent, f, True, ds, eq, lam)
+        left = make_child_leaf(parent, f, False, child_key(parent, f, False),
+                               ds, eq, lam)
+        right = make_child_leaf(parent, f, True, child_key(parent, f, True),
+                                ds, eq, lam)
         assert (left.capture & right.capture).count_ones() == 0
         assert left.capture | right.capture == parent.capture
         assert left.n_correct + right.n_correct >= parent.n_correct

@@ -50,9 +50,10 @@ def test_leaf_cache_limit(ds):
                      lambda: _leaf(ds, (Clause(0, False),)))
 
 
-def _two_leaf_tree(ds, order_swapped=False):
-    l0 = _leaf(ds, (Clause(0, False),))
-    l1 = _leaf(ds, (Clause(0, True),))
+def _two_leaf_tree(ds, cache, order_swapped=False):
+    # leaves come from one LeafCache, as in a search: one object per key
+    l0 = cache.intern((Clause(0, False),), _leaf, ds, (Clause(0, False),))
+    l1 = cache.intern((Clause(0, True),), _leaf, ds, (Clause(0, True),))
     pair = (l1, l0) if order_swapped else (l0, l1)
     flags = (True, False) if order_swapped else (False, True)
     leaves, sflags = sort_leaves(pair, flags)
@@ -62,21 +63,27 @@ def _two_leaf_tree(ds, order_swapped=False):
 
 def test_tree_key_permutation_invariant(ds):
     # same leaf set built in either order yields one key
-    assert tree_key(_two_leaf_tree(ds)) \
-        == tree_key(_two_leaf_tree(ds, order_swapped=True))
+    cache = LeafCache()
+    assert tree_key(_two_leaf_tree(ds, cache)) \
+        == tree_key(_two_leaf_tree(ds, cache, order_swapped=True))
+    # keys compare interned leaves: another cache's leaves are others
+    assert tree_key(_two_leaf_tree(ds, cache)) \
+        != tree_key(_two_leaf_tree(ds, LeafCache()))
 
 
 def test_tree_key_distinguishes_flags(ds):
-    a = _two_leaf_tree(ds)
+    cache = LeafCache()
+    a = _two_leaf_tree(ds, cache)
     leaves, flags = a.leaves, tuple(not s for s in a.splittable)
     b = TreeState(leaves=leaves, splittable=flags, h=2, n_samples=4,
                   lam=Fraction(1, 10))
     assert tree_key(a) != tree_key(b)
+    assert tree_key(a) == tree_key(_two_leaf_tree(ds, cache))
 
 
 def test_tree_cache_seen_or_mark(ds):
     cache = TreeCache()
-    key = tree_key(_two_leaf_tree(ds))
+    key = tree_key(_two_leaf_tree(ds, LeafCache()))
     assert not cache.seen_or_mark(key, 200)
     assert cache.seen_or_mark(key, 200)
     assert len(cache) == 1
@@ -84,9 +91,9 @@ def test_tree_cache_seen_or_mark(ds):
 
 def test_tree_cache_limit(ds):
     cache = TreeCache(max_entries=1)
-    cache.seen_or_mark(tree_key(_two_leaf_tree(ds)), 0)
+    cache.seen_or_mark(tree_key(_two_leaf_tree(ds, LeafCache())), 0)
     with pytest.raises(CacheLimitError):
-        other = _two_leaf_tree(ds)
+        other = _two_leaf_tree(ds, LeafCache())
         flipped = TreeState(leaves=other.leaves,
                             splittable=tuple(not s for s in other.splittable),
                             h=2, n_samples=4, lam=Fraction(1, 10))
@@ -95,7 +102,7 @@ def test_tree_cache_limit(ds):
 
 def test_tree_cache_garbage_collect(ds):
     cache = TreeCache()
-    t = _two_leaf_tree(ds)
+    t = _two_leaf_tree(ds, LeafCache())
     # bounds scaled to units of 1/1000: b = 0.305, lam = 0.01, best = 0.30
     cache.seen_or_mark(tree_key(t), 305)
     # 0.305 + lam >= 0.30: no longer improvable, dropped

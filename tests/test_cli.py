@@ -1,10 +1,15 @@
 import csv
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import opttree
 from opttree.cli import main
 
 TOY = "a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
@@ -137,6 +142,23 @@ def test_count(capsys):
     assert capsys.readouterr().out.strip() == "8000"
     assert main(["count", "--features", "10", "--depth", "1"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+
+
+def test_count_caps_depth_at_feature_count():
+    # a root-to-leaf path uses each feature at most once, so depth 50 over
+    # 3 features counts the trees of depth 3; without the cap neither call
+    # returns for minutes
+    code = ("from opttree.bounds import count_trees\n"
+            "assert count_trees(3, 50) == 243\n"
+            "from opttree.cli import main\n"
+            "raise SystemExit(main(['count', '--features', '3', "
+            "'--depth', '50']))\n")
+    src = str(Path(opttree.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=20, check=False,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "243\n"
 
 
 def test_oracle_command(tmp_path, toy_csv, capsys):

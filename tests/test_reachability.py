@@ -67,10 +67,13 @@ def test_public_bound_and_tree_functions_are_reached(capsys):
     sys.setprofile(profile)
     try:
         fit(ds, SearchConfig(lam=Fraction(1, 30), trace_interval=5))
+        # a fit stopped with work left reports a gap from a lower bound
+        stopped = fit(ds, SearchConfig(lam=Fraction(1, 30), max_trees=20))
         assert main(["count", "--features", "3", "--depth", "2"]) == 0
     finally:
         sys.setprofile(None)
     capsys.readouterr()
+    assert not stopped.certified and stopped.gap > 0
 
     functions = dict(_public_functions(opttree.bounds))
     functions.update(_public_functions(opttree.tree))

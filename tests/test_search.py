@@ -8,7 +8,7 @@ from opttree.caches import tree_key
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
-from opttree.search import SearchConfig, expand, fit
+from opttree.search import SearchConfig, _Run, expand, fit
 from opttree.tree import root_tree
 from tests.conftest import expanded_trees, random_dataset
 
@@ -37,7 +37,11 @@ def test_deterministic_runs(noisy_ds):
     a = fit(noisy_ds, SearchConfig(lam=Fraction(1, 20)))
     b = fit(noisy_ds, SearchConfig(lam=Fraction(1, 20)))
     assert a.objective == b.objective
-    assert tree_key(a.best_tree) == tree_key(b.best_tree)
+    # tree keys hold one run's interned leaves; compare their leaf keys
+    assert [(leaf.key, s) for leaf, s in zip(a.best_tree.leaves,
+                                             a.best_tree.splittable)] \
+        == [(leaf.key, s) for leaf, s in zip(b.best_tree.leaves,
+                                             b.best_tree.splittable)]
     assert a.stats.trees_evaluated == b.stats.trees_evaluated
     assert a.stats.trees_to_optimum == b.stats.trees_to_optimum
     assert a.stats.max_queue_size == b.stats.max_queue_size
@@ -150,18 +154,40 @@ def test_expand_prunes_by_best(toy_ds):
     assert expand(root, toy_ds, eq, cfg, Fraction(1, 100)) == []
 
 
-def test_expand_keeps_leaves_in_canonical_order():
+def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
     """Children are built without sorting: their leaf keys must still be
-    strictly increasing, so ``tree_key`` is the sorted (key, flag) set."""
+    strictly increasing.  Within one run, whose leaves are interned, two
+    children get equal ``tree_key``s exactly when they hold the same
+    multiset of (leaf key, flag) pairs."""
+    built = []
+    evaluate = _Run._evaluate
+
+    def recording(run, child):
+        built.append(child)
+        return evaluate(run, child)
+    monkeypatch.setattr(_Run, "_evaluate", recording)
     rng = random.Random(7)
+    repeats = 0
     for _ in range(100):
         ds = random_dataset(rng, rng.randint(10, 80), rng.randint(2, 5))
         lam = Fraction(1, rng.randint(10, 80))
         for tree in expanded_trees(ds, lam, rng, levels=5):
             keys = [leaf.key for leaf in tree.leaves]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            assert tree_key(tree) == tuple(sorted(zip(keys,
-                                                      tree.splittable)))
+        # every child one fit's expansions build, duplicates included
+        built.clear()
+        fit(ds, SearchConfig(lam=lam, max_trees=3000))
+        by_pairs: dict = {}
+        for child in built:
+            keys = [leaf.key for leaf in child.leaves]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            pairs = tuple(sorted(zip(keys, child.splittable)))
+            by_pairs.setdefault(pairs, []).append(tree_key(child))
+        tree_keys = {k for ks in by_pairs.values() for k in ks}
+        assert len(tree_keys) == len(by_pairs)
+        assert all(len(set(ks)) == 1 for ks in by_pairs.values())
+        repeats += sum(len(ks) - 1 for ks in by_pairs.values())
+    assert repeats > 0
 
 
 def test_zero_gain_split_forbids_both_unchanged():

@@ -5,7 +5,7 @@ import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, expand
-from opttree.tree import (Clause, TreeState, canonical_clauses,
+from opttree.tree import (Clause, TreeState, canonical_clauses, child_key,
                           make_child_leaf, make_leaf, objective, root_tree,
                           sort_leaves)
 from tests.conftest import random_dataset
@@ -51,7 +51,9 @@ def test_make_child_leaf_counts():
     lam = Fraction(1, 100)
     parent = make_leaf([], ds, _eq(ds), lam)
     assert parent.n_captured == 10
-    child = make_child_leaf(parent, 0, True, ds, _eq(ds), lam)
+    key = child_key(parent, 0, True)
+    child = make_child_leaf(parent, 0, True, key, ds, _eq(ds), lam)
+    assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
     assert child.prediction == 1
     assert child.mistakes == 1
@@ -61,9 +63,11 @@ def test_make_child_leaf_empty_is_dead():
     ds = from_rows(["a"], [[1], [1]], [0, 1])
     lam = Fraction(1, 100)
     parent = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
-    child_key = Clause(0, True)
     with pytest.raises(ValueError):
-        make_child_leaf(parent, 0, False, ds, _eq(ds), lam)
+        make_child_leaf(parent, 0, False, child_key(parent, 0, False), ds,
+                        _eq(ds), lam)
+    with pytest.raises(ValueError):
+        child_key(parent, 0, True)
     empty = make_leaf([Clause(0, False)], ds, _eq(ds), lam)
     assert empty.n_captured == 0
     assert empty.dead
@@ -113,8 +117,12 @@ def _random_tree(ds, eq, lam, rng):
             break
         i, f = rng.choice(candidates)
         parent = leaves.pop(i)
-        leaves.append(make_child_leaf(parent, f, False, ds, eq, lam))
-        leaves.append(make_child_leaf(parent, f, True, ds, eq, lam))
+        leaves.append(make_child_leaf(parent, f, False,
+                                      child_key(parent, f, False), ds, eq,
+                                      lam))
+        leaves.append(make_child_leaf(parent, f, True,
+                                      child_key(parent, f, True), ds, eq,
+                                      lam))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
     h = 0 if len(leaves) == 1 else len(leaves)
