@@ -90,30 +90,27 @@ def symmetry_savings(n_features: int, max_leaves: int) -> int:
                for k in range(1, max_leaves + 1))
 
 
-def _trees_at_depth(p: int, depth: int) -> int:
-    """Distinct full binary trees of exactly this depth over p features."""
-    if depth == 1:
-        return p
-    total = 0
-
-    def rec(level: int, prev_n: int, acc: int) -> None:
-        nonlocal total
-        if level == depth:
-            total += acc
-            return
-        slots = 2 ** prev_n
-        for n_i in range(1, slots + 1):
-            rec(level + 1, n_i, acc * comb(slots, n_i) * (p - level) ** n_i)
-
-    rec(1, 1, p)
-    return total
+# CPython refuses to print an int of more than 4300 decimal digits
+MAX_PRINTABLE_DIGITS = 4300
 
 
 def count_trees(p: int, d: int) -> int:
     """Cumulative number of distinct trees over p features up to depth d.
 
-    A root-to-leaf path uses each feature at most once, so no tree is
-    deeper than p and the depth is capped there."""
+    A tree of depth at most d is a leaf or a split on one of p features
+    whose two subtrees use the other p - 1 features up to depth d - 1:
+    A(p, 0) = 1 and A(p, d) = 1 + p * A(p - 1, d - 1)^2, less the lone
+    leaf.  A root-to-leaf path uses each feature at most once, so no tree
+    is deeper than p and the depth is capped there.  A count too large to
+    print raises ValueError as soon as a step passes that size."""
     if p < 1 or d < 1:
         raise ValueError("p and d must be >= 1")
-    return sum(_trees_at_depth(p, dt) for dt in range(1, min(d, p) + 1))
+    depth = min(d, p)
+    count = 1
+    for k in range(p - depth + 1, p + 1):
+        count = 1 + k * count * count
+        if floor_log10(count) >= MAX_PRINTABLE_DIGITS:
+            raise ValueError(
+                f"count of trees over {p} features up to depth {d} has "
+                f"more than {MAX_PRINTABLE_DIGITS} digits")
+    return count - 1

@@ -9,7 +9,9 @@ equal.  A tree's key is therefore the pair of tuples it already has,
 ``(tree.leaves, tree.splittable)``: nothing is built or sorted, and leaves
 hash and compare by identity.  Any permutation of the same leaves maps to
 one cache entry.  The invariant holds only for trees whose leaves came
-from one ``LeafCache``, so a key means nothing outside its search.
+from one ``LeafCache``, so a key means nothing outside its search.  A
+cached leaf holds its counts; it holds its capture vector only once the
+search has split it (see ``tree.Leaf``).
 
 The tree cache stores each tree's scaled lower bound ``b_s`` (units of
 1/(N*q) for lam = p/q) and purges with integer comparisons against the

@@ -19,13 +19,21 @@ new leaves are inserted into the parent's ordered remaining leaves with
 ``bisect``, and a new clause into its leaf's feature-ordered clauses, so
 nothing in the loop sorts.
 
-The work per child does not grow with the queue.  Child leaves are
-interned, so the permutation cache keys a tree on the leaf and flag tuples
-it already holds (see ``caches``), and a leaf's key is built once, for the
-lookup, and handed to ``make_child_leaf`` on a miss.  A trace record sums
-the remaining-evaluations bound over the queue's (``b_s``, leaf count)
-buckets rather than over its trees; only ``_finish`` scans the heap, once
-per fit, to find the least live bound behind the gap.
+The work per child grows with neither the queue nor the tree.  Child
+leaves are interned, so the permutation cache keys a tree on the leaf and
+flag tuples it already holds (see ``caches``), and a leaf's key is built
+once, for the lookup, and handed to ``make_child_leaf`` on a miss.  A
+child takes its sums from its parent through ``TreeState.derived``, and
+the liveness gate alone decides whether it is queued.  A trace record
+sums the remaining-evaluations bound over the queue's (``b_s``, leaf
+count) buckets rather than over its trees; only ``_finish`` scans the
+heap, once per fit, to find the least live bound behind the gap.
+
+Leaves keep counts, not captures.  An expansion reads the designated
+leaf's capture once (``Leaf.capture`` rebuilds it from the clauses the
+first time) and hands it to ``make_child_leaf``, which ANDs in one column
+and keeps only the child's counts; so only leaves the search has split
+hold an N-bit vector.
 """
 
 from __future__ import annotations
@@ -37,13 +45,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .bitvec import BitVector
 from .bounds import BoundToggles, cumulative_perm, floor_log10
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
-from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
+from .dataset import (Dataset, EquivalenceIndex, build_equivalence_index,
+                      literal_column)
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Leaf, TreeState, child_key, make_child_leaf, root_tree,
+from .tree import (TreeState, child_key, make_child_leaf, root_tree,
                    sort_leaves)  # noqa: F401
 
 
@@ -202,6 +212,9 @@ class _Run:
         if idx is None:
             return []
         leaf = tree.leaves[idx]
+        # the one capture this expansion reads; every child leaf built
+        # below ANDs one column into it and keeps only its counts
+        capture = leaf.capture
         out: list[TreeState] = []
 
         retire = self._make_retire_child(tree, idx)
@@ -229,11 +242,13 @@ class _Run:
             if self.toggles.leaf_accuracy and f in leaf.dead_features:
                 continue
             k1 = child_key(leaf, f, False)
-            c1 = self.leaf_cache.intern(k1, make_child_leaf, leaf, f, False,
-                                        k1, self.ds, self.eq, self.lam)
+            c1 = self.leaf_cache.intern(k1, make_child_leaf, leaf, capture,
+                                        f, False, k1, self.ds, self.eq,
+                                        self.lam)
             k2 = child_key(leaf, f, True)
-            c2 = self.leaf_cache.intern(k2, make_child_leaf, leaf, f, True,
-                                        k2, self.ds, self.eq, self.lam)
+            c2 = self.leaf_cache.intern(k2, make_child_leaf, leaf, capture,
+                                        f, True, k2, self.ds, self.eq,
+                                        self.lam)
             # a split capturing nothing (or everything) on one side can
             # never help; cache the rejection on the leaf
             if c1.n_captured == 0 or c2.n_captured == 0:
@@ -247,10 +262,13 @@ class _Run:
                 leaf.dead_features.add(f)
                 continue
 
-            if self.toggles.similar_support and self._similar_skip(
-                    c1, rejected_floors):
-                self.stats.similar_support_skips += 1
-                continue
+            if self.toggles.similar_support:
+                # ANDed here rather than read from c1, which would make
+                # every candidate leaf keep its capture
+                capture1 = capture & literal_column(self.ds, f, False)
+                if self._similar_skip(capture1, rejected_floors):
+                    self.stats.similar_support_skips += 1
+                    continue
 
             # incremental accuracy: a split gaining less than lam may not
             # leave both children unchanged
@@ -276,11 +294,9 @@ class _Run:
                         continue
                     flags = other_flags[:j1] + (s1,) + other_flags[j1:j2] \
                         + (s2,) + other_flags[j2:]
-                    child = TreeState(leaves=leaves, splittable=flags,
-                                      h=child_h, n_samples=self.n,
-                                      lam=self.lam,
-                                      must_split_pairs=pairs,
-                                      generation=self._next_gen())
+                    child = TreeState.derived(
+                        tree, leaves, flags, child_h, leaf,
+                        ((c1, s1), (c2, s2)), pairs, self._next_gen())
                     floor_s = child.b_s + child.b0_s
                     if min_floor_s is None or floor_s < min_floor_s:
                         min_floor_s = floor_s
@@ -290,17 +306,20 @@ class _Run:
                         out.append(child)
             if self.toggles.similar_support and not emitted_any \
                     and min_floor_s is not None:
-                rejected_floors.append((min_floor_s, c1.capture))
+                rejected_floors.append((min_floor_s, capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
-        # the children that every earlier gate would have kept
-        return [c for c in out
-                if self._is_live(c) and self._expandable_index(c) is not None]
+        # the children that every earlier gate would have kept.  It also
+        # drops every child with no open leaf: node support never flags a
+        # dead leaf splittable, so such a child's leaves are all unchanged,
+        # its objective equals its bound, and the incumbent is as good
+        return [c for c in out if self._is_live(c)]
 
-    def _similar_skip(self, c1: Leaf, rejected_floors) -> bool:
+    def _similar_skip(self, capture1: BitVector, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
-        feature) is provably hopeless beyond the omega margin."""
+        feature) is provably hopeless beyond the omega margin; ``capture1``
+        is the candidate's negative-literal capture."""
         for floor_s, capture in rejected_floors:
-            omega_s = self.q * (c1.capture ^ capture).count_ones()
+            omega_s = self.q * (capture1 ^ capture).count_ones()
             if floor_s >= self.best_s + omega_s:
                 return True
         return False
@@ -316,10 +335,9 @@ class _Run:
                     if l.key == other_key and not s:
                         return None
         flags = tree.splittable[:idx] + (False,) + tree.splittable[idx + 1:]
-        child = TreeState(leaves=tree.leaves, splittable=flags, h=tree.h,
-                          n_samples=self.n, lam=self.lam,
-                          must_split_pairs=tree.must_split_pairs,
-                          generation=self._next_gen())
+        child = TreeState.derived(tree, tree.leaves, flags, tree.h, leaf,
+                                  ((leaf, False),), tree.must_split_pairs,
+                                  self._next_gen())
         # same leaf set, same objective as the parent: no best update
         return child if self._evaluate(child) else None
 

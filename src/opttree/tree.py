@@ -6,11 +6,17 @@ zero, so its objective is just the minority-class fraction.  The lower
 bound counts only the mistakes of unchanged leaves, which is valid for
 every descendant because unchanged leaves are never split again.
 
-A tree sums its bounds once, when it is built, as integers scaled by N*q
-(lam = p/q); the search compares those integers and ``lower_bound`` and
-``objective`` turn them into exact rationals.  The module-level
-``objective`` recomputes a tree's objective from its leaves alone, as an
-independent reference.
+A tree keeps its bounds as integers scaled by N*q (lam = p/q); the search
+compares those integers and ``lower_bound`` and ``objective`` turn them
+into exact rationals.  ``TreeState(...)`` sums them over its leaves; a
+child built with ``TreeState.derived`` takes its parent's sums and adjusts
+them for the leaves that changed, so its cost does not grow with the leaf
+count.  The module-level ``objective`` recomputes a tree's objective from
+its leaves alone, as an independent reference.
+
+A leaf keeps counts, not its N-bit capture vector: the capture is rebuilt
+from the leaf's clauses when the leaf is first split, so only split leaves
+hold one.
 """
 
 from __future__ import annotations
@@ -46,13 +52,20 @@ def canonical_clauses(clauses: Sequence[Clause]) -> LeafKey:
 class Leaf:
     """A conjunction of feature literals with its capture statistics.
 
+    A leaf keeps the counts the search reads (support, correct, mistakes,
+    equivalent-points floor), not the N-bit vector of the samples it
+    captures: ``capture`` is rebuilt from the literal columns of its
+    clauses the first time it is read and kept from then on.  The search
+    reads it only to split the leaf, so only leaves that get split hold
+    one.
+
     Immutable except for ``dead_features``, which only accumulates features
     provably useless for splitting this leaf; the set is shared by every
     tree holding the leaf, which is sound because deadness depends only on
     the leaf, the data, and lam.
     """
 
-    __slots__ = ("clauses", "capture", "n_captured", "n_correct",
+    __slots__ = ("clauses", "ds", "_capture", "n_captured", "n_correct",
                  "prediction", "mistakes", "b0_count", "dead",
                  "dead_features")
 
@@ -60,7 +73,8 @@ class Leaf:
                  eq: EquivalenceIndex, lam: Fraction,
                  dead_features: Optional[set[int]] = None):
         self.clauses = clauses
-        self.capture = capture
+        self.ds = ds
+        self._capture: Optional[BitVector] = None
         self.n_captured = capture.count_ones()
         ones = (capture & ds.labels).count_ones()
         zeros = self.n_captured - ones
@@ -79,6 +93,13 @@ class Leaf:
         self.dead_features = set() if dead_features is None else dead_features
 
     @property
+    def capture(self) -> BitVector:
+        """The samples this leaf captures, built on first use and kept."""
+        if self._capture is None:
+            self._capture = clause_capture(self.ds, self.clauses)
+        return self._capture
+
+    @property
     def key(self) -> LeafKey:
         return self.clauses
 
@@ -89,14 +110,19 @@ class Leaf:
                 f"pred={self.prediction} err={self.mistakes}>")
 
 
+def clause_capture(ds: Dataset, clauses: Sequence[Clause]) -> BitVector:
+    """The samples a conjunction captures: the AND of its literal columns."""
+    capture = BitVector.ones(ds.n_samples)
+    for c in clauses:
+        capture = capture & literal_column(ds, c.feature, c.polarity)
+    return capture
+
+
 def make_leaf(clauses: Sequence[Clause], ds: Dataset, eq: EquivalenceIndex,
               lam: Fraction) -> Leaf:
-    """Build a leaf from scratch: capture is the AND of its literal columns."""
+    """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    capture = BitVector.ones(ds.n_samples)
-    for c in key:
-        capture = capture & literal_column(ds, c.feature, c.polarity)
-    return Leaf(key, capture, ds, eq, lam)
+    return Leaf(key, clause_capture(ds, key), ds, eq, lam)
 
 
 def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
@@ -109,15 +135,18 @@ def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
     return clauses[:i] + (Clause(feature, polarity),) + clauses[i:]
 
 
-def make_child_leaf(parent: Leaf, feature: int, polarity: bool,
-                    key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
-                    lam: Fraction) -> Leaf:
-    """Extend a leaf by one literal, reusing the parent's capture vector.
+def make_child_leaf(parent: Leaf, parent_capture: BitVector, feature: int,
+                    polarity: bool, key: LeafKey, ds: Dataset,
+                    eq: EquivalenceIndex, lam: Fraction) -> Leaf:
+    """Extend a leaf by one literal.
 
-    ``key`` must be ``child_key(parent, feature, polarity)``: the search
-    builds it once, for the leaf-cache lookup, and hands it over on a miss.
+    ``parent_capture`` is ``parent.capture``, which the search reads once
+    per expansion; the child's capture is that ANDed with the literal
+    column, and the child keeps only its counts.  ``key`` must be
+    ``child_key(parent, feature, polarity)``: the search builds it once,
+    for the leaf-cache lookup, and hands it over on a miss.
     """
-    capture = parent.capture & literal_column(ds, feature, polarity)
+    capture = parent_capture & literal_column(ds, feature, polarity)
     return Leaf(key, capture, ds, eq, lam,
                 dead_features=set(parent.dead_features))
 
@@ -173,6 +202,49 @@ class TreeState:
         self.b0_s = q * b0
         self.unchanged_capture = capture
 
+    @classmethod
+    def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
+                splittable: tuple[bool, ...], h: int, removed: Leaf,
+                added: Sequence[tuple[Leaf, bool]],
+                must_split_pairs: MustSplitPairs,
+                generation: int) -> TreeState:
+        """A tree made from ``parent`` by taking out its splittable leaf
+        ``removed`` and putting in the (leaf, splittable) pairs ``added``;
+        ``leaves`` and ``splittable`` are the result in canonical order.
+
+        The sums are the parent's adjusted for those leaves alone, so a
+        child costs O(1) however many leaves it has: a split adds the two
+        new leaves, a retire puts ``removed`` back unchanged.
+        """
+        q = parent.lam.denominator
+        b_s = parent.b_s \
+            + parent.lam.numerator * parent.n_samples * (h - parent.h)
+        # every leaf's mistakes count in the objective, whatever its flag
+        r_s = parent.r_s + (b_s - parent.b_s) - q * removed.mistakes
+        b0_s = parent.b0_s - q * removed.b0_count
+        capture = parent.unchanged_capture
+        for leaf, s in added:
+            r_s += q * leaf.mistakes
+            if s:
+                b0_s += q * leaf.b0_count
+            else:
+                b_s += q * leaf.mistakes
+                capture += leaf.n_captured
+        tree = cls.__new__(cls)
+        tree.leaves = leaves
+        tree.splittable = splittable
+        tree.h = h
+        tree.n_samples = parent.n_samples
+        tree.lam = parent.lam
+        tree.must_split_pairs = must_split_pairs
+        tree.generation = generation
+        tree.scale = parent.scale
+        tree.b_s = b_s
+        tree.r_s = r_s
+        tree.b0_s = b0_s
+        tree.unchanged_capture = capture
+        return tree
+
     @property
     def lower_bound(self) -> Fraction:
         return Fraction(self.b_s, self.scale)
@@ -182,11 +254,16 @@ class TreeState:
         return Fraction(self.r_s, self.scale)
 
     def check_partition(self) -> None:
-        """Debug invariant: leaf captures partition the samples."""
-        total = sum(l.n_captured for l in self.leaves)
+        """Debug invariant: the leaves' captures, recounted from their
+        clauses, partition the samples and match the kept counts."""
+        total = 0
         union = BitVector.zeros(self.n_samples)
         for l in self.leaves:
-            union = union | l.capture
+            capture = clause_capture(l.ds, l.clauses)
+            if capture.count_ones() != l.n_captured:
+                raise AssertionError(f"{l!r} does not capture its count")
+            total += l.n_captured
+            union = union | capture
         if total != self.n_samples or union.count_ones() != self.n_samples:
             raise AssertionError("leaf captures do not partition the samples")
 

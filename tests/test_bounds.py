@@ -6,7 +6,6 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -163,10 +162,10 @@ def test_split_gain_nonnegative_random():
         lam = Fraction(1, 50)
         parent = make_leaf([], ds, eq, lam)
         f = rng.randrange(ds.n_features)
-        left = make_child_leaf(parent, f, False, child_key(parent, f, False),
-                               ds, eq, lam)
-        right = make_child_leaf(parent, f, True, child_key(parent, f, True),
-                                ds, eq, lam)
+        left = make_child_leaf(parent, parent.capture, f, False,
+                               child_key(parent, f, False), ds, eq, lam)
+        right = make_child_leaf(parent, parent.capture, f, True,
+                                child_key(parent, f, True), ds, eq, lam)
         assert (left.capture & right.capture).count_ones() == 0
         assert left.capture | right.capture == parent.capture
         assert left.n_correct + right.n_correct >= parent.n_correct
@@ -328,6 +327,49 @@ def test_count_trees_table():
     assert count_trees(10, 3) == 5_329_000
     with pytest.raises(ValueError):
         count_trees(0, 1)
+    # too large to print: stops at the first step past 4300 digits
+    with pytest.raises(ValueError, match="4300 digits"):
+        count_trees(30, 30)
+
+
+def _listed_trees(features, depth):
+    """Every tree of depth <= depth as a nested tuple, listed one by one;
+    None is a leaf and a path uses each feature at most once."""
+    out = [None]
+    if depth:
+        for f in features:
+            subtrees = _listed_trees(features - {f}, depth - 1)
+            out += [(f, left, right) for left in subtrees
+                    for right in subtrees]
+    return out
+
+
+def _trees_by_level_shape(p, depth):
+    """Trees with 1..depth levels of splits, counted per level shape: n
+    split nodes on a level offer 2n child slots, any subset of which
+    splits on the next level, and a node on level l picks one of the
+    p - l features its path has not used."""
+    def completions(level, n):
+        ways = 1  # no slot below this level splits
+        if level + 1 < depth:
+            for k in range(1, 2 * n + 1):
+                ways += math.comb(2 * n, k) * (p - level - 1) ** k \
+                    * completions(level + 1, k)
+        return ways
+
+    return p * completions(0, 1)
+
+
+def test_count_trees_matches_brute_force():
+    for p in range(1, 6):
+        for d in range(1, 6):
+            expected = _trees_by_level_shape(p, min(d, p))
+            assert count_trees(p, d) == expected, (p, d)
+            if expected < 30_000:
+                trees = _listed_trees(frozenset(range(p)), d)
+                assert len(set(trees)) == len(trees) == expected + 1
+    assert count_trees(4, 4) == 238_144
+    assert count_trees(6, 4) == _trees_by_level_shape(6, 4)
 
 
 def test_similar_support_omega():
@@ -339,8 +381,7 @@ def test_similar_support_omega():
 
     def skipped(t1, t2, floor_over_best):
         floor_s = run.best_s + floor_over_best
-        return run._similar_skip(SimpleNamespace(capture=t1),
-                                 [(floor_s, t2)])
+        return run._similar_skip(t1, [(floor_s, t2)])
 
     a = BitVector.make([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
     b = BitVector.make([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])

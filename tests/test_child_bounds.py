@@ -1,0 +1,143 @@
+"""Children take their bounds from their parent, and leaves keep captures
+only when the search splits them.
+
+The search builds every child with ``TreeState.derived``, which adjusts the
+parent's sums for the leaves that changed, and queues a child on its
+liveness alone, without looking for an open leaf.  These tests check both
+against from-scratch work on every child of real fits, and check that
+after a fit only the leaves the search split hold their N-bit capture.
+"""
+
+import random
+from fractions import Fraction
+
+from opttree.bitvec import BitVector
+from opttree.bounds import BoundToggles
+from opttree.dataset import literal_column
+from opttree.scheduler import Policy
+from opttree.search import SearchConfig, _Run
+from opttree.tree import TreeState
+from tests.conftest import random_dataset
+
+TOGGLE_SETS = (
+    BoundToggles(),
+    BoundToggles(similar_support=True),
+    BoundToggles(node_support=False, leaf_accuracy=False),
+    BoundToggles(lookahead=False, equivalent_points=False,
+                 incremental_accuracy=False),
+)
+
+
+def _from_scratch(tree):
+    return TreeState(leaves=tree.leaves, splittable=tree.splittable,
+                     h=tree.h, n_samples=tree.n_samples, lam=tree.lam,
+                     must_split_pairs=tree.must_split_pairs)
+
+
+def _sums(tree):
+    return tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture, tree.scale
+
+
+def test_derived_children_match_a_from_scratch_sum(monkeypatch):
+    built = []
+    derived = TreeState.derived.__func__
+
+    def recording(cls, parent, *args):
+        child = derived(cls, parent, *args)
+        built.append((parent, child))
+        return child
+
+    monkeypatch.setattr(TreeState, "derived", classmethod(recording))
+    evaluated = []
+    evaluate = _Run._evaluate
+
+    def recording_evaluate(run, child):
+        ok = evaluate(run, child)
+        if ok:
+            evaluated.append(child)
+        return ok
+
+    monkeypatch.setattr(_Run, "_evaluate", recording_evaluate)
+    expand = _Run.expand
+    returned = closed = 0
+
+    def checking_expand(run, tree):
+        nonlocal returned, closed
+        evaluated.clear()
+        out = expand(run, tree)
+        kept = {id(c) for c in out}
+        # a child is returned iff it is live, and only the liveness gate
+        # drops children that have no open leaf: none of them is live
+        for child in evaluated:
+            live = run._is_live(child)
+            expandable = run._expandable_index(child) is not None
+            assert (id(child) in kept) == live
+            assert expandable or not live
+            returned += live
+            closed += not expandable
+        return out
+
+    monkeypatch.setattr(_Run, "expand", checking_expand)
+
+    rng = random.Random(7)
+    retire = must_split = fits = 0
+    for _ in range(6):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=rng.choice((0.0, 0.3)))
+        lam = Fraction(1, rng.choice((20, 30, 50)))
+        for policy in Policy:
+            for toggles in TOGGLE_SETS:
+                built.clear()
+                config = SearchConfig(lam=lam, policy=policy,
+                                      toggles=toggles, max_trees=400)
+                _Run(ds, config).run()
+                fits += 1
+                for parent, child in built:
+                    assert _sums(child) == _sums(_from_scratch(child))
+                    if child.leaves is parent.leaves:
+                        retire += 1
+                        continue
+                    new = frozenset(l.key for l in child.leaves
+                                    if l not in parent.leaves)
+                    must_split += new in child.must_split_pairs
+    assert fits == 6 * 7 * len(TOGGLE_SETS)
+    assert retire > 1000 and must_split > 1000 and returned > 10000
+    assert closed > 100
+
+
+def _fit_recording_splits(ds, config):
+    """Run a fit; return the run and the leaves it split."""
+    run = _Run(ds, config)
+    split = []
+    expand = run.expand
+
+    def recording(tree):
+        idx = run._expandable_index(tree)
+        if idx is not None:
+            split.append(tree.leaves[idx])
+        return expand(tree)
+
+    run.expand = recording
+    run.run()
+    return run, split
+
+
+def test_only_split_leaves_keep_a_capture():
+    rng = random.Random(11)
+    for toggles in (BoundToggles(), BoundToggles(similar_support=True)):
+        for _ in range(8):
+            ds = random_dataset(rng, rng.randint(30, 80), rng.randint(3, 6),
+                                duplicate_bias=0.3)
+            config = SearchConfig(lam=Fraction(1, 40), toggles=toggles)
+            run, split = _fit_recording_splits(ds, config)
+            leaves = list(run.leaf_cache._store.values())
+            assert len(leaves) > len({id(l) for l in split})
+            with_capture = {id(l) for l in leaves if l._capture is not None}
+            assert with_capture == {id(l) for l in split}
+            for leaf in leaves:
+                expected = BitVector.ones(ds.n_samples)
+                for c in leaf.clauses:
+                    expected &= literal_column(ds, c.feature, c.polarity)
+                assert leaf.capture == expected
+                assert leaf.n_captured == expected.count_ones()
+

@@ -142,6 +142,8 @@ def test_count(capsys):
     assert capsys.readouterr().out.strip() == "8000"
     assert main(["count", "--features", "10", "--depth", "1"]) == 0
     assert capsys.readouterr().out.strip() == "10"
+    assert main(["count", "--features", "4", "--depth", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "238144"
 
 
 def test_count_caps_depth_at_feature_count():
@@ -159,6 +161,20 @@ def test_count_caps_depth_at_feature_count():
                           env=dict(os.environ, PYTHONPATH=src))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "243\n"
+
+
+def test_count_too_large_to_print_is_an_error():
+    # the count has far more than 4300 digits: one error line, exit 1, at
+    # once rather than after the whole value is built
+    src = str(Path(opttree.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "opttree.cli", "count", "--features", "30",
+         "--depth", "30"], capture_output=True, text=True, timeout=20,
+        check=False, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_oracle_command(tmp_path, toy_csv, capsys):

@@ -52,7 +52,8 @@ def test_make_child_leaf_counts():
     parent = make_leaf([], ds, _eq(ds), lam)
     assert parent.n_captured == 10
     key = child_key(parent, 0, True)
-    child = make_child_leaf(parent, 0, True, key, ds, _eq(ds), lam)
+    child = make_child_leaf(parent, parent.capture, 0, True, key, ds,
+                            _eq(ds), lam)
     assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
     assert child.prediction == 1
@@ -64,8 +65,8 @@ def test_make_child_leaf_empty_is_dead():
     lam = Fraction(1, 100)
     parent = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
     with pytest.raises(ValueError):
-        make_child_leaf(parent, 0, False, child_key(parent, 0, False), ds,
-                        _eq(ds), lam)
+        make_child_leaf(parent, parent.capture, 0, False,
+                        child_key(parent, 0, False), ds, _eq(ds), lam)
     with pytest.raises(ValueError):
         child_key(parent, 0, True)
     empty = make_leaf([Clause(0, False)], ds, _eq(ds), lam)
@@ -117,12 +118,11 @@ def _random_tree(ds, eq, lam, rng):
             break
         i, f = rng.choice(candidates)
         parent = leaves.pop(i)
-        leaves.append(make_child_leaf(parent, f, False,
-                                      child_key(parent, f, False), ds, eq,
-                                      lam))
-        leaves.append(make_child_leaf(parent, f, True,
-                                      child_key(parent, f, True), ds, eq,
-                                      lam))
+        for polarity in (False, True):
+            leaves.append(make_child_leaf(parent, parent.capture, f,
+                                          polarity,
+                                          child_key(parent, f, polarity),
+                                          ds, eq, lam))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
     h = 0 if len(leaves) == 1 else len(leaves)
