@@ -9,9 +9,15 @@ equal.  A tree's key is therefore the pair of tuples it already has,
 ``(tree.leaves, tree.splittable)``: nothing is built or sorted, and leaves
 hash and compare by identity.  Any permutation of the same leaves maps to
 one cache entry.  The invariant holds only for trees whose leaves came
-from one ``LeafCache``, so a key means nothing outside its search.  A
-cached leaf holds its counts; it holds its capture vector only once the
-search has split it (see ``tree.Leaf``).
+from one ``LeafCache``, so a key means nothing outside its search; the
+same holds for the must-split pairs of leaves a tree carries.  A cached
+leaf holds its counts; it holds its capture vector only once the search
+has split it (see ``tree.Leaf``).
+
+The search looks a leaf's children up only while it works out that leaf's
+split table, during the leaf's first expansion (see ``search``), so
+``hits`` counts at most two lookups per (leaf, feature), not two per
+feature in every expansion.
 
 The tree cache stores each tree's scaled lower bound ``b_s`` (units of
 1/(N*q) for lam = p/q) and purges with integer comparisons against the

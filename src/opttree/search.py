@@ -23,17 +23,28 @@ The work per child grows with neither the queue nor the tree.  Child
 leaves are interned, so the permutation cache keys a tree on the leaf and
 flag tuples it already holds (see ``caches``), and a leaf's key is built
 once, for the lookup, and handed to ``make_child_leaf`` on a miss.  A
-child takes its sums from its parent through ``TreeState.derived``, and
-the liveness gate alone decides whether it is queued.  A trace record
-sums the remaining-evaluations bound over the queue's (``b_s``, leaf
-count) buckets rather than over its trees; only ``_finish`` scans the
-heap, once per fit, to find the least live bound behind the gap.
+child is priced before it is built: ``TreeState.child_sums`` adjusts the
+parent's sums for the leaves that change, a price at or above the
+incumbent is dropped there, and only the rest get flags, leaves and a
+``TreeState``.  The liveness gate alone decides whether a built child is
+queued.  A trace record sums the remaining-evaluations bound over the
+queue's (``b_s``, leaf count) buckets rather than over its trees; only
+``_finish`` scans the heap, once per fit, to find the least live bound
+behind the gap.
 
-Leaves keep counts, not captures.  An expansion reads the designated
-leaf's capture once (``Leaf.capture`` rebuilds it from the clauses the
-first time) and hands it to ``make_child_leaf``, which ANDs in one column
-and keeps only the child's counts; so only leaves the search has split
-hold an N-bit vector.
+An expansion costs what is new about its tree, not what is known about
+its designated leaf.  Which features may split a leaf, its two children
+on each, the must-split obligation and the flags node support allows
+depend only on the leaf, the data, lam and the toggles.  The first
+expansion of a leaf works them out and the run keeps them as the leaf's
+split table (``_Run.split_tables``, by leaf identity); later expansions
+of the leaf walk the table without a leaf-cache lookup or a check.  Only
+similar support, which reads the incumbent, is decided per expansion.
+
+Leaves keep counts, not captures.  The first expansion of a leaf reads
+its capture (``Leaf.capture`` rebuilds it from the clauses) and hands it
+to ``make_child_leaf``, which ANDs in one column and keeps only the
+child's counts; so only leaves the search has split hold an N-bit vector.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .bitvec import BitVector
 from .bounds import BoundToggles, cumulative_perm, floor_log10
@@ -53,8 +64,18 @@ from .dataset import (Dataset, EquivalenceIndex, build_equivalence_index,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (TreeState, child_key, make_child_leaf, root_tree,
+from .tree import (Leaf, TreeState, child_key, make_child_leaf, root_tree,
                    sort_leaves)  # noqa: F401
+
+# the (s1, s2) flag pairs a split's children may take, in the order they
+# are tried, by (c1 may be splittable, c2 may be splittable, must split)
+_FLAG_PAIRS = {
+    (open1, open2, must_split): tuple(
+        (s1, s2) for s1 in (False, True) if open1 or not s1
+        for s2 in (False, True) if (open2 or not s2)
+        and (s1 or s2 or not must_split))
+    for open1 in (False, True) for open2 in (False, True)
+    for must_split in (False, True)}
 
 
 @dataclass
@@ -107,6 +128,8 @@ class SearchStats:
     tree_cache_purged: int = 0
     duplicates_skipped: int = 0
     similar_support_skips: int = 0
+    expansions: int = 0     # trees expanded
+    split_tables: int = 0   # split tables built: distinct leaves designated
     limit_hit: Optional[str] = None
 
 
@@ -146,6 +169,9 @@ class _Run:
         self.best_s = 0
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
+        # each designated leaf's feasible splits, by leaf identity; kept by
+        # the run, since they depend on its toggles and a leaf may outlive it
+        self.split_tables: dict[Leaf, list] = {}
 
     # -- gates ------------------------------------------------------------
 
@@ -177,10 +203,9 @@ class _Run:
     # -- best tracking ---------------------------------------------------
 
     def _evaluate(self, child: TreeState) -> bool:
-        """Count a new child as evaluated unless the hierarchical bound or
-        the permutation cache rejects it."""
-        if child.b_s >= self.best_s:
-            return False
+        """Count a new child as evaluated unless the permutation cache
+        rejects it.  The caller has already applied the hierarchical bound
+        (``b_s < best_s``) to the child's price."""
         if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
                 tree_key(child), child.b_s):
             self.stats.duplicates_skipped += 1
@@ -188,16 +213,17 @@ class _Run:
         self.stats.trees_evaluated += 1
         return True
 
-    def _consider_best(self, tree: TreeState) -> None:
-        if tree.r_s < self.best_s:
-            self.best_s = tree.r_s
-            self.best_obj = tree.objective
-            self.best_tree = tree
-            self.stats.trees_to_optimum = self.stats.trees_evaluated
-            self.stats.time_to_optimum = time.perf_counter() - self._t0
-            margin = self.lam_s if self.toggles.lookahead else 0
-            self.stats.tree_cache_purged += \
-                self.tree_cache.garbage_collect(self.best_s, margin)
+    def _set_best(self, tree: TreeState) -> None:
+        """Make ``tree``, whose objective beats the incumbent, the new
+        incumbent."""
+        self.best_s = tree.r_s
+        self.best_obj = tree.objective
+        self.best_tree = tree
+        self.stats.trees_to_optimum = self.stats.trees_evaluated
+        self.stats.time_to_optimum = time.perf_counter() - self._t0
+        margin = self.lam_s if self.toggles.lookahead else 0
+        self.stats.tree_cache_purged += \
+            self.tree_cache.garbage_collect(self.best_s, margin)
 
     # -- expansion --------------------------------------------------------
 
@@ -211,9 +237,11 @@ class _Run:
         idx = self._expandable_index(tree)
         if idx is None:
             return []
+        self.stats.expansions += 1
         leaf = tree.leaves[idx]
-        # the one capture this expansion reads; every child leaf built
-        # below ANDs one column into it and keeps only its counts
+        # the one capture this expansion reads; the first expansion of the
+        # leaf builds every child leaf from it, and similar support ANDs a
+        # column into it
         capture = leaf.capture
         out: list[TreeState] = []
 
@@ -227,15 +255,86 @@ class _Run:
         other_flags = tree.splittable[:idx] + tree.splittable[idx + 1:]
         other_keys = [l.clauses for l in others]
         child_h = 2 if tree.h == 0 else tree.h + 1
-        used = {c.feature for c in leaf.clauses}
         # must-split pairs that survive the split of this leaf
         kept_pairs = frozenset(
-            p for p in tree.must_split_pairs if leaf.key not in p)
+            p for p in tree.must_split_pairs if leaf not in p)
 
         # similar-support memory: floors of feature splits already proven
         # hopeless, compared pairwise against new candidates via omega
         rejected_floors: list[tuple[int, object]] = []
 
+        splits = self.split_tables.get(leaf)
+        if splits is None:
+            splits = self._split_table(leaf, capture)
+        for f, c1, c2, pair, flag_pairs in splits:
+            if self.toggles.similar_support:
+                # ANDed here rather than read from c1, which would make
+                # every candidate leaf keep its capture
+                capture1 = capture & literal_column(self.ds, f, False)
+                if self._similar_skip(capture1, rejected_floors):
+                    self.stats.similar_support_skips += 1
+                    continue
+
+            leaves = None
+            emitted_any = False
+            min_floor_s: Optional[int] = None
+            for s1, s2 in flag_pairs:
+                sums = tree.child_sums(child_h, leaf, ((c1, s1), (c2, s2)))
+                b_s = sums[0]
+                floor_s = b_s + sums[2]
+                if min_floor_s is None or floor_s < min_floor_s:
+                    min_floor_s = floor_s
+                # the hierarchical bound rejects the child before anything
+                # of it is built
+                if b_s >= self.best_s:
+                    continue
+                if leaves is None:
+                    j1 = bisect_left(other_keys, c1.clauses)
+                    j2 = bisect_left(other_keys, c2.clauses, j1)
+                    leaves = others[:j1] + (c1,) + others[j1:j2] + (c2,) \
+                        + others[j2:]
+                    flags0, flags1, flags2 = other_flags[:j1], \
+                        other_flags[j1:j2], other_flags[j2:]
+                    pairs = kept_pairs if pair is None \
+                        else kept_pairs | {pair}
+                flags = flags0 + (s1,) + flags1 + (s2,) + flags2
+                child = TreeState.derived(tree, leaves, flags, child_h,
+                                          pairs, self._next_gen(), sums)
+                if self._evaluate(child):
+                    emitted_any = True
+                    if child.r_s < self.best_s:
+                        self._set_best(child)
+                    out.append(child)
+            if self.toggles.similar_support and not emitted_any \
+                    and min_floor_s is not None:
+                rejected_floors.append((min_floor_s, capture1))
+        # the incumbent only improves, so one gate at the end keeps exactly
+        # the children that every earlier gate would have kept.  It also
+        # drops every child with no open leaf: node support never flags a
+        # dead leaf splittable, so such a child's leaves are all unchanged,
+        # its objective equals its bound, and the incumbent is as good
+        return [c for c in out if self._is_live(c)]
+
+    def _split_table(self, leaf: Leaf,
+                     capture: BitVector) -> Iterator[tuple]:
+        """Yield the feasible splits of ``leaf``, and keep them as its
+        table once all are found.
+
+        A split is ``(feature, c1, c2, pair, flag_pairs)``: the interned
+        children on the feature's negative and positive literal, the
+        must-split pair ``frozenset((c1, c2))`` when the split gains less
+        than lam (else None), and the (s1, s2) flags that node support and
+        that obligation allow.  All of it depends only on the leaf, the
+        data, lam and the toggles, so later expansions of the leaf walk the
+        table.  The table is found during the leaf's first expansion, one
+        feature at a time between that feature's children, so the leaf
+        cache fills, and any limit trips, exactly where a search that kept
+        no table would.  A cache limit that stops the expansion leaves no
+        table behind.
+        """
+        table = []
+        used = {c.feature for c in leaf.clauses}
+        node_support = self.toggles.node_support
         for f in range(self.ds.n_features):
             if f in used:
                 continue
@@ -261,58 +360,18 @@ class _Run:
                     or self.q * c2.n_correct < self.lam_s):
                 leaf.dead_features.add(f)
                 continue
-
-            if self.toggles.similar_support:
-                # ANDed here rather than read from c1, which would make
-                # every candidate leaf keep its capture
-                capture1 = capture & literal_column(self.ds, f, False)
-                if self._similar_skip(capture1, rejected_floors):
-                    self.stats.similar_support_skips += 1
-                    continue
-
             # incremental accuracy: a split gaining less than lam may not
             # leave both children unchanged
             gain_s = self.q * (c1.n_correct + c2.n_correct - leaf.n_correct)
-            must_split = (self.toggles.incremental_accuracy
-                          and gain_s < self.lam_s)
-            pairs = kept_pairs
-            if must_split:
-                pairs = kept_pairs | {frozenset((c1.key, c2.key))}
-
-            j1 = bisect_left(other_keys, c1.clauses)
-            j2 = bisect_left(other_keys, c2.clauses, j1)
-            leaves = others[:j1] + (c1,) + others[j1:j2] + (c2,) + others[j2:]
-            emitted_any = False
-            min_floor_s: Optional[int] = None
-            for s1 in (False, True):
-                if s1 and self.toggles.node_support and c1.dead:
-                    continue
-                for s2 in (False, True):
-                    if s2 and self.toggles.node_support and c2.dead:
-                        continue
-                    if must_split and not s1 and not s2:
-                        continue
-                    flags = other_flags[:j1] + (s1,) + other_flags[j1:j2] \
-                        + (s2,) + other_flags[j2:]
-                    child = TreeState.derived(
-                        tree, leaves, flags, child_h, leaf,
-                        ((c1, s1), (c2, s2)), pairs, self._next_gen())
-                    floor_s = child.b_s + child.b0_s
-                    if min_floor_s is None or floor_s < min_floor_s:
-                        min_floor_s = floor_s
-                    if self._evaluate(child):
-                        emitted_any = True
-                        self._consider_best(child)
-                        out.append(child)
-            if self.toggles.similar_support and not emitted_any \
-                    and min_floor_s is not None:
-                rejected_floors.append((min_floor_s, capture1))
-        # the incumbent only improves, so one gate at the end keeps exactly
-        # the children that every earlier gate would have kept.  It also
-        # drops every child with no open leaf: node support never flags a
-        # dead leaf splittable, so such a child's leaves are all unchanged,
-        # its objective equals its bound, and the incumbent is as good
-        return [c for c in out if self._is_live(c)]
+            must_split = self.toggles.incremental_accuracy \
+                and gain_s < self.lam_s
+            split = (f, c1, c2, frozenset((c1, c2)) if must_split else None,
+                     _FLAG_PAIRS[not (node_support and c1.dead),
+                                 not (node_support and c2.dead), must_split])
+            table.append(split)
+            yield split
+        self.split_tables[leaf] = table
+        self.stats.split_tables += 1
 
     def _similar_skip(self, capture1: BitVector, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
@@ -329,16 +388,18 @@ class _Run:
         leaf = tree.leaves[idx]
         # a gain-deficient sibling pair may not end with both unchanged
         for pair in tree.must_split_pairs:
-            if leaf.key in pair:
-                (other_key,) = pair - {leaf.key}
-                for l, s in zip(tree.leaves, tree.splittable):
-                    if l.key == other_key and not s:
-                        return None
-        flags = tree.splittable[:idx] + (False,) + tree.splittable[idx + 1:]
-        child = TreeState.derived(tree, tree.leaves, flags, tree.h, leaf,
-                                  ((leaf, False),), tree.must_split_pairs,
-                                  self._next_gen())
+            if leaf in pair:
+                (other,) = pair - {leaf}
+                if not tree.splittable[tree.leaves.index(other)]:
+                    return None
         # same leaf set, same objective as the parent: no best update
+        sums = tree.child_sums(tree.h, leaf, ((leaf, False),))
+        if sums[0] >= self.best_s:
+            return None
+        flags = tree.splittable[:idx] + (False,) + tree.splittable[idx + 1:]
+        child = TreeState.derived(tree, tree.leaves, flags, tree.h,
+                                  tree.must_split_pairs, self._next_gen(),
+                                  sums)
         return child if self._evaluate(child) else None
 
     # -- main loop ---------------------------------------------------------

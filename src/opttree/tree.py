@@ -9,10 +9,12 @@ every descendant because unchanged leaves are never split again.
 A tree keeps its bounds as integers scaled by N*q (lam = p/q); the search
 compares those integers and ``lower_bound`` and ``objective`` turn them
 into exact rationals.  ``TreeState(...)`` sums them over its leaves; a
-child built with ``TreeState.derived`` takes its parent's sums and adjusts
-them for the leaves that changed, so its cost does not grow with the leaf
-count.  The module-level ``objective`` recomputes a tree's objective from
-its leaves alone, as an independent reference.
+child's sums are its parent's adjusted for the leaves that changed
+(``TreeState.child_sums``), so its cost does not grow with the leaf count,
+and the search compares them with the incumbent before it builds the
+child with ``TreeState.derived``.  The module-level ``objective``
+recomputes a tree's objective from its leaves alone, as an independent
+reference.
 
 A leaf keeps counts, not its N-bit capture vector: the capture is rebuilt
 from the leaf's clauses when the leaf is first split, so only split leaves
@@ -62,7 +64,9 @@ class Leaf:
     Immutable except for ``dead_features``, which only accumulates features
     provably useless for splitting this leaf; the set is shared by every
     tree holding the leaf, which is sound because deadness depends only on
-    the leaf, the data, and lam.
+    the leaf, the data, and lam.  The splits the search works out for a
+    leaf also depend on the run's toggles, so the run keeps them (see
+    ``search``), not the leaf, which may outlive it.
     """
 
     __slots__ = ("clauses", "ds", "_capture", "n_captured", "n_correct",
@@ -152,8 +156,10 @@ def make_child_leaf(parent: Leaf, parent_capture: BitVector, feature: int,
 
 
 # A pair of sibling leaves produced by a gain-deficient split; retiring
-# both unsplit is forbidden (at least one must be split further).
-MustSplitPairs = frozenset  # of frozenset({LeafKey, LeafKey})
+# both unsplit is forbidden (at least one must be split further).  The
+# pair holds the two ``Leaf`` objects, which hash and compare by identity:
+# within one search the leaf cache hands out one leaf per key.
+MustSplitPairs = frozenset  # of frozenset({Leaf, Leaf})
 
 
 @dataclass(slots=True)
@@ -202,27 +208,24 @@ class TreeState:
         self.b0_s = q * b0
         self.unchanged_capture = capture
 
-    @classmethod
-    def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
-                splittable: tuple[bool, ...], h: int, removed: Leaf,
-                added: Sequence[tuple[Leaf, bool]],
-                must_split_pairs: MustSplitPairs,
-                generation: int) -> TreeState:
-        """A tree made from ``parent`` by taking out its splittable leaf
-        ``removed`` and putting in the (leaf, splittable) pairs ``added``;
-        ``leaves`` and ``splittable`` are the result in canonical order.
+    def child_sums(self, h: int, removed: Leaf,
+                   added: Sequence[tuple[Leaf, bool]]) -> tuple[int, ...]:
+        """The scaled sums ``(b_s, r_s, b0_s, unchanged_capture)`` of a tree
+        made from this one by taking out its splittable leaf ``removed``
+        and putting in the (leaf, splittable) pairs ``added``, with
+        penalized leaf count ``h``.
 
-        The sums are the parent's adjusted for those leaves alone, so a
+        They are this tree's sums adjusted for those leaves alone, so a
         child costs O(1) however many leaves it has: a split adds the two
-        new leaves, a retire puts ``removed`` back unchanged.
+        new leaves, a retire puts ``removed`` back unchanged.  The search
+        prices a child with them before it builds it.
         """
-        q = parent.lam.denominator
-        b_s = parent.b_s \
-            + parent.lam.numerator * parent.n_samples * (h - parent.h)
+        q = self.lam.denominator
+        b_s = self.b_s + self.lam.numerator * self.n_samples * (h - self.h)
         # every leaf's mistakes count in the objective, whatever its flag
-        r_s = parent.r_s + (b_s - parent.b_s) - q * removed.mistakes
-        b0_s = parent.b0_s - q * removed.b0_count
-        capture = parent.unchanged_capture
+        r_s = self.r_s + (b_s - self.b_s) - q * removed.mistakes
+        b0_s = self.b0_s - q * removed.b0_count
+        capture = self.unchanged_capture
         for leaf, s in added:
             r_s += q * leaf.mistakes
             if s:
@@ -230,6 +233,15 @@ class TreeState:
             else:
                 b_s += q * leaf.mistakes
                 capture += leaf.n_captured
+        return b_s, r_s, b0_s, capture
+
+    @classmethod
+    def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
+                splittable: tuple[bool, ...], h: int,
+                must_split_pairs: MustSplitPairs, generation: int,
+                sums: tuple[int, ...]) -> TreeState:
+        """A child of ``parent`` with the given leaves and flags, in
+        canonical order, and the sums ``parent.child_sums`` gave it."""
         tree = cls.__new__(cls)
         tree.leaves = leaves
         tree.splittable = splittable
@@ -239,10 +251,7 @@ class TreeState:
         tree.must_split_pairs = must_split_pairs
         tree.generation = generation
         tree.scale = parent.scale
-        tree.b_s = b_s
-        tree.r_s = r_s
-        tree.b0_s = b0_s
-        tree.unchanged_capture = capture
+        tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture = sums
         return tree
 
     @property

@@ -131,7 +131,7 @@ def _must_split_by_feature(deltas, lam, **toggles):
         if child.h != 2:
             continue  # the retired root
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
-        pair = frozenset(leaf.key for leaf in child.leaves)
+        pair = frozenset(child.leaves)
         obliged = child.must_split_pairs == {pair}
         assert obliged or not child.must_split_pairs
         if obliged:

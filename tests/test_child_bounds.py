@@ -1,11 +1,13 @@
 """Children take their bounds from their parent, and leaves keep captures
 only when the search splits them.
 
-The search builds every child with ``TreeState.derived``, which adjusts the
-parent's sums for the leaves that changed, and queues a child on its
-liveness alone, without looking for an open leaf.  These tests check both
-against from-scratch work on every child of real fits, and check that
-after a fit only the leaves the search split hold their N-bit capture.
+The search prices every child with ``TreeState.child_sums``, which adjusts
+the parent's sums for the leaves that changed, builds the ones the price
+does not reject with ``TreeState.derived``, and queues a child on its
+liveness alone, without looking for an open leaf.  These tests check the
+sums and the queueing against from-scratch work on every child of real
+fits that the search builds, and check that after a fit only the leaves
+the search split hold their N-bit capture.
 """
 
 import random
@@ -52,6 +54,8 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     evaluate = _Run._evaluate
 
     def recording_evaluate(run, child):
+        # the price rejected every child the hierarchical bound rejects
+        assert child.b_s < run.best_s
         ok = evaluate(run, child)
         if ok:
             evaluated.append(child)
@@ -97,7 +101,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
                     if child.leaves is parent.leaves:
                         retire += 1
                         continue
-                    new = frozenset(l.key for l in child.leaves
+                    new = frozenset(l for l in child.leaves
                                     if l not in parent.leaves)
                     must_split += new in child.must_split_pairs
     assert fits == 6 * 7 * len(TOGGLE_SETS)
