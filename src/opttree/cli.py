@@ -17,7 +17,7 @@ from typing import Optional
 from .bounds import BoundToggles, count_trees
 from .bitvec import BitVector
 from .dataset import DataFormatError, Dataset, literal_column, load_csv
-from .oracle import OracleLimits, OracleResourceError, exhaustive_optimum
+from .oracle import OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
 from .search import SearchConfig, SearchResult, fit
 
@@ -228,10 +228,8 @@ def cmd_count(args) -> int:
 def cmd_oracle(args) -> int:
     ds = _load(args.data, args.label)
     lam = _parse_lambda(args.lam)
-    limits = OracleLimits(max_leaves=args.max_leaves,
-                          max_features=args.max_features)
     try:
-        res = exhaustive_optimum(ds, lam, limits)
+        res = exhaustive_optimum(ds, lam)
     except OracleResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -343,8 +341,6 @@ def build_parser() -> _Parser:
     p_or.add_argument("--data", required=True)
     p_or.add_argument("--label", required=True)
     p_or.add_argument("--lambda", dest="lam", required=True)
-    p_or.add_argument("--max-features", type=int, default=12)
-    p_or.add_argument("--max-leaves", type=int, default=32)
     p_or.set_defaults(func=cmd_oracle)
 
     return parser

@@ -1,32 +1,36 @@
 """Exhaustive reference optimizer for small instances.
 
-Exact dynamic program over (captured samples, remaining features, leaf
-budget): the optimal subtree under a node depends only on which samples it
-captures and which features are still usable on the path.  It shares no
-pruning logic with the search, so agreement between the two is meaningful
-evidence, not a tautology.
+The objective is additive over leaves, so the best subtree under a node
+depends only on the samples S it captures.  With lam = p/q over N samples,
+in integers scaled by N*q, it costs cost(S) = min(q*minority(S) + p*N,
+min over features f splitting S into two non-empty sides of
+cost(S & col_f) + cost(S - col_f)); the root alone takes no leaf penalty.
+The recurrence is memoized on the capture alone, as in DL8.5 and MurTree,
+with ties to fewer leaves, then the lower feature.  No leaf count is
+capped, only the memo (``MAX_MEMO_ENTRIES``).  A feature on the path
+splits off an empty side, so paths are at most min(M, distinct rows)
+deep, and an instance whose paths could pass the recursion limit is
+refused up front.  The
+witness is rebuilt from each capture's best feature and recounted from
+its leaves.  Nothing is pruned, so nothing is shared with the search's
+pruning, and agreement between the two is evidence, not a tautology.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .bitvec import BitVector
-from .dataset import Dataset
+from .dataset import Dataset, build_equivalence_index
 from .tree import Clause, LeafKey, canonical_clauses
+
+# distinct captures one call may memoize before it gives up
+MAX_MEMO_ENTRIES = 1_000_000
 
 
 class OracleResourceError(RuntimeError):
     """Instance too large for exhaustive optimization."""
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    max_leaves: int = 32
-    max_features: int = 12
-    max_states: int = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -37,85 +41,72 @@ class OracleResult:
     n_leaves: int
 
 
-def exhaustive_optimum(ds: Dataset, lam: Fraction,
-                       limits: Optional[OracleLimits] = None) -> OracleResult:
+def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
     """Globally optimal objective and one witness leaf set."""
-    if limits is None:
-        limits = OracleLimits()
     if lam <= 0:
         raise ValueError("lam must be positive")
-    m = ds.n_features
-    if m > limits.max_features:
-        raise OracleResourceError(
-            f"{m} features exceeds oracle limit {limits.max_features}")
-    # states are (capture, available) pairs; available is determined by the
-    # path conjunction, so 3^m bounds the state count
-    if 3 ** m > limits.max_states:
-        raise OracleResourceError(
-            f"3^{m} states exceed oracle limit {limits.max_states}")
-    max_leaves = min(limits.max_leaves, 2 ** m)
+    n, m = ds.n_samples, ds.n_features
+    # one frame per node on a path: a path splits on each feature at most
+    # once, and each split leaves fewer distinct rows on either side
+    room = sys.getrecursionlimit() - 100  # frames left to the caller
+    if m >= room:
+        depth = min(m + 1, build_equivalence_index(ds).n_classes)
+        if depth > room:
+            raise OracleResourceError(
+                f"paths up to {depth} nodes deep exceed the recursion "
+                f"limit's room of {room}")
+    q, pn = lam.denominator, lam.numerator * n
+    # captures are plain ints, bit i for sample i (as BitVector.from_string)
+    labels, *cols = [int(v.to_string()[::-1], 2)
+                     for v in (ds.labels, *ds.columns)]
+    # memo[capture] = (least scaled cost of a subtree over it, its leaf
+    # count, the feature its root splits on or None for a leaf)
+    memo: dict[int, tuple] = {}
 
-    labels = ds.labels
-    cols = ds.columns
-    # memo[(capture, avail)] = {h: (mistakes, choice)}; choice is None for
-    # a leaf or (feature, h_left, h_right) for a split
-    memo: dict = {}
+    def minority(capture: int) -> int:
+        ones = (capture & labels).bit_count()
+        return min(ones, capture.bit_count() - ones)
 
-    def minority(capture: BitVector) -> int:
-        ones = (capture & labels).count_ones()
-        return min(ones, capture.count_ones() - ones)
-
-    def solve(capture: BitVector, avail: frozenset[int]) -> dict:
-        key = (capture, avail)
-        hit = memo.get(key)
+    def solve(capture: int, penalty: int) -> tuple:
+        hit = memo.get(capture)
         if hit is not None:
             return hit
-        h_cap = min(max_leaves, 2 ** len(avail))
-        res: dict[int, tuple[int, object]] = {1: (minority(capture), None)}
-        for f in sorted(avail):
-            right = capture & cols[f]
-            left = capture.and_not(cols[f])
-            sub = avail - {f}
-            lres = solve(left, sub)
-            rres = solve(right, sub)
-            for h1, (m1, _) in lres.items():
-                for h2, (m2, _) in rres.items():
-                    h = h1 + h2
-                    if h > h_cap:
-                        continue
-                    mist = m1 + m2
-                    if h not in res or mist < res[h][0]:
-                        res[h] = (mist, (f, h1, h2))
-        memo[key] = res
-        return res
+        best = (q * minority(capture) + penalty, 1, None)
+        for f, col in enumerate(cols):
+            right = capture & col
+            if not right or right == capture:
+                continue
+            c1, h1, _ = solve(capture & ~col, pn)
+            c2, h2, _ = solve(right, pn)
+            if (c1 + c2, h1 + h2) < best[:2]:
+                best = (c1 + c2, h1 + h2, f)
+        if len(memo) >= MAX_MEMO_ENTRIES:
+            raise OracleResourceError(
+                f"more than {MAX_MEMO_ENTRIES} distinct captures")
+        memo[capture] = best
+        return best
 
-    root_capture = BitVector.ones(ds.n_samples)
-    table = solve(root_capture, frozenset(range(m)))
-    best_obj = None
-    best_h = None
-    for h, (mist, _) in sorted(table.items()):
-        penalty = 0 if h == 1 else h
-        obj = Fraction(mist, ds.n_samples) + lam * penalty
-        if best_obj is None or obj < best_obj:
-            best_obj = obj
-            best_h = h
+    # no split reaches the root's capture again, so its unpenalized entry
+    # is read only here
+    root = (1 << n) - 1
+    cost, n_leaves, _ = solve(root, 0)
 
-    leaves: list[LeafKey] = []
+    leaves: list[tuple[LeafKey, int]] = []
 
-    def collect(capture: BitVector, avail: frozenset[int],
-                clauses: tuple[Clause, ...], h: int) -> None:
-        _, choice = memo[(capture, avail)][h]
-        if choice is None:
-            leaves.append(canonical_clauses(clauses))
+    def collect(capture: int, clauses: tuple[Clause, ...]) -> None:
+        f = memo[capture][2]
+        if f is None:
+            leaves.append((canonical_clauses(clauses), minority(capture)))
             return
-        f, h1, h2 = choice
-        sub = avail - {f}
-        collect(capture.and_not(cols[f]), sub,
-                clauses + (Clause(f, False),), h1)
-        collect(capture & cols[f], sub, clauses + (Clause(f, True),), h2)
+        collect(capture & ~cols[f], clauses + (Clause(f, False),))
+        collect(capture & cols[f], clauses + (Clause(f, True),))
 
-    collect(root_capture, frozenset(range(m)), (), best_h)
-    return OracleResult(objective=best_obj,
-                        leaf_keys=tuple(sorted(leaves)),
-                        mistakes=table[best_h][0],
-                        n_leaves=best_h)
+    collect(root, ())
+    mistakes = sum(e for _, e in leaves)
+    objective = Fraction(mistakes, n) \
+        + lam * (0 if len(leaves) == 1 else len(leaves))
+    if objective != Fraction(cost, n * q) or len(leaves) != n_leaves:
+        raise AssertionError(f"witness {objective} disagrees with memo")
+    return OracleResult(objective=objective,
+                        leaf_keys=tuple(sorted(k for k, _ in leaves)),
+                        mistakes=mistakes, n_leaves=n_leaves)

@@ -38,8 +38,10 @@ on each, the must-split obligation and the flags node support allows
 depend only on the leaf, the data, lam and the toggles.  The first
 expansion of a leaf works them out and the run keeps them as the leaf's
 split table (``_Run.split_tables``, by leaf identity); later expansions
-of the leaf walk the table without a leaf-cache lookup or a check.  Only
-similar support, which reads the incumbent, is decided per expansion.
+of the leaf walk the table without a leaf-cache lookup or a check.  Each
+leaf's dead features, which depend on lam, are kept the same way
+(``_Run.dead_features``).  Only similar support, which reads the
+incumbent, is decided per expansion.
 
 Leaves keep counts, not captures.  The first expansion of a leaf reads
 its capture (``Leaf.capture`` rebuilds it from the clauses) and hands it
@@ -169,9 +171,11 @@ class _Run:
         self.best_s = 0
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
-        # each designated leaf's feasible splits, by leaf identity; kept by
-        # the run, since they depend on its toggles and a leaf may outlive it
+        # each designated leaf's feasible splits, and each interned leaf's
+        # dead features, by leaf identity; kept by the run, since they
+        # depend on its lam and toggles and a leaf may outlive it
         self.split_tables: dict[Leaf, list] = {}
+        self.dead_features: dict[Leaf, set[int]] = {}
 
     # -- gates ------------------------------------------------------------
 
@@ -335,30 +339,35 @@ class _Run:
         table = []
         used = {c.feature for c in leaf.clauses}
         node_support = self.toggles.node_support
+        # a feature dead for a leaf is dead for its children, which
+        # capture fewer samples
+        dead = self.dead_features.setdefault(leaf, set())
         for f in range(self.ds.n_features):
             if f in used:
                 continue
-            if self.toggles.leaf_accuracy and f in leaf.dead_features:
+            if self.toggles.leaf_accuracy and f in dead:
                 continue
             k1 = child_key(leaf, f, False)
             c1 = self.leaf_cache.intern(k1, make_child_leaf, leaf, capture,
                                         f, False, k1, self.ds, self.eq,
                                         self.lam)
+            self.dead_features.setdefault(c1, set(dead))
             k2 = child_key(leaf, f, True)
             c2 = self.leaf_cache.intern(k2, make_child_leaf, leaf, capture,
                                         f, True, k2, self.ds, self.eq,
                                         self.lam)
+            self.dead_features.setdefault(c2, set(dead))
             # a split capturing nothing (or everything) on one side can
-            # never help; cache the rejection on the leaf
+            # never help; remember the rejection for the leaf
             if c1.n_captured == 0 or c2.n_captured == 0:
-                leaf.dead_features.add(f)
+                dead.add(f)
                 continue
             # leaf accuracy: every leaf of an optimal tree classifies at
             # least lam*N samples correctly
             if self.toggles.leaf_accuracy and (
                     self.q * c1.n_correct < self.lam_s
                     or self.q * c2.n_correct < self.lam_s):
-                leaf.dead_features.add(f)
+                dead.add(f)
                 continue
             # incremental accuracy: a split gaining less than lam may not
             # leave both children unchanged

@@ -61,21 +61,16 @@ class Leaf:
     reads it only to split the leaf, so only leaves that get split hold
     one.
 
-    Immutable except for ``dead_features``, which only accumulates features
-    provably useless for splitting this leaf; the set is shared by every
-    tree holding the leaf, which is sound because deadness depends only on
-    the leaf, the data, and lam.  The splits the search works out for a
-    leaf also depend on the run's toggles, so the run keeps them (see
-    ``search``), not the leaf, which may outlive it.
+    Immutable.  What the search works out about splitting a leaf (its dead
+    features, its split table) depends on the run's lam and toggles, so
+    the run keeps it (see ``search``), not the leaf, which may outlive it.
     """
 
     __slots__ = ("clauses", "ds", "_capture", "n_captured", "n_correct",
-                 "prediction", "mistakes", "b0_count", "dead",
-                 "dead_features")
+                 "prediction", "mistakes", "b0_count", "dead")
 
     def __init__(self, clauses: LeafKey, capture: BitVector, ds: Dataset,
-                 eq: EquivalenceIndex, lam: Fraction,
-                 dead_features: Optional[set[int]] = None):
+                 eq: EquivalenceIndex, lam: Fraction):
         self.clauses = clauses
         self.ds = ds
         self._capture: Optional[BitVector] = None
@@ -94,7 +89,6 @@ class Leaf:
         # support below 2*lam means this leaf may never be split
         self.dead = self.n_captured * lam.denominator \
             < 2 * lam.numerator * ds.n_samples
-        self.dead_features = set() if dead_features is None else dead_features
 
     @property
     def capture(self) -> BitVector:
@@ -151,8 +145,7 @@ def make_child_leaf(parent: Leaf, parent_capture: BitVector, feature: int,
     for the leaf-cache lookup, and hands it over on a miss.
     """
     capture = parent_capture & literal_column(ds, feature, polarity)
-    return Leaf(key, capture, ds, eq, lam,
-                dead_features=set(parent.dead_features))
+    return Leaf(key, capture, ds, eq, lam)
 
 
 # A pair of sibling leaves produced by a gain-deficient split; retiring

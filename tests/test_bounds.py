@@ -66,19 +66,20 @@ def test_leaf_is_dead():
     leaves, flags = sort_leaves((small, big), (True, False))
     tree = TreeState(leaves=leaves, splittable=flags, h=2,
                      n_samples=ds.n_samples, lam=lam)
-    assert expand(tree, ds, eq, SearchConfig(lam=lam), Fraction(1)) == []
-    assert small.dead_features == set()  # no split of it was tried
-    off = SearchConfig(lam=lam, toggles=BoundToggles(node_support=False))
-    expand(tree, ds, eq, off, Fraction(1))
-    assert small.dead_features == {1}  # tried, then refused by leaf accuracy
+    run = _run_at(ds, lam, Fraction(1))
+    assert run.expand(tree) == []
+    assert small not in run.dead_features  # no split of it was tried
+    off = _run_at(ds, lam, Fraction(1), node_support=False)
+    off.expand(tree)
+    # tried, then refused by leaf accuracy
+    assert off.dead_features[small] == {1}
 
 
 def _accuracy_dead_features(ds, lam, **toggles):
-    eq = build_equivalence_index(ds)
-    root = root_tree(ds, lam, eq)
-    config = SearchConfig(lam=lam, toggles=BoundToggles(**toggles))
-    expand(root, ds, eq, config, Fraction(1))
-    return root.leaves[0].dead_features
+    root = root_tree(ds, lam, build_equivalence_index(ds))
+    run = _run_at(ds, lam, Fraction(1), **toggles)
+    run.expand(root)
+    return run.dead_features[root.leaves[0]]
 
 
 def test_child_accuracy_admissible():

@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import opttree
+from opttree import oracle
 from opttree.cli import main
 
 TOY = "a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
@@ -186,10 +188,47 @@ def test_oracle_command(tmp_path, toy_csv, capsys):
     assert "leaves: 2" in text
 
 
-def test_oracle_resource_error(tmp_path, toy_csv, capsys):
+def test_oracle_past_32_leaves(tmp_path, capsys):
+    # two copies of every 6-bit row, labelled by parity: one leaf per row
+    rows = list(itertools.product((0, 1), repeat=6)) * 2
+    data = tmp_path / "parity.csv"
+    data.write_text("f0,f1,f2,f3,f4,f5,y\n" + "".join(
+        ",".join(map(str, r + (sum(r) % 2,))) + "\n" for r in rows))
+    code = main(["oracle", "--data", str(data), "--label", "y",
+                 "--lambda", "0.001"])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "objective: 8/125" in text
+    assert "leaves: 64" in text
+
+
+def test_oracle_resource_error(tmp_path, toy_csv, capsys, monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 1)
     code = main(["oracle", "--data", str(toy_csv), "--label", "y",
-                 "--lambda", "0.01", "--max-features", "1"])
+                 "--lambda", "0.01"])
     assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oracle_refuses_paths_deeper_than_the_stack(tmp_path):
+    # a staircase: row i has feature j set iff j < i, so 1100 features
+    # split 1101 distinct rows one at a time, 1100 splits deep
+    m = 1100
+    data = tmp_path / "stairs.csv"
+    data.write_text("\n".join(
+        [",".join([f"f{j}" for j in range(m)] + ["y"])]
+        + [",".join(["1"] * i + ["0"] * (m - i) + [str(i % 2)])
+           for i in range(m + 1)]) + "\n")
+    src = str(Path(opttree.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "opttree.cli", "oracle", "--data", str(data),
+         "--label", "y", "--lambda", "0.001"], capture_output=True,
+        text=True, timeout=20, check=False,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_ablate_table(tmp_path, capsys):

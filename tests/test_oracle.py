@@ -1,13 +1,22 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from opttree import oracle
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.oracle import (OracleLimits, OracleResourceError,
-                            exhaustive_optimum)
-from opttree.tree import make_leaf
+from opttree.oracle import OracleResourceError, exhaustive_optimum
+from opttree.tree import TreeState, make_leaf, objective, sort_leaves
 from tests.conftest import random_dataset
+
+
+def parity_dataset(bits: int, copies: int):
+    """Every ``bits``-bit row ``copies`` times, labelled by its parity."""
+    rows = [list(r) for r in itertools.product((0, 1), repeat=bits)] \
+        * copies
+    return from_rows([f"f{j}" for j in range(bits)], rows,
+                     [sum(r) % 2 for r in rows])
 
 
 def test_root_only_when_lambda_large(toy_ds):
@@ -49,15 +58,35 @@ def test_penalty_tradeoff_exact():
     assert dear.n_leaves == 1 and dear.mistakes == 3
 
 
+def test_parity_needs_more_than_32_leaves():
+    # every one of the 64 rows needs a leaf of its own: 64 leaves, no
+    # mistake, against the root's 1/2
+    res = exhaustive_optimum(parity_dataset(6, 2), Fraction(1, 1000))
+    assert res.objective == Fraction(8, 125)
+    assert res.n_leaves == 64
+    assert res.mistakes == 0
+
+
 def test_witness_leaves_consistent(toy_ds):
-    lam = Fraction(1, 100)
-    res = exhaustive_optimum(toy_ds, lam)
-    eq = build_equivalence_index(toy_ds)
-    leaves = [make_leaf(k, toy_ds, eq, lam) for k in res.leaf_keys]
-    assert sum(l.n_captured for l in leaves) == toy_ds.n_samples
-    penalty = 0 if len(leaves) == 1 else len(leaves)
-    assert Fraction(sum(l.mistakes for l in leaves), toy_ds.n_samples) \
-        + lam * penalty == res.objective
+    rng = random.Random(5)
+    datasets = [(toy_ds, Fraction(1, 100))] + [
+        (random_dataset(rng, rng.randint(2, 40), rng.randint(1, 6),
+                        duplicate_bias=rng.choice((0.0, 0.4))),
+         Fraction(1, rng.choice((3, 10, 30, 100, 1000))))
+        for _ in range(100)]
+    for ds, lam in datasets:
+        res = exhaustive_optimum(ds, lam)
+        eq = build_equivalence_index(ds)
+        leaves, flags = sort_leaves(
+            [make_leaf(k, ds, eq, lam) for k in res.leaf_keys],
+            [False] * len(res.leaf_keys))
+        tree = TreeState(leaves=leaves, splittable=flags,
+                         h=0 if len(leaves) == 1 else len(leaves),
+                         n_samples=ds.n_samples, lam=lam)
+        tree.check_partition()
+        assert tree.objective == objective(tree, lam) == res.objective
+        assert sum(l.mistakes for l in leaves) == res.mistakes
+        assert len(leaves) == res.n_leaves
 
 
 def test_objective_floor_from_equivalent_points():
@@ -70,11 +99,14 @@ def test_objective_floor_from_equivalent_points():
         assert res.objective >= Fraction(eq.z.count_ones(), ds.n_samples)
 
 
-def test_resource_limits():
+def test_resource_limits(monkeypatch):
     ds = from_rows(["a", "b"], [[0, 1], [1, 0]], [0, 1])
+    # three captures: both rows, and each row alone
+    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 2)
     with pytest.raises(OracleResourceError):
-        exhaustive_optimum(ds, Fraction(1, 10),
-                           OracleLimits(max_features=1))
+        exhaustive_optimum(ds, Fraction(1, 10))
+    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 3)
+    assert exhaustive_optimum(ds, Fraction(1, 10)).mistakes == 0
     with pytest.raises(ValueError):
         exhaustive_optimum(ds, Fraction(0))
 

@@ -69,7 +69,7 @@ def _check_table_building(monkeypatch):
         idx = run._expandable_index(tree)
         leaf = None if idx is None else tree.leaves[idx]
         building = leaf is not None and leaf not in run.split_tables
-        dead = set(leaf.dead_features) if building \
+        dead = set(run.dead_features.get(leaf, ())) if building \
             and run.toggles.leaf_accuracy else set()
         state.update(building=building, dead=dead, interned=[])
         return expand_(run, tree)
@@ -137,32 +137,35 @@ def _children(trees):
 
 def test_tables_do_not_outlive_their_run():
     # one root leaf object is expanded under toggle sets and lambdas whose
-    # tables differ; each expansion must equal that of a fresh root.  The
-    # lambdas ascend because the leaf's dead features, which do live on
-    # the leaf, only accumulate: leaf accuracy kills at least as many
-    # features under a larger lambda.
+    # tables and dead features differ, with the lambdas in either order;
+    # each expansion must equal that of a fresh root
     toggle_sets = (BoundToggles(),
                    BoundToggles(leaf_accuracy=False,
                                 incremental_accuracy=False))
     rng = random.Random(12)
+    # enough datasets that a root leaf carrying the features dead under
+    # lam = 1/8 into an expansion under 1/40 gets caught
+    datasets = 40
     changes = 0
-    for _ in range(15):
+    for _ in range(datasets):
         ds = random_dataset(rng, rng.randint(20, 80), rng.randint(3, 5))
         eq = build_equivalence_index(ds)
-        lams = (Fraction(1, 40), Fraction(1, 8))
-        shared = root_tree(ds, lams[0], eq).leaves[0]
-        seen = []
-        for lam in lams:
-            root = TreeState(leaves=(shared,), splittable=(True,), h=0,
-                             n_samples=ds.n_samples, lam=lam)
-            for toggles in toggle_sets:
-                config = SearchConfig(lam=lam, toggles=toggles)
-                got = _children(expand(root, ds, eq, config, Fraction(1)))
-                want = _children(expand(root_tree(ds, lam, eq), ds, eq,
-                                        config, Fraction(1)))
-                assert got == want
-                seen.append(want)
-        changes += sum(a != b for a, b in zip(seen, seen[1:]))
-    # most expansions differ from the one before, so a table carried over
-    # from one to the next would show
-    assert changes > 20
+        for lams in ((Fraction(1, 40), Fraction(1, 8)),
+                     (Fraction(1, 8), Fraction(1, 40))):
+            shared = root_tree(ds, lams[0], eq).leaves[0]
+            seen = []
+            for lam in lams:
+                root = TreeState(leaves=(shared,), splittable=(True,), h=0,
+                                 n_samples=ds.n_samples, lam=lam)
+                for toggles in toggle_sets:
+                    config = SearchConfig(lam=lam, toggles=toggles)
+                    got = _children(expand(root, ds, eq, config,
+                                           Fraction(1)))
+                    want = _children(expand(root_tree(ds, lam, eq), ds, eq,
+                                            config, Fraction(1)))
+                    assert got == want
+                    seen.append(want)
+            changes += sum(a != b for a, b in zip(seen, seen[1:]))
+    # most expansions differ from the one before, so a table or a dead
+    # feature carried over from one to the next would show
+    assert changes > datasets * 4
