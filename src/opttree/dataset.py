@@ -4,9 +4,15 @@ A dataset is held column-wise: one bit-vector per feature plus the labels.
 Loading, writing and indexing all work on whole columns, joining or
 formatting a column's cells as one "0"/"1" string, so each costs
 O(N*M) for N samples and M features; nothing reads a single sample's bit
-in a loop over samples.  ``load_csv`` parses ``BLOCK_ROWS`` rows at a
+in a loop over samples.  ``load_csv`` reads ``BLOCK_ROWS`` rows at a
 time and keeps only each column's joined strings, so its memory is one
-block of cells plus the columns.
+block of cells plus the columns.  A block of strict rows (one-character
+"0"/"1" cells, "," separators, "\\n" line ends) gives each column as a
+strided slice of its text, with no per-row work.  The first block that
+is not strict, and the rest of the file, go through ``csv.reader``,
+which takes every other valid layout (padded or quoted cells, CRLF or
+lone-CR line ends, blank lines) to the same result and reports the same
+errors at the same row numbers.
 
 Samples with identical feature vectors can never be separated by any tree,
 so each duplicate group contributes its minority-label count as an
@@ -22,7 +28,7 @@ import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from typing import NoReturn, TextIO
 
 from .bitvec import BitVector
@@ -79,9 +85,8 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
     (surrounding whitespace is ignored, blank lines are skipped)."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    reader = csv.reader(source)
     try:
-        header = next(reader)
+        header = next(csv.reader(source))
     except StopIteration:
         raise DataFormatError("empty input: missing header row")
     header = [h.strip() for h in header]
@@ -96,11 +101,31 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
     if any(not name for name in feature_names):
         raise DataFormatError("empty feature name in header")
 
-    # only one block of records is held at a time; each column grows by
-    # one "0"/"1" string per block
+    # only one block is held at a time; each column grows by one "0"/"1"
+    # string per block
     parts: list[list[str]] = [[] for _ in header]
     n_rows = 0
-    first = 1  # number of the block's first record, blank lines counted
+    # a strict block is rows "c,c,...,c\n" with every c "0" or "1": its
+    # even characters are the cells, row by row, and its odd ones the
+    # separators
+    k = len(header)
+    separators = ("," * (k - 1) + "\n") * BLOCK_ROWS
+    while block := _read_block(source, 2 * k * BLOCK_ROWS):
+        cells = block[::2]
+        if len(block) % (2 * k) or block[1::2] != separators[:len(cells)] \
+                or not cells.isascii() \
+                or cells.encode("ascii").translate(None, b"01"):
+            break
+        for j, part in enumerate(parts):
+            part.append(cells[j::k])
+        n_rows += len(cells) // k
+    # the CSV reader takes the first block that is not strict, completed
+    # to the end of its line, and the rest of the stream
+    reader = csv.reader(chain(
+        io.StringIO(block + source.readline(), newline=""), source)) \
+        if block else ()
+    # number of the block's first record, blank lines counted
+    first = n_rows + 1
     while records := list(islice(reader, BLOCK_ROWS)):
         rows = [row for row in records if row]
         if rows:
@@ -120,6 +145,17 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
     labels = bits.pop(label_idx)
     return Dataset(n_rows, len(feature_names), feature_names,
                    tuple(bits), labels)
+
+
+def _read_block(source: TextIO, size: int) -> str:
+    """The next ``size`` characters of ``source``, or all that are left,
+    then with the final line end a file may lack."""
+    block = source.read(size)
+    while 0 < len(block) < size and (more := source.read(size - len(block))):
+        block += more
+    if 0 < len(block) < size and not block.endswith("\n"):
+        block += "\n"
+    return block
 
 
 def _raise_first_error(header: list[str], records: list[list[str]],

@@ -7,13 +7,14 @@ min over features f splitting S into two non-empty sides of
 cost(S & col_f) + cost(S - col_f)); the root alone takes no leaf penalty.
 The recurrence is memoized on the capture alone, as in DL8.5 and MurTree,
 with ties to fewer leaves, then the lower feature.  No leaf count is
-capped, only the memo (``MAX_MEMO_ENTRIES``).  A feature on the path
-splits off an empty side, so paths are at most min(M, distinct rows)
-deep, and an instance whose paths could pass the recursion limit is
-refused up front.  The
-witness is rebuilt from each capture's best feature and recounted from
-its leaves.  Nothing is pruned, so nothing is shared with the search's
-pruning, and agreement between the two is evidence, not a tautology.
+capped, only the memo's estimated size in bytes (``MAX_MEMO_BYTES``),
+since every key is an N-bit capture.  A feature on the path splits off
+an empty side, so paths are at most min(M, distinct rows) deep, and an
+instance whose paths could pass the recursion limit is refused up
+front.  The witness is rebuilt from each capture's best feature and
+recounted from its leaves.  Nothing is pruned, so nothing is shared
+with the search's pruning, and agreement between the two is evidence,
+not a tautology.
 """
 
 from __future__ import annotations
@@ -25,8 +26,12 @@ from fractions import Fraction
 from .dataset import Dataset, build_equivalence_index
 from .tree import Clause, LeafKey, canonical_clauses
 
-# distinct captures one call may memoize before it gives up
-MAX_MEMO_ENTRIES = 1_000_000
+# estimated bytes of memo one call may hold before it gives up; an entry
+# is taken as its N-bit capture, ceil(N/8) bytes, plus ENTRY_OVERHEAD for
+# the dict slot, the value tuple and the int headers (about 170 bytes
+# measured under tracemalloc at N = 1000)
+MAX_MEMO_BYTES = 256 * 2**20
+ENTRY_OVERHEAD = 200
 
 
 class OracleResourceError(RuntimeError):
@@ -62,6 +67,7 @@ def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
     # memo[capture] = (least scaled cost of a subtree over it, its leaf
     # count, the feature its root splits on or None for a leaf)
     memo: dict[int, tuple] = {}
+    entry_bytes = (n + 7) // 8 + ENTRY_OVERHEAD
 
     def minority(capture: int) -> int:
         ones = (capture & labels).bit_count()
@@ -80,9 +86,10 @@ def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
             c2, h2, _ = solve(right, pn)
             if (c1 + c2, h1 + h2) < best[:2]:
                 best = (c1 + c2, h1 + h2, f)
-        if len(memo) >= MAX_MEMO_ENTRIES:
+        if (len(memo) + 1) * entry_bytes > MAX_MEMO_BYTES:
             raise OracleResourceError(
-                f"more than {MAX_MEMO_ENTRIES} distinct captures")
+                f"a memo of {len(memo) + 1} captures of {n} samples would "
+                f"exceed {MAX_MEMO_BYTES} bytes")
         memo[capture] = best
         return best
 

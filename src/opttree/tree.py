@@ -169,6 +169,7 @@ class TreeState:
     objective (``b_s`` plus the splittable leaves' mistakes), ``b0_s`` the
     equivalent-points floor under the splittable leaves, and
     ``unchanged_capture`` the number of samples the unchanged leaves hold.
+    ``q`` and ``pn`` (p*N) are kept as plain ints for ``child_sums``.
     """
 
     leaves: tuple[Leaf, ...]          # canonically ordered by leaf key
@@ -179,6 +180,8 @@ class TreeState:
     must_split_pairs: MustSplitPairs = frozenset()
     generation: int = 0
     scale: int = field(init=False, repr=False)
+    q: int = field(init=False, repr=False)
+    pn: int = field(init=False, repr=False)
     b_s: int = field(init=False, repr=False)
     r_s: int = field(init=False, repr=False)
     b0_s: int = field(init=False, repr=False)
@@ -193,10 +196,10 @@ class TreeState:
             else:
                 err_unchanged += leaf.mistakes
                 capture += leaf.n_captured
-        q = self.lam.denominator
+        self.q = q = self.lam.denominator
+        self.pn = self.lam.numerator * self.n_samples
         self.scale = self.n_samples * q
-        self.b_s = q * err_unchanged \
-            + self.lam.numerator * self.n_samples * self.h
+        self.b_s = q * err_unchanged + self.pn * self.h
         self.r_s = self.b_s + q * err_splittable
         self.b0_s = q * b0
         self.unchanged_capture = capture
@@ -213,8 +216,8 @@ class TreeState:
         new leaves, a retire puts ``removed`` back unchanged.  The search
         prices a child with them before it builds it.
         """
-        q = self.lam.denominator
-        b_s = self.b_s + self.lam.numerator * self.n_samples * (h - self.h)
+        q = self.q
+        b_s = self.b_s + self.pn * (h - self.h)
         # every leaf's mistakes count in the objective, whatever its flag
         r_s = self.r_s + (b_s - self.b_s) - q * removed.mistakes
         b0_s = self.b0_s - q * removed.b0_count
@@ -244,6 +247,8 @@ class TreeState:
         tree.must_split_pairs = must_split_pairs
         tree.generation = generation
         tree.scale = parent.scale
+        tree.q = parent.q
+        tree.pn = parent.pn
         tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture = sums
         return tree
 

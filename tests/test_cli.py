@@ -137,6 +137,43 @@ def test_predict_broken_partition_is_internal_error(tmp_path, toy_csv,
     assert code == 2
 
 
+def test_predict_reads_lf_and_crlf_files_alike(tmp_path, toy_csv, capsys):
+    _, model = _fit(tmp_path, toy_csv)
+    rng = random.Random(3)
+    rows = "".join(f"{rng.randint(0, 1)},{rng.randint(0, 1)},"
+                   f"{rng.randint(0, 1)}\n" for _ in range(5000))
+    lf = tmp_path / "lf.csv"
+    crlf = tmp_path / "crlf.csv"
+    lf.write_bytes(("a,b,y\n" + rows).encode())
+    crlf.write_bytes(("a,b,y\n" + rows).replace("\n", "\r\n").encode())
+    capsys.readouterr()
+    outputs = []
+    for data in (lf, crlf):
+        code = main(["predict", "--model", str(model), "--data", str(data),
+                     "--label", "y"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert "samples: 5000\n" in outputs[0]
+
+
+def test_predict_reports_a_bad_cell_deep_in_a_strict_file(tmp_path, toy_csv,
+                                                          capsys):
+    _, model = _fit(tmp_path, toy_csv)
+    rows = [f"{i % 2},{(i // 2) % 2},{(i // 3) % 2}" for i in range(5000)]
+    rows[2999] = rows[2999][:2] + "x" + rows[2999][3:]
+    data = tmp_path / "data.csv"
+    data.write_text("a,b,y\n" + "\n".join(rows) + "\n")
+    capsys.readouterr()
+    code = main(["predict", "--model", str(model), "--data", str(data),
+                 "--label", "y"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: row 3000, column 'b': non-binary cell 'x'\n"
+
+
 def test_count(capsys):
     assert main(["count", "--features", "10", "--depth", "2"]) == 0
     assert capsys.readouterr().out.strip() == "1000"
@@ -203,11 +240,14 @@ def test_oracle_past_32_leaves(tmp_path, capsys):
 
 
 def test_oracle_resource_error(tmp_path, toy_csv, capsys, monkeypatch):
-    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 1)
+    monkeypatch.setattr(oracle, "MAX_MEMO_BYTES", 1)
     code = main(["oracle", "--data", str(toy_csv), "--label", "y",
                  "--lambda", "0.01"])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a memo of 1 captures of 6 samples would exceed "
+                   "1 bytes\n")
 
 
 def test_oracle_refuses_paths_deeper_than_the_stack(tmp_path):

@@ -241,3 +241,132 @@ def test_load_csv_memory_is_bounded_by_a_block(tmp_path):
     assert ds.n_samples == 50_000
     # the whole file's rows as lists of cells take about 11 MB
     assert peak < 3_000_000
+
+
+def _counting_csv_reader(monkeypatch):
+    """Wrap ``csv.reader`` as ``load_csv`` sees it; returns the list of
+    records every reader hands out."""
+    real_reader = dataset.csv.reader
+    records = []
+
+    def reader(*args, **kwargs):
+        for record in real_reader(*args, **kwargs):
+            records.append(record)
+            yield record
+    monkeypatch.setattr(dataset.csv, "reader", reader)
+    return records
+
+
+def _csv_text(header, rows):
+    return "".join(",".join(map(str, r)) + "\n" for r in [header, *rows])
+
+
+def _load_or_error(text, newline="\n"):
+    """The loaded dataset, or the message of the DataFormatError raised."""
+    try:
+        return load_csv(io.StringIO(text, newline=newline), "y")
+    except DataFormatError as exc:
+        return str(exc)
+
+
+strict_tables = st.tuples(
+    st.sampled_from([1, 5, 64, 1024]),
+    st.integers(1, 4).flatmap(lambda m: st.tuples(
+        st.integers(0, m),
+        st.lists(st.lists(st.integers(0, 1), min_size=m + 1,
+                          max_size=m + 1), min_size=1, max_size=300))))
+
+
+@given(strict_tables)
+@settings(max_examples=60, deadline=None)
+def test_strict_blocks_load_like_the_csv_reader(table):
+    """A file of one-character cells, "," separators and "\\n" line ends
+    loads by strided blocks without the CSV reader past its header, and
+    gives what its CRLF and lone-CR copies give through the reader."""
+    block_rows, (label_at, rows) = table
+    header = [f"f{j}" for j in range(len(rows[0]) - 1)]
+    header.insert(label_at, "y")
+    expected = from_rows(
+        [h for h in header if h != "y"],
+        [r[:label_at] + r[label_at + 1:] for r in rows],
+        [r[label_at] for r in rows])
+    text = _csv_text(header, rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "BLOCK_ROWS", block_rows)
+        records = _counting_csv_reader(mp)
+        assert load_csv(text, "y") == expected
+        assert records == [header]
+        del records[:]
+        # a missing final newline keeps the file strict
+        assert load_csv(text[:-1], "y") == expected
+        assert records == [header]
+        del records[:]
+        assert _load_or_error(text.replace("\n", "\r\n")) == expected
+        assert len(records) == 1 + len(rows)
+        del records[:]
+        assert _load_or_error(text.replace("\n", "\r"), newline="") \
+            == expected
+        assert len(records) == 1 + len(rows)
+
+
+def _short_row(lines, at):
+    return lines[:at] + ["1,0"] + lines[at:]
+
+
+def _non_binary_cell(lines, at):
+    return lines[:at] + ["1,2,0"] + lines[at:]
+
+
+def _padded_cell(lines, at):
+    return lines[:at] + [" " + lines[at]] + lines[at + 1:]
+
+
+def _blank_line(lines, at):
+    return lines[:at] + [""] + lines[at:]
+
+
+def _quoted_cell(lines, at):
+    return lines[:at] + ['"' + lines[at][0] + '"' + lines[at][1:]] \
+        + lines[at + 1:]
+
+
+DEFECTS = {
+    "short row": (_short_row, "row {row}: expected 3 cells, got 2"),
+    "non-binary cell": (_non_binary_cell,
+                        "row {row}, column 'b': non-binary cell '2'"),
+    "padded cell": (_padded_cell, None),
+    "blank line": (_blank_line, None),
+    "quoted cell": (_quoted_cell, None),
+}
+
+
+@pytest.mark.parametrize("block_rows", [1, 5, 64, 1024])
+def test_defects_around_block_boundaries_match_the_csv_reader(
+        monkeypatch, block_rows):
+    """After three strict blocks, a defect in the last row of a block,
+    the first row of the next or the one after loads the same rows, or
+    raises the same error, as the CRLF copy, which the CSV reader reads
+    from its first row."""
+    monkeypatch.setattr(dataset, "BLOCK_ROWS", block_rows)
+    n = 5 * block_rows + 2
+    lines = [f"{i % 2},{(i // 2) % 2},{(i // 3) % 2}" for i in range(n)]
+    good = from_rows(["a", "b"],
+                     [[i % 2, (i // 2) % 2] for i in range(n)],
+                     [(i // 3) % 2 for i in range(n)])
+    for at in (3 * block_rows - 1, 3 * block_rows, 3 * block_rows + 1):
+        for name, (defect, message) in DEFECTS.items():
+            variant = ["a,b,y"] + defect(lines, at)
+            lf = _load_or_error("\n".join(variant) + "\n")
+            assert lf == _load_or_error("\r\n".join(variant) + "\r\n"), \
+                (name, at)
+            if message is None:
+                assert lf == good, (name, at)
+            else:
+                assert lf == message.format(row=at + 1), (name, at)
+        # a missing final newline ends the file after row `at`
+        unterminated = "\n".join(["a,b,y"] + lines[:at])
+        assert _load_or_error(unterminated) \
+            == _load_or_error(unterminated.replace("\n", "\r\n")) \
+            == from_rows(["a", "b"],
+                         [[i % 2, (i // 2) % 2] for i in range(at)],
+                         [(i // 3) % 2 for i in range(at)])

@@ -101,12 +101,17 @@ def test_objective_floor_from_equivalent_points():
 
 def test_resource_limits(monkeypatch):
     ds = from_rows(["a", "b"], [[0, 1], [1, 0]], [0, 1])
-    # three captures: both rows, and each row alone
-    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 2)
+    # three captures: both rows, and each row alone, of 2 bits each
+    entry = 1 + oracle.ENTRY_OVERHEAD
+    monkeypatch.setattr(oracle, "MAX_MEMO_BYTES", 3 * entry - 1)
     with pytest.raises(OracleResourceError):
         exhaustive_optimum(ds, Fraction(1, 10))
-    monkeypatch.setattr(oracle, "MAX_MEMO_ENTRIES", 3)
+    monkeypatch.setattr(oracle, "MAX_MEMO_BYTES", 3 * entry)
     assert exhaustive_optimum(ds, Fraction(1, 10)).mistakes == 0
+    # the same three captures of 128 samples each take 16 bytes
+    wide = from_rows(["a", "b"], [[0, 1], [1, 0]] * 64, [0, 1] * 64)
+    with pytest.raises(OracleResourceError):
+        exhaustive_optimum(wide, Fraction(1, 10))
     with pytest.raises(ValueError):
         exhaustive_optimum(ds, Fraction(0))
 
