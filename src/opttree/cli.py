@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -179,7 +180,10 @@ def _check_model(model) -> None:
 
 def cmd_predict(args) -> int:
     with open(args.model, encoding="utf-8") as fh:
-        model = json.load(fh)
+        try:
+            model = json.load(fh)
+        except RecursionError:
+            raise DataFormatError("model JSON is nested too deeply")
     _check_model(model)
     ds = _load(args.data, args.label)
     name_to_col = {name: i for i, name in enumerate(ds.feature_names)}
@@ -306,7 +310,11 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--similar-support", action="store_true")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The parser ``main`` uses, built on the first call and shared by every
+    later one: parsing returns a fresh namespace and leaves the parser as
+    it was, so callers must not change it either."""
     parser = _Parser(prog="opttree",
                      description="Certifiably optimal sparse decision trees "
                                  "over binary features")

@@ -89,6 +89,8 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
         header = next(csv.reader(source))
     except StopIteration:
         raise DataFormatError("empty input: missing header row")
+    except csv.Error as exc:
+        raise DataFormatError(f"header row: {exc}")
     header = [h.strip() for h in header]
     if label_column not in header:
         raise DataFormatError(f"label column {label_column!r} not in header")
@@ -126,7 +128,7 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
         if block else ()
     # number of the block's first record, blank lines counted
     first = n_rows + 1
-    while records := list(islice(reader, BLOCK_ROWS)):
+    while records := _read_records(reader, first):
         rows = [row for row in records if row]
         if rows:
             if set(map(len, rows)) != {len(header)}:
@@ -156,6 +158,20 @@ def _read_block(source: TextIO, size: int) -> str:
     if 0 < len(block) < size and not block.endswith("\n"):
         block += "\n"
     return block
+
+
+def _read_records(reader, first: int) -> list[list[str]]:
+    """The next ``BLOCK_ROWS`` records of ``reader``, the first of them
+    number ``first``.  A record the reader rejects, such as one with a
+    cell longer than ``csv.field_size_limit()``, is a DataFormatError."""
+    records: list[list[str]] = []
+    try:
+        # extend keeps the records read before the bad one, which
+        # number it
+        records.extend(islice(reader, BLOCK_ROWS))
+    except csv.Error as exc:
+        raise DataFormatError(f"row {first + len(records)}: {exc}")
+    return records
 
 
 def _raise_first_error(header: list[str], records: list[list[str]],

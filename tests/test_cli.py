@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import opttree
-from opttree import oracle
+from opttree import cli, oracle
 from opttree.cli import main
 
 TOY = "a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
@@ -172,6 +172,79 @@ def test_predict_reports_a_bad_cell_deep_in_a_strict_file(tmp_path, toy_csv,
     assert code == 1
     assert out == ""
     assert err == "error: row 3000, column 'b': non-binary cell 'x'\n"
+
+
+@pytest.mark.parametrize("command", ["fit", "predict"])
+@pytest.mark.parametrize("text, where", [
+    ("a,b,y\n0,1,1\n" + "0" * 200_000 + ",0,0\n", "row 2"),
+    ("a" * 200_000 + ",b,y\n0,1,1\n", "header row"),
+], ids=["body-cell", "header-cell"])
+def test_oversized_csv_cell_is_format_error(tmp_path, toy_csv, capsys,
+                                            command, text, where):
+    _, model = _fit(tmp_path, toy_csv)
+    data = tmp_path / "huge-cell.csv"
+    data.write_text(text)
+    args = {"fit": ["--lambda", "0.01", "--out", str(tmp_path / "m.json")],
+            "predict": ["--model", str(model)]}[command]
+    capsys.readouterr()
+    code = main([command, "--data", str(data), "--label", "y", *args])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == (f"error: {where}: field larger than field limit "
+                   f"({csv.field_size_limit()})\n")
+
+
+def test_predict_deeply_nested_model_is_format_error(tmp_path, toy_csv,
+                                                     capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = main(["predict", "--model", str(path), "--data", str(toy_csv),
+                 "--label", "y"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: model JSON is nested too deeply\n"
+
+
+def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
+    # y = b xor c: five trees are too few to certify the 4-leaf optimum
+    rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},{(i // 2 ^ i // 4) % 2}"
+            for i in range(16)]
+    data = tmp_path / "xor.csv"
+    data.write_text("a,b,c,y\n" + "\n".join(rows) + "\n")
+    model = tmp_path / "model.json"
+    fit = ["fit", "--data", str(data), "--label", "y", "--lambda", "0.01",
+           "--out", str(model)]
+    predict = ["predict", "--model", str(model), "--data", str(data),
+               "--label", "y"]
+    cli.build_parser.cache_clear()
+    capsys.readouterr()
+
+    assert main(["fit", "--data", str(data)]) == 1
+    usage = capsys.readouterr()
+    assert usage.out == ""
+    assert usage.err.endswith("error: the following arguments are "
+                              "required: --label, --lambda, --out\n")
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: opttree")
+    assert main([*fit, "--max-trees", "5"]) == 3
+    assert "limit: max_trees\n" in capsys.readouterr().out
+    # no option value carries over from the call before
+    assert main(fit) == 0
+    out = capsys.readouterr().out
+    assert "certified: true\n" in out and "limit:" not in out
+    scores = []
+    for _ in range(2):
+        assert main(predict) == 0
+        scores.append(capsys.readouterr())
+    assert scores[0] == scores[1]
+    assert scores[0].out == "samples: 16\nmistakes: 0\naccuracy: 1.000000\n"
+    assert main(["count", "--features", "10", "--depth", "2"]) == 0
+    assert capsys.readouterr().out == "1000\n"
+    assert main(["fit", "--data", str(data)]) == 1
+    assert capsys.readouterr() == usage
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_count(capsys):

@@ -1,3 +1,4 @@
+import csv
 import io
 import random
 import tracemalloc
@@ -217,6 +218,11 @@ def test_load_csv_blocks_keep_rows_and_error_numbers(monkeypatch,
                            match=rf"^row {at + 1}, column 'b': "
                                  rf"non-binary cell '2'$"):
             load_csv(io.StringIO("a,b,y\n" + "\n".join(bad)), "y")
+        huge = lines[:at] + ["0" * 200_000 + ",1,0"] + lines[at:]
+        with pytest.raises(DataFormatError,
+                           match=rf"^row {at + 1}: field larger than field "
+                                 rf"limit \(\d+\)$"):
+            load_csv(io.StringIO("a,b,y\n" + "\n".join(huge)), "y")
     with pytest.raises(DataFormatError, match="^no data rows$"):
         load_csv(io.StringIO("a,b,y\n" + "\n" * 2 * block_rows), "y")
 
@@ -330,6 +336,10 @@ def _quoted_cell(lines, at):
         + lines[at + 1:]
 
 
+def _oversized_cell(lines, at):
+    return lines[:at] + ["0" * 200_000 + ",1,0"] + lines[at:]
+
+
 DEFECTS = {
     "short row": (_short_row, "row {row}: expected 3 cells, got 2"),
     "non-binary cell": (_non_binary_cell,
@@ -337,6 +347,9 @@ DEFECTS = {
     "padded cell": (_padded_cell, None),
     "blank line": (_blank_line, None),
     "quoted cell": (_quoted_cell, None),
+    "oversized cell": (_oversized_cell,
+                       "row {row}: field larger than field limit "
+                       f"({csv.field_size_limit()})"),
 }
 
 
