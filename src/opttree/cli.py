@@ -16,8 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, count_trees
-from .bitvec import BitVector
-from .dataset import DataFormatError, Dataset, literal_column, load_csv
+from .dataset import DataFormatError, Dataset, and_literal, load_csv
 from .oracle import OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
 from .search import SearchConfig, SearchResult, fit
@@ -192,27 +191,26 @@ def cmd_predict(args) -> int:
             if clause["feature"] not in name_to_col:
                 raise DataFormatError(
                     f"model feature {clause['feature']!r} missing from data")
-    # a leaf's capture is the AND of its literal columns; the leaves must
-    # cover every sample exactly once
-    n = ds.n_samples
-    mistakes = 0
-    covered = BitVector.zeros(n)
-    covered_twice = BitVector.zeros(n)
+    # a leaf's capture is the AND of its literals; the leaves must cover
+    # every sample exactly once
+    everyone = ds.all_samples
+    mistakes = covered = covered_twice = 0
     captures = []
     for leaf in model["leaves"]:
-        capture = BitVector.ones(n)
+        capture = everyone
         for c in leaf["clauses"]:
-            capture &= literal_column(ds, name_to_col[c["feature"]],
-                                      bool(c["value"]))
-        wrong = ds.labels.invert() if leaf["prediction"] else ds.labels
-        mistakes += (capture & wrong).count_ones()
+            capture = and_literal(ds, capture, name_to_col[c["feature"]],
+                                  bool(c["value"]))
+        ones = (capture & ds.labels).bit_count()
+        mistakes += capture.bit_count() - ones if leaf["prediction"] else ones
         covered_twice |= covered & capture
         covered |= capture
         captures.append(capture)
-    unmatched_or_twice = covered.invert() | covered_twice
-    if not unmatched_or_twice.is_zero():
-        first = unmatched_or_twice.to_string().index("1")
-        matched = sum(c.get(first) for c in captures)
+    unmatched_or_twice = (everyone ^ covered) | covered_twice
+    if unmatched_or_twice:
+        # x & -x keeps only the lowest set bit of x
+        first = (unmatched_or_twice & -unmatched_or_twice).bit_length() - 1
+        matched = sum(c >> first & 1 for c in captures)
         print(f"internal error: sample {first} matched {matched} "
               "leaves; model leaves do not partition the data",
               file=sys.stderr)
@@ -225,6 +223,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_count(args) -> int:
+    if args.features < 1 or args.depth < 1:
+        raise ValueError("--features and --depth must be >= 1")
     print(count_trees(args.features, args.depth))
     return EXIT_OK
 

@@ -1,6 +1,9 @@
 """Binary-feature dataset loading and the equivalent-points structure.
 
-A dataset is held column-wise: one bit-vector per feature plus the labels.
+A dataset is held column-wise: one non-negative int per feature plus one
+for the labels, bit i for sample i; the sample count is ``n_samples``,
+not the int's length.  A set of samples (a leaf's capture) is an int of
+the same form, so every support count is ``int.bit_count()`` of an AND.
 Loading, writing and indexing all work on whole columns, joining or
 formatting a column's cells as one "0"/"1" string, so each costs
 O(N*M) for N samples and M features; nothing reads a single sample's bit
@@ -31,8 +34,6 @@ from dataclasses import dataclass
 from itertools import chain, compress, islice
 from typing import NoReturn, TextIO
 
-from .bitvec import BitVector
-
 
 class DataFormatError(ValueError):
     """Raised for malformed input CSV."""
@@ -43,12 +44,17 @@ class Dataset:
     n_samples: int
     n_features: int
     feature_names: tuple[str, ...]
-    columns: tuple[BitVector, ...]
-    labels: BitVector
+    columns: tuple[int, ...]
+    labels: int
 
     @property
     def label_one_count(self) -> int:
-        return self.labels.count_ones()
+        return self.labels.bit_count()
+
+    @property
+    def all_samples(self) -> int:
+        """The capture of every sample: bits 0 to N-1 set."""
+        return (1 << self.n_samples) - 1
 
 
 @dataclass(frozen=True)
@@ -56,13 +62,13 @@ class EquivalenceIndex:
     """The equivalent-points floor of a dataset.
 
     ``z`` marks exactly the minority-label members of every class of
-    samples with identical feature vectors; a capture vector ANDed with
-    ``z`` counts the unavoidable mistakes among captured samples, and
-    ``z.count_ones() / N`` is the floor under every tree's error.
+    samples with identical feature vectors; a capture ANDed with ``z``
+    counts the unavoidable mistakes among captured samples, and
+    ``z.bit_count() / N`` is the floor under every tree's error.
     ``n_classes`` is the number of such classes.
     """
 
-    z: BitVector
+    z: int
     n_classes: int
 
 
@@ -71,9 +77,24 @@ def from_rows(feature_names, rows, labels) -> Dataset:
     names = tuple(feature_names)
     n = len(rows)
     m = len(names)
-    cols = tuple(
-        BitVector.make([rows[i][j] for i in range(n)]) for j in range(m))
-    return Dataset(n, m, names, cols, BitVector.make(labels))
+    cols = tuple(_from_cells([rows[i][j] for i in range(n)])
+                 for j in range(m))
+    return Dataset(n, m, names, cols, _from_cells(labels))
+
+
+def _from_cells(cells) -> int:
+    """The int whose bit i is set when ``cells[i]`` is truthy."""
+    return _parse_bits("".join(["1" if c else "0" for c in cells]))
+
+
+def _parse_bits(bits: str) -> int:
+    """The int of a "0"/"1" string, bit 0 first."""
+    return int(bits[::-1], 2) if bits else 0
+
+
+def _format_bits(bits: int, n: int) -> str:
+    """The n low bits of ``bits`` as "0"/"1" characters, bit 0 first."""
+    return format(bits, f"0{n}b")[::-1] if n else ""
 
 
 BINARY_CELLS = frozenset(("0", "1"))
@@ -143,7 +164,7 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
         first += len(records)
     if not n_rows:
         raise DataFormatError("no data rows")
-    bits = [BitVector.from_string("".join(part)) for part in parts]
+    bits = [_parse_bits("".join(part)) for part in parts]
     labels = bits.pop(label_idx)
     return Dataset(n_rows, len(feature_names), feature_names,
                    tuple(bits), labels)
@@ -198,17 +219,21 @@ def write_csv(ds: Dataset, label_column: str = "label") -> str:
     out = io.StringIO()
     w = csv.writer(out, lineterminator="\n")
     w.writerow(list(ds.feature_names) + [label_column])
-    w.writerows(zip(*[c.to_string() for c in ds.columns],
-                    ds.labels.to_string()))
+    n = ds.n_samples
+    w.writerows(zip(*[_format_bits(c, n) for c in ds.columns],
+                    _format_bits(ds.labels, n)))
     return out.getvalue()
 
 
-def literal_column(ds: Dataset, feature: int, polarity: bool) -> BitVector:
-    """Capture vector of a single clause: the column or its complement."""
+def and_literal(ds: Dataset, capture: int, feature: int,
+                polarity: bool) -> int:
+    """The samples of ``capture`` that satisfy one literal: those with
+    ``feature`` equal to ``polarity``.  ``capture`` is non-negative, so
+    the result is too."""
     if not 0 <= feature < ds.n_features:
         raise IndexError(f"feature index {feature} out of range")
     col = ds.columns[feature]
-    return col if polarity else col.invert()
+    return capture & col if polarity else capture & ~col
 
 
 def build_equivalence_index(ds: Dataset) -> EquivalenceIndex:
@@ -219,17 +244,18 @@ def build_equivalence_index(ds: Dataset) -> EquivalenceIndex:
     many 0 and 1 labels takes minority label 0; its count of minority
     members is the same either way.
     """
+    n = ds.n_samples
     key_to_class: dict[tuple[str, ...], int] = {}
-    keys = zip(*[c.to_string() for c in ds.columns]) if ds.columns \
-        else [()] * ds.n_samples
+    keys = zip(*[_format_bits(c, n) for c in ds.columns]) if ds.columns \
+        else [()] * n
     class_of = [key_to_class.setdefault(key, len(key_to_class))
                 for key in keys]
     sizes = Counter(class_of)
-    ones = Counter(compress(class_of, ds.labels.to_list()))
+    ones = Counter(compress(class_of, map(int, _format_bits(ds.labels, n))))
     minority = ["1" if 2 * ones[cid] < sizes[cid] else "0"
                 for cid in range(len(key_to_class))]
     # z marks the samples whose label is their class's minority label
-    sample_minority = BitVector.from_string(
+    sample_minority = _parse_bits(
         "".join([minority[cid] for cid in class_of]))
-    return EquivalenceIndex(z=(ds.labels ^ sample_minority).invert(),
+    return EquivalenceIndex(z=ds.all_samples ^ ds.labels ^ sample_minority,
                             n_classes=len(key_to_class))

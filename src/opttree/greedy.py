@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .bitvec import BitVector
-from .dataset import Dataset, EquivalenceIndex, build_equivalence_index
+from .dataset import (Dataset, EquivalenceIndex, and_literal,
+                      build_equivalence_index)
 from .tree import Clause, Leaf, TreeState, make_leaf, sort_leaves
 
 
@@ -37,23 +37,23 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
     if eq is None:
         eq = build_equivalence_index(ds)
 
-    def grow(capture: BitVector, clauses: tuple[Clause, ...],
+    def grow(capture: int, clauses: tuple[Clause, ...],
              depth: int) -> list[Leaf]:
-        n = capture.count_ones()
-        ones = (capture & ds.labels).count_ones()
+        n = capture.bit_count()
+        ones = (capture & ds.labels).bit_count()
         used = {c.feature for c in clauses}
         best = None  # (reduction, feature, split captures)
         if depth < params.max_depth:
             for f in range(ds.n_features):
                 if f in used:
                     continue
-                right = capture & ds.columns[f]
-                left = capture.and_not(ds.columns[f])
-                nl, nr = left.count_ones(), right.count_ones()
+                right = and_literal(ds, capture, f, True)
+                left = and_literal(ds, capture, f, False)
+                nl, nr = left.bit_count(), right.bit_count()
                 if nl < params.min_leaf_samples \
                         or nr < params.min_leaf_samples:
                     continue
-                ol = (left & ds.labels).count_ones()
+                ol = (left & ds.labels).bit_count()
                 weighted = (Fraction(nl, n) * _gini(ol, nl)
                             + Fraction(nr, n) * _gini(ones - ol, nr))
                 reduction = _gini(ones, n) - weighted
@@ -65,7 +65,7 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
         return (grow(left, clauses + (Clause(f, False),), depth + 1)
                 + grow(right, clauses + (Clause(f, True),), depth + 1))
 
-    leaves = grow(BitVector.ones(ds.n_samples), (), 0)
+    leaves = grow(ds.all_samples, (), 0)
     leaves_t, flags = sort_leaves(tuple(leaves),
                                   tuple(False for _ in leaves))
     h = 0 if len(leaves) == 1 else len(leaves)

@@ -8,13 +8,13 @@ cost(S & col_f) + cost(S - col_f)); the root alone takes no leaf penalty.
 The recurrence is memoized on the capture alone, as in DL8.5 and MurTree,
 with ties to fewer leaves, then the lower feature.  No leaf count is
 capped, only the memo's estimated size in bytes (``MAX_MEMO_BYTES``),
-since every key is an N-bit capture.  A feature on the path splits off
-an empty side, so paths are at most min(M, distinct rows) deep, and an
-instance whose paths could pass the recursion limit is refused up
-front.  The witness is rebuilt from each capture's best feature and
-recounted from its leaves.  Nothing is pruned, so nothing is shared
-with the search's pruning, and agreement between the two is evidence,
-not a tautology.
+since every key is an N-bit capture, the int whose bit i is sample i.
+A feature on the path splits off an empty side, so paths are at most
+min(M, distinct rows) deep, and an instance whose paths could pass the
+recursion limit is refused up front.  The witness is rebuilt from each
+capture's best feature and recounted from its leaves.  Nothing is
+pruned, so nothing is shared with the search's pruning, and agreement
+between the two is evidence, not a tautology.
 """
 
 from __future__ import annotations
@@ -61,9 +61,7 @@ def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
                 f"paths up to {depth} nodes deep exceed the recursion "
                 f"limit's room of {room}")
     q, pn = lam.denominator, lam.numerator * n
-    # captures are plain ints, bit i for sample i (as BitVector.from_string)
-    labels, *cols = [int(v.to_string()[::-1], 2)
-                     for v in (ds.labels, *ds.columns)]
+    labels, cols = ds.labels, ds.columns
     # memo[capture] = (least scaled cost of a subtree over it, its leaf
     # count, the feature its root splits on or None for a leaf)
     memo: dict[int, tuple] = {}
@@ -95,7 +93,7 @@ def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
 
     # no split reaches the root's capture again, so its unpenalized entry
     # is read only here
-    root = (1 << n) - 1
+    root = ds.all_samples
     cost, n_leaves, _ = solve(root, 0)
 
     leaves: list[tuple[LeafKey, int]] = []

@@ -43,10 +43,12 @@ leaf's dead features, which depend on lam, are kept the same way
 (``_Run.dead_features``).  Only similar support, which reads the
 incumbent, is decided per expansion.
 
-Leaves keep counts, not captures.  The first expansion of a leaf reads
-its capture (``Leaf.capture`` rebuilds it from the clauses) and hands it
-to ``make_child_leaf``, which ANDs in one column and keeps only the
-child's counts; so only leaves the search has split hold an N-bit vector.
+Leaves keep counts, not captures.  A capture is a non-negative int, bit
+i for sample i, and a support count is its ``bit_count()``.  The first
+expansion of a leaf reads its capture (``Leaf.capture`` rebuilds it from
+the clauses) and hands it to ``make_child_leaf``, which ANDs in one
+literal and keeps only the child's counts; so only leaves the search has
+split hold an N-bit int.
 """
 
 from __future__ import annotations
@@ -58,11 +60,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from .bitvec import BitVector
 from .bounds import BoundToggles, cumulative_perm, floor_log10
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
-from .dataset import (Dataset, EquivalenceIndex, build_equivalence_index,
-                      literal_column)
+from .dataset import (Dataset, EquivalenceIndex, and_literal,
+                      build_equivalence_index)
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
@@ -245,7 +246,7 @@ class _Run:
         leaf = tree.leaves[idx]
         # the one capture this expansion reads; the first expansion of the
         # leaf builds every child leaf from it, and similar support ANDs a
-        # column into it
+        # literal into it
         capture = leaf.capture
         out: list[TreeState] = []
 
@@ -274,7 +275,7 @@ class _Run:
             if self.toggles.similar_support:
                 # ANDed here rather than read from c1, which would make
                 # every candidate leaf keep its capture
-                capture1 = capture & literal_column(self.ds, f, False)
+                capture1 = and_literal(self.ds, capture, f, False)
                 if self._similar_skip(capture1, rejected_floors):
                     self.stats.similar_support_skips += 1
                     continue
@@ -319,8 +320,7 @@ class _Run:
         # its objective equals its bound, and the incumbent is as good
         return [c for c in out if self._is_live(c)]
 
-    def _split_table(self, leaf: Leaf,
-                     capture: BitVector) -> Iterator[tuple]:
+    def _split_table(self, leaf: Leaf, capture: int) -> Iterator[tuple]:
         """Yield the feasible splits of ``leaf``, and keep them as its
         table once all are found.
 
@@ -348,14 +348,12 @@ class _Run:
             if self.toggles.leaf_accuracy and f in dead:
                 continue
             k1 = child_key(leaf, f, False)
-            c1 = self.leaf_cache.intern(k1, make_child_leaf, leaf, capture,
-                                        f, False, k1, self.ds, self.eq,
-                                        self.lam)
+            c1 = self.leaf_cache.intern(k1, make_child_leaf, capture, f,
+                                        False, k1, self.ds, self.eq, self.lam)
             self.dead_features.setdefault(c1, set(dead))
             k2 = child_key(leaf, f, True)
-            c2 = self.leaf_cache.intern(k2, make_child_leaf, leaf, capture,
-                                        f, True, k2, self.ds, self.eq,
-                                        self.lam)
+            c2 = self.leaf_cache.intern(k2, make_child_leaf, capture, f,
+                                        True, k2, self.ds, self.eq, self.lam)
             self.dead_features.setdefault(c2, set(dead))
             # a split capturing nothing (or everything) on one side can
             # never help; remember the rejection for the leaf
@@ -382,12 +380,12 @@ class _Run:
         self.split_tables[leaf] = table
         self.stats.split_tables += 1
 
-    def _similar_skip(self, capture1: BitVector, rejected_floors) -> bool:
+    def _similar_skip(self, capture1: int, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
         feature) is provably hopeless beyond the omega margin; ``capture1``
         is the candidate's negative-literal capture."""
         for floor_s, capture in rejected_floors:
-            omega_s = self.q * (capture1 ^ capture).count_ones()
+            omega_s = self.q * (capture1 ^ capture).bit_count()
             if floor_s >= self.best_s + omega_s:
                 return True
         return False

@@ -16,9 +16,9 @@ child with ``TreeState.derived``.  The module-level ``objective``
 recomputes a tree's objective from its leaves alone, as an independent
 reference.
 
-A leaf keeps counts, not its N-bit capture vector: the capture is rebuilt
-from the leaf's clauses when the leaf is first split, so only split leaves
-hold one.
+A leaf keeps counts, not its capture, the int whose bit i marks sample i:
+the capture is rebuilt from the leaf's clauses when the leaf is first
+split, so only split leaves hold one.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .bitvec import BitVector
-from .dataset import Dataset, EquivalenceIndex, literal_column
+from .dataset import Dataset, EquivalenceIndex, and_literal
 
 
 class Clause(NamedTuple):
@@ -55,7 +54,7 @@ class Leaf:
     """A conjunction of feature literals with its capture statistics.
 
     A leaf keeps the counts the search reads (support, correct, mistakes,
-    equivalent-points floor), not the N-bit vector of the samples it
+    equivalent-points floor), not the N-bit int of the samples it
     captures: ``capture`` is rebuilt from the literal columns of its
     clauses the first time it is read and kept from then on.  The search
     reads it only to split the leaf, so only leaves that get split hold
@@ -69,13 +68,13 @@ class Leaf:
     __slots__ = ("clauses", "ds", "_capture", "n_captured", "n_correct",
                  "prediction", "mistakes", "b0_count", "dead")
 
-    def __init__(self, clauses: LeafKey, capture: BitVector, ds: Dataset,
+    def __init__(self, clauses: LeafKey, capture: int, ds: Dataset,
                  eq: EquivalenceIndex, lam: Fraction):
         self.clauses = clauses
         self.ds = ds
-        self._capture: Optional[BitVector] = None
-        self.n_captured = capture.count_ones()
-        ones = (capture & ds.labels).count_ones()
+        self._capture: Optional[int] = None
+        self.n_captured = capture.bit_count()
+        ones = (capture & ds.labels).bit_count()
         zeros = self.n_captured - ones
         # tie -> predict 0; the mistake count is unaffected
         if ones > zeros:
@@ -85,13 +84,13 @@ class Leaf:
             self.prediction = 0
             self.n_correct = zeros
         self.mistakes = self.n_captured - self.n_correct
-        self.b0_count = (capture & eq.z).count_ones()
+        self.b0_count = (capture & eq.z).bit_count()
         # support below 2*lam means this leaf may never be split
         self.dead = self.n_captured * lam.denominator \
             < 2 * lam.numerator * ds.n_samples
 
     @property
-    def capture(self) -> BitVector:
+    def capture(self) -> int:
         """The samples this leaf captures, built on first use and kept."""
         if self._capture is None:
             self._capture = clause_capture(self.ds, self.clauses)
@@ -108,11 +107,11 @@ class Leaf:
                 f"pred={self.prediction} err={self.mistakes}>")
 
 
-def clause_capture(ds: Dataset, clauses: Sequence[Clause]) -> BitVector:
-    """The samples a conjunction captures: the AND of its literal columns."""
-    capture = BitVector.ones(ds.n_samples)
+def clause_capture(ds: Dataset, clauses: Sequence[Clause]) -> int:
+    """The samples a conjunction captures: the AND of its literals."""
+    capture = ds.all_samples
     for c in clauses:
-        capture = capture & literal_column(ds, c.feature, c.polarity)
+        capture = and_literal(ds, capture, c.feature, c.polarity)
     return capture
 
 
@@ -133,19 +132,19 @@ def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
     return clauses[:i] + (Clause(feature, polarity),) + clauses[i:]
 
 
-def make_child_leaf(parent: Leaf, parent_capture: BitVector, feature: int,
-                    polarity: bool, key: LeafKey, ds: Dataset,
-                    eq: EquivalenceIndex, lam: Fraction) -> Leaf:
+def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
+                    key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
+                    lam: Fraction) -> Leaf:
     """Extend a leaf by one literal.
 
-    ``parent_capture`` is ``parent.capture``, which the search reads once
-    per expansion; the child's capture is that ANDed with the literal
-    column, and the child keeps only its counts.  ``key`` must be
+    ``parent_capture`` is the parent's ``capture``, which the search reads
+    once per expansion; the child's capture is that ANDed with the
+    literal, and the child keeps only its counts.  ``key`` must be
     ``child_key(parent, feature, polarity)``: the search builds it once,
     for the leaf-cache lookup, and hands it over on a miss.
     """
-    capture = parent_capture & literal_column(ds, feature, polarity)
-    return Leaf(key, capture, ds, eq, lam)
+    return Leaf(key, and_literal(ds, parent_capture, feature, polarity),
+                ds, eq, lam)
 
 
 # A pair of sibling leaves produced by a gain-deficient split; retiring
@@ -263,15 +262,14 @@ class TreeState:
     def check_partition(self) -> None:
         """Debug invariant: the leaves' captures, recounted from their
         clauses, partition the samples and match the kept counts."""
-        total = 0
-        union = BitVector.zeros(self.n_samples)
+        total = union = 0
         for l in self.leaves:
             capture = clause_capture(l.ds, l.clauses)
-            if capture.count_ones() != l.n_captured:
+            if capture.bit_count() != l.n_captured:
                 raise AssertionError(f"{l!r} does not capture its count")
             total += l.n_captured
-            union = union | capture
-        if total != self.n_samples or union.count_ones() != self.n_samples:
+            union |= capture
+        if total != self.n_samples or union.bit_count() != self.n_samples:
             raise AssertionError("leaf captures do not partition the samples")
 
 

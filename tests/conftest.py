@@ -8,6 +8,12 @@ from opttree.search import SearchConfig, expand
 from opttree.tree import root_tree
 
 
+def bits(cells) -> int:
+    """The int of a 0/1 list, bit i for cell i: a column, labels or a
+    capture as the library holds them."""
+    return sum(1 << i for i, c in enumerate(cells) if c)
+
+
 def random_dataset(rng: random.Random, n: int, m: int,
                    duplicate_bias: float = 0.0) -> Dataset:
     """Random binary dataset; duplicate_bias > 0 draws rows from a small

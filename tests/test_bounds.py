@@ -9,7 +9,6 @@ from fractions import Fraction
 
 import pytest
 
-from opttree.bitvec import BitVector
 from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
@@ -17,7 +16,7 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
 from opttree.tree import (Clause, TreeState, child_key, make_child_leaf,
                           make_leaf, root_tree, sort_leaves)
-from tests.conftest import random_dataset
+from tests.conftest import bits, random_dataset
 
 
 def _run_at(ds, lam, best, **toggles):
@@ -163,11 +162,11 @@ def test_split_gain_nonnegative_random():
         lam = Fraction(1, 50)
         parent = make_leaf([], ds, eq, lam)
         f = rng.randrange(ds.n_features)
-        left = make_child_leaf(parent, parent.capture, f, False,
+        left = make_child_leaf(parent.capture, f, False,
                                child_key(parent, f, False), ds, eq, lam)
-        right = make_child_leaf(parent, parent.capture, f, True,
+        right = make_child_leaf(parent.capture, f, True,
                                 child_key(parent, f, True), ds, eq, lam)
-        assert (left.capture & right.capture).count_ones() == 0
+        assert left.capture & right.capture == 0
         assert left.capture | right.capture == parent.capture
         assert left.n_correct + right.n_correct >= parent.n_correct
 
@@ -384,12 +383,12 @@ def test_similar_support_omega():
         floor_s = run.best_s + floor_over_best
         return run._similar_skip(t1, [(floor_s, t2)])
 
-    a = BitVector.make([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-    b = BitVector.make([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
+    a = bits([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
+    b = bits([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
     assert skipped(a, b, 2 * per_sample)  # omega = 2/10
     assert not skipped(a, b, 2 * per_sample - 1)
     assert skipped(a, a, 0)  # omega = 0
-    c = BitVector.make([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    d = BitVector.make([0, 1, 1, 0, 0, 0, 0, 0, 0, 0])
+    c = bits([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
+    d = bits([0, 1, 1, 0, 0, 0, 0, 0, 0, 0])
     assert skipped(c, d, 3 * per_sample)  # omega = 3/10
     assert not skipped(c, d, 3 * per_sample - 1)

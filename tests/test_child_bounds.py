@@ -13,13 +13,11 @@ the search split hold their N-bit capture.
 import random
 from fractions import Fraction
 
-from opttree.bitvec import BitVector
 from opttree.bounds import BoundToggles
-from opttree.dataset import literal_column
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import TreeState
-from tests.conftest import random_dataset
+from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
     BoundToggles(),
@@ -139,9 +137,11 @@ def test_only_split_leaves_keep_a_capture():
             with_capture = {id(l) for l in leaves if l._capture is not None}
             assert with_capture == {id(l) for l in split}
             for leaf in leaves:
-                expected = BitVector.ones(ds.n_samples)
-                for c in leaf.clauses:
-                    expected &= literal_column(ds, c.feature, c.polarity)
+                # recounted per sample, not through the library's ANDs
+                expected = bits(
+                    all(ds.columns[c.feature] >> i & 1 == c.polarity
+                        for c in leaf.clauses)
+                    for i in range(ds.n_samples))
                 assert leaf.capture == expected
-                assert leaf.n_captured == expected.count_ones()
+                assert leaf.n_captured == expected.bit_count()
 

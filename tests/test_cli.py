@@ -132,9 +132,39 @@ def test_predict_broken_partition_is_internal_error(tmp_path, toy_csv,
     model["leaves"] = model["leaves"][:1]
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(model))
+    capsys.readouterr()
     code = main(["predict", "--model", str(broken), "--data", str(toy_csv),
                  "--label", "y"])
     assert code == 2
+    # the a=1 leaf is gone, so TOY's sample 1 is the first one uncovered
+    assert capsys.readouterr().err == (
+        "internal error: sample 1 matched 0 leaves; model leaves do not "
+        "partition the data\n")
+
+
+@pytest.mark.parametrize("picks, sample, matched", [
+    # TOY's two leaves are a=0 (samples 0, 2, 4) and a=1 (1, 3, 5)
+    ([1], 0, 0),        # a=0 dropped: sample 0 is uncovered
+    ([0, 1, 1], 1, 2),  # a=1 twice: sample 1 is matched twice
+    # both faults: the lower sample is named, whichever fault it has
+    ([1, 1], 0, 0),
+    ([0, 0], 0, 2),
+])
+def test_predict_names_the_first_sample_off_the_partition(
+        tmp_path, toy_csv, capsys, picks, sample, matched):
+    _, out = _fit(tmp_path, toy_csv)
+    model = json.loads(out.read_text())
+    assert [leaf["clauses"] for leaf in model["leaves"]] == [
+        [{"feature": "a", "value": 0}], [{"feature": "a", "value": 1}]]
+    model["leaves"] = [model["leaves"][i] for i in picks]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(model))
+    capsys.readouterr()
+    assert main(["predict", "--model", str(broken), "--data", str(toy_csv),
+                 "--label", "y"]) == 2
+    assert capsys.readouterr() == (
+        "", f"internal error: sample {sample} matched {matched} leaves; "
+            "model leaves do not partition the data\n")
 
 
 def test_predict_reads_lf_and_crlf_files_alike(tmp_path, toy_csv, capsys):
@@ -256,6 +286,14 @@ def test_count(capsys):
     assert capsys.readouterr().out.strip() == "10"
     assert main(["count", "--features", "4", "--depth", "4"]) == 0
     assert capsys.readouterr().out.strip() == "238144"
+
+
+@pytest.mark.parametrize("features, depth", [("-3", "2"), ("3", "-1"),
+                                             ("0", "0")])
+def test_count_names_the_options_it_rejects(capsys, features, depth):
+    assert main(["count", "--features", features, "--depth", depth]) == 1
+    assert capsys.readouterr() == (
+        "", "error: --features and --depth must be >= 1\n")
 
 
 def test_count_caps_depth_at_feature_count():

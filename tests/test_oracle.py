@@ -96,7 +96,7 @@ def test_objective_floor_from_equivalent_points():
         lam = Fraction(1, 20)
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
-        assert res.objective >= Fraction(eq.z.count_ones(), ds.n_samples)
+        assert res.objective >= Fraction(eq.z.bit_count(), ds.n_samples)
 
 
 def test_resource_limits(monkeypatch):

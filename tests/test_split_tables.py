@@ -77,7 +77,7 @@ def _check_table_building(monkeypatch):
     def interning(cache, key, build, *args):
         if args:  # not the root, which the run interns before expanding
             assert state["building"]
-            assert args[2] not in state["dead"]  # the split feature
+            assert args[1] not in state["dead"]  # the split feature
         leaf = intern(cache, key, build, *args)
         state["interned"].append(leaf)
         return leaf

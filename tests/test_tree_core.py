@@ -52,8 +52,7 @@ def test_make_child_leaf_counts():
     parent = make_leaf([], ds, _eq(ds), lam)
     assert parent.n_captured == 10
     key = child_key(parent, 0, True)
-    child = make_child_leaf(parent, parent.capture, 0, True, key, ds,
-                            _eq(ds), lam)
+    child = make_child_leaf(parent.capture, 0, True, key, ds, _eq(ds), lam)
     assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
     assert child.prediction == 1
@@ -65,7 +64,7 @@ def test_make_child_leaf_empty_is_dead():
     lam = Fraction(1, 100)
     parent = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
     with pytest.raises(ValueError):
-        make_child_leaf(parent, parent.capture, 0, False,
+        make_child_leaf(parent.capture, 0, False,
                         child_key(parent, 0, False), ds, _eq(ds), lam)
     with pytest.raises(ValueError):
         child_key(parent, 0, True)
@@ -119,8 +118,7 @@ def _random_tree(ds, eq, lam, rng):
         i, f = rng.choice(candidates)
         parent = leaves.pop(i)
         for polarity in (False, True):
-            leaves.append(make_child_leaf(parent, parent.capture, f,
-                                          polarity,
+            leaves.append(make_child_leaf(parent.capture, f, polarity,
                                           child_key(parent, f, polarity),
                                           ds, eq, lam))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
