@@ -18,20 +18,26 @@ lone-CR line ends, blank lines) to the same result and reports the same
 errors at the same row numbers.
 
 Samples with identical feature vectors can never be separated by any tree,
-so each duplicate group contributes its minority-label count as an
-irreducible error floor.  ``build_equivalence_index`` groups the samples
-in one pass over the rows of the column strings and keeps only the
-minority indicator ``z`` and the number of groups; the search consults
-``z`` through each leaf's captured popcount.
+so they are always captured together.  ``build_equivalence_index`` groups
+them into row classes, once per fit, and the search works on classes:
+its captures are ints with one bit per class, ANDed with the class
+columns, and a count over a capture is a weighted popcount of the
+class-size, label-one or minority-count bit planes (``weighted_count``).
+Each class's minority count is an irreducible error floor under every
+tree.  The grouping packs every row into machine words with strided
+writes, so no Python code runs once per row.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, islice
+from itertools import chain, compress, islice, repeat
+from operator import sub
 from typing import NoReturn, TextIO
 
 
@@ -59,17 +65,41 @@ class Dataset:
 
 @dataclass(frozen=True)
 class EquivalenceIndex:
-    """The equivalent-points floor of a dataset.
+    """The row classes of a dataset: its samples grouped by feature vector.
 
-    ``z`` marks exactly the minority-label members of every class of
-    samples with identical feature vectors; a capture ANDed with ``z``
-    counts the unavoidable mistakes among captured samples, and
-    ``z.bit_count() / N`` is the floor under every tree's error.
-    ``n_classes`` is the number of such classes.
+    A set of classes is an int, bit k for class k.  ``columns`` has one
+    int per feature, bit k set when class k's row has that feature, so a
+    literal narrows a set of classes as a sample column narrows a set of
+    samples.  The three tuples are bit planes of per-class counts: bit k
+    of ``size_planes[j]`` is bit j of class k's size, and likewise for its
+    label-one count (``one_planes``) and its minority-label count
+    (``minority_planes``).  The samples in a set S of classes number
+    ``weighted_count(S, size_planes)``; ``weighted_count(all_classes,
+    minority_planes) / N`` is the equivalent-points floor under every
+    tree's error.  Classes are numbered by first occurrence, but nothing
+    that reads the index depends on their order.
     """
 
-    z: int
     n_classes: int
+    columns: tuple[int, ...]
+    size_planes: tuple[int, ...]
+    one_planes: tuple[int, ...]
+    minority_planes: tuple[int, ...]
+
+    @property
+    def all_classes(self) -> int:
+        """The set of every class: bits 0 to n_classes - 1 set."""
+        return (1 << self.n_classes) - 1
+
+
+def weighted_count(capture: int, planes: tuple[int, ...]) -> int:
+    """The sum over the classes in ``capture`` of the count that
+    ``planes`` holds: the sum of 2^j * popcount(capture & planes[j]),
+    taken by Horner's rule from the top plane down."""
+    total = 0
+    for plane in reversed(planes):
+        total = 2 * total + (capture & plane).bit_count()
+    return total
 
 
 def from_rows(feature_names, rows, labels) -> Dataset:
@@ -225,37 +255,86 @@ def write_csv(ds: Dataset, label_column: str = "label") -> str:
     return out.getvalue()
 
 
-def and_literal(ds: Dataset, capture: int, feature: int,
-                polarity: bool) -> int:
-    """The samples of ``capture`` that satisfy one literal: those with
-    ``feature`` equal to ``polarity``.  ``capture`` is non-negative, so
-    the result is too."""
-    if not 0 <= feature < ds.n_features:
+def and_literal(data: Dataset | EquivalenceIndex, capture: int,
+                feature: int, polarity: bool) -> int:
+    """The members of ``capture`` that satisfy one literal: those with
+    ``feature`` equal to ``polarity``.  ``capture`` is a set of samples
+    of a Dataset or a set of classes of an EquivalenceIndex; it is
+    non-negative, so the result is too."""
+    if not 0 <= feature < len(data.columns):
         raise IndexError(f"feature index {feature} out of range")
-    col = ds.columns[feature]
+    col = data.columns[feature]
     return capture & col if polarity else capture & ~col
 
 
-def build_equivalence_index(ds: Dataset) -> EquivalenceIndex:
-    """Group samples by exact feature-vector equality, in one pass.
+# translation of a column's "0"/"1" text to the bytes 0 and 1 << j
+_BIT_BYTES = tuple(bytes.maketrans(b"01", bytes((0, 1 << j)))
+                   for j in range(8))
 
-    A sample's key is its row across the column strings, so grouping and
-    the per-class label counts are linear in N*M.  A class with equally
-    many 0 and 1 labels takes minority label 0; its count of minority
-    members is the same either way.
+
+def build_equivalence_index(ds: Dataset) -> EquivalenceIndex:
+    """Group samples by exact feature-vector equality.
+
+    Each row becomes a record of whole 64-bit words, bit f for feature f:
+    eight columns at a time are spread to one byte per row and written
+    into every record by one strided slice.  Read as machine ints (or
+    tuples of them past 64 features), the records are counted by
+    ``Counter``, once in all and once over the label-one rows, so the
+    work per row is done in C.  The class columns and the count planes
+    are read off the distinct records and counts by the same transpose.
+    A class with equally many 0 and 1 labels takes minority label 0; its
+    count of minority members is the same either way.
     """
-    n = ds.n_samples
-    key_to_class: dict[tuple[str, ...], int] = {}
-    keys = zip(*[_format_bits(c, n) for c in ds.columns]) if ds.columns \
-        else [()] * n
-    class_of = [key_to_class.setdefault(key, len(key_to_class))
-                for key in keys]
-    sizes = Counter(class_of)
-    ones = Counter(compress(class_of, map(int, _format_bits(ds.labels, n))))
-    minority = ["1" if 2 * ones[cid] < sizes[cid] else "0"
-                for cid in range(len(key_to_class))]
-    # z marks the samples whose label is their class's minority label
-    sample_minority = _parse_bits(
-        "".join([minority[cid] for cid in class_of]))
-    return EquivalenceIndex(z=ds.all_samples ^ ds.labels ^ sample_minority,
-                            n_classes=len(key_to_class))
+    n, m = ds.n_samples, ds.n_features
+    words = max(1, -(-m // 64))
+    width = 8 * words
+    packed = bytearray(width * n)
+    for g in range(0, m, 8):
+        # byte g // 8 of a record holds features g to g + 7; a column's
+        # text is its bit N-1 first, so it is read big-endian
+        spread = 0
+        for j, col in enumerate(ds.columns[g:g + 8]):
+            spread |= int.from_bytes(
+                format(col, f"0{n}b").encode().translate(_BIT_BYTES[j]),
+                "big")
+        packed[g // 8::width] = spread.to_bytes(n, "little")
+    records = memoryview(packed).cast("Q")
+    keys = records if words == 1 else \
+        list(zip(*[records[w::words] for w in range(words)]))
+    sizes = Counter(keys)  # in order of first occurrence
+    label_bits = format(ds.labels, f"0{n}b").encode().translate(
+        _BIT_BYTES[0])[::-1]
+    ones_of = Counter(compress(keys, label_bits))
+    classes = list(sizes)
+    size = list(sizes.values())
+    ones = list(map(ones_of.get, classes, repeat(0)))
+    minority = list(map(min, ones, map(sub, size, ones)))
+    class_records = array("Q", classes if words == 1
+                          else chain.from_iterable(classes)).tobytes()
+    return EquivalenceIndex(
+        n_classes=len(classes),
+        columns=_transpose(class_records, width, m),
+        size_planes=_count_planes(size),
+        one_planes=_count_planes(ones),
+        minority_planes=_count_planes(minority))
+
+
+def _count_planes(counts: list[int]) -> tuple[int, ...]:
+    """The bit planes of non-negative counts: bit k of plane j is bit j
+    of ``counts[k]``; there are as many planes as the largest has bits."""
+    records = struct.pack(f"<{len(counts)}Q", *counts)
+    return _transpose(records, 8, max(counts, default=0).bit_length())
+
+
+def _transpose(records: bytes, width: int, count: int) -> tuple[int, ...]:
+    """Bits 0 to count-1 of a run of ``width``-byte records, each read as a
+    little-endian int: one int per bit position b, whose bit k is bit b
+    of record k."""
+    if not records:
+        return (0,) * count
+    # the run as one int, written most significant bit first: the last
+    # record comes first, and bit b of each record is character
+    # 8 * width - 1 - b of its stretch of the text
+    text = format(int.from_bytes(records, "little"), f"0{8 * len(records)}b")
+    return tuple(int(text[8 * width - 1 - b::8 * width], 2)
+                 for b in range(count))

@@ -14,7 +14,8 @@ min(M, distinct rows) deep, and an instance whose paths could pass the
 recursion limit is refused up front.  The witness is rebuilt from each
 capture's best feature and recounted from its leaves.  Nothing is
 pruned, so nothing is shared with the search's pruning, and agreement
-between the two is evidence, not a tautology.
+between the two is evidence, not a tautology.  For the same reason it
+counts per sample, not over the row classes the search counts with.
 """
 
 from __future__ import annotations

@@ -43,12 +43,14 @@ leaf's dead features, which depend on lam, are kept the same way
 (``_Run.dead_features``).  Only similar support, which reads the
 incumbent, is decided per expansion.
 
-Leaves keep counts, not captures.  A capture is a non-negative int, bit
-i for sample i, and a support count is its ``bit_count()``.  The first
-expansion of a leaf reads its capture (``Leaf.capture`` rebuilds it from
-the clauses) and hands it to ``make_child_leaf``, which ANDs in one
-literal and keeps only the child's counts; so only leaves the search has
-split hold an N-bit int.
+The search works on row classes, not samples.  The run groups the
+samples by feature vector once (``build_equivalence_index``), and a
+capture is a non-negative int with one bit per class; a count over it is
+a weighted popcount of the index's count planes (``weighted_count``).
+Leaves keep counts, not captures.  The first expansion of a leaf reads
+its capture (``Leaf.capture`` rebuilds it from the clauses) and hands it
+to ``make_child_leaf``, which ANDs in one class column and keeps only the
+child's counts; so only leaves the search has split hold a capture.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import Iterator, Optional
 from .bounds import BoundToggles, cumulative_perm, floor_log10
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
 from .dataset import (Dataset, EquivalenceIndex, and_literal,
-                      build_equivalence_index)
+                      build_equivalence_index, weighted_count)
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
@@ -275,7 +277,7 @@ class _Run:
             if self.toggles.similar_support:
                 # ANDed here rather than read from c1, which would make
                 # every candidate leaf keep its capture
-                capture1 = and_literal(self.ds, capture, f, False)
+                capture1 = and_literal(self.eq, capture, f, False)
                 if self._similar_skip(capture1, rejected_floors):
                     self.stats.similar_support_skips += 1
                     continue
@@ -383,9 +385,12 @@ class _Run:
     def _similar_skip(self, capture1: int, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different
         feature) is provably hopeless beyond the omega margin; ``capture1``
-        is the candidate's negative-literal capture."""
+        is the candidate's negative-literal capture.  Omega, the support
+        captured by exactly one side, is the size of the symmetric
+        difference of the two sets of classes."""
+        sizes = self.eq.size_planes
         for floor_s, capture in rejected_floors:
-            omega_s = self.q * (capture1 ^ capture).bit_count()
+            omega_s = self.q * weighted_count(capture1 ^ capture, sizes)
             if floor_s >= self.best_s + omega_s:
                 return True
         return False

@@ -16,9 +16,11 @@ child with ``TreeState.derived``.  The module-level ``objective``
 recomputes a tree's objective from its leaves alone, as an independent
 reference.
 
-A leaf keeps counts, not its capture, the int whose bit i marks sample i:
-the capture is rebuilt from the leaf's clauses when the leaf is first
-split, so only split leaves hold one.
+A leaf's capture is a set of row classes (see ``dataset``): an int with
+one bit per class, not per sample, so on data with few distinct rows it
+is short whatever the sample count.  A leaf keeps counts, not its
+capture: the capture is rebuilt from the leaf's clauses and the class
+columns when the leaf is first split, so only split leaves hold one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .dataset import Dataset, EquivalenceIndex, and_literal
+from .dataset import Dataset, EquivalenceIndex, and_literal, weighted_count
 
 
 class Clause(NamedTuple):
@@ -54,27 +56,28 @@ class Leaf:
     """A conjunction of feature literals with its capture statistics.
 
     A leaf keeps the counts the search reads (support, correct, mistakes,
-    equivalent-points floor), not the N-bit int of the samples it
-    captures: ``capture`` is rebuilt from the literal columns of its
-    clauses the first time it is read and kept from then on.  The search
-    reads it only to split the leaf, so only leaves that get split hold
-    one.
+    equivalent-points floor), each a weighted count of its capture, the
+    set of row classes it holds.  It does not keep the capture itself:
+    ``capture`` is rebuilt from the class columns of its clauses the
+    first time it is read and kept from then on.  The search reads it
+    only to split the leaf, so only leaves that get split hold one.
 
     Immutable.  What the search works out about splitting a leaf (its dead
     features, its split table) depends on the run's lam and toggles, so
     the run keeps it (see ``search``), not the leaf, which may outlive it.
     """
 
-    __slots__ = ("clauses", "ds", "_capture", "n_captured", "n_correct",
-                 "prediction", "mistakes", "b0_count", "dead")
+    __slots__ = ("clauses", "ds", "eq", "_capture", "n_captured",
+                 "n_correct", "prediction", "mistakes", "b0_count", "dead")
 
     def __init__(self, clauses: LeafKey, capture: int, ds: Dataset,
                  eq: EquivalenceIndex, lam: Fraction):
         self.clauses = clauses
         self.ds = ds
+        self.eq = eq
         self._capture: Optional[int] = None
-        self.n_captured = capture.bit_count()
-        ones = (capture & ds.labels).bit_count()
+        self.n_captured = weighted_count(capture, eq.size_planes)
+        ones = weighted_count(capture, eq.one_planes)
         zeros = self.n_captured - ones
         # tie -> predict 0; the mistake count is unaffected
         if ones > zeros:
@@ -84,16 +87,18 @@ class Leaf:
             self.prediction = 0
             self.n_correct = zeros
         self.mistakes = self.n_captured - self.n_correct
-        self.b0_count = (capture & eq.z).bit_count()
+        self.b0_count = weighted_count(capture, eq.minority_planes)
         # support below 2*lam means this leaf may never be split
         self.dead = self.n_captured * lam.denominator \
             < 2 * lam.numerator * ds.n_samples
 
     @property
     def capture(self) -> int:
-        """The samples this leaf captures, built on first use and kept."""
+        """The row classes this leaf captures, built on first use and
+        kept."""
         if self._capture is None:
-            self._capture = clause_capture(self.ds, self.clauses)
+            self._capture = and_clauses(self.eq, self.eq.all_classes,
+                                        self.clauses)
         return self._capture
 
     @property
@@ -107,11 +112,12 @@ class Leaf:
                 f"pred={self.prediction} err={self.mistakes}>")
 
 
-def clause_capture(ds: Dataset, clauses: Sequence[Clause]) -> int:
-    """The samples a conjunction captures: the AND of its literals."""
-    capture = ds.all_samples
+def and_clauses(data: Dataset | EquivalenceIndex, capture: int,
+                clauses: Sequence[Clause]) -> int:
+    """The members of ``capture`` (samples of a Dataset or classes of an
+    EquivalenceIndex) that satisfy every clause: the AND of its literals."""
     for c in clauses:
-        capture = and_literal(ds, capture, c.feature, c.polarity)
+        capture = and_literal(data, capture, c.feature, c.polarity)
     return capture
 
 
@@ -119,7 +125,7 @@ def make_leaf(clauses: Sequence[Clause], ds: Dataset, eq: EquivalenceIndex,
               lam: Fraction) -> Leaf:
     """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    return Leaf(key, clause_capture(ds, key), ds, eq, lam)
+    return Leaf(key, and_clauses(eq, eq.all_classes, key), ds, eq, lam)
 
 
 def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
@@ -137,13 +143,14 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
                     lam: Fraction) -> Leaf:
     """Extend a leaf by one literal.
 
-    ``parent_capture`` is the parent's ``capture``, which the search reads
-    once per expansion; the child's capture is that ANDed with the
-    literal, and the child keeps only its counts.  ``key`` must be
+    ``parent_capture`` is the parent's ``capture``, its set of row
+    classes, which the search reads once per expansion; the child's
+    capture is that ANDed with the literal's class column, and the child
+    keeps only its counts.  ``key`` must be
     ``child_key(parent, feature, polarity)``: the search builds it once,
     for the leaf-cache lookup, and hands it over on a miss.
     """
-    return Leaf(key, and_literal(ds, parent_capture, feature, polarity),
+    return Leaf(key, and_literal(eq, parent_capture, feature, polarity),
                 ds, eq, lam)
 
 
@@ -260,11 +267,12 @@ class TreeState:
         return Fraction(self.r_s, self.scale)
 
     def check_partition(self) -> None:
-        """Debug invariant: the leaves' captures, recounted from their
-        clauses, partition the samples and match the kept counts."""
+        """Debug invariant: the leaves' captures, recounted per sample
+        from their clauses and the dataset's columns, partition the
+        samples and match the kept counts."""
         total = union = 0
         for l in self.leaves:
-            capture = clause_capture(l.ds, l.clauses)
+            capture = and_clauses(l.ds, l.ds.all_samples, l.clauses)
             if capture.bit_count() != l.n_captured:
                 raise AssertionError(f"{l!r} does not capture its count")
             total += l.n_captured

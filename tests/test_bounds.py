@@ -14,8 +14,8 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, child_key, make_child_leaf,
-                          make_leaf, root_tree, sort_leaves)
+from opttree.tree import (Clause, TreeState, and_clauses, child_key,
+                          make_child_leaf, make_leaf, root_tree, sort_leaves)
 from tests.conftest import bits, random_dataset
 
 
@@ -374,21 +374,26 @@ def test_count_trees_matches_brute_force():
 
 def test_similar_support_omega():
     # a split is skipped when a rejected companion's floor reaches
-    # best + omega, omega being the support captured by exactly one side
-    ds = from_rows(["a"], [[0], [1]] * 5, [0, 1] * 5)  # N = 10
+    # best + omega, omega being the support captured by exactly one side;
+    # captures are sets of row classes, here of 1, 2, 3 and 4 samples
+    rows = [[0, 0]] + [[0, 1]] * 2 + [[1, 0]] * 3 + [[1, 1]] * 4  # N = 10
+    ds = from_rows(["a", "b"], rows, [0, 1] * 5)
     run = _run_at(ds, Fraction(1, 10), Fraction(1, 2))
     per_sample = _scaled(run, Fraction(1, 10))
+
+    def cls(a, b):
+        return and_clauses(run.eq, run.eq.all_classes,
+                           [Clause(0, bool(a)), Clause(1, bool(b))])
 
     def skipped(t1, t2, floor_over_best):
         floor_s = run.best_s + floor_over_best
         return run._similar_skip(t1, [(floor_s, t2)])
 
-    a = bits([0, 1, 1, 1, 0, 0, 0, 0, 0, 0])
-    b = bits([0, 0, 1, 1, 1, 0, 0, 0, 0, 0])
-    assert skipped(a, b, 2 * per_sample)  # omega = 2/10
-    assert not skipped(a, b, 2 * per_sample - 1)
+    a = cls(0, 0) | cls(0, 1)
+    b = cls(0, 1) | cls(1, 0)
+    assert skipped(a, b, 4 * per_sample)  # omega = (1 + 3)/10
+    assert not skipped(a, b, 4 * per_sample - 1)
     assert skipped(a, a, 0)  # omega = 0
-    c = bits([1, 0, 0, 0, 0, 0, 0, 0, 0, 0])
-    d = bits([0, 1, 1, 0, 0, 0, 0, 0, 0, 0])
-    assert skipped(c, d, 3 * per_sample)  # omega = 3/10
-    assert not skipped(c, d, 3 * per_sample - 1)
+    c = cls(1, 1)
+    assert skipped(c, a, 7 * per_sample)  # omega = (4 + 1 + 2)/10
+    assert not skipped(c, a, 7 * per_sample - 1)

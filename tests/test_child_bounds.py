@@ -7,7 +7,7 @@ does not reject with ``TreeState.derived``, and queues a child on its
 liveness alone, without looking for an open leaf.  These tests check the
 sums and the queueing against from-scratch work on every child of real
 fits that the search builds, and check that after a fit only the leaves
-the search split hold their N-bit capture.
+the search split hold their capture, a set of row classes.
 """
 
 import random
@@ -142,6 +142,17 @@ def test_only_split_leaves_keep_a_capture():
                     all(ds.columns[c.feature] >> i & 1 == c.polarity
                         for c in leaf.clauses)
                     for i in range(ds.n_samples))
-                assert leaf.capture == expected
+                assert _samples_of(ds, run.eq, leaf.capture) == expected
                 assert leaf.n_captured == expected.bit_count()
+
+
+def _samples_of(ds, eq, capture):
+    """The samples of the classes in ``capture``: those whose row equals
+    a member class's row, read back bit by bit from the class columns.
+    Classes have distinct, non-empty sets of samples, so two captures
+    give the same samples only if they hold the same classes."""
+    rows = {tuple(col >> k & 1 for col in eq.columns)
+            for k in range(eq.n_classes) if capture >> k & 1}
+    return bits(tuple(col >> i & 1 for col in ds.columns) in rows
+                for i in range(ds.n_samples))
 

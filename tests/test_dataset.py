@@ -2,15 +2,16 @@ import csv
 import io
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opttree import dataset
-from opttree.dataset import (DataFormatError, EquivalenceIndex,
-                             and_literal, build_equivalence_index, from_rows,
-                             load_csv, write_csv)
+from opttree.dataset import (DataFormatError, and_literal,
+                             build_equivalence_index, from_rows, load_csv,
+                             weighted_count, write_csv)
 from tests.conftest import bits
 
 
@@ -61,28 +62,98 @@ def test_literal_column_partition():
         and_literal(ds, ds.all_samples, -1, True)
 
 
+def _classes(eq, m):
+    """The index as a multiset of (row, size, ones, minority): each class's
+    row read back bit by bit from the class columns, and each count from
+    the class's bit in every plane."""
+    def count(planes, k):
+        return sum((plane >> k & 1) << j for j, plane in enumerate(planes))
+    return Counter(
+        (tuple(eq.columns[f] >> k & 1 for f in range(m)),
+         count(eq.size_planes, k), count(eq.one_planes, k),
+         count(eq.minority_planes, k))
+        for k in range(eq.n_classes))
+
+
+def _floor(eq):
+    """The number of samples in a minority of their class."""
+    return weighted_count(eq.all_classes, eq.minority_planes)
+
+
 def test_equivalence_index_example():
     rows = [[0, 1]] * 4 + [[1, 0]] * 2
     labels = [1, 1, 1, 1, 0, 1]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, labels))
     assert eq.n_classes == 2
-    # the pure class has no minority; the other is tied, so its 0 label
-    # is the minority
-    assert eq.z == bits([0, 0, 0, 0, 1, 0])
+    # the pure class has no minority; the other has one 0 among two
+    assert _classes(eq, 2) == Counter({((0, 1), 4, 4, 0): 1,
+                                       ((1, 0), 2, 1, 1): 1})
+    assert _floor(eq) == 1
+    assert weighted_count(eq.all_classes, eq.size_planes) == 6
+    assert weighted_count(eq.all_classes, eq.one_planes) == 5
 
 
 def test_equivalence_index_distinct_rows():
     rows = [[0, 0], [0, 1], [1, 0], [1, 1]]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, [1, 0, 0, 1]))
     assert eq.n_classes == 4
-    assert eq.z == 0
+    # every class holds one sample: one support plane, no minority plane
+    assert eq.size_planes == (0b1111,)
+    assert eq.minority_planes == ()
+    assert _classes(eq, 2) == Counter({((0, 0), 1, 1, 0): 1,
+                                       ((0, 1), 1, 0, 0): 1,
+                                       ((1, 0), 1, 0, 0): 1,
+                                       ((1, 1), 1, 1, 0): 1})
 
 
 def test_equivalence_index_tie():
     rows = [[1, 1], [1, 1]]
     eq = build_equivalence_index(from_rows(["a", "b"], rows, [0, 1]))
     assert eq.n_classes == 1
-    assert eq.z == bits([1, 0])  # tie -> minority label 0
+    # tied: either label is the minority, one sample of two
+    assert _classes(eq, 2) == Counter({((1, 1), 2, 1, 1): 1})
+    assert _floor(eq) == 1
+
+
+def test_equivalence_index_one_sample():
+    eq = build_equivalence_index(from_rows(["a", "b"], [[1, 0]], [1]))
+    assert eq.n_classes == 1 and eq.all_classes == 1
+    assert eq.columns == (1, 0)
+    assert (eq.size_planes, eq.one_planes, eq.minority_planes) \
+        == ((1,), (1,), ())
+
+
+def test_equivalence_index_identical_rows():
+    # one class of 37 = 0b100101 samples, 20 = 0b10100 of them labelled 1
+    n = 37
+    eq = build_equivalence_index(
+        from_rows(["a", "b", "c"], [[1, 0, 1]] * n, [1] * 20 + [0] * 17))
+    assert eq.n_classes == 1
+    assert eq.columns == (1, 0, 1)
+    assert len(eq.size_planes) == n.bit_length()
+    assert eq.size_planes == (1, 0, 1, 0, 0, 1)
+    assert eq.one_planes == (0, 0, 1, 0, 1)
+    assert eq.minority_planes == (1, 0, 0, 0, 1)  # 17
+    assert _classes(eq, 3) == Counter({((1, 0, 1), 37, 20, 17): 1})
+
+
+def test_equivalence_index_past_64_features():
+    # four rows that differ in feature 3 of the first machine word, in
+    # feature 66 of the second, or in both
+    rng = random.Random(5)
+    base = [rng.randint(0, 1) for _ in range(70)]
+    pool = []
+    for flips in ((), (3,), (66,), (3, 66)):
+        row = list(base)
+        for f in flips:
+            row[f] ^= 1
+        pool.append(row)
+    rows = [pool[i % 4] for i in range(11)]
+    labels = [rng.randint(0, 1) for _ in rows]
+    eq = build_equivalence_index(
+        from_rows([f"f{j}" for j in range(70)], rows, labels))
+    assert eq.n_classes == 4
+    assert _classes(eq, 70) == _brute_force_index(rows, labels)
 
 
 rows_strategy = st.integers(min_value=1, max_value=30).flatmap(
@@ -94,10 +165,10 @@ rows_strategy = st.integers(min_value=1, max_value=30).flatmap(
 
 @given(rows_strategy)
 def test_total_theta_at_most_half(data):
-    # the equivalent-points floor, |z| / N, is the paper's total theta
+    # the equivalent-points floor over N is the paper's total theta
     rows, labels = data
     eq = build_equivalence_index(from_rows(["a", "b", "c"], rows, labels))
-    assert 2 * eq.z.bit_count() <= len(rows)
+    assert 2 * _floor(eq) <= len(rows)
     assert 1 <= eq.n_classes <= min(len(rows), 8)
 
 
@@ -112,18 +183,15 @@ def test_csv_roundtrip(data):
 
 
 def _brute_force_index(rows, labels):
-    """Per-row grouping, written independently of the library."""
-    class_ids: dict[tuple, int] = {}
-    class_of = [class_ids.setdefault(tuple(r), len(class_ids)) for r in rows]
-    ones = [0] * len(class_ids)
-    sizes = [0] * len(class_ids)
-    for cid, y in zip(class_of, labels):
-        sizes[cid] += 1
-        ones[cid] += y
-    minority = [1 if ones[c] < sizes[c] - ones[c] else 0
-                for c in range(len(sizes))]
-    z = bits([y == minority[cid] for cid, y in zip(class_of, labels)])
-    return EquivalenceIndex(z=z, n_classes=len(class_ids))
+    """Per-row grouping, written independently of the library: the
+    multiset of (row, size, ones, minority) over distinct rows."""
+    table: dict[tuple, list[int]] = {}
+    for row, y in zip(rows, labels):
+        counts = table.setdefault(tuple(row), [0, 0])
+        counts[0] += 1
+        counts[1] += y
+    return Counter((row, size, ones, min(ones, size - ones))
+                   for row, (size, ones) in table.items())
 
 
 # rows drawn from a small pool: duplicates, all-identical rows (pool of
@@ -145,7 +213,9 @@ def test_equivalence_index_and_padded_csv_match_per_row(data):
     labels = [y for _, y in picks]
     names = [f"f{j}" for j in range(m)]
     ds = from_rows(names, rows, labels)
-    assert build_equivalence_index(ds) == _brute_force_index(rows, labels)
+    eq = build_equivalence_index(ds)
+    assert _classes(eq, m) == _brute_force_index(rows, labels)
+    assert eq.n_classes == len({tuple(row) for row in rows})
 
     def pad(cell):
         return (rnd.choice(["", " ", "  ", "\t"]) + cell

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from opttree import oracle
-from opttree.dataset import build_equivalence_index, from_rows
+from opttree.dataset import (build_equivalence_index, from_rows,
+                             weighted_count)
 from opttree.oracle import OracleResourceError, exhaustive_optimum
 from opttree.tree import TreeState, make_leaf, objective, sort_leaves
 from tests.conftest import random_dataset
@@ -96,7 +97,8 @@ def test_objective_floor_from_equivalent_points():
         lam = Fraction(1, 20)
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
-        assert res.objective >= Fraction(eq.z.bit_count(), ds.n_samples)
+        floor = weighted_count(eq.all_classes, eq.minority_planes)
+        assert res.objective >= Fraction(floor, ds.n_samples)
 
 
 def test_resource_limits(monkeypatch):

@@ -288,3 +288,41 @@ def test_time_limit_covers_equivalence_index(monkeypatch):
     assert res.stats.limit_hit == "time_limit"
     assert res.stats.total_time >= 0.2
     assert not res.certified
+
+
+def _outcome(res):
+    """Everything a fit reports but its times: stats, answer, leaf keys
+    and trace records."""
+    stats = {k: v for k, v in vars(res.stats).items()
+             if k not in ("total_time", "time_to_optimum")}
+    trace = [(r.trees_evaluated, r.best_objective, r.min_queue_lower_bound,
+              r.queue_size, r.log10_remaining_bound, r.remaining_bound)
+             for r in res.trace]
+    return (stats, res.objective, res.gap, res.certified,
+            [leaf.key for leaf in res.best_tree.leaves],
+            res.best_tree.splittable, trace)
+
+
+def test_row_order_does_not_change_a_result():
+    # 4 000 rows drawn from 32 possible rows, labelled by a planted rule
+    # with noise; row classes are numbered by first occurrence, so a
+    # permutation of the rows renumbers them
+    rng = random.Random(4000)
+    rows = [[rng.randint(0, 1) for _ in range(5)] for _ in range(4000)]
+    labels = [(r[0] & r[2] | r[1] & ~r[0] & 1) ^ (rng.random() < 0.15)
+              for r in rows]
+    names = [f"f{j}" for j in range(5)]
+    ds = from_rows(names, rows, labels)
+    order = list(range(len(rows)))
+    rng.shuffle(order)
+    shuffled = from_rows(names, [rows[i] for i in order],
+                         [labels[i] for i in order])
+    config = SearchConfig(lam=Fraction(1, 200), trace_interval=20)
+    res = fit(ds, config)
+    assert res.certified and res.gap == 0
+    assert res.objective == exhaustive_optimum(ds, config.lam).objective
+    res.best_tree.check_partition()
+    assert len(res.trace) > 5
+    again = fit(shuffled, config)
+    again.best_tree.check_partition()
+    assert _outcome(again) == _outcome(res)
