@@ -16,7 +16,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, count_trees
-from .dataset import DataFormatError, Dataset, and_literal, load_csv
+from .dataset import (DataFormatError, Dataset, and_literal,
+                      build_equivalence_index, load_csv)
 from .oracle import OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
 from .search import SearchConfig, SearchResult, fit
@@ -263,6 +264,8 @@ def _ablate_variants(base: SearchConfig):
 def cmd_ablate(args) -> int:
     ds = _load(args.data, args.label)
     base = _config_from_args(args)
+    # one index for every variant, so a variant's times cover its search
+    eq = build_equivalence_index(ds)
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
         else sys.stdout
     w = csv.writer(out)
@@ -271,7 +274,7 @@ def cmd_ablate(args) -> int:
     objectives = {}
     try:
         for name, cfg in _ablate_variants(base):
-            result = fit(ds, cfg)
+            result = fit(ds, cfg, eq)
             s = result.stats
             if result.certified:
                 objectives[name] = result.objective

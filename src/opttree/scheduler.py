@@ -45,46 +45,46 @@ class Policy(Enum):
     GINI = "gini"
 
 
-def _leaf_ones(leaf, ds: Dataset) -> int:
-    if leaf.prediction == 1:
-        return leaf.n_correct
-    return leaf.n_captured - leaf.n_correct
+def _entropy(tree: TreeState, n: int) -> float:
+    total = 0.0
+    for leaf, s in zip(tree.leaves, tree.splittable):
+        if not s or leaf.n_captured == 0:
+            continue
+        p = leaf.n_ones / leaf.n_captured
+        if 0.0 < p < 1.0:
+            h2 = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
+            total += leaf.n_captured / n * h2
+    return total
+
+
+def _gini(tree: TreeState, n: int) -> Fraction:
+    total = Fraction(0)
+    for leaf, s in zip(tree.leaves, tree.splittable):
+        if not s or leaf.n_captured == 0:
+            continue
+        p = Fraction(leaf.n_ones, leaf.n_captured)
+        total += Fraction(leaf.n_captured, n) * 2 * p * (1 - p)
+    return total
+
+
+# each policy's key of a tree over N samples
+_KEYS: dict[Policy, Callable[[TreeState, int], object]] = {
+    Policy.BFS: lambda tree, n: tree.h,
+    Policy.DFS: lambda tree, n: -tree.h,
+    Policy.LOWER_BOUND: lambda tree, n: tree.b_s,
+    Policy.OBJECTIVE: lambda tree, n: tree.r_s,
+    # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);
+    # c = N when no leaf is unchanged, as in the root
+    Policy.CURIOSITY:
+        lambda tree, n: tree.b_s * n * n // (tree.unchanged_capture or n),
+    Policy.ENTROPY: _entropy,
+    Policy.GINI: _gini,
+}
 
 
 def priority(tree: TreeState, policy: Policy, ds: Dataset):
     """Scheduling key for a tree; smaller keys are explored sooner."""
-    n = ds.n_samples
-    if policy is Policy.BFS:
-        return tree.h
-    if policy is Policy.DFS:
-        return -tree.h
-    if policy is Policy.LOWER_BOUND:
-        return tree.b_s
-    if policy is Policy.OBJECTIVE:
-        return tree.r_s
-    if policy is Policy.CURIOSITY:
-        # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);
-        # c = N when no leaf is unchanged, as in the root
-        return tree.b_s * n * n // (tree.unchanged_capture or n)
-    if policy is Policy.ENTROPY:
-        total = 0.0
-        for leaf, s in zip(tree.leaves, tree.splittable):
-            if not s or leaf.n_captured == 0:
-                continue
-            p = _leaf_ones(leaf, ds) / leaf.n_captured
-            if 0.0 < p < 1.0:
-                h2 = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-                total += leaf.n_captured / n * h2
-        return total
-    if policy is Policy.GINI:
-        total = Fraction(0)
-        for leaf, s in zip(tree.leaves, tree.splittable):
-            if not s or leaf.n_captured == 0:
-                continue
-            p = Fraction(_leaf_ones(leaf, ds), leaf.n_captured)
-            total += Fraction(leaf.n_captured, n) * 2 * p * (1 - p)
-        return total
-    raise ValueError(f"unknown policy {policy}")
+    return _KEYS[policy](tree, ds.n_samples)
 
 
 class SearchQueue:
@@ -96,15 +96,15 @@ class SearchQueue:
     """
 
     def __init__(self, policy: Policy, ds: Dataset):
-        self.policy = policy
-        self.ds = ds
+        self._key = _KEYS[policy]  # chosen once for the queue
+        self._n = ds.n_samples
         self._heap: list[tuple] = []
         self.buckets: dict[tuple[int, int], int] = {}
         self.max_size = 0
 
     def push(self, tree: TreeState) -> None:
-        key = priority(tree, self.policy, self.ds)
-        heapq.heappush(self._heap, (key, tree.generation, tree))
+        heapq.heappush(self._heap,
+                       (self._key(tree, self._n), tree.generation, tree))
         bucket = (tree.b_s, len(tree.leaves))
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.max_size = max(self.max_size, len(self._heap))

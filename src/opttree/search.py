@@ -1,9 +1,12 @@
 """Branch-and-bound driver: child generation, pruning, certification.
 
 One designated leaf (the canonically first splittable, non-dead one) is
-split per expansion; a "retire" move reflags it unchanged instead.  Every
-reachable leaf-set/partition state is produced by induction on these moves,
-and the tree cache absorbs order duplicates.
+split per expansion, and its two new leaves take every unchanged/
+splittable flag pair the bounds allow (``_FLAG_PAIRS``).  Nothing reflags
+a leaf: by induction on the splits, a tree with a splittable leaf flagged
+unchanged is made by the same splits with that leaf created unchanged.
+So every reachable (leaves, flags) state is built once per split order
+that reaches it, and the tree cache absorbs those order duplicates.
 
 Every comparison the loop makes is an integer comparison: with lam = p/q
 over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each tree
@@ -23,14 +26,15 @@ The work per child grows with neither the queue nor the tree.  Child
 leaves are interned, so the permutation cache keys a tree on the leaf and
 flag tuples it already holds (see ``caches``), and a leaf's key is built
 once, for the lookup, and handed to ``make_child_leaf`` on a miss.  A
-child is priced before it is built: ``TreeState.child_sums`` adjusts the
-parent's sums for the leaves that change, a price at or above the
-incumbent is dropped there, and only the rest get flags, leaves and a
-``TreeState``.  The liveness gate alone decides whether a built child is
-queued.  A trace record sums the remaining-evaluations bound over the
-queue's (``b_s``, leaf count) buckets rather than over its trees; only
-``_finish`` scans the heap, once per fit, to find the least live bound
-behind the gap.
+child is priced before it is built: every child of an expansion starts
+from one base, the parent's sums less the designated leaf plus the new
+leaf penalty, and adds what its two new leaves bring under their flags.  A
+price at or above the incumbent is dropped there, and only the rest get
+flags, leaves and a ``TreeState``.  The run's one liveness gate
+(``_Run._is_live``) alone decides whether a built child is queued.  A trace
+record sums the remaining-evaluations bound over the queue's (``b_s``,
+leaf count) buckets rather than over its trees; only ``_finish`` scans the
+heap, once per fit, to find the least live bound behind the gap.
 
 An expansion costs what is new about its tree, not what is known about
 its designated leaf.  Which features may split a leaf, its two children
@@ -69,7 +73,7 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Leaf, TreeState, child_key, make_child_leaf, root_tree,
+from .tree import (Leaf, TreeState, child_keys, make_child_leaf, root_tree,
                    sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
@@ -131,6 +135,7 @@ class SearchStats:
     leaf_cache_hits: int = 0
     tree_cache_size: int = 0
     tree_cache_purged: int = 0
+    # trees the permutation cache dropped: reached by a second split order
     duplicates_skipped: int = 0
     similar_support_skips: int = 0
     expansions: int = 0     # trees expanded
@@ -179,33 +184,32 @@ class _Run:
         # depend on its lam and toggles and a leaf may outlive it
         self.split_tables: dict[Leaf, list] = {}
         self.dead_features: dict[Leaf, set[int]] = {}
+        # lookahead: a tree's children pay at least one more leaf penalty
+        self.margin_s = self.lam_s if self.toggles.lookahead else 0
+        self._is_live = self._liveness_gate()
 
     # -- gates ------------------------------------------------------------
 
-    def _push_gate(self, b_s: int, b0_s: int) -> bool:
-        """True if a tree with these scaled bounds may still lead to an
-        improvement and belongs in the queue."""
-        if b_s >= self.best_s:
-            return False
-        margin = self.lam_s if self.toggles.lookahead else 0
-        if self.toggles.lookahead and b_s + self.lam_s >= self.best_s:
-            return False
-        if self.toggles.equivalent_points and b_s + b0_s + margin >= self.best_s:
-            return False
-        return True
-
-    def _is_live(self, tree: TreeState) -> bool:
-        return self._push_gate(tree.b_s, tree.b0_s)
+    def _liveness_gate(self):
+        """The run's one test that a tree may still lead to an improvement
+        and belongs in the queue: its bound, plus the lookahead margin and
+        (when that bound is on) its equivalent-points floor, is below the
+        incumbent.  The margin and the floor are never negative, so this
+        implies the hierarchical bound."""
+        margin = self.margin_s
+        if self.toggles.equivalent_points:
+            def is_live(tree: TreeState) -> bool:
+                return tree.b_s + tree.b0_s + margin < self.best_s
+        else:
+            def is_live(tree: TreeState) -> bool:
+                return tree.b_s + margin < self.best_s
+        return is_live
 
     def _expandable_index(self, tree: TreeState) -> Optional[int]:
         for i, (leaf, s) in enumerate(zip(tree.leaves, tree.splittable)):
             if s and (not self.toggles.node_support or not leaf.dead):
                 return i
         return None
-
-    def _next_gen(self) -> int:
-        self.generation += 1
-        return self.generation
 
     # -- best tracking ---------------------------------------------------
 
@@ -228,9 +232,8 @@ class _Run:
         self.best_tree = tree
         self.stats.trees_to_optimum = self.stats.trees_evaluated
         self.stats.time_to_optimum = time.perf_counter() - self._t0
-        margin = self.lam_s if self.toggles.lookahead else 0
         self.stats.tree_cache_purged += \
-            self.tree_cache.garbage_collect(self.best_s, margin)
+            self.tree_cache.garbage_collect(self.best_s, self.margin_s)
 
     # -- expansion --------------------------------------------------------
 
@@ -252,10 +255,6 @@ class _Run:
         capture = leaf.capture
         out: list[TreeState] = []
 
-        retire = self._make_retire_child(tree, idx)
-        if retire is not None:
-            out.append(retire)
-
         # the remaining leaves stay in canonical order; each split's two
         # leaves are inserted at their places below
         others = tree.leaves[:idx] + tree.leaves[idx + 1:]
@@ -265,6 +264,17 @@ class _Run:
         # must-split pairs that survive the split of this leaf
         kept_pairs = frozenset(
             p for p in tree.must_split_pairs if leaf not in p)
+        # every child's sums start from these, which take out the
+        # designated leaf and add the new leaf penalty.  Its two new leaves
+        # add their mistakes to r_s; an unchanged one also adds them to b_s
+        # and its samples to the unchanged capture, a splittable one its
+        # floor to b0_s
+        q = self.q
+        penalty_s = self.lam_s * (child_h - tree.h)
+        base_b_s = tree.b_s + penalty_s
+        base_r_s = tree.r_s + penalty_s - q * leaf.mistakes
+        base_b0_s = tree.b0_s - q * leaf.b0_count
+        similar_support = self.toggles.similar_support
 
         # similar-support memory: floors of feature splits already proven
         # hopeless, compared pairwise against new candidates via omega
@@ -274,7 +284,7 @@ class _Run:
         if splits is None:
             splits = self._split_table(leaf, capture)
         for f, c1, c2, pair, flag_pairs in splits:
-            if self.toggles.similar_support:
+            if similar_support:
                 # ANDed here rather than read from c1, which would make
                 # every candidate leaf keep its capture
                 capture1 = and_literal(self.eq, capture, f, False)
@@ -284,13 +294,11 @@ class _Run:
 
             leaves = None
             emitted_any = False
-            min_floor_s: Optional[int] = None
+            m1 = q * c1.mistakes
+            m2 = q * c2.mistakes
+            r_s = base_r_s + m1 + m2
             for s1, s2 in flag_pairs:
-                sums = tree.child_sums(child_h, leaf, ((c1, s1), (c2, s2)))
-                b_s = sums[0]
-                floor_s = b_s + sums[2]
-                if min_floor_s is None or floor_s < min_floor_s:
-                    min_floor_s = floor_s
+                b_s = base_b_s + (0 if s1 else m1) + (0 if s2 else m2)
                 # the hierarchical bound rejects the child before anything
                 # of it is built
                 if b_s >= self.best_s:
@@ -304,17 +312,24 @@ class _Run:
                         other_flags[j1:j2], other_flags[j2:]
                     pairs = kept_pairs if pair is None \
                         else kept_pairs | {pair}
-                flags = flags0 + (s1,) + flags1 + (s2,) + flags2
-                child = TreeState.derived(tree, leaves, flags, child_h,
-                                          pairs, self._next_gen(), sums)
+                self.generation += 1
+                child = TreeState.derived(
+                    tree, leaves, flags0 + (s1,) + flags1 + (s2,) + flags2,
+                    child_h, pairs, self.generation, b_s, r_s,
+                    base_b0_s + (q * c1.b0_count if s1 else 0)
+                    + (q * c2.b0_count if s2 else 0),
+                    tree.unchanged_capture + (0 if s1 else c1.n_captured)
+                    + (0 if s2 else c2.n_captured))
                 if self._evaluate(child):
                     emitted_any = True
-                    if child.r_s < self.best_s:
+                    if r_s < self.best_s:
                         self._set_best(child)
                     out.append(child)
-            if self.toggles.similar_support and not emitted_any \
-                    and min_floor_s is not None:
-                rejected_floors.append((min_floor_s, capture1))
+            if similar_support and not emitted_any and flag_pairs:
+                z1, z2 = q * c1.b0_count, q * c2.b0_count
+                rejected_floors.append((base_b_s + base_b0_s + min(
+                    (z1 if s1 else m1) + (z2 if s2 else m2)
+                    for s1, s2 in flag_pairs), capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
         # the children that every earlier gate would have kept.  It also
         # drops every child with no open leaf: node support never flags a
@@ -349,13 +364,14 @@ class _Run:
                 continue
             if self.toggles.leaf_accuracy and f in dead:
                 continue
-            k1 = child_key(leaf, f, False)
+            k1, k2 = child_keys(leaf, f)
             c1 = self.leaf_cache.intern(k1, make_child_leaf, capture, f,
                                         False, k1, self.ds, self.eq, self.lam)
             self.dead_features.setdefault(c1, set(dead))
-            k2 = child_key(leaf, f, True)
+            # counted as the leaf's counts minus c1's
             c2 = self.leaf_cache.intern(k2, make_child_leaf, capture, f,
-                                        True, k2, self.ds, self.eq, self.lam)
+                                        True, k2, self.ds, self.eq, self.lam,
+                                        leaf, c1)
             self.dead_features.setdefault(c2, set(dead))
             # a split capturing nothing (or everything) on one side can
             # never help; remember the rejection for the leaf
@@ -395,30 +411,11 @@ class _Run:
                 return True
         return False
 
-    def _make_retire_child(self, tree: TreeState,
-                           idx: int) -> Optional[TreeState]:
-        leaf = tree.leaves[idx]
-        # a gain-deficient sibling pair may not end with both unchanged
-        for pair in tree.must_split_pairs:
-            if leaf in pair:
-                (other,) = pair - {leaf}
-                if not tree.splittable[tree.leaves.index(other)]:
-                    return None
-        # same leaf set, same objective as the parent: no best update
-        sums = tree.child_sums(tree.h, leaf, ((leaf, False),))
-        if sums[0] >= self.best_s:
-            return None
-        flags = tree.splittable[:idx] + (False,) + tree.splittable[idx + 1:]
-        child = TreeState.derived(tree, tree.leaves, flags, tree.h,
-                                  tree.must_split_pairs, self._next_gen(),
-                                  sums)
-        return child if self._evaluate(child) else None
-
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
         root = root_tree(self.ds, self.lam, self.eq)
-        root.generation = self._next_gen()
+        self.generation = root.generation = 1
         self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
         self.best_tree = root
         self.best_obj = root.objective

@@ -8,11 +8,11 @@ every descendant because unchanged leaves are never split again.
 
 A tree keeps its bounds as integers scaled by N*q (lam = p/q); the search
 compares those integers and ``lower_bound`` and ``objective`` turn them
-into exact rationals.  ``TreeState(...)`` sums them over its leaves; a
-child's sums are its parent's adjusted for the leaves that changed
-(``TreeState.child_sums``), so its cost does not grow with the leaf count,
-and the search compares them with the incumbent before it builds the
-child with ``TreeState.derived``.  The module-level ``objective``
+into exact rationals.  ``TreeState(...)`` sums them over its leaves; the
+search prices a child from its parent's sums, adjusted for the leaf it
+splits and the two it adds, so a child's cost does not grow with the
+leaf count, and it builds only the children the incumbent does not
+reject, with ``TreeState.derived``.  The module-level ``objective``
 recomputes a tree's objective from its leaves alone, as an independent
 reference.
 
@@ -21,6 +21,9 @@ one bit per class, not per sample, so on data with few distinct rows it
 is short whatever the sample count.  A leaf keeps counts, not its
 capture: the capture is rebuilt from the leaf's clauses and the class
 columns when the leaf is first split, so only split leaves hold one.
+The two children of a leaf on one feature partition its classes, and
+every count adds over classes, so ``make_child_leaf`` counts the
+positive child as the parent's counts minus the negative child's.
 """
 
 from __future__ import annotations
@@ -55,30 +58,32 @@ def canonical_clauses(clauses: Sequence[Clause]) -> LeafKey:
 class Leaf:
     """A conjunction of feature literals with its capture statistics.
 
-    A leaf keeps the counts the search reads (support, correct, mistakes,
-    equivalent-points floor), each a weighted count of its capture, the
-    set of row classes it holds.  It does not keep the capture itself:
-    ``capture`` is rebuilt from the class columns of its clauses the
-    first time it is read and kept from then on.  The search reads it
-    only to split the leaf, so only leaves that get split hold one.
+    A leaf keeps the counts the search reads (support, ones, correct,
+    mistakes, equivalent-points floor), each a weighted count of its
+    capture, the set of row classes it holds.  It does not keep the
+    capture itself: ``capture`` is rebuilt from the class columns of its
+    clauses the first time it is read and kept from then on.  The search
+    reads it only to split the leaf, so only leaves that get split hold
+    one.
 
     Immutable.  What the search works out about splitting a leaf (its dead
     features, its split table) depends on the run's lam and toggles, so
     the run keeps it (see ``search``), not the leaf, which may outlive it.
     """
 
-    __slots__ = ("clauses", "ds", "eq", "_capture", "n_captured",
+    __slots__ = ("clauses", "ds", "eq", "_capture", "n_captured", "n_ones",
                  "n_correct", "prediction", "mistakes", "b0_count", "dead")
 
-    def __init__(self, clauses: LeafKey, capture: int, ds: Dataset,
-                 eq: EquivalenceIndex, lam: Fraction):
+    def __init__(self, clauses: LeafKey, n_captured: int, ones: int,
+                 b0_count: int, ds: Dataset, eq: EquivalenceIndex,
+                 lam: Fraction):
         self.clauses = clauses
         self.ds = ds
         self.eq = eq
         self._capture: Optional[int] = None
-        self.n_captured = weighted_count(capture, eq.size_planes)
-        ones = weighted_count(capture, eq.one_planes)
-        zeros = self.n_captured - ones
+        self.n_captured = n_captured
+        self.n_ones = ones
+        zeros = n_captured - ones
         # tie -> predict 0; the mistake count is unaffected
         if ones > zeros:
             self.prediction = 1
@@ -86,10 +91,10 @@ class Leaf:
         else:
             self.prediction = 0
             self.n_correct = zeros
-        self.mistakes = self.n_captured - self.n_correct
-        self.b0_count = weighted_count(capture, eq.minority_planes)
+        self.mistakes = n_captured - self.n_correct
+        self.b0_count = b0_count
         # support below 2*lam means this leaf may never be split
-        self.dead = self.n_captured * lam.denominator \
+        self.dead = n_captured * lam.denominator \
             < 2 * lam.numerator * ds.n_samples
 
     @property
@@ -121,41 +126,59 @@ def and_clauses(data: Dataset | EquivalenceIndex, capture: int,
     return capture
 
 
+def _counted(key: LeafKey, capture: int, ds: Dataset, eq: EquivalenceIndex,
+             lam: Fraction) -> Leaf:
+    """The leaf ``key`` that captures the row classes ``capture``."""
+    return Leaf(key, weighted_count(capture, eq.size_planes),
+                weighted_count(capture, eq.one_planes),
+                weighted_count(capture, eq.minority_planes), ds, eq, lam)
+
+
 def make_leaf(clauses: Sequence[Clause], ds: Dataset, eq: EquivalenceIndex,
               lam: Fraction) -> Leaf:
     """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    return Leaf(key, and_clauses(eq, eq.all_classes, key), ds, eq, lam)
+    return _counted(key, and_clauses(eq, eq.all_classes, key), ds, eq, lam)
 
 
-def child_key(leaf: Leaf, feature: int, polarity: bool) -> LeafKey:
-    """Key of ``leaf`` extended by one literal on a feature it does not
-    use: the clause is inserted at its place in the feature order."""
+def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
+    """Keys of ``leaf`` extended by the negative and by the positive
+    literal on a feature it does not use: one bisect finds the clause's
+    place in the feature order for both."""
     clauses = leaf.clauses
     i = bisect_left(clauses, feature, key=_feature)
     if i < len(clauses) and clauses[i].feature == feature:
         raise ValueError(f"feature {feature} already in leaf clauses")
-    return clauses[:i] + (Clause(feature, polarity),) + clauses[i:]
+    head, tail = clauses[:i], clauses[i:]
+    return (head + (Clause(feature, False),) + tail,
+            head + (Clause(feature, True),) + tail)
 
 
 def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
                     key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
-                    lam: Fraction) -> Leaf:
+                    lam: Fraction, parent: Optional[Leaf] = None,
+                    sibling: Optional[Leaf] = None) -> Leaf:
     """Extend a leaf by one literal.
 
     ``parent_capture`` is the parent's ``capture``, its set of row
     classes, which the search reads once per expansion; the child's
     capture is that ANDed with the literal's class column, and the child
-    keeps only its counts.  ``key`` must be
-    ``child_key(parent, feature, polarity)``: the search builds it once,
-    for the leaf-cache lookup, and hands it over on a miss.
+    keeps only its counts.  ``key`` must be the literal's entry of
+    ``child_keys(parent, feature)``: the search builds it once, for the
+    leaf-cache lookup, and hands it over on a miss.  Given the ``parent``
+    leaf and the ``sibling`` on the feature's other literal, each count is
+    the parent's minus the sibling's, and no capture is read.
     """
-    return Leaf(key, and_literal(eq, parent_capture, feature, polarity),
-                ds, eq, lam)
+    if sibling is not None:
+        return Leaf(key, parent.n_captured - sibling.n_captured,
+                    parent.n_ones - sibling.n_ones,
+                    parent.b0_count - sibling.b0_count, ds, eq, lam)
+    return _counted(key, and_literal(eq, parent_capture, feature, polarity),
+                    ds, eq, lam)
 
 
-# A pair of sibling leaves produced by a gain-deficient split; retiring
-# both unsplit is forbidden (at least one must be split further).  The
+# A pair of sibling leaves produced by a gain-deficient split; flagging
+# both unchanged is forbidden (at least one must be split further).  The
 # pair holds the two ``Leaf`` objects, which hash and compare by identity:
 # within one search the leaf cache hands out one leaf per key.
 MustSplitPairs = frozenset  # of frozenset({Leaf, Leaf})
@@ -175,7 +198,6 @@ class TreeState:
     objective (``b_s`` plus the splittable leaves' mistakes), ``b0_s`` the
     equivalent-points floor under the splittable leaves, and
     ``unchanged_capture`` the number of samples the unchanged leaves hold.
-    ``q`` and ``pn`` (p*N) are kept as plain ints for ``child_sums``.
     """
 
     leaves: tuple[Leaf, ...]          # canonically ordered by leaf key
@@ -186,8 +208,6 @@ class TreeState:
     must_split_pairs: MustSplitPairs = frozenset()
     generation: int = 0
     scale: int = field(init=False, repr=False)
-    q: int = field(init=False, repr=False)
-    pn: int = field(init=False, repr=False)
     b_s: int = field(init=False, repr=False)
     r_s: int = field(init=False, repr=False)
     b0_s: int = field(init=False, repr=False)
@@ -202,48 +222,23 @@ class TreeState:
             else:
                 err_unchanged += leaf.mistakes
                 capture += leaf.n_captured
-        self.q = q = self.lam.denominator
-        self.pn = self.lam.numerator * self.n_samples
+        q = self.lam.denominator
         self.scale = self.n_samples * q
-        self.b_s = q * err_unchanged + self.pn * self.h
+        self.b_s = q * err_unchanged \
+            + self.lam.numerator * self.n_samples * self.h
         self.r_s = self.b_s + q * err_splittable
         self.b0_s = q * b0
         self.unchanged_capture = capture
-
-    def child_sums(self, h: int, removed: Leaf,
-                   added: Sequence[tuple[Leaf, bool]]) -> tuple[int, ...]:
-        """The scaled sums ``(b_s, r_s, b0_s, unchanged_capture)`` of a tree
-        made from this one by taking out its splittable leaf ``removed``
-        and putting in the (leaf, splittable) pairs ``added``, with
-        penalized leaf count ``h``.
-
-        They are this tree's sums adjusted for those leaves alone, so a
-        child costs O(1) however many leaves it has: a split adds the two
-        new leaves, a retire puts ``removed`` back unchanged.  The search
-        prices a child with them before it builds it.
-        """
-        q = self.q
-        b_s = self.b_s + self.pn * (h - self.h)
-        # every leaf's mistakes count in the objective, whatever its flag
-        r_s = self.r_s + (b_s - self.b_s) - q * removed.mistakes
-        b0_s = self.b0_s - q * removed.b0_count
-        capture = self.unchanged_capture
-        for leaf, s in added:
-            r_s += q * leaf.mistakes
-            if s:
-                b0_s += q * leaf.b0_count
-            else:
-                b_s += q * leaf.mistakes
-                capture += leaf.n_captured
-        return b_s, r_s, b0_s, capture
 
     @classmethod
     def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
                 splittable: tuple[bool, ...], h: int,
                 must_split_pairs: MustSplitPairs, generation: int,
-                sums: tuple[int, ...]) -> TreeState:
+                b_s: int, r_s: int, b0_s: int,
+                unchanged_capture: int) -> TreeState:
         """A child of ``parent`` with the given leaves and flags, in
-        canonical order, and the sums ``parent.child_sums`` gave it."""
+        canonical order, and its scaled sums, which the search priced
+        from the parent's."""
         tree = cls.__new__(cls)
         tree.leaves = leaves
         tree.splittable = splittable
@@ -253,9 +248,8 @@ class TreeState:
         tree.must_split_pairs = must_split_pairs
         tree.generation = generation
         tree.scale = parent.scale
-        tree.q = parent.q
-        tree.pn = parent.pn
-        tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture = sums
+        tree.b_s, tree.r_s, tree.b0_s = b_s, r_s, b0_s
+        tree.unchanged_capture = unchanged_capture
         return tree
 
     @property

@@ -1,11 +1,12 @@
 """Each pruning rule, checked where the search evaluates it: ``Leaf.dead``,
-``_Run._push_gate``, the accuracy and gain checks in ``_Run.expand``,
+``_Run._is_live``, the accuracy and gain checks in ``_Run.expand``,
 ``_Run._similar_skip`` and ``_Run._record_trace``."""
 
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +15,7 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, and_clauses, child_key,
+from opttree.tree import (Clause, TreeState, and_clauses, child_keys,
                           make_child_leaf, make_leaf, root_tree, sort_leaves)
 from tests.conftest import bits, random_dataset
 
@@ -128,8 +129,6 @@ def _must_split_by_feature(deltas, lam, **toggles):
         lookahead=False, equivalent_points=False, **toggles))
     seen = {}
     for child in expand(root, ds, eq, config, root.objective):
-        if child.h != 2:
-            continue  # the retired root
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
         pair = frozenset(child.leaves)
         obliged = child.must_split_pairs == {pair}
@@ -162,10 +161,9 @@ def test_split_gain_nonnegative_random():
         lam = Fraction(1, 50)
         parent = make_leaf([], ds, eq, lam)
         f = rng.randrange(ds.n_features)
-        left = make_child_leaf(parent.capture, f, False,
-                               child_key(parent, f, False), ds, eq, lam)
-        right = make_child_leaf(parent.capture, f, True,
-                                child_key(parent, f, True), ds, eq, lam)
+        k1, k2 = child_keys(parent, f)
+        left = make_child_leaf(parent.capture, f, False, k1, ds, eq, lam)
+        right = make_child_leaf(parent.capture, f, True, k2, ds, eq, lam)
         assert left.capture & right.capture == 0
         assert left.capture | right.capture == parent.capture
         assert left.n_correct + right.n_correct >= parent.n_correct
@@ -177,7 +175,7 @@ def test_lookahead_prunes():
 
     def pruned(b, best, **toggles):
         run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
-        return not run._push_gate(_scaled(run, b), 0)
+        return not run._is_live(SimpleNamespace(b_s=_scaled(run, b), b0_s=0))
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))
     assert not pruned(Fraction(30, 100), Fraction(32, 100))

@@ -2,9 +2,10 @@
 
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
-code the search runs (``make_leaf``, ``make_child_leaf`` and
-``_Run._similar_skip``) on data with many duplicate rows, and recount
-every figure per sample through ``and_literal`` on the dataset's columns.
+code the search runs (``make_leaf``, ``make_child_leaf`` from a capture
+and from a sibling, and ``_Run._similar_skip``) on data with many
+duplicate rows, and recount every figure per sample through
+``and_literal`` on the dataset's columns.
 """
 
 from fractions import Fraction
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from opttree.dataset import and_literal, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import Clause, child_key, make_child_leaf, make_leaf
+from opttree.tree import Clause, child_keys, make_child_leaf, make_leaf
 
 # rows drawn from a pool of at most 6, so classes hold many samples
 data = st.integers(1, 6).flatmap(lambda m: st.tuples(
@@ -81,12 +82,20 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
     for f in range(m):
         if any(c.feature == f for c in clauses):
             continue
+        keys = child_keys(leaf, f)
         for polarity in (False, True):
-            child = make_child_leaf(leaf.capture, f, polarity,
-                                    child_key(leaf, f, polarity), ds, eq,
-                                    lam)
             samples = _samples(ds, clauses + [Clause(f, polarity)])
-            assert _counts(child) == _recount(ds, samples, lam)
+            expected = _recount(ds, samples, lam)
+            child = make_child_leaf(leaf.capture, f, polarity,
+                                    keys[polarity], ds, eq, lam)
+            assert _counts(child) == expected
+            # counted as the parent's counts minus its sibling's
+            sibling = make_child_leaf(leaf.capture, f, not polarity,
+                                      keys[not polarity], ds, eq, lam)
+            child = make_child_leaf(leaf.capture, f, polarity,
+                                    keys[polarity], ds, eq, lam, leaf,
+                                    sibling)
+            assert _counts(child) == expected
 
 
 @given(data)

@@ -382,19 +382,35 @@ def test_oracle_refuses_paths_deeper_than_the_stack(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_ablate_table(tmp_path, capsys):
+def test_ablate_table(tmp_path, capsys, monkeypatch):
+    import opttree.cli as cli
+    import opttree.search as search
+    builds = []
+
+    def counting(real, where):
+        def build(ds):
+            builds.append(where)
+            return real(ds)
+        return build
+    # the variants share one index, built by ablate, not by each fit
+    monkeypatch.setattr(cli, "build_equivalence_index",
+                        counting(cli.build_equivalence_index, "ablate"))
+    monkeypatch.setattr(search, "build_equivalence_index",
+                        counting(search.build_equivalence_index, "fit"))
     data = tmp_path / "noisy.csv"
     data.write_text(NOISY)
     out = tmp_path / "ablate.csv"
     code = main(["ablate", "--data", str(data), "--label", "y",
                  "--lambda", "0.05", "--out", str(out)])
     assert code == 0
+    assert builds == ["ablate"]
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     header = ["variant", "total_time_s", "time_to_optimum_s",
               "trees_evaluated", "trees_to_optimum", "max_queue_size"]
     with open(out, newline="") as fh:
         assert next(csv.reader(fh)) == header
+    assert len(rows) == 13
     variants = {r["variant"] for r in rows}
     assert "all_bounds" in variants
     assert "no_lookahead" in variants

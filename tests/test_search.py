@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,7 +10,7 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run, expand, fit
-from opttree.tree import root_tree
+from opttree.tree import Clause, root_tree
 from tests.conftest import expanded_trees, random_dataset
 
 
@@ -211,12 +212,80 @@ def test_zero_gain_split_forbids_both_unchanged():
 
 
 def test_permutation_dedup_counts_duplicates():
-    # deep enough search that the same leaf set is reached in two orders
-    rng = random.Random(0)
-    ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
-    res = fit(ds, SearchConfig(lam=Fraction(1, 60)))
-    assert res.certified
-    assert res.stats.duplicates_skipped > 0
+    # the label is a xor b, except that it is c where a = b = 1.  Splitting
+    # the root on a and then both sides on b, or on b and then both sides
+    # on a, reaches the same four leaves with a=b=1 still open, and
+    # breadth-first that tree is still live when the second order builds it
+    rows = [list(r) for r in product((0, 1), repeat=3)] * 2
+    labels = [a ^ b ^ (a & b & c) for a, b, c in rows]
+    ds = from_rows(["a", "b", "c"], rows, labels)
+    run = _Run(ds, SearchConfig(lam=Fraction(1, 50), policy=Policy.BFS))
+    duplicates = []
+    evaluate = run._evaluate
+
+    def recording(child):
+        new = evaluate(child)
+        if not new:
+            duplicates.append((child, run._is_live(child)))
+        return new
+
+    run._evaluate = recording
+    res = run.run()
+    assert res.certified and res.objective == Fraction(1, 10)
+    assert res.stats.duplicates_skipped == len(duplicates) == 1
+    ((child, live),) = duplicates
+    assert live
+    assert [leaf.key for leaf in child.leaves] == [
+        (Clause(0, a), Clause(1, b)) for a in (False, True)
+        for b in (False, True)]
+    assert child.splittable == (False, False, False, True)
+
+
+@pytest.mark.parametrize("incremental_accuracy", [False, True])
+def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
+    # no move reflags a leaf: a tree with one more leaf unchanged must come
+    # from the splits that create that leaf unchanged.  With every other
+    # bound off and the incumbent at the optimum, which no tree beats,
+    # the only gate is the price: expanded breadth-first, every built tree
+    # with any splittable leaf flagged unchanged is built too, unless the
+    # price rejects it or a must-split pair forbids it
+    toggles = BoundToggles(
+        lookahead=False, node_support=False, leaf_accuracy=False,
+        equivalent_points=False, permutation_cache=False,
+        incremental_accuracy=incremental_accuracy)
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(12):
+        ds = random_dataset(rng, rng.randint(6, 24), rng.randint(2, 4),
+                            duplicate_bias=rng.choice((0.0, 0.4)))
+        lam = Fraction(1, rng.choice((10, 20, 50)))
+        config = SearchConfig(lam=lam, toggles=toggles)
+        eq = build_equivalence_index(ds)
+        best = exhaustive_optimum(ds, lam).objective
+        root = root_tree(ds, lam, eq)
+        best_s = best * root.scale
+        frontier, built = [root], []
+        for _ in range(3):
+            frontier = [c for t in frontier
+                        for c in expand(t, ds, eq, config, best)]
+            built += frontier
+        keys = {(tuple(l.key for l in t.leaves), t.splittable)
+                for t in built}
+        for tree in built:
+            flags = tree.splittable
+            for i, leaf in enumerate(tree.leaves):
+                forbidden = any(
+                    not flags[tree.leaves.index(other)]
+                    for pair in tree.must_split_pairs if leaf in pair
+                    for other in pair - {leaf})
+                price = tree.b_s + lam.denominator * leaf.mistakes
+                if not flags[i] or forbidden or price >= best_s:
+                    continue
+                unchanged = flags[:i] + (False,) + flags[i + 1:]
+                assert (tuple(l.key for l in tree.leaves), unchanged) \
+                    in keys
+                checked += 1
+    assert checked > 200
 
 
 def test_ablations_preserve_answer(noisy_ds):
@@ -266,11 +335,11 @@ def test_limit_keeps_certificate_when_no_work_is_left(limit):
 @pytest.mark.parametrize("k", [2, 10, 50, 300])
 def test_max_trees_overshoots_by_at_most_one_expansion(k):
     # the limit is checked before every expansion, and one expansion
-    # evaluates at most a retire child plus four children per feature
+    # evaluates at most four children (flag pairs) per feature
     ds = _limit_ds()
     res = fit(ds, SearchConfig(lam=Fraction(1, 100), max_trees=k))
     assert res.stats.limit_hit == "max_trees"
-    assert k <= res.stats.trees_evaluated <= k + 4 * ds.n_features + 1
+    assert k <= res.stats.trees_evaluated <= k + 4 * ds.n_features
 
 
 def test_time_limit_covers_equivalence_index(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, expand
-from opttree.tree import (Clause, TreeState, canonical_clauses, child_key,
+from opttree.tree import (Clause, TreeState, canonical_clauses, child_keys,
                           make_child_leaf, make_leaf, objective, root_tree,
                           sort_leaves)
 from tests.conftest import random_dataset
@@ -51,7 +51,7 @@ def test_make_child_leaf_counts():
     lam = Fraction(1, 100)
     parent = make_leaf([], ds, _eq(ds), lam)
     assert parent.n_captured == 10
-    key = child_key(parent, 0, True)
+    key = child_keys(parent, 0)[1]
     child = make_child_leaf(parent.capture, 0, True, key, ds, _eq(ds), lam)
     assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
@@ -63,11 +63,9 @@ def test_make_child_leaf_empty_is_dead():
     ds = from_rows(["a"], [[1], [1]], [0, 1])
     lam = Fraction(1, 100)
     parent = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
+    # a leaf cannot be extended on a feature it uses
     with pytest.raises(ValueError):
-        make_child_leaf(parent.capture, 0, False,
-                        child_key(parent, 0, False), ds, _eq(ds), lam)
-    with pytest.raises(ValueError):
-        child_key(parent, 0, True)
+        child_keys(parent, 0)
     empty = make_leaf([Clause(0, False)], ds, _eq(ds), lam)
     assert empty.n_captured == 0
     assert empty.dead
@@ -119,7 +117,7 @@ def _random_tree(ds, eq, lam, rng):
         parent = leaves.pop(i)
         for polarity in (False, True):
             leaves.append(make_child_leaf(parent.capture, f, polarity,
-                                          child_key(parent, f, polarity),
+                                          child_keys(parent, f)[polarity],
                                           ds, eq, lam))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
