@@ -68,6 +68,5 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
     leaves = grow(ds.all_samples, (), 0)
     leaves_t, flags = sort_leaves(tuple(leaves),
                                   tuple(False for _ in leaves))
-    h = 0 if len(leaves) == 1 else len(leaves)
-    return TreeState(leaves=leaves_t, splittable=flags, h=h,
+    return TreeState(leaves=leaves_t, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)

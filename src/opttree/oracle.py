@@ -49,6 +49,9 @@ class OracleResult:
 
 def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
     """Globally optimal objective and one witness leaf set."""
+    if not isinstance(lam, (int, Fraction)):
+        raise ValueError(
+            f"lam must be an int or Fraction, not {type(lam).__name__}")
     if lam <= 0:
         raise ValueError("lam must be positive")
     n, m = ds.n_samples, ds.n_features

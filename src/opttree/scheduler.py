@@ -1,8 +1,8 @@
 """Worklist priority policies and the search queue.
 
-Every policy yields a total order via (priority value, generation): each
-pushed tree has its own generation number, assigned in creation order, so
-ties break deterministically towards older trees.  Lower keys are popped
+Every policy yields a total order via (priority value, push count): the
+queue numbers its pushes, so equal keys pop in the order they were pushed,
+which is the order the search built the trees in.  Lower keys are popped
 first.
 
 The bound-based keys are integers read from the sums a tree computed when
@@ -101,10 +101,12 @@ class SearchQueue:
         self._heap: list[tuple] = []
         self.buckets: dict[tuple[int, int], int] = {}
         self.max_size = 0
+        self._pushes = 0
 
     def push(self, tree: TreeState) -> None:
+        self._pushes += 1
         heapq.heappush(self._heap,
-                       (self._key(tree, self._n), tree.generation, tree))
+                       (self._key(tree, self._n), self._pushes, tree))
         bucket = (tree.b_s, len(tree.leaves))
         self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
         self.max_size = max(self.max_size, len(self._heap))

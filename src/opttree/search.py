@@ -38,8 +38,8 @@ heap, once per fit, to find the least live bound behind the gap.
 
 An expansion costs what is new about its tree, not what is known about
 its designated leaf.  Which features may split a leaf, its two children
-on each, the must-split obligation and the flags node support allows
-depend only on the leaf, the data, lam and the toggles.  The first
+on each and the flags that node support and incremental accuracy allow
+them depend only on the leaf, the data, lam and the toggles.  The first
 expansion of a leaf works them out and the run keeps them as the leaf's
 split table (``_Run.split_tables``, by leaf identity); later expansions
 of the leaf walk the table without a leaf-cache lookup or a check.  Each
@@ -98,6 +98,10 @@ class SearchConfig:
     trace_interval: int = 1000
 
     def validate(self) -> None:
+        # the search scales by lam's numerator and denominator
+        if not isinstance(self.lam, (int, Fraction)):
+            raise ValueError("lam must be an int or Fraction, not "
+                             f"{type(self.lam).__name__}")
         if self.lam <= 0:
             raise ValueError(
                 "lam must be positive: lam = 0 admits trees with up to 2^M "
@@ -175,7 +179,6 @@ class _Run:
         self.queue = SearchQueue(config.policy, ds)
         self.stats = SearchStats()
         self.trace: list[TraceRecord] = []
-        self.generation = 0
         self.best_s = 0
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
@@ -260,17 +263,14 @@ class _Run:
         others = tree.leaves[:idx] + tree.leaves[idx + 1:]
         other_flags = tree.splittable[:idx] + tree.splittable[idx + 1:]
         other_keys = [l.clauses for l in others]
-        child_h = 2 if tree.h == 0 else tree.h + 1
-        # must-split pairs that survive the split of this leaf
-        kept_pairs = frozenset(
-            p for p in tree.must_split_pairs if leaf not in p)
         # every child's sums start from these, which take out the
         # designated leaf and add the new leaf penalty.  Its two new leaves
         # add their mistakes to r_s; an unchanged one also adds them to b_s
         # and its samples to the unchanged capture, a splittable one its
         # floor to b0_s
         q = self.q
-        penalty_s = self.lam_s * (child_h - tree.h)
+        # a child has one leaf more than its parent and is never the root
+        penalty_s = self.lam_s * (len(tree.leaves) + 1 - tree.h)
         base_b_s = tree.b_s + penalty_s
         base_r_s = tree.r_s + penalty_s - q * leaf.mistakes
         base_b0_s = tree.b0_s - q * leaf.b0_count
@@ -283,7 +283,7 @@ class _Run:
         splits = self.split_tables.get(leaf)
         if splits is None:
             splits = self._split_table(leaf, capture)
-        for f, c1, c2, pair, flag_pairs in splits:
+        for f, c1, c2, flag_pairs in splits:
             if similar_support:
                 # ANDed here rather than read from c1, which would make
                 # every candidate leaf keep its capture
@@ -310,12 +310,9 @@ class _Run:
                         + others[j2:]
                     flags0, flags1, flags2 = other_flags[:j1], \
                         other_flags[j1:j2], other_flags[j2:]
-                    pairs = kept_pairs if pair is None \
-                        else kept_pairs | {pair}
-                self.generation += 1
                 child = TreeState.derived(
                     tree, leaves, flags0 + (s1,) + flags1 + (s2,) + flags2,
-                    child_h, pairs, self.generation, b_s, r_s,
+                    b_s, r_s,
                     base_b0_s + (q * c1.b0_count if s1 else 0)
                     + (q * c2.b0_count if s2 else 0),
                     tree.unchanged_capture + (0 if s1 else c1.n_captured)
@@ -341,17 +338,16 @@ class _Run:
         """Yield the feasible splits of ``leaf``, and keep them as its
         table once all are found.
 
-        A split is ``(feature, c1, c2, pair, flag_pairs)``: the interned
-        children on the feature's negative and positive literal, the
-        must-split pair ``frozenset((c1, c2))`` when the split gains less
-        than lam (else None), and the (s1, s2) flags that node support and
-        that obligation allow.  All of it depends only on the leaf, the
-        data, lam and the toggles, so later expansions of the leaf walk the
-        table.  The table is found during the leaf's first expansion, one
-        feature at a time between that feature's children, so the leaf
-        cache fills, and any limit trips, exactly where a search that kept
-        no table would.  A cache limit that stops the expansion leaves no
-        table behind.
+        A split is ``(feature, c1, c2, flag_pairs)``: the interned children
+        on the feature's negative and positive literal and the (s1, s2)
+        flags that node support and incremental accuracy allow them (a
+        split gaining less than lam may not leave both unchanged).  All of
+        it depends only on the leaf, the data, lam and the toggles, so
+        later expansions of the leaf walk the table.  The table is found
+        during the leaf's first expansion, one feature at a time between
+        that feature's children, so the leaf cache fills, and any limit
+        trips, exactly where a search that kept no table would.  A cache
+        limit that stops the expansion leaves no table behind.
         """
         table = []
         used = {c.feature for c in leaf.clauses}
@@ -390,7 +386,7 @@ class _Run:
             gain_s = self.q * (c1.n_correct + c2.n_correct - leaf.n_correct)
             must_split = self.toggles.incremental_accuracy \
                 and gain_s < self.lam_s
-            split = (f, c1, c2, frozenset((c1, c2)) if must_split else None,
+            split = (f, c1, c2,
                      _FLAG_PAIRS[not (node_support and c1.dead),
                                  not (node_support and c2.dead), must_split])
             table.append(split)
@@ -415,7 +411,6 @@ class _Run:
 
     def run(self) -> SearchResult:
         root = root_tree(self.ds, self.lam, self.eq)
-        self.generation = root.generation = 1
         self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
         self.best_tree = root
         self.best_obj = root.objective

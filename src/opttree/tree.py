@@ -177,19 +177,9 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
                     ds, eq, lam)
 
 
-# A pair of sibling leaves produced by a gain-deficient split; flagging
-# both unchanged is forbidden (at least one must be split further).  The
-# pair holds the two ``Leaf`` objects, which hash and compare by identity:
-# within one search the leaf cache hands out one leaf per key.
-MustSplitPairs = frozenset  # of frozenset({Leaf, Leaf})
-
-
 @dataclass(slots=True)
 class TreeState:
     """A tree as a set of leaves partitioned into unchanged and splittable.
-
-    ``h`` is the penalized leaf count: 0 for the root-only tree, the true
-    leaf count for any split tree.
 
     The bound sums are taken once, when the tree is built, and kept scaled
     to integers: with lam = p/q over N samples, a value e/N + lam*H is
@@ -202,11 +192,8 @@ class TreeState:
 
     leaves: tuple[Leaf, ...]          # canonically ordered by leaf key
     splittable: tuple[bool, ...]
-    h: int
     n_samples: int
     lam: Fraction
-    must_split_pairs: MustSplitPairs = frozenset()
-    generation: int = 0
     scale: int = field(init=False, repr=False)
     b_s: int = field(init=False, repr=False)
     r_s: int = field(init=False, repr=False)
@@ -232,25 +219,26 @@ class TreeState:
 
     @classmethod
     def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
-                splittable: tuple[bool, ...], h: int,
-                must_split_pairs: MustSplitPairs, generation: int,
-                b_s: int, r_s: int, b0_s: int,
-                unchanged_capture: int) -> TreeState:
+                splittable: tuple[bool, ...], b_s: int, r_s: int,
+                b0_s: int, unchanged_capture: int) -> TreeState:
         """A child of ``parent`` with the given leaves and flags, in
         canonical order, and its scaled sums, which the search priced
         from the parent's."""
         tree = cls.__new__(cls)
         tree.leaves = leaves
         tree.splittable = splittable
-        tree.h = h
         tree.n_samples = parent.n_samples
         tree.lam = parent.lam
-        tree.must_split_pairs = must_split_pairs
-        tree.generation = generation
         tree.scale = parent.scale
         tree.b_s, tree.r_s, tree.b0_s = b_s, r_s, b0_s
         tree.unchanged_capture = unchanged_capture
         return tree
+
+    @property
+    def h(self) -> int:
+        """The penalized leaf count: 0 for the root-only tree, the leaf
+        count for any split tree."""
+        return 0 if len(self.leaves) == 1 else len(self.leaves)
 
     @property
     def lower_bound(self) -> Fraction:
@@ -285,7 +273,7 @@ def sort_leaves(leaves: Sequence[Leaf],
 def root_tree(ds: Dataset, lam: Fraction, eq: EquivalenceIndex) -> TreeState:
     """Single all-capturing splittable leaf; objective = minority fraction."""
     leaf = make_leaf([], ds, eq, lam)
-    return TreeState(leaves=(leaf,), splittable=(True,), h=0,
+    return TreeState(leaves=(leaf,), splittable=(True,),
                      n_samples=ds.n_samples, lam=lam)
 
 

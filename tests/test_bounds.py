@@ -1,5 +1,5 @@
 """Each pruning rule, checked where the search evaluates it: ``Leaf.dead``,
-``_Run._is_live``, the accuracy and gain checks in ``_Run.expand``,
+``_Run._is_live``, the accuracy and gain checks in ``_Run._split_table``,
 ``_Run._similar_skip`` and ``_Run._record_trace``."""
 
 import math
@@ -64,7 +64,7 @@ def test_leaf_is_dead():
     big = make_leaf([Clause(0, False)], ds, eq, lam)
     assert small.dead and not big.dead
     leaves, flags = sort_leaves((small, big), (True, False))
-    tree = TreeState(leaves=leaves, splittable=flags, h=2,
+    tree = TreeState(leaves=leaves, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)
     run = _run_at(ds, lam, Fraction(1))
     assert run.expand(tree) == []
@@ -119,38 +119,44 @@ def _gain_dataset(deltas):
                      [1] * 60 + [0] * 40)
 
 
-def _must_split_by_feature(deltas, lam, **toggles):
-    """For every root split the search keeps, whether it carries the
-    must-split obligation of an incremental-accuracy deficit."""
+ALL_FLAGS = {(s1, s2) for s1 in (False, True) for s2 in (False, True)}
+# a split gaining less than lam keeps one of its two leaves splittable
+SOME_OPEN = ALL_FLAGS - {(False, False)}
+
+
+def _flags_by_feature(deltas, lam, **toggles):
+    """For every root split, the flags of the two new leaves over the
+    children the search builds, below an incumbent of 1 that no child
+    replaces, so that every flag pair is priced in."""
     ds = _gain_dataset(deltas)
-    eq = build_equivalence_index(ds)
-    root = root_tree(ds, lam, eq)
-    config = SearchConfig(lam=lam, toggles=BoundToggles(
-        lookahead=False, equivalent_points=False, **toggles))
+    run = _run_at(ds, lam, Fraction(1), lookahead=False,
+                  equivalent_points=False, **toggles)
+    run._set_best = lambda tree: None
     seen = {}
-    for child in expand(root, ds, eq, config, root.objective):
+    evaluate = run._evaluate
+
+    def recording(child):
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
-        pair = frozenset(child.leaves)
-        obliged = child.must_split_pairs == {pair}
-        assert obliged or not child.must_split_pairs
-        if obliged:
-            assert any(child.splittable)
-        seen.setdefault(f, set()).add(obliged)
-    return {f: flags.pop() for f, flags in seen.items() if len(flags) == 1}
+        seen.setdefault(f, set()).add(child.splittable)
+        return evaluate(child)
+
+    run._evaluate = recording
+    run.expand(root_tree(ds, lam, run.eq))
+    return seen
 
 
 def test_split_gain_formula():
     # lam = 1/50 over 100 samples: a split must gain 2 correct samples
     lam = Fraction(1, 50)
-    assert _must_split_by_feature((1, 2), lam) == {0: True, 1: False}
-    assert _must_split_by_feature((1, 2), lam, incremental_accuracy=False) \
-        == {0: False, 1: False}
+    assert _flags_by_feature((1, 2), lam) == {0: SOME_OPEN, 1: ALL_FLAGS}
+    assert _flags_by_feature((1, 2), lam, incremental_accuracy=False) \
+        == {0: ALL_FLAGS, 1: ALL_FLAGS}
 
 
 def test_split_gain_zero_gain_must_split():
     # lam = 1/100 over 100 samples: gain 0 obliges, gain exactly lam not
-    assert _must_split_by_feature((0, 1), Fraction(1, 100)) \
-        == {0: True, 1: False}
+    assert _flags_by_feature((0, 1), Fraction(1, 100)) \
+        == {0: SOME_OPEN, 1: ALL_FLAGS}
 
 
 def test_split_gain_nonnegative_random():
@@ -268,8 +274,7 @@ def test_remaining_evaluations():
     assert traced(Fraction(0), [root]).log10_remaining_bound == 0
     # f = 2, L = 1, M = 1: slots = 2, 1 + 2 + 2 = 5; f = 3 is capped at 2
     assert traced(Fraction(2, 10), [root]).remaining_bound == 5
-    both = traced(Fraction(3, 10),
-                  [replace(root, generation=1), replace(root, generation=2)])
+    both = traced(Fraction(3, 10), [root, root])
     assert both.remaining_bound == 10 and both.log10_remaining_bound == 1
 
 

@@ -57,7 +57,7 @@ def _two_leaf_tree(ds, cache, order_swapped=False):
     pair = (l1, l0) if order_swapped else (l0, l1)
     flags = (True, False) if order_swapped else (False, True)
     leaves, sflags = sort_leaves(pair, flags)
-    return TreeState(leaves=leaves, splittable=sflags, h=2, n_samples=4,
+    return TreeState(leaves=leaves, splittable=sflags, n_samples=4,
                      lam=Fraction(1, 10))
 
 
@@ -75,7 +75,7 @@ def test_tree_key_distinguishes_flags(ds):
     cache = LeafCache()
     a = _two_leaf_tree(ds, cache)
     leaves, flags = a.leaves, tuple(not s for s in a.splittable)
-    b = TreeState(leaves=leaves, splittable=flags, h=2, n_samples=4,
+    b = TreeState(leaves=leaves, splittable=flags, n_samples=4,
                   lam=Fraction(1, 10))
     assert tree_key(a) != tree_key(b)
     assert tree_key(a) == tree_key(_two_leaf_tree(ds, cache))
@@ -96,7 +96,7 @@ def test_tree_cache_limit(ds):
         other = _two_leaf_tree(ds, LeafCache())
         flipped = TreeState(leaves=other.leaves,
                             splittable=tuple(not s for s in other.splittable),
-                            h=2, n_samples=4, lam=Fraction(1, 10))
+                            n_samples=4, lam=Fraction(1, 10))
         cache.seen_or_mark(tree_key(flipped), 0)
 
 
@@ -114,7 +114,7 @@ def test_tree_cache_garbage_collect(ds):
     assert len(cache) == 1
     other = TreeState(leaves=t.leaves,
                       splittable=tuple(not s for s in t.splittable),
-                      h=2, n_samples=4, lam=Fraction(1, 10))
+                      n_samples=4, lam=Fraction(1, 10))
     cache.seen_or_mark(tree_key(other), 290)
     # 0.29 + lam reaches 0.30 exactly: dropped
     assert cache.garbage_collect(300, 10) == 1

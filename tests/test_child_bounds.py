@@ -32,8 +32,7 @@ TOGGLE_SETS = (
 
 def _from_scratch(tree):
     return TreeState(leaves=tree.leaves, splittable=tree.splittable,
-                     h=tree.h, n_samples=tree.n_samples, lam=tree.lam,
-                     must_split_pairs=tree.must_split_pairs)
+                     n_samples=tree.n_samples, lam=tree.lam)
 
 
 def _sums(tree):
@@ -84,7 +83,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     monkeypatch.setattr(_Run, "expand", checking_expand)
 
     rng = random.Random(7)
-    retire = must_split = fits = 0
+    retire = must_split = both_unchanged = fits = 0
     for _ in range(6):
         ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
                             duplicate_bias=rng.choice((0.0, 0.3)))
@@ -101,11 +100,25 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
                     if child.leaves is parent.leaves:
                         retire += 1
                         continue
-                    new = frozenset(l for l in child.leaves
-                                    if l not in parent.leaves)
-                    must_split += new in child.must_split_pairs
+                    # a split gaining less than lam may not leave both
+                    # new leaves unchanged, unless the bound is off
+                    (split,) = [l for l in parent.leaves
+                                if l not in child.leaves]
+                    new = [i for i, l in enumerate(child.leaves)
+                           if l not in parent.leaves]
+                    gain = sum(child.leaves[i].n_correct for i in new) \
+                        - split.n_correct
+                    if gain * lam.denominator >= lam.numerator * ds.n_samples:
+                        continue
+                    is_open = any(child.splittable[i] for i in new)
+                    if toggles.incremental_accuracy:
+                        assert is_open
+                        must_split += 1
+                    else:
+                        both_unchanged += not is_open
     assert fits == 6 * 7 * len(TOGGLE_SETS)
     assert retire == 0 and must_split > 1000 and returned > 10000
+    assert both_unchanged > 1000
     assert closed > 100
 
 

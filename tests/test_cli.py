@@ -444,8 +444,8 @@ def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
                  "--trace-interval", "10", "--trace", str(trace),
                  "--out", str(tmp_path / "m.json")])
     assert code == 3, capsys.readouterr().err  # uncertified: max_trees
-    logs = [int(r["log10_remaining_bound"])
-            for r in csv.DictReader(trace.open())]
+    with trace.open() as fh:
+        logs = [int(r["log10_remaining_bound"]) for r in csv.DictReader(fh)]
     assert max(logs) > 4300
 
 

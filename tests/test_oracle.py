@@ -20,6 +20,12 @@ def parity_dataset(bits: int, copies: int):
                      [sum(r) % 2 for r in rows])
 
 
+def test_lambda_must_be_exact(toy_ds):
+    with pytest.raises(ValueError, match="not float"):
+        exhaustive_optimum(toy_ds, 0.02)
+    assert exhaustive_optimum(toy_ds, 1).objective == Fraction(1, 2)
+
+
 def test_root_only_when_lambda_large(toy_ds):
     res = exhaustive_optimum(toy_ds, Fraction(1, 2))
     assert res.n_leaves == 1
@@ -82,7 +88,6 @@ def test_witness_leaves_consistent(toy_ds):
             [make_leaf(k, ds, eq, lam) for k in res.leaf_keys],
             [False] * len(res.leaf_keys))
         tree = TreeState(leaves=leaves, splittable=flags,
-                         h=0 if len(leaves) == 1 else len(leaves),
                          n_samples=ds.n_samples, lam=lam)
         tree.check_partition()
         assert tree.objective == objective(tree, lam) == res.objective

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -27,8 +26,8 @@ def _split_tree(ds, splittable=(False, True), lam=Fraction(1, 10)):
     l0 = make_leaf([Clause(0, False)], ds, eq, lam)
     l1 = make_leaf([Clause(0, True)], ds, eq, lam)
     leaves, flags = sort_leaves((l0, l1), splittable)
-    return TreeState(leaves=leaves, splittable=flags, h=2,
-                     n_samples=ds.n_samples, lam=lam, generation=1)
+    return TreeState(leaves=leaves, splittable=flags,
+                     n_samples=ds.n_samples, lam=lam)
 
 
 def test_bfs_dfs_priorities(ds):
@@ -96,21 +95,17 @@ def test_entropy_and_gini_priorities(ds):
         == Fraction(4, 8) * 2 * Fraction(1, 4) * Fraction(3, 4)
 
 
-def test_queue_orders_and_breaks_ties_by_generation(ds):
-    lam = Fraction(1, 10)
+def test_queue_pops_equal_keys_in_push_order(ds):
     q = SearchQueue(Policy.LOWER_BOUND, ds)
-    a = _split_tree(ds, (False, True), lam)
-    b = _split_tree(ds, (True, False), lam)
-    c = _split_tree(ds, (True, True), lam)  # lower b: nothing unchanged
-    a = replace(a, generation=2)
-    b = replace(b, generation=3)
-    c = replace(c, generation=4)
-    q.push(a)
-    q.push(b)
-    q.push(c)
+    a = _split_tree(ds, (False, True))
+    b = _split_tree(ds, (True, False))
+    c = _split_tree(ds, (True, True))  # lower b: nothing unchanged
+    assert a.b_s == b.b_s and a != b
+    for tree in (b, a, c):
+        q.push(tree)
     assert q.pop() is c  # strictly smaller bound first
-    assert q.pop() is a  # tie between a and b: earlier generation
-    assert q.pop() is b
+    assert q.pop() is b  # tie between a and b: pushed first
+    assert q.pop() is a
     assert q.pop() is None
 
 
@@ -125,7 +120,7 @@ def test_queue_lazy_invalidation(ds):
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
     a = _split_tree(ds, (False, True))
-    b = replace(_split_tree(ds, (True, True)), generation=2)
+    b = _split_tree(ds, (True, True))
     q.push(a)
     q.push(b)
     assert q.max_size == 2
@@ -133,4 +128,4 @@ def test_queue_max_size_and_min_bound(ds):
     assert q.min_lower_bound() is b
     assert q.min_lower_bound(lambda t: t is a) is a
     assert q.min_lower_bound(lambda t: False) is None
-    assert sorted(t.generation for t in q.trees()) == [1, 2]
+    assert {id(t) for t in q.trees()} == {id(a), id(b)}

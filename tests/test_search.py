@@ -19,6 +19,13 @@ def test_lambda_must_be_positive(toy_ds):
         fit(toy_ds, SearchConfig(lam=Fraction(0)))
 
 
+def test_lambda_must_be_exact(toy_ds):
+    # the search scales by lam's numerator and denominator
+    with pytest.raises(ValueError, match="not float"):
+        fit(toy_ds, SearchConfig(lam=0.02))
+    assert fit(toy_ds, SearchConfig(lam=1)).objective == Fraction(1, 2)
+
+
 def test_certifies_separable_instance(toy_ds):
     res = fit(toy_ds, SearchConfig(lam=Fraction(1, 100)))
     assert res.certified
@@ -191,21 +198,35 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
     assert repeats > 0
 
 
-def test_zero_gain_split_forbids_both_unchanged():
-    # XOR labels: any single split has zero gain, so the both-unchanged
-    # assignment must not be generated
+def test_zero_gain_split_forbids_both_unchanged(monkeypatch):
+    # XOR labels: any single split has zero gain, so with incremental
+    # accuracy on no child of the root has both leaves unchanged.  Below an
+    # incumbent of 1 such a child is priced in: with the bound off, the
+    # first one is built and becomes the incumbent, which prices out the
+    # second
     rows = [[0, 0], [0, 1], [1, 0], [1, 1]] * 3
     labels = [0, 1, 1, 0] * 3
     ds = from_rows(["a", "b"], rows, labels)
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
     root = root_tree(ds, lam, eq)
-    children = expand(root, ds, eq, SearchConfig(lam=lam), Fraction(1, 2))
-    assert children
-    for child in children:
-        if child.h == 2:
-            assert any(child.splittable)
-            assert child.must_split_pairs
+    built = []
+    evaluate = _Run._evaluate
+
+    def recording(run, child):
+        built.append(child)
+        return evaluate(run, child)
+
+    monkeypatch.setattr(_Run, "_evaluate", recording)
+    for incremental_accuracy, n_built, n_closed in ((True, 6, 0),
+                                                    (False, 7, 1)):
+        built.clear()
+        config = SearchConfig(lam=lam, toggles=BoundToggles(
+            incremental_accuracy=incremental_accuracy))
+        assert expand(root, ds, eq, config, Fraction(1))
+        assert len(built) == n_built
+        assert sum(not any(c.splittable) for c in built) == n_closed
+    monkeypatch.undo()
     res = fit(ds, SearchConfig(lam=lam))
     assert res.certified
     assert res.objective == Fraction(4, 100)
@@ -248,7 +269,8 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
     # bound off and the incumbent at the optimum, which no tree beats,
     # the only gate is the price: expanded breadth-first, every built tree
     # with any splittable leaf flagged unchanged is built too, unless the
-    # price rejects it or a must-split pair forbids it
+    # price rejects it or incremental accuracy forbids it: the leaf's
+    # sibling, from a split that gained less than lam, is unchanged too
     toggles = BoundToggles(
         lookahead=False, node_support=False, leaf_accuracy=False,
         equivalent_points=False, permutation_cache=False,
@@ -264,20 +286,21 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
         best = exhaustive_optimum(ds, lam).objective
         root = root_tree(ds, lam, eq)
         best_s = best * root.scale
-        frontier, built = [root], []
+        # each built tree with, for every leaf of a split that gained less
+        # than lam and whose sibling is still a leaf, that sibling
+        frontier, built = [(root, {})], []
         for _ in range(3):
-            frontier = [c for t in frontier
+            frontier = [(c, _siblings(t, c, deficit, incremental_accuracy))
+                        for t, deficit in frontier
                         for c in expand(t, ds, eq, config, best)]
             built += frontier
         keys = {(tuple(l.key for l in t.leaves), t.splittable)
-                for t in built}
-        for tree in built:
+                for t, _ in built}
+        for tree, deficit in built:
             flags = tree.splittable
             for i, leaf in enumerate(tree.leaves):
-                forbidden = any(
-                    not flags[tree.leaves.index(other)]
-                    for pair in tree.must_split_pairs if leaf in pair
-                    for other in pair - {leaf})
+                forbidden = leaf in deficit \
+                    and not flags[tree.leaves.index(deficit[leaf])]
                 price = tree.b_s + lam.denominator * leaf.mistakes
                 if not flags[i] or forbidden or price >= best_s:
                     continue
@@ -286,6 +309,21 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
                     in keys
                 checked += 1
     assert checked > 200
+
+
+def _siblings(parent, child, deficit, incremental_accuracy):
+    """``deficit`` for ``child``, given its ``parent``'s: the split leaf
+    leaves it, and the two new leaves join it when their split gains less
+    than lam and incremental accuracy is on."""
+    (split,) = [l for l in parent.leaves if l not in child.leaves]
+    c1, c2 = [l for l in child.leaves if l not in parent.leaves]
+    kept = {l: o for l, o in deficit.items() if split not in (l, o)}
+    gain = c1.n_correct + c2.n_correct - split.n_correct
+    lam = child.lam
+    if incremental_accuracy \
+            and gain * lam.denominator < lam.numerator * child.n_samples:
+        kept.update({c1: c2, c2: c1})
+    return kept
 
 
 def test_ablations_preserve_answer(noisy_ds):

@@ -127,18 +127,27 @@ def test_tables_change_no_result_of_a_fit(monkeypatch):
     assert building["checked"] > 10000
 
 
-def _children(trees):
-    return [(tuple(l.key for l in t.leaves), t.splittable, t.h, t.b_s,
-             t.r_s, t.b0_s, t.unchanged_capture,
-             frozenset(frozenset(l.key for l in pair)
-                       for pair in t.must_split_pairs))
-            for t in trees]
-
-
-def test_tables_do_not_outlive_their_run():
+def test_tables_do_not_outlive_their_run(monkeypatch):
     # one root leaf object is expanded under toggle sets and lambdas whose
     # tables and dead features differ, with the lambdas in either order;
-    # each expansion must equal that of a fresh root
+    # each expansion must build the children, flags included, that a
+    # fresh root's does, also those the incumbent or the liveness gate
+    # then drop
+    built = []
+    evaluate = _Run._evaluate
+
+    def recording(run, child):
+        built.append(child)
+        return evaluate(run, child)
+
+    monkeypatch.setattr(_Run, "_evaluate", recording)
+
+    def children(root, ds, eq, config):
+        built.clear()
+        expand(root, ds, eq, config, Fraction(1))
+        return [(tuple(l.key for l in t.leaves), t.splittable, t.h, t.b_s,
+                 t.r_s, t.b0_s, t.unchanged_capture) for t in built]
+
     toggle_sets = (BoundToggles(),
                    BoundToggles(leaf_accuracy=False,
                                 incremental_accuracy=False))
@@ -155,14 +164,12 @@ def test_tables_do_not_outlive_their_run():
             shared = root_tree(ds, lams[0], eq).leaves[0]
             seen = []
             for lam in lams:
-                root = TreeState(leaves=(shared,), splittable=(True,), h=0,
+                root = TreeState(leaves=(shared,), splittable=(True,),
                                  n_samples=ds.n_samples, lam=lam)
                 for toggles in toggle_sets:
                     config = SearchConfig(lam=lam, toggles=toggles)
-                    got = _children(expand(root, ds, eq, config,
-                                           Fraction(1)))
-                    want = _children(expand(root_tree(ds, lam, eq), ds, eq,
-                                            config, Fraction(1)))
+                    got = children(root, ds, eq, config)
+                    want = children(root_tree(ds, lam, eq), ds, eq, config)
                     assert got == want
                     seen.append(want)
             changes += sum(a != b for a, b in zip(seen, seen[1:]))

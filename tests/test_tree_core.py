@@ -95,8 +95,7 @@ def test_objective_examples():
     l0 = make_leaf([Clause(0, False)], ds2, eq2, lam)
     l1 = make_leaf([Clause(0, True)], ds2, eq2, lam)
     leaves, flags = sort_leaves((l0, l1), (False, False))
-    two = TreeState(leaves=leaves, splittable=flags, h=2,
-                    n_samples=2, lam=lam)
+    two = TreeState(leaves=leaves, splittable=flags, n_samples=2, lam=lam)
     assert objective(two, lam) == Fraction(2, 100)
     assert two.objective == two.lower_bound  # terminal: no splittable error
 
@@ -121,8 +120,7 @@ def _random_tree(ds, eq, lam, rng):
                                           ds, eq, lam))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
-    h = 0 if len(leaves) == 1 else len(leaves)
-    return TreeState(leaves=sorted_leaves, splittable=sorted_flags, h=h,
+    return TreeState(leaves=sorted_leaves, splittable=sorted_flags,
                      n_samples=ds.n_samples, lam=lam)
 
 
@@ -164,7 +162,7 @@ def test_partition_check(toy_ds):
     tree = root_tree(toy_ds, lam, eq)
     tree.check_partition()
     l0 = make_leaf([Clause(0, False)], toy_ds, eq, lam)
-    broken = TreeState(leaves=(l0,), splittable=(True,), h=0,
+    broken = TreeState(leaves=(l0,), splittable=(True,),
                        n_samples=toy_ds.n_samples, lam=lam)
     with pytest.raises(AssertionError):
         broken.check_partition()
