@@ -1,13 +1,14 @@
 """Bound switches and the paper's counting results.
 
 The pruning rules run where the search evaluates them, on integers scaled
-by N*q (lam = p/q): node support is ``Leaf.dead``; the hierarchical lower
-bound, lookahead and equivalent points form ``_Run._is_live`` (built by
-``_Run._liveness_gate``); leaf and incremental accuracy are checked in
-``_Run._split_table``, similar support in ``_Run._similar_skip``, and the
-remaining-evaluations bound is summed in ``_Run._record_trace`` with
-``cumulative_perm``.  The leaf-count caps need
-no check of their own: lam*H <= b < best already bounds H.
+by N*q (lam = p/q): the hierarchical lower bound, lookahead and equivalent
+points form ``_Run._is_live`` (built by ``_Run._liveness_gate``); node
+support (against ``_Run.support_s``), leaf accuracy and incremental
+accuracy are checked in ``_Run._split_table``, node support also in
+``_Run._expandable_index``; similar support in ``_Run._similar_skip``, and
+the remaining-evaluations bound is summed in ``_Run._record_trace`` with
+``cumulative_perm``.  The leaf-count caps need no check of their own:
+lam*H <= b < best already bounds H.
 
 What stays here is counting with big integers (a priori leaf cap, total
 tree evaluations, search-space size, symmetry savings), reported as

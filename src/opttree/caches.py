@@ -10,8 +10,8 @@ equal.  A tree's key is therefore the pair of tuples it already has,
 hash and compare by identity.  Any permutation of the same leaves maps to
 one cache entry.  The invariant holds only for trees whose leaves came
 from one ``LeafCache``, so a key means nothing outside its search.  A
-cached leaf holds its counts; it holds its capture vector only once the
-search has split it (see ``tree.Leaf``).
+cached leaf holds its counts and no capture; the run keeps the capture
+of each leaf it splits with that leaf's split table (see ``search``).
 
 The search looks a leaf's children up only while it works out that leaf's
 split table, during the leaf's first expansion (see ``search``), so

@@ -145,6 +145,9 @@ def load_csv(source: TextIO | str, label_column: str) -> Dataset:
     header = [h.strip() for h in header]
     if label_column not in header:
         raise DataFormatError(f"label column {label_column!r} not in header")
+    if header.count(label_column) > 1:
+        raise DataFormatError(
+            f"label column {label_column!r} appears more than once in header")
     label_idx = header.index(label_column)
     feature_names = tuple(h for i, h in enumerate(header) if i != label_idx)
     if not feature_names:

@@ -60,7 +60,7 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
                 if reduction > 0 and (best is None or reduction > best[0]):
                     best = (reduction, f, left, right)
         if best is None:
-            return [make_leaf(clauses, ds, eq, lam)]
+            return [make_leaf(clauses, ds, eq)]
         _, f, left, right = best
         return (grow(left, clauses + (Clause(f, False),), depth + 1)
                 + grow(right, clauses + (Clause(f, True),), depth + 1))

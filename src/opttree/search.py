@@ -1,8 +1,8 @@
 """Branch-and-bound driver: child generation, pruning, certification.
 
-One designated leaf (the canonically first splittable, non-dead one) is
-split per expansion, and its two new leaves take every unchanged/
-splittable flag pair the bounds allow (``_FLAG_PAIRS``).  Nothing reflags
+One designated leaf (the canonically first splittable one that node
+support leaves open) is split per expansion, and its two new leaves take
+every unchanged/splittable flag pair the bounds allow (``_FLAG_PAIRS``).  Nothing reflags
 a leaf: by induction on the splits, a tree with a splittable leaf flagged
 unchanged is made by the same splits with that leaf created unchanged.
 So every reachable (leaves, flags) state is built once per split order
@@ -40,21 +40,23 @@ An expansion costs what is new about its tree, not what is known about
 its designated leaf.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
 them depend only on the leaf, the data, lam and the toggles.  The first
-expansion of a leaf works them out and the run keeps them as the leaf's
-split table (``_Run.split_tables``, by leaf identity); later expansions
-of the leaf walk the table without a leaf-cache lookup or a check.  Each
-leaf's dead features, which depend on lam, are kept the same way
-(``_Run.dead_features``).  Only similar support, which reads the
-incumbent, is decided per expansion.
+expansion of a leaf works them all out, checking every unused feature,
+before it builds any child tree, and the run keeps them with the leaf's
+capture as the leaf's split table (``_Run.split_tables``, by leaf
+identity); later expansions of the leaf walk the table without a
+leaf-cache lookup or a check.  Node support is read from counts and the
+run's lam, never from the leaf, so a leaf means the same in every run.
+Only similar support, which reads the incumbent, is decided per
+expansion.
 
 The search works on row classes, not samples.  The run groups the
 samples by feature vector once (``build_equivalence_index``), and a
 capture is a non-negative int with one bit per class; a count over it is
 a weighted popcount of the index's count planes (``weighted_count``).
-Leaves keep counts, not captures.  The first expansion of a leaf reads
-its capture (``Leaf.capture`` rebuilds it from the clauses) and hands it
-to ``make_child_leaf``, which ANDs in one class column and keeps only the
-child's counts; so only leaves the search has split hold a capture.
+Leaves keep counts, not captures.  A leaf's split table rebuilds its
+capture from its clauses (``and_clauses``) and hands it to
+``make_child_leaf``, which ANDs in one class column and keeps only the
+child's counts; so the run holds a capture only for leaves it has split.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
 from .bounds import BoundToggles, cumulative_perm, floor_log10
 from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
@@ -73,8 +75,8 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Leaf, TreeState, child_keys, make_child_leaf, root_tree,
-                   sort_leaves)  # noqa: F401
+from .tree import (Leaf, TreeState, and_clauses, child_keys, make_child_leaf,
+                   root_tree, sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
 # are tried, by (c1 may be splittable, c2 may be splittable, must split)
@@ -174,6 +176,9 @@ class _Run:
         self.q = self.lam.denominator
         self.lam_s = self.lam.numerator * self.n
         self.toggles = config.toggles
+        # node support: a leaf holding less than 2*lam of the samples may
+        # never be split (q*n_captured >= support_s keeps it open)
+        self.support_s = 2 * self.lam_s if self.toggles.node_support else 0
         self.leaf_cache = LeafCache(max_entries=config.max_cache_entries)
         self.tree_cache = TreeCache(max_entries=config.max_cache_entries)
         self.queue = SearchQueue(config.policy, ds)
@@ -182,11 +187,10 @@ class _Run:
         self.best_s = 0
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
-        # each designated leaf's feasible splits, and each interned leaf's
-        # dead features, by leaf identity; kept by the run, since they
-        # depend on its lam and toggles and a leaf may outlive it
-        self.split_tables: dict[Leaf, list] = {}
-        self.dead_features: dict[Leaf, set[int]] = {}
+        # each designated leaf's capture and feasible splits, by leaf
+        # identity; kept by the run, since the splits depend on its lam
+        # and toggles and a leaf may outlive it
+        self.split_tables: dict[Leaf, tuple[int, list]] = {}
         # lookahead: a tree's children pay at least one more leaf penalty
         self.margin_s = self.lam_s if self.toggles.lookahead else 0
         self._is_live = self._liveness_gate()
@@ -209,8 +213,10 @@ class _Run:
         return is_live
 
     def _expandable_index(self, tree: TreeState) -> Optional[int]:
+        """The designated leaf: the first splittable one that node support
+        leaves open."""
         for i, (leaf, s) in enumerate(zip(tree.leaves, tree.splittable)):
-            if s and (not self.toggles.node_support or not leaf.dead):
+            if s and self.q * leaf.n_captured >= self.support_s:
                 return i
         return None
 
@@ -252,10 +258,10 @@ class _Run:
             return []
         self.stats.expansions += 1
         leaf = tree.leaves[idx]
-        # the one capture this expansion reads; the first expansion of the
-        # leaf builds every child leaf from it, and similar support ANDs a
-        # literal into it
-        capture = leaf.capture
+        # the leaf's capture, from which its table built every child leaf
+        # and into which similar support ANDs a literal
+        capture, splits = self.split_tables.get(leaf) \
+            or self._split_table(leaf)
         out: list[TreeState] = []
 
         # the remaining leaves stay in canonical order; each split's two
@@ -280,9 +286,6 @@ class _Run:
         # hopeless, compared pairwise against new candidates via omega
         rejected_floors: list[tuple[int, object]] = []
 
-        splits = self.split_tables.get(leaf)
-        if splits is None:
-            splits = self._split_table(leaf, capture)
         for f, c1, c2, flag_pairs in splits:
             if similar_support:
                 # ANDed here rather than read from c1, which would make
@@ -329,70 +332,56 @@ class _Run:
                     for s1, s2 in flag_pairs), capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
         # the children that every earlier gate would have kept.  It also
-        # drops every child with no open leaf: node support never flags a
-        # dead leaf splittable, so such a child's leaves are all unchanged,
+        # drops every child with no open leaf: node support flags no leaf
+        # it closes splittable, so such a child's leaves are all unchanged,
         # its objective equals its bound, and the incumbent is as good
         return [c for c in out if self._is_live(c)]
 
-    def _split_table(self, leaf: Leaf, capture: int) -> Iterator[tuple]:
-        """Yield the feasible splits of ``leaf``, and keep them as its
-        table once all are found.
+    def _split_table(self, leaf: Leaf) -> tuple[int, list]:
+        """The capture and feasible splits of ``leaf``, kept as its table.
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
         flags that node support and incremental accuracy allow them (a
         split gaining less than lam may not leave both unchanged).  All of
         it depends only on the leaf, the data, lam and the toggles, so
-        later expansions of the leaf walk the table.  The table is found
-        during the leaf's first expansion, one feature at a time between
-        that feature's children, so the leaf cache fills, and any limit
-        trips, exactly where a search that kept no table would.  A cache
-        limit that stops the expansion leaves no table behind.
+        later expansions of the leaf walk the table.  Every unused feature
+        is checked here, before the expansion builds any child tree, so a
+        cache limit that stops the expansion does so before any of its
+        children is evaluated, and leaves no table behind.
         """
-        table = []
+        capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
         used = {c.feature for c in leaf.clauses}
-        node_support = self.toggles.node_support
-        # a feature dead for a leaf is dead for its children, which
-        # capture fewer samples
-        dead = self.dead_features.setdefault(leaf, set())
+        q, lam_s, support_s = self.q, self.lam_s, self.support_s
+        splits = []
         for f in range(self.ds.n_features):
             if f in used:
                 continue
-            if self.toggles.leaf_accuracy and f in dead:
-                continue
             k1, k2 = child_keys(leaf, f)
             c1 = self.leaf_cache.intern(k1, make_child_leaf, capture, f,
-                                        False, k1, self.ds, self.eq, self.lam)
-            self.dead_features.setdefault(c1, set(dead))
+                                        False, k1, self.ds, self.eq)
             # counted as the leaf's counts minus c1's
             c2 = self.leaf_cache.intern(k2, make_child_leaf, capture, f,
-                                        True, k2, self.ds, self.eq, self.lam,
-                                        leaf, c1)
-            self.dead_features.setdefault(c2, set(dead))
+                                        True, k2, self.ds, self.eq, leaf, c1)
             # a split capturing nothing (or everything) on one side can
-            # never help; remember the rejection for the leaf
+            # never help
             if c1.n_captured == 0 or c2.n_captured == 0:
-                dead.add(f)
                 continue
             # leaf accuracy: every leaf of an optimal tree classifies at
             # least lam*N samples correctly
             if self.toggles.leaf_accuracy and (
-                    self.q * c1.n_correct < self.lam_s
-                    or self.q * c2.n_correct < self.lam_s):
-                dead.add(f)
+                    q * c1.n_correct < lam_s or q * c2.n_correct < lam_s):
                 continue
             # incremental accuracy: a split gaining less than lam may not
             # leave both children unchanged
-            gain_s = self.q * (c1.n_correct + c2.n_correct - leaf.n_correct)
-            must_split = self.toggles.incremental_accuracy \
-                and gain_s < self.lam_s
-            split = (f, c1, c2,
-                     _FLAG_PAIRS[not (node_support and c1.dead),
-                                 not (node_support and c2.dead), must_split])
-            table.append(split)
-            yield split
-        self.split_tables[leaf] = table
+            must_split = self.toggles.incremental_accuracy and q * (
+                c1.n_correct + c2.n_correct - leaf.n_correct) < lam_s
+            splits.append((f, c1, c2, _FLAG_PAIRS[
+                q * c1.n_captured >= support_s,
+                q * c2.n_captured >= support_s, must_split]))
+        table = self.split_tables[leaf] = (capture, splits)
         self.stats.split_tables += 1
+        return table
 
     def _similar_skip(self, capture1: int, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different

@@ -19,11 +19,11 @@ reference.
 A leaf's capture is a set of row classes (see ``dataset``): an int with
 one bit per class, not per sample, so on data with few distinct rows it
 is short whatever the sample count.  A leaf keeps counts, not its
-capture: the capture is rebuilt from the leaf's clauses and the class
-columns when the leaf is first split, so only split leaves hold one.
-The two children of a leaf on one feature partition its classes, and
-every count adds over classes, so ``make_child_leaf`` counts the
-positive child as the parent's counts minus the negative child's.
+capture; the search rebuilds a capture from the leaf's clauses and the
+class columns (``and_clauses``) when it first splits the leaf.  The two
+children of a leaf on one feature partition its classes, and every
+count adds over classes, so ``make_child_leaf`` counts the positive
+child as the parent's counts minus the negative child's.
 """
 
 from __future__ import annotations
@@ -60,27 +60,20 @@ class Leaf:
 
     A leaf keeps the counts the search reads (support, ones, correct,
     mistakes, equivalent-points floor), each a weighted count of its
-    capture, the set of row classes it holds.  It does not keep the
-    capture itself: ``capture`` is rebuilt from the class columns of its
-    clauses the first time it is read and kept from then on.  The search
-    reads it only to split the leaf, so only leaves that get split hold
-    one.
-
-    Immutable.  What the search works out about splitting a leaf (its dead
-    features, its split table) depends on the run's lam and toggles, so
-    the run keeps it (see ``search``), not the leaf, which may outlive it.
+    capture, the set of row classes it holds.  It keeps neither that
+    capture nor anything of a search: whether it may be split, its
+    capture and its feasible splits are the run's, which knows the leaf
+    penalty and the toggles (see ``search``).  Immutable, and shared by
+    every tree of a search that holds it.
     """
 
-    __slots__ = ("clauses", "ds", "eq", "_capture", "n_captured", "n_ones",
-                 "n_correct", "prediction", "mistakes", "b0_count", "dead")
+    __slots__ = ("clauses", "ds", "n_captured", "n_ones", "n_correct",
+                 "prediction", "mistakes", "b0_count")
 
     def __init__(self, clauses: LeafKey, n_captured: int, ones: int,
-                 b0_count: int, ds: Dataset, eq: EquivalenceIndex,
-                 lam: Fraction):
+                 b0_count: int, ds: Dataset):
         self.clauses = clauses
         self.ds = ds
-        self.eq = eq
-        self._capture: Optional[int] = None
         self.n_captured = n_captured
         self.n_ones = ones
         zeros = n_captured - ones
@@ -93,18 +86,6 @@ class Leaf:
             self.n_correct = zeros
         self.mistakes = n_captured - self.n_correct
         self.b0_count = b0_count
-        # support below 2*lam means this leaf may never be split
-        self.dead = n_captured * lam.denominator \
-            < 2 * lam.numerator * ds.n_samples
-
-    @property
-    def capture(self) -> int:
-        """The row classes this leaf captures, built on first use and
-        kept."""
-        if self._capture is None:
-            self._capture = and_clauses(self.eq, self.eq.all_classes,
-                                        self.clauses)
-        return self._capture
 
     @property
     def key(self) -> LeafKey:
@@ -126,19 +107,19 @@ def and_clauses(data: Dataset | EquivalenceIndex, capture: int,
     return capture
 
 
-def _counted(key: LeafKey, capture: int, ds: Dataset, eq: EquivalenceIndex,
-             lam: Fraction) -> Leaf:
+def _counted(key: LeafKey, capture: int, ds: Dataset,
+             eq: EquivalenceIndex) -> Leaf:
     """The leaf ``key`` that captures the row classes ``capture``."""
     return Leaf(key, weighted_count(capture, eq.size_planes),
                 weighted_count(capture, eq.one_planes),
-                weighted_count(capture, eq.minority_planes), ds, eq, lam)
+                weighted_count(capture, eq.minority_planes), ds)
 
 
-def make_leaf(clauses: Sequence[Clause], ds: Dataset, eq: EquivalenceIndex,
-              lam: Fraction) -> Leaf:
+def make_leaf(clauses: Sequence[Clause], ds: Dataset,
+              eq: EquivalenceIndex) -> Leaf:
     """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    return _counted(key, and_clauses(eq, eq.all_classes, key), ds, eq, lam)
+    return _counted(key, and_clauses(eq, eq.all_classes, key), ds, eq)
 
 
 def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
@@ -156,12 +137,12 @@ def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
 
 def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
                     key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
-                    lam: Fraction, parent: Optional[Leaf] = None,
+                    parent: Optional[Leaf] = None,
                     sibling: Optional[Leaf] = None) -> Leaf:
     """Extend a leaf by one literal.
 
-    ``parent_capture`` is the parent's ``capture``, its set of row
-    classes, which the search reads once per expansion; the child's
+    ``parent_capture`` is the parent's set of row classes, which the
+    search builds once per split leaf; the child's
     capture is that ANDed with the literal's class column, and the child
     keeps only its counts.  ``key`` must be the literal's entry of
     ``child_keys(parent, feature)``: the search builds it once, for the
@@ -172,9 +153,9 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
     if sibling is not None:
         return Leaf(key, parent.n_captured - sibling.n_captured,
                     parent.n_ones - sibling.n_ones,
-                    parent.b0_count - sibling.b0_count, ds, eq, lam)
+                    parent.b0_count - sibling.b0_count, ds)
     return _counted(key, and_literal(eq, parent_capture, feature, polarity),
-                    ds, eq, lam)
+                    ds, eq)
 
 
 @dataclass(slots=True)
@@ -272,7 +253,7 @@ def sort_leaves(leaves: Sequence[Leaf],
 
 def root_tree(ds: Dataset, lam: Fraction, eq: EquivalenceIndex) -> TreeState:
     """Single all-capturing splittable leaf; objective = minority fraction."""
-    leaf = make_leaf([], ds, eq, lam)
+    leaf = make_leaf([], ds, eq)
     return TreeState(leaves=(leaf,), splittable=(True,),
                      n_samples=ds.n_samples, lam=lam)
 

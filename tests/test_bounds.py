@@ -1,6 +1,7 @@
-"""Each pruning rule, checked where the search evaluates it: ``Leaf.dead``,
-``_Run._is_live``, the accuracy and gain checks in ``_Run._split_table``,
-``_Run._similar_skip`` and ``_Run._record_trace``."""
+"""Each pruning rule, checked where the search evaluates it: node support
+in ``_Run._expandable_index`` and the split flags, ``_Run._is_live``, the
+accuracy and gain checks in ``_Run._split_table``, ``_Run._similar_skip``
+and ``_Run._record_trace``."""
 
 import math
 import random
@@ -35,11 +36,23 @@ def _scaled(run, value: Fraction) -> int:
     return scaled.numerator
 
 
-def _leaf_capturing(k, n, lam):
-    """The leaf f0=1 over n samples, k of which have f0=1."""
+def _closed(k, n, lam, **toggles):
+    """Whether node support closes the leaf f0=1 over n samples, k of
+    which have f0=1: the run never designates it, and the root's split on
+    f0 never flags it splittable (the two must agree)."""
     ds = from_rows(["a"], [[1]] * k + [[0]] * (n - k),
                    [1] * k + [0] * (n - k))
-    return make_leaf([Clause(0, True)], ds, build_equivalence_index(ds), lam)
+    run = _run_at(ds, lam, Fraction(1), leaf_accuracy=False,
+                  incremental_accuracy=False, **toggles)
+    leaf = make_leaf([Clause(0, True)], ds, run.eq)
+    closed = run._expandable_index(TreeState(
+        leaves=(leaf,), splittable=(True,), n_samples=n, lam=lam)) is None
+    splits = run._split_table(root_tree(ds, lam, run.eq).leaves[0])[1]
+    if 0 < k < n:
+        ((_, _, c2, flag_pairs),) = splits
+        assert c2.key == leaf.key
+        assert closed == all(not s2 for _, s2 in flag_pairs)
+    return closed
 
 
 def test_toggles_defaults_and_replace():
@@ -52,34 +65,41 @@ def test_toggles_defaults_and_replace():
 
 def test_leaf_is_dead():
     lam = Fraction(1, 100)
-    assert _leaf_capturing(15, 1000, lam).dead
-    assert not _leaf_capturing(20, 1000, lam).dead  # boundary: equality passes
-    assert not _leaf_capturing(0, 1000, Fraction(0)).dead  # lam=0: never dead
+    assert _closed(15, 1000, lam)
+    assert not _closed(20, 1000, lam)  # boundary: equality passes
+    assert _closed(0, 1000, lam)
+    # node support off: never closed
+    assert not _closed(0, 1000, lam, node_support=False)
+    assert not _closed(15, 1000, lam, node_support=False)
 
     # the search never splits a dead leaf unless node support is off
     rows = [[1, i % 2] for i in range(15)] + [[0, i % 2] for i in range(985)]
     ds = from_rows(["a", "b"], rows, [i % 3 == 0 for i in range(1000)])
     eq = build_equivalence_index(ds)
-    small = make_leaf([Clause(0, True)], ds, eq, lam)
-    big = make_leaf([Clause(0, False)], ds, eq, lam)
-    assert small.dead and not big.dead
+    small = make_leaf([Clause(0, True)], ds, eq)
+    big = make_leaf([Clause(0, False)], ds, eq)
     leaves, flags = sort_leaves((small, big), (True, False))
     tree = TreeState(leaves=leaves, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)
     run = _run_at(ds, lam, Fraction(1))
     assert run.expand(tree) == []
-    assert small not in run.dead_features  # no split of it was tried
+    # no split of it was tried
+    assert run.split_tables == {} and len(run.leaf_cache) == 0
     off = _run_at(ds, lam, Fraction(1), node_support=False)
     off.expand(tree)
     # tried, then refused by leaf accuracy
-    assert off.dead_features[small] == {1}
+    assert off.split_tables[small][1] == []
+    assert [l.key for l in off.leaf_cache._store.values()] \
+        == list(child_keys(small, 1))
 
 
-def _accuracy_dead_features(ds, lam, **toggles):
+def _refused_features(ds, lam, **toggles):
+    """The features the root's split table leaves out."""
     root = root_tree(ds, lam, build_equivalence_index(ds))
     run = _run_at(ds, lam, Fraction(1), **toggles)
     run.expand(root)
-    return run.dead_features[root.leaves[0]]
+    kept = {f for f, *_ in run.split_tables[root.leaves[0]][1]}
+    return set(range(ds.n_features)) - kept
 
 
 def test_child_accuracy_admissible():
@@ -90,20 +110,19 @@ def test_child_accuracy_admissible():
     labels = [1] * 19 + [i % 2 for i in range(981)]
     ds = from_rows(["a", "b", "c", "d"], rows, labels)
     lam = Fraction(1, 100)
-    assert _accuracy_dead_features(ds, lam) == {0, 2}  # 10 correct passes
-    assert _accuracy_dead_features(ds, lam, leaf_accuracy=False) == set()
+    assert _refused_features(ds, lam) == {0, 2}  # 10 correct passes
+    assert _refused_features(ds, lam, leaf_accuracy=False) == set()
 
 
 def test_monotone_in_lambda():
     a, b = Fraction(1, 100), Fraction(1, 10)
     for k in (0, 5, 10, 20):
-        if _leaf_capturing(k, 100, a).dead:
-            assert _leaf_capturing(k, 100, b).dead
+        if _closed(k, 100, a):
+            assert _closed(k, 100, b)
     rng = random.Random(4)
     for _ in range(50):
         ds = random_dataset(rng, rng.randint(4, 60), rng.randint(2, 5))
-        assert _accuracy_dead_features(ds, a) \
-            <= _accuracy_dead_features(ds, b)
+        assert _refused_features(ds, a) <= _refused_features(ds, b)
 
 
 def _gain_dataset(deltas):
@@ -164,14 +183,15 @@ def test_split_gain_nonnegative_random():
     for _ in range(200):
         ds = random_dataset(rng, rng.randint(2, 30), rng.randint(1, 4))
         eq = build_equivalence_index(ds)
-        lam = Fraction(1, 50)
-        parent = make_leaf([], ds, eq, lam)
+        parent = make_leaf([], ds, eq)
         f = rng.randrange(ds.n_features)
         k1, k2 = child_keys(parent, f)
-        left = make_child_leaf(parent.capture, f, False, k1, ds, eq, lam)
-        right = make_child_leaf(parent.capture, f, True, k2, ds, eq, lam)
-        assert left.capture & right.capture == 0
-        assert left.capture | right.capture == parent.capture
+        left = make_child_leaf(eq.all_classes, f, False, k1, ds, eq)
+        right = make_child_leaf(eq.all_classes, f, True, k2, ds, eq)
+        left_capture, right_capture = (and_clauses(eq, eq.all_classes, k)
+                                       for k in (k1, k2))
+        assert left_capture & right_capture == 0
+        assert left_capture | right_capture == eq.all_classes
         assert left.n_correct + right.n_correct >= parent.n_correct
 
 

@@ -15,7 +15,7 @@ def ds():
 
 def _leaf(ds, clauses):
     eq = build_equivalence_index(ds)
-    return make_leaf(clauses, ds, eq, Fraction(1, 10))
+    return make_leaf(clauses, ds, eq)
 
 
 def test_leaf_cache_interning(ds):

@@ -1,5 +1,5 @@
-"""Children take their bounds from their parent, and leaves keep captures
-only when the search splits them.
+"""Children take their bounds from their parent, and the run keeps a
+capture only for the leaves the search splits.
 
 The search prices every child from one base per expansion, the parent's
 sums less the designated leaf plus the new leaf penalty, adjusted for the
@@ -8,8 +8,9 @@ with ``TreeState.derived``, and queues a child on its liveness alone,
 without looking for an open leaf.  No child reuses its parent's leaves:
 every child is a split.  These tests check the
 sums and the queueing against from-scratch work on every child of real
-fits that the search builds, and check that after a fit only the leaves
-the search split hold their capture, a set of row classes.
+fits that the search builds, and check that after a fit the run holds a
+capture, a set of row classes, with the split table of exactly the leaves
+the search split.
 """
 
 import random
@@ -18,7 +19,7 @@ from fractions import Fraction
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
-from opttree.tree import TreeState
+from opttree.tree import TreeState, and_clauses
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -149,7 +150,7 @@ def test_only_split_leaves_keep_a_capture():
             run, split = _fit_recording_splits(ds, config)
             leaves = list(run.leaf_cache._store.values())
             assert len(leaves) > len({id(l) for l in split})
-            with_capture = {id(l) for l in leaves if l._capture is not None}
+            with_capture = {id(l) for l in run.split_tables}
             assert with_capture == {id(l) for l in split}
             for leaf in leaves:
                 # recounted per sample, not through the library's ANDs
@@ -157,7 +158,11 @@ def test_only_split_leaves_keep_a_capture():
                     all(ds.columns[c.feature] >> i & 1 == c.polarity
                         for c in leaf.clauses)
                     for i in range(ds.n_samples))
-                assert _samples_of(ds, run.eq, leaf.capture) == expected
+                capture = and_clauses(run.eq, run.eq.all_classes,
+                                      leaf.clauses)
+                assert _samples_of(ds, run.eq, capture) == expected
+                if leaf in run.split_tables:
+                    assert run.split_tables[leaf][0] == capture
                 assert leaf.n_captured == expected.bit_count()
 
 

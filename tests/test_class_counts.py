@@ -3,7 +3,8 @@
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
 code the search runs (``make_leaf``, ``make_child_leaf`` from a capture
-and from a sibling, and ``_Run._similar_skip``) on data with many
+and from a sibling, the capture a split table keeps, node support in
+``_Run._expandable_index`` and ``_Run._similar_skip``) on data with many
 duplicate rows, and recount every figure per sample through
 ``and_literal`` on the dataset's columns.
 """
@@ -13,9 +14,10 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opttree.dataset import and_literal, build_equivalence_index, from_rows
+from opttree.dataset import and_literal, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import Clause, child_keys, make_child_leaf, make_leaf
+from opttree.tree import (Clause, TreeState, child_keys, make_child_leaf,
+                          make_leaf)
 
 # rows drawn from a pool of at most 6, so classes hold many samples
 data = st.integers(1, 6).flatmap(lambda m: st.tuples(
@@ -49,8 +51,8 @@ def _samples(ds, clauses):
 
 
 def _recount(ds, capture, lam):
-    """(support, correct, mistakes, b0_count, prediction, dead) of a set
-    of samples, counted sample by sample."""
+    """(support, correct, mistakes, b0_count, prediction, closed by node
+    support) of a set of samples, counted sample by sample."""
     support = capture.bit_count()
     ones = (capture & ds.labels).bit_count()
     prediction = 1 if ones > support - ones else 0
@@ -61,13 +63,15 @@ def _recount(ds, capture, lam):
             row = tuple(col >> i & 1 for col in ds.columns)
             groups.setdefault(row, []).append(ds.labels >> i & 1)
     b0 = sum(min(sum(ys), len(ys) - sum(ys)) for ys in groups.values())
-    dead = support * lam.denominator < 2 * lam.numerator * ds.n_samples
-    return support, correct, support - correct, b0, prediction, dead
+    closed = support * lam.denominator < 2 * lam.numerator * ds.n_samples
+    return support, correct, support - correct, b0, prediction, closed
 
 
-def _counts(leaf):
+def _counts(leaf, run):
+    alone = TreeState(leaves=(leaf,), splittable=(True,),
+                      n_samples=run.n, lam=run.lam)
     return (leaf.n_captured, leaf.n_correct, leaf.mistakes, leaf.b0_count,
-            leaf.prediction, leaf.dead)
+            leaf.prediction, run._expandable_index(alone) is None)
 
 
 @given(data)
@@ -75,10 +79,13 @@ def _counts(leaf):
 def test_leaf_counts_match_a_per_sample_recount(drawn):
     m, pool, picks, clauses1, _, lam = drawn
     ds = _dataset(m, pool, picks)
-    eq = build_equivalence_index(ds)
+    run = _Run(ds, SearchConfig(lam=lam))
+    eq = run.eq
     clauses = _clauses(m, clauses1)
-    leaf = make_leaf(clauses, ds, eq, lam)
-    assert _counts(leaf) == _recount(ds, _samples(ds, clauses), lam)
+    leaf = make_leaf(clauses, ds, eq)
+    assert _counts(leaf, run) == _recount(ds, _samples(ds, clauses), lam)
+    # the capture the leaf's split table keeps
+    capture = run._split_table(leaf)[0]
     for f in range(m):
         if any(c.feature == f for c in clauses):
             continue
@@ -86,16 +93,15 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
         for polarity in (False, True):
             samples = _samples(ds, clauses + [Clause(f, polarity)])
             expected = _recount(ds, samples, lam)
-            child = make_child_leaf(leaf.capture, f, polarity,
-                                    keys[polarity], ds, eq, lam)
-            assert _counts(child) == expected
+            child = make_child_leaf(capture, f, polarity,
+                                    keys[polarity], ds, eq)
+            assert _counts(child, run) == expected
             # counted as the parent's counts minus its sibling's
-            sibling = make_child_leaf(leaf.capture, f, not polarity,
-                                      keys[not polarity], ds, eq, lam)
-            child = make_child_leaf(leaf.capture, f, polarity,
-                                    keys[polarity], ds, eq, lam, leaf,
-                                    sibling)
-            assert _counts(child) == expected
+            sibling = make_child_leaf(capture, f, not polarity,
+                                      keys[not polarity], ds, eq)
+            child = make_child_leaf(capture, f, polarity,
+                                    keys[polarity], ds, eq, leaf, sibling)
+            assert _counts(child, run) == expected
 
 
 @given(data)
@@ -105,11 +111,14 @@ def test_similar_support_omega_is_the_per_sample_difference(drawn):
     ds = _dataset(m, pool, picks)
     run = _Run(ds, SearchConfig(lam=lam))
     run.best_s = run.q * ds.n_samples  # an incumbent of objective 1
-    one = make_leaf(_clauses(m, clauses1), ds, run.eq, lam)
-    two = make_leaf(_clauses(m, clauses2), ds, run.eq, lam)
+    one = make_leaf(_clauses(m, clauses1), ds, run.eq)
+    two = make_leaf(_clauses(m, clauses2), ds, run.eq)
+    # the captures their split tables keep
+    (one_capture, _), (two_capture, _) = (run._split_table(leaf)
+                                          for leaf in (one, two))
     omega = (_samples(ds, one.clauses) ^ _samples(ds, two.clauses)) \
         .bit_count()
     # skipped exactly when the companion's floor reaches best + omega
     floor_s = run.best_s + run.q * omega
-    assert run._similar_skip(one.capture, [(floor_s, two.capture)])
-    assert not run._similar_skip(one.capture, [(floor_s - 1, two.capture)])
+    assert run._similar_skip(one_capture, [(floor_s, two_capture)])
+    assert not run._similar_skip(one_capture, [(floor_s - 1, two_capture)])

@@ -60,6 +60,18 @@ def test_fit_lambda_zero_is_usage_error(tmp_path, toy_csv, capsys):
     assert "lambda" in capsys.readouterr().err.lower()
 
 
+def test_fit_rejects_a_label_column_named_twice(tmp_path, capsys):
+    data = tmp_path / "twice.csv"
+    data.write_text("y,a,y\n0,1,1\n1,0,0\n")
+    code = main(["fit", "--data", str(data), "--label", "y",
+                 "--lambda", "0.01", "--out", str(tmp_path / "m.json")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: label column 'y' appears more than once in header\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_bad_csv_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,y\n2,0\n")

@@ -30,6 +30,15 @@ def test_load_csv_missing_label():
         load_csv(io.StringIO("a,b,y\n0,1,1\n"), "z")
 
 
+def test_load_csv_rejects_a_label_named_twice():
+    # the second "y" would otherwise load as a feature named like the label
+    with pytest.raises(DataFormatError, match="more than once"):
+        load_csv("y,a,y\n0,1,1\n1,0,0\n", "y")
+    # another name repeated is the duplicate-feature error, as before
+    with pytest.raises(DataFormatError, match="duplicate feature"):
+        load_csv("y,a,a\n0,1,1\n", "y")
+
+
 def test_load_csv_nonbinary_cell_location():
     with pytest.raises(DataFormatError) as exc:
         load_csv(io.StringIO("a,y\n2,0\n"), "y")

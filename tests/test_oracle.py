@@ -85,7 +85,7 @@ def test_witness_leaves_consistent(toy_ds):
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
         leaves, flags = sort_leaves(
-            [make_leaf(k, ds, eq, lam) for k in res.leaf_keys],
+            [make_leaf(k, ds, eq) for k in res.leaf_keys],
             [False] * len(res.leaf_keys))
         tree = TreeState(leaves=leaves, splittable=flags,
                          n_samples=ds.n_samples, lam=lam)

@@ -23,8 +23,8 @@ def ds():
 
 def _split_tree(ds, splittable=(False, True), lam=Fraction(1, 10)):
     eq = build_equivalence_index(ds)
-    l0 = make_leaf([Clause(0, False)], ds, eq, lam)
-    l1 = make_leaf([Clause(0, True)], ds, eq, lam)
+    l0 = make_leaf([Clause(0, False)], ds, eq)
+    l1 = make_leaf([Clause(0, True)], ds, eq)
     leaves, flags = sort_leaves((l0, l1), splittable)
     return TreeState(leaves=leaves, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)

@@ -3,8 +3,9 @@
 The first expansion of a leaf records its feasible splits in a table that
 the run keeps; later expansions of the leaf walk the table.  These tests
 check that the table changes no result of a fit, only how many leaf-cache
-lookups it makes, that it is built feature by feature between the
-children it yields, and that a table never outlives its run.
+lookups it makes, that it looks up the children of every unused feature
+before the expansion builds any child tree, and that a table never
+outlives its run.
 """
 
 import random
@@ -13,10 +14,10 @@ from fractions import Fraction
 
 from opttree.bounds import BoundToggles
 from opttree.caches import LeafCache
-from opttree.dataset import build_equivalence_index
+from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import TreeState, root_tree
+from opttree.tree import Clause, TreeState, child_keys, make_leaf, root_tree
 from tests.conftest import random_dataset
 
 TOGGLE_SETS = (
@@ -56,12 +57,14 @@ def _outcome(res):
 
 
 def _check_table_building(monkeypatch):
-    """Check, in every expansion that builds a leaf's table, that no
-    feature already dead for the leaf is looked up, and that each
-    feature's two children are looked up right before its trees are
-    built, so that a cache limit trips where a search without tables
-    would trip.  The returned state counts the split children checked."""
-    state = {"building": None, "interned": [], "checked": 0}
+    """Check, in every expansion that builds a leaf's table, that the two
+    children of every feature the leaf does not use are looked up, in
+    feature order, and all before the expansion builds its first child
+    tree, so that a cache limit stops the expansion before any of its
+    children is evaluated; and that an expansion walking a kept table
+    looks nothing up.  The returned state counts the tables checked."""
+    state = {"building": False, "interned": [], "derived": False,
+             "checked": 0}
     expand_, intern, derived = _Run.expand, LeafCache.intern, \
         TreeState.derived.__func__
 
@@ -69,25 +72,27 @@ def _check_table_building(monkeypatch):
         idx = run._expandable_index(tree)
         leaf = None if idx is None else tree.leaves[idx]
         building = leaf is not None and leaf not in run.split_tables
-        dead = set(run.dead_features.get(leaf, ())) if building \
-            and run.toggles.leaf_accuracy else set()
-        state.update(building=building, dead=dead, interned=[])
-        return expand_(run, tree)
+        state.update(building=building, interned=[], derived=False)
+        children = expand_(run, tree)
+        if building:
+            used = {c.feature for c in leaf.clauses}
+            assert state["interned"] == [
+                key for f in range(run.ds.n_features) if f not in used
+                for key in child_keys(leaf, f)]
+            state["checked"] += 1
+        else:
+            assert state["interned"] == []
+        return children
 
     def interning(cache, key, build, *args):
         if args:  # not the root, which the run interns before expanding
-            assert state["building"]
-            assert args[1] not in state["dead"]  # the split feature
-        leaf = intern(cache, key, build, *args)
-        state["interned"].append(leaf)
-        return leaf
+            assert state["building"] and not state["derived"]
+            state["interned"].append(key)
+        return intern(cache, key, build, *args)
 
-    def deriving(cls, parent, leaves, *args):
-        if state["building"] and leaves is not parent.leaves:
-            new = [l for l in leaves if l not in parent.leaves]
-            assert new == state["interned"][-2:]
-            state["checked"] += 1
-        return derived(cls, parent, leaves, *args)
+    def deriving(cls, *args):
+        state["derived"] = True
+        return derived(cls, *args)
 
     monkeypatch.setattr(_Run, "expand", expanding)
     monkeypatch.setattr(LeafCache, "intern", interning)
@@ -129,10 +134,9 @@ def test_tables_change_no_result_of_a_fit(monkeypatch):
 
 def test_tables_do_not_outlive_their_run(monkeypatch):
     # one root leaf object is expanded under toggle sets and lambdas whose
-    # tables and dead features differ, with the lambdas in either order;
-    # each expansion must build the children, flags included, that a
-    # fresh root's does, also those the incumbent or the liveness gate
-    # then drop
+    # tables differ, with the lambdas in either order; each expansion must
+    # build the children, flags included, that a fresh root's does, also
+    # those the incumbent or the liveness gate then drop
     built = []
     evaluate = _Run._evaluate
 
@@ -152,8 +156,8 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
                    BoundToggles(leaf_accuracy=False,
                                 incremental_accuracy=False))
     rng = random.Random(12)
-    # enough datasets that a root leaf carrying the features dead under
-    # lam = 1/8 into an expansion under 1/40 gets caught
+    # enough datasets that a table carried from an expansion under
+    # lam = 1/8 into one under 1/40 gets caught
     datasets = 40
     changes = 0
     for _ in range(datasets):
@@ -173,6 +177,29 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
                     assert got == want
                     seen.append(want)
             changes += sum(a != b for a, b in zip(seen, seen[1:]))
-    # most expansions differ from the one before, so a table or a dead
-    # feature carried over from one to the next would show
+    # most expansions differ from the one before, so a table carried over
+    # from one to the next would show
     assert changes > datasets * 4
+
+    # leaves a run under lam = 1/4 built: f0=0 holds 30 of 100 samples,
+    # too few for node support there (30 < 2*N/4) but not under 1/40, so
+    # the run under 1/40 must designate it, as it does for the same tree
+    # built from scratch, whatever the run that built its leaves decided
+    rows = [[0, i % 2] for i in range(30)] + [[1, i % 2] for i in range(70)]
+    labels = [0] * 28 + [1] * 2 + [i % 3 == 0 for i in range(70)]
+    ds = from_rows(["a", "b"], rows, labels)
+    eq = build_equivalence_index(ds)
+    keys = ((Clause(0, False),), (Clause(0, True),))
+    coarse = Fraction(1, 4)
+    children(root_tree(ds, coarse, eq), ds, eq, SearchConfig(lam=coarse))
+    (leaves,) = {t.leaves for t in built
+                 if tuple(l.key for l in t.leaves) == keys}
+    lam = Fraction(1, 40)
+    got, want = (children(TreeState(leaves=tuple(ls), splittable=(True, True),
+                                    n_samples=ds.n_samples, lam=lam),
+                          ds, eq, SearchConfig(lam=lam))
+                 for ls in (leaves, [make_leaf(k, ds, eq) for k in keys]))
+    assert got == want
+    # every child splits the 30-sample leaf, keeping the other
+    assert want and all(keys[1] in leaf_keys for leaf_keys, *_ in want)
+    assert all(keys[0] not in leaf_keys for leaf_keys, *_ in want)

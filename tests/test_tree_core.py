@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.search import SearchConfig, expand
-from opttree.tree import (Clause, TreeState, canonical_clauses, child_keys,
-                          make_child_leaf, make_leaf, objective, root_tree,
-                          sort_leaves)
+from opttree.search import SearchConfig, _Run, expand
+from opttree.tree import (Clause, TreeState, and_clauses, canonical_clauses,
+                          child_keys, make_child_leaf, make_leaf, objective,
+                          root_tree, sort_leaves)
 from tests.conftest import random_dataset
 
 
@@ -48,39 +48,54 @@ def test_make_child_leaf_counts():
     rows = [[1, 1]] * 5 + [[1, 0]] + [[0, 0]] * 4
     labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
     ds = from_rows(["a", "b"], rows, labels)
-    lam = Fraction(1, 100)
-    parent = make_leaf([], ds, _eq(ds), lam)
+    eq = _eq(ds)
+    parent = make_leaf([], ds, eq)
     assert parent.n_captured == 10
     key = child_keys(parent, 0)[1]
-    child = make_child_leaf(parent.capture, 0, True, key, ds, _eq(ds), lam)
+    child = make_child_leaf(eq.all_classes, 0, True, key, ds, eq)
     assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
     assert child.prediction == 1
     assert child.mistakes == 1
 
 
+def _alone(leaf, lam):
+    """A tree of ``leaf`` alone, flagged splittable."""
+    return TreeState(leaves=(leaf,), splittable=(True,),
+                     n_samples=leaf.ds.n_samples, lam=lam)
+
+
 def test_make_child_leaf_empty_is_dead():
     ds = from_rows(["a"], [[1], [1]], [0, 1])
     lam = Fraction(1, 100)
-    parent = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
+    run = _Run(ds, SearchConfig(lam=lam))
+    parent = make_leaf([Clause(0, True)], ds, run.eq)
     # a leaf cannot be extended on a feature it uses
     with pytest.raises(ValueError):
         child_keys(parent, 0)
-    empty = make_leaf([Clause(0, False)], ds, _eq(ds), lam)
+    empty = make_leaf([Clause(0, False)], ds, run.eq)
     assert empty.n_captured == 0
-    assert empty.dead
+    # node support never designates it, and the root's table refuses the
+    # split that would make it
+    assert run._expandable_index(_alone(empty, lam)) is None
+    root = root_tree(ds, lam, run.eq).leaves[0]
+    assert run._split_table(root)[1] == []
 
 
 def test_dead_threshold_arithmetic():
-    # lam=1/100, N=1000: support 15 < 2*lam*N = 20 -> dead
+    # lam=1/100, N=1000: support 15 < 2*lam*N = 20 -> closed
     rows = [[1]] * 15 + [[0]] * 985
     ds = from_rows(["a"], rows, [1] * 15 + [0] * 985)
     lam = Fraction(1, 100)
-    leaf = make_leaf([Clause(0, True)], ds, _eq(ds), lam)
-    assert leaf.n_captured == 15
-    assert leaf.dead
-    other = make_leaf([Clause(0, False)], ds, _eq(ds), lam)
-    assert not other.dead
+    run = _Run(ds, SearchConfig(lam=lam))
+    root = root_tree(ds, lam, run.eq).leaves[0]
+    # the root's one split may flag only the 985-sample leaf splittable
+    ((f, other, leaf, flag_pairs),) = run._split_table(root)[1]
+    assert f == 0 and leaf.key == (Clause(0, True),)
+    assert leaf.n_captured == 15 and other.n_captured == 985
+    assert flag_pairs == ((False, False), (True, False))
+    assert run._expandable_index(_alone(leaf, lam)) is None
+    assert run._expandable_index(_alone(other, lam)) == 0
 
 
 def test_objective_examples():
@@ -92,8 +107,8 @@ def test_objective_examples():
     rows = [[0], [1]]
     ds2 = from_rows(["a"], rows, [0, 1])
     eq2 = _eq(ds2)
-    l0 = make_leaf([Clause(0, False)], ds2, eq2, lam)
-    l1 = make_leaf([Clause(0, True)], ds2, eq2, lam)
+    l0 = make_leaf([Clause(0, False)], ds2, eq2)
+    l1 = make_leaf([Clause(0, True)], ds2, eq2)
     leaves, flags = sort_leaves((l0, l1), (False, False))
     two = TreeState(leaves=leaves, splittable=flags, n_samples=2, lam=lam)
     assert objective(two, lam) == Fraction(2, 100)
@@ -102,7 +117,7 @@ def test_objective_examples():
 
 def _random_tree(ds, eq, lam, rng):
     """Random split sequence from the root; returns a valid TreeState."""
-    leaves = [make_leaf([], ds, eq, lam)]
+    leaves = [make_leaf([], ds, eq)]
     for _ in range(rng.randint(0, 3)):
         candidates = [
             (i, f) for i, leaf in enumerate(leaves)
@@ -114,10 +129,11 @@ def _random_tree(ds, eq, lam, rng):
             break
         i, f = rng.choice(candidates)
         parent = leaves.pop(i)
+        capture = and_clauses(eq, eq.all_classes, parent.clauses)
         for polarity in (False, True):
-            leaves.append(make_child_leaf(parent.capture, f, polarity,
+            leaves.append(make_child_leaf(capture, f, polarity,
                                           child_keys(parent, f)[polarity],
-                                          ds, eq, lam))
+                                          ds, eq))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
     return TreeState(leaves=sorted_leaves, splittable=sorted_flags,
@@ -161,7 +177,7 @@ def test_partition_check(toy_ds):
     eq = _eq(toy_ds)
     tree = root_tree(toy_ds, lam, eq)
     tree.check_partition()
-    l0 = make_leaf([Clause(0, False)], toy_ds, eq, lam)
+    l0 = make_leaf([Clause(0, False)], toy_ds, eq)
     broken = TreeState(leaves=(l0,), splittable=(True,),
                        n_samples=toy_ds.n_samples, lam=lam)
     with pytest.raises(AssertionError):
