@@ -18,8 +18,13 @@ split table, during the leaf's first expansion (see ``search``), so
 ``hits`` counts at most two lookups per (leaf, feature), not two per
 feature in every expansion.
 
-The tree cache stores each tree's scaled lower bound ``b_s`` (units of
-1/(N*q) for lam = p/q) and purges with integer comparisons against the
+The tree cache holds the trees the search has expanded.  A child is
+queued unbuilt, so the search marks a tree only when it pops one (see
+``search``): a popped tree whose key is already held, a copy that a
+second split order reached, is skipped rather than expanded again.  Its
+size, and the limit ``max_entries``, therefore count expanded trees, not
+evaluated ones.  It stores each tree's scaled lower bound ``b_s`` (units
+of 1/(N*q) for lam = p/q) and purges with integer comparisons against the
 incumbent's scaled objective, exactly as the rational bounds would
 compare.
 """
@@ -77,7 +82,7 @@ class TreeCache:
     _store: dict[TreeKey, int] = field(default_factory=dict)
 
     def seen_or_mark(self, key: TreeKey, b_s: int) -> bool:
-        """True if the key was already evaluated; otherwise record it with
+        """True if the key was already expanded; otherwise record it with
         its scaled lower bound."""
         if key in self._store:
             return True

@@ -60,7 +60,7 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
                 if reduction > 0 and (best is None or reduction > best[0]):
                     best = (reduction, f, left, right)
         if best is None:
-            return [make_leaf(clauses, ds, eq)]
+            return [make_leaf(clauses, eq)]
         _, f, left, right = best
         return (grow(left, clauses + (Clause(f, False),), depth + 1)
                 + grow(right, clauses + (Clause(f, True),), depth + 1))
@@ -69,4 +69,4 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
     leaves_t, flags = sort_leaves(tuple(leaves),
                                   tuple(False for _ in leaves))
     return TreeState(leaves=leaves_t, splittable=flags,
-                     n_samples=ds.n_samples, lam=lam)
+                     n_samples=ds.n_samples, lam=lam, ds=ds)

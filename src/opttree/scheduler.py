@@ -2,18 +2,21 @@
 
 Every policy yields a total order via (priority value, push count): the
 queue numbers its pushes, so equal keys pop in the order they were pushed,
-which is the order the search built the trees in.  Lower keys are popped
-first.
+which is the order the search priced the children in.  Lower keys are
+popped first.
 
-The bound-based keys are integers read from the sums a tree computed when
-it was built, in units of 1/(N*q) for lam = p/q over N samples.  Within
-one search N and q are fixed, so ``b_s`` orders trees exactly as their
-lower bounds and ``r_s`` exactly as their objectives.  The curiosity key,
-lower bound over the fraction c/N of samples held by unchanged leaves
-(c = N when there are none), is b_s/(q*c) as a rational.  Every c is at
-most N, so two different values of b_s/c differ by at least 1/N^2, and
-the integer ``b_s * N * N // c`` orders and ties exactly as the rational.
-Only the entropy (float) and Gini (Fraction) keys are not integers.
+The queue holds entries, not trees (see ``tree.as_entry``): a child's
+scaled sums and what builds it, so that a tree is built only when its
+leaves are needed.  The bound-based keys are integers read from those
+sums, in units of 1/(N*q) for lam = p/q over N samples.  Within one
+search N and q are fixed, so ``b_s`` orders trees exactly as their lower
+bounds and ``r_s`` exactly as their objectives.  The curiosity key, lower
+bound over the fraction c/N of samples held by unchanged leaves (c = N
+when there are none), is b_s/(q*c) as a rational.  Every c is at most N,
+so two different values of b_s/c differ by at least 1/N^2, and the
+integer ``b_s * N * N // c`` orders and ties exactly as the rational.
+Only the entropy (float) and Gini (Fraction) keys are not integers; they
+read the leaves, so they build the entry's tree.
 
 Besides the heap, the queue counts its entries, stale ones included, per
 (``b_s``, leaf count) bucket.  Everything the search's trace reports about
@@ -28,11 +31,11 @@ import heapq
 import math
 from enum import Enum
 from fractions import Fraction
-from operator import attrgetter
-from typing import Callable, Optional
+from operator import itemgetter
+from typing import Callable, Iterable, Optional
 
 from .dataset import Dataset
-from .tree import TreeState
+from .tree import TreeState, as_entry, build_tree
 
 
 class Policy(Enum):
@@ -45,7 +48,8 @@ class Policy(Enum):
     GINI = "gini"
 
 
-def _entropy(tree: TreeState, n: int) -> float:
+def _entropy(entry: tuple, n: int) -> float:
+    tree = build_tree(entry)
     total = 0.0
     for leaf, s in zip(tree.leaves, tree.splittable):
         if not s or leaf.n_captured == 0:
@@ -57,7 +61,8 @@ def _entropy(tree: TreeState, n: int) -> float:
     return total
 
 
-def _gini(tree: TreeState, n: int) -> Fraction:
+def _gini(entry: tuple, n: int) -> Fraction:
+    tree = build_tree(entry)
     total = Fraction(0)
     for leaf, s in zip(tree.leaves, tree.splittable):
         if not s or leaf.n_captured == 0:
@@ -67,16 +72,17 @@ def _gini(tree: TreeState, n: int) -> Fraction:
     return total
 
 
-# each policy's key of a tree over N samples
-_KEYS: dict[Policy, Callable[[TreeState, int], object]] = {
-    Policy.BFS: lambda tree, n: tree.h,
-    Policy.DFS: lambda tree, n: -tree.h,
-    Policy.LOWER_BOUND: lambda tree, n: tree.b_s,
-    Policy.OBJECTIVE: lambda tree, n: tree.r_s,
+# each policy's key of a queue entry over N samples; an entry is
+# (b_s, b0_s, r_s, unchanged_capture, leaf count, ...), and the penalized
+# leaf count h is 0 for the root alone
+_KEYS: dict[Policy, Callable[[tuple, int], object]] = {
+    Policy.BFS: lambda e, n: e[4] if e[4] > 1 else 0,
+    Policy.DFS: lambda e, n: -e[4] if e[4] > 1 else 0,
+    Policy.LOWER_BOUND: lambda e, n: e[0],
+    Policy.OBJECTIVE: lambda e, n: e[2],
     # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);
     # c = N when no leaf is unchanged, as in the root
-    Policy.CURIOSITY:
-        lambda tree, n: tree.b_s * n * n // (tree.unchanged_capture or n),
+    Policy.CURIOSITY: lambda e, n: e[0] * n * n // (e[3] or n),
     Policy.ENTROPY: _entropy,
     Policy.GINI: _gini,
 }
@@ -84,12 +90,12 @@ _KEYS: dict[Policy, Callable[[TreeState, int], object]] = {
 
 def priority(tree: TreeState, policy: Policy, ds: Dataset):
     """Scheduling key for a tree; smaller keys are explored sooner."""
-    return _KEYS[policy](tree, ds.n_samples)
+    return _KEYS[policy](as_entry(tree), ds.n_samples)
 
 
 class SearchQueue:
-    """Min-heap worklist with deterministic tie-breaking and lazy
-    invalidation: stale entries are discarded at pop time.
+    """Min-heap worklist of entries with deterministic tie-breaking and
+    lazy invalidation: stale entries are discarded at pop time.
 
     ``buckets`` maps (``b_s``, leaf count) to the number of heap entries,
     stale ones included, with that pair; a pair with no entry has no key.
@@ -103,41 +109,47 @@ class SearchQueue:
         self.max_size = 0
         self._pushes = 0
 
-    def push(self, tree: TreeState) -> None:
-        self._pushes += 1
-        heapq.heappush(self._heap,
-                       (self._key(tree, self._n), self._pushes, tree))
-        bucket = (tree.b_s, len(tree.leaves))
-        self.buckets[bucket] = self.buckets.get(bucket, 0) + 1
-        self.max_size = max(self.max_size, len(self._heap))
+    def push(self, entries: Iterable[tuple]) -> None:
+        """Queue a batch of entries: one expansion's live children."""
+        key, n, heap, buckets = self._key, self._n, self._heap, self.buckets
+        pushes = self._pushes
+        for entry in entries:
+            pushes += 1
+            heapq.heappush(heap, (key(entry, n), pushes, entry))
+            bucket = (entry[0], entry[4])
+            buckets[bucket] = buckets.get(bucket, 0) + 1
+        self._pushes = pushes
+        if len(heap) > self.max_size:
+            self.max_size = len(heap)
 
-    def pop(self, is_live: Optional[Callable[[TreeState], bool]] = None
-            ) -> Optional[TreeState]:
+    def pop(self, is_live: Optional[Callable[[tuple], bool]] = None
+            ) -> Optional[tuple]:
         heap, buckets = self._heap, self.buckets
         while heap:
-            _, _, tree = heapq.heappop(heap)
-            bucket = (tree.b_s, len(tree.leaves))
+            _, _, entry = heapq.heappop(heap)
+            bucket = (entry[0], entry[4])
             count = buckets[bucket]
             if count == 1:
                 del buckets[bucket]
             else:
                 buckets[bucket] = count - 1
-            if is_live is None or is_live(tree):
-                return tree
+            if is_live is None or is_live(entry):
+                return entry
         return None
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def trees(self):
-        for _, _, tree in self._heap:
-            yield tree
+        """The queued entries, stale ones included."""
+        for _, _, entry in self._heap:
+            yield entry
 
     def min_lower_bound(self,
-                        is_live: Optional[Callable[[TreeState], bool]] = None
-                        ) -> Optional[TreeState]:
-        """The (live) queued tree with the smallest lower bound, compared
+                        is_live: Optional[Callable[[tuple], bool]] = None
+                        ) -> Optional[tuple]:
+        """The (live) queued entry with the smallest lower bound, compared
         as integer ``b_s``; None when there is none."""
-        return min((t for _, _, t in self._heap
-                    if is_live is None or is_live(t)),
-                   key=attrgetter("b_s"), default=None)
+        return min((e for _, _, e in self._heap
+                    if is_live is None or is_live(e)),
+                   key=itemgetter(0), default=None)

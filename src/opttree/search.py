@@ -2,38 +2,43 @@
 
 One designated leaf (the canonically first splittable one that node
 support leaves open) is split per expansion, and its two new leaves take
-every unchanged/splittable flag pair the bounds allow (``_FLAG_PAIRS``).  Nothing reflags
-a leaf: by induction on the splits, a tree with a splittable leaf flagged
-unchanged is made by the same splits with that leaf created unchanged.
-So every reachable (leaves, flags) state is built once per split order
-that reaches it, and the tree cache absorbs those order duplicates.
+every unchanged/splittable flag pair the bounds allow (``_FLAG_PAIRS``).
+Nothing reflags a leaf: by induction on the splits, a tree with a
+splittable leaf flagged unchanged is made by the same splits with that
+leaf created unchanged.  So every reachable (leaves, flags) state is
+priced once per split order that reaches it.  The tree cache holds the
+trees the search has expanded, so a state that two orders reach is
+expanded once: the copy popped second is skipped there.
 
 Every comparison the loop makes is an integer comparison: with lam = p/q
-over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each tree
-carries its scaled lower bound, objective and equivalent-points floor
-(``b_s``, ``r_s``, ``b0_s``), summed once when it is built.  The pruning
-gates, the heap keys (see ``scheduler``), the tree cache and its purge all
-compare these integers, which order exactly as the rationals they scale;
-``Fraction`` appears only in what a run reports (incumbent objective,
-trace records, gap).
+over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each child
+is priced as its scaled lower bound, objective and equivalent-points
+floor (``b_s``, ``r_s``, ``b0_s``), and a tree built from it carries the
+same sums.  The pruning gates, the heap keys (see ``scheduler``), the
+tree cache and its purge all compare these integers, which order exactly
+as the rationals they scale; ``Fraction`` appears only in what a run
+reports (incumbent objective, trace records, gap).
 
-Leaves stay in canonical (leaf-key) order by construction: a child's two
-new leaves are inserted into the parent's ordered remaining leaves with
-``bisect``, and a new clause into its leaf's feature-ordered clauses, so
-nothing in the loop sorts.
-
-The work per child grows with neither the queue nor the tree.  Child
-leaves are interned, so the permutation cache keys a tree on the leaf and
-flag tuples it already holds (see ``caches``), and a leaf's key is built
-once, for the lookup, and handed to ``make_child_leaf`` on a miss.  A
-child is priced before it is built: every child of an expansion starts
-from one base, the parent's sums less the designated leaf plus the new
-leaf penalty, and adds what its two new leaves bring under their flags.  A
-price at or above the incumbent is dropped there, and only the rest get
-flags, leaves and a ``TreeState``.  The run's one liveness gate
-(``_Run._is_live``) alone decides whether a built child is queued.  A trace
-record sums the remaining-evaluations bound over the queue's (``b_s``,
-leaf count) buckets rather than over its trees; only ``_finish`` scans the
+A child is its price until it is popped.  Every child of an expansion
+starts from one base, the parent's sums less the designated leaf plus
+the new leaf penalty, and adds what its two new leaves bring under their
+flags.  A price at or above the incumbent is dropped there; every other
+child is evaluated and becomes one queue entry, its sums and what builds
+it (the parent, the designated index, the two new leaves and their
+flags; see ``tree.as_entry``).  The run's one liveness gate
+(``_Run._is_live``) alone decides whether an entry is queued, and later
+whether a popped one is still worth expanding.  A tree is built from its
+entry (``tree.build_tree``) only when the entry is popped, when its
+objective beats the incumbent, and for the one entry ``_finish`` reports,
+so the work per child is a few integer sums and a heap push, whatever
+the queue or the tree.  A built tree's leaves stay in canonical
+(leaf-key) order by construction: the two new leaves are inserted into
+the parent's ordered remaining leaves with ``bisect``, and a new clause
+into its leaf's feature-ordered clauses, so nothing in the loop sorts.
+Child leaves are interned, so the permutation cache keys a tree on the
+leaf and flag tuples it already holds (see ``caches``).  A trace record
+sums the remaining-evaluations bound over the queue's (``b_s``, leaf
+count) buckets rather than over its entries; only ``_finish`` scans the
 heap, once per fit, to find the least live bound behind the gap.
 
 An expansion costs what is new about its tree, not what is known about
@@ -41,7 +46,7 @@ its designated leaf.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
 them depend only on the leaf, the data, lam and the toggles.  The first
 expansion of a leaf works them all out, checking every unused feature,
-before it builds any child tree, and the run keeps them with the leaf's
+before it prices any child, and the run keeps them with the leaf's
 capture as the leaf's split table (``_Run.split_tables``, by leaf
 identity); later expansions of the leaf walk the table without a
 leaf-cache lookup or a check.  Node support is read from counts and the
@@ -63,7 +68,6 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -75,8 +79,9 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Leaf, TreeState, and_clauses, child_keys, make_child_leaf,
-                   root_tree, sort_leaves)  # noqa: F401
+from .tree import (Leaf, TreeState, and_clauses, as_entry, build_tree,
+                   child_keys, make_child_leaf, root_tree,
+                   sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
 # are tried, by (c1 may be splittable, c2 may be splittable, must split)
@@ -139,9 +144,11 @@ class SearchStats:
     max_queue_size: int = 0
     leaf_cache_size: int = 0
     leaf_cache_hits: int = 0
+    # expanded trees the tree cache holds at the end, and those it purged
     tree_cache_size: int = 0
     tree_cache_purged: int = 0
-    # trees the permutation cache dropped: reached by a second split order
+    # popped trees the permutation cache skipped: a second split order's
+    # copy of a tree already expanded
     duplicates_skipped: int = 0
     similar_support_skips: int = 0
     expansions: int = 0     # trees expanded
@@ -198,18 +205,19 @@ class _Run:
     # -- gates ------------------------------------------------------------
 
     def _liveness_gate(self):
-        """The run's one test that a tree may still lead to an improvement
-        and belongs in the queue: its bound, plus the lookahead margin and
-        (when that bound is on) its equivalent-points floor, is below the
-        incumbent.  The margin and the floor are never negative, so this
-        implies the hierarchical bound."""
+        """The run's one test that a queue entry may still lead to an
+        improvement and belongs in the queue: its bound, plus the
+        lookahead margin and (when that bound is on) its equivalent-points
+        floor, is below the incumbent.  The margin and the floor are never
+        negative, so this implies the hierarchical bound.  An entry begins
+        (b_s, b0_s, ...), see ``tree.as_entry``."""
         margin = self.margin_s
         if self.toggles.equivalent_points:
-            def is_live(tree: TreeState) -> bool:
-                return tree.b_s + tree.b0_s + margin < self.best_s
+            def is_live(entry: tuple) -> bool:
+                return entry[0] + entry[1] + margin < self.best_s
         else:
-            def is_live(tree: TreeState) -> bool:
-                return tree.b_s + margin < self.best_s
+            def is_live(entry: tuple) -> bool:
+                return entry[0] + margin < self.best_s
         return is_live
 
     def _expandable_index(self, tree: TreeState) -> Optional[int]:
@@ -221,17 +229,6 @@ class _Run:
         return None
 
     # -- best tracking ---------------------------------------------------
-
-    def _evaluate(self, child: TreeState) -> bool:
-        """Count a new child as evaluated unless the permutation cache
-        rejects it.  The caller has already applied the hierarchical bound
-        (``b_s < best_s``) to the child's price."""
-        if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
-                tree_key(child), child.b_s):
-            self.stats.duplicates_skipped += 1
-            return False
-        self.stats.trees_evaluated += 1
-        return True
 
     def _set_best(self, tree: TreeState) -> None:
         """Make ``tree``, whose objective beats the incumbent, the new
@@ -246,29 +243,26 @@ class _Run:
 
     # -- expansion --------------------------------------------------------
 
-    def expand(self, tree: TreeState) -> list[TreeState]:
-        """Generate, score, and filter the children of a popped tree.
+    def expand(self, tree: TreeState) -> list[tuple]:
+        """Price and filter the children of a popped tree.
 
-        Returns the children to enqueue; updates the incumbent as a side
-        effect (a child's objective can improve the best even when its
-        descendants are pruned).
+        Returns the queue entries of the live children; updates the
+        incumbent as a side effect (a child's objective can improve the
+        best even when its descendants are pruned).  Only a child that
+        becomes the incumbent is built here.
         """
         idx = self._expandable_index(tree)
         if idx is None:
             return []
-        self.stats.expansions += 1
+        stats = self.stats
+        stats.expansions += 1
         leaf = tree.leaves[idx]
         # the leaf's capture, from which its table built every child leaf
         # and into which similar support ANDs a literal
         capture, splits = self.split_tables.get(leaf) \
             or self._split_table(leaf)
-        out: list[TreeState] = []
+        out: list[tuple] = []
 
-        # the remaining leaves stay in canonical order; each split's two
-        # leaves are inserted at their places below
-        others = tree.leaves[:idx] + tree.leaves[idx + 1:]
-        other_flags = tree.splittable[:idx] + tree.splittable[idx + 1:]
-        other_keys = [l.clauses for l in others]
         # every child's sums start from these, which take out the
         # designated leaf and add the new leaf penalty.  Its two new leaves
         # add their mistakes to r_s; an unchanged one also adds them to b_s
@@ -276,10 +270,13 @@ class _Run:
         # floor to b0_s
         q = self.q
         # a child has one leaf more than its parent and is never the root
-        penalty_s = self.lam_s * (len(tree.leaves) + 1 - tree.h)
+        n_leaves = len(tree.leaves) + 1
+        penalty_s = self.lam_s * (n_leaves - tree.h)
         base_b_s = tree.b_s + penalty_s
         base_r_s = tree.r_s + penalty_s - q * leaf.mistakes
         base_b0_s = tree.b0_s - q * leaf.b0_count
+        base_capture = tree.unchanged_capture
+        best_s = self.best_s
         similar_support = self.toggles.similar_support
 
         # similar-support memory: floors of feature splits already proven
@@ -292,41 +289,32 @@ class _Run:
                 # every candidate leaf keep its capture
                 capture1 = and_literal(self.eq, capture, f, False)
                 if self._similar_skip(capture1, rejected_floors):
-                    self.stats.similar_support_skips += 1
+                    stats.similar_support_skips += 1
                     continue
 
-            leaves = None
             emitted_any = False
-            m1 = q * c1.mistakes
-            m2 = q * c2.mistakes
+            m1, m2 = q * c1.mistakes, q * c2.mistakes
+            z1, z2 = q * c1.b0_count, q * c2.b0_count
             r_s = base_r_s + m1 + m2
             for s1, s2 in flag_pairs:
                 b_s = base_b_s + (0 if s1 else m1) + (0 if s2 else m2)
                 # the hierarchical bound rejects the child before anything
-                # of it is built
-                if b_s >= self.best_s:
+                # of it is made
+                if b_s >= best_s:
                     continue
-                if leaves is None:
-                    j1 = bisect_left(other_keys, c1.clauses)
-                    j2 = bisect_left(other_keys, c2.clauses, j1)
-                    leaves = others[:j1] + (c1,) + others[j1:j2] + (c2,) \
-                        + others[j2:]
-                    flags0, flags1, flags2 = other_flags[:j1], \
-                        other_flags[j1:j2], other_flags[j2:]
-                child = TreeState.derived(
-                    tree, leaves, flags0 + (s1,) + flags1 + (s2,) + flags2,
-                    b_s, r_s,
-                    base_b0_s + (q * c1.b0_count if s1 else 0)
-                    + (q * c2.b0_count if s2 else 0),
-                    tree.unchanged_capture + (0 if s1 else c1.n_captured)
-                    + (0 if s2 else c2.n_captured))
-                if self._evaluate(child):
-                    emitted_any = True
-                    if r_s < self.best_s:
-                        self._set_best(child)
-                    out.append(child)
+                emitted_any = True
+                stats.trees_evaluated += 1
+                entry = (b_s,
+                         base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
+                         r_s,
+                         base_capture + (0 if s1 else c1.n_captured)
+                         + (0 if s2 else c2.n_captured),
+                         n_leaves, tree, idx, c1, c2, s1, s2)
+                if r_s < best_s:
+                    self._set_best(build_tree(entry))
+                    best_s = self.best_s
+                out.append(entry)
             if similar_support and not emitted_any and flag_pairs:
-                z1, z2 = q * c1.b0_count, q * c2.b0_count
                 rejected_floors.append((base_b_s + base_b0_s + min(
                     (z1 if s1 else m1) + (z2 if s2 else m2)
                     for s1, s2 in flag_pairs), capture1))
@@ -335,7 +323,7 @@ class _Run:
         # drops every child with no open leaf: node support flags no leaf
         # it closes splittable, so such a child's leaves are all unchanged,
         # its objective equals its bound, and the incumbent is as good
-        return [c for c in out if self._is_live(c)]
+        return list(filter(self._is_live, out))
 
     def _split_table(self, leaf: Leaf) -> tuple[int, list]:
         """The capture and feasible splits of ``leaf``, kept as its table.
@@ -346,7 +334,7 @@ class _Run:
         split gaining less than lam may not leave both unchanged).  All of
         it depends only on the leaf, the data, lam and the toggles, so
         later expansions of the leaf walk the table.  Every unused feature
-        is checked here, before the expansion builds any child tree, so a
+        is checked here, before the expansion prices any child, so a
         cache limit that stops the expansion does so before any of its
         children is evaluated, and leaves no table behind.
         """
@@ -359,10 +347,10 @@ class _Run:
                 continue
             k1, k2 = child_keys(leaf, f)
             c1 = self.leaf_cache.intern(k1, make_child_leaf, capture, f,
-                                        False, k1, self.ds, self.eq)
+                                        False, k1, self.eq)
             # counted as the leaf's counts minus c1's
             c2 = self.leaf_cache.intern(k2, make_child_leaf, capture, f,
-                                        True, k2, self.ds, self.eq, leaf, c1)
+                                        True, k2, self.eq, leaf, c1)
             # a split capturing nothing (or everything) on one side can
             # never help
             if c1.n_captured == 0 or c2.n_captured == 0:
@@ -405,33 +393,44 @@ class _Run:
         self.best_obj = root.objective
         self.best_s = root.r_s
         self.stats.trees_evaluated = 1
-        self.tree_cache.seen_or_mark(tree_key(root), root.b_s)
-        if self._is_live(root) and self._expandable_index(root) is not None:
-            self.queue.push(root)
+        entry = as_entry(root)
+        if self._is_live(entry) and self._expandable_index(root) is not None:
+            self.queue.push((entry,))
 
         next_trace = self.config.trace_interval
+        dedup = self.toggles.permutation_cache
         # limits are checked before every expansion, and only while work
         # is left: a search that has run out of trees stays certified
         while len(self.queue) and not self._limit_tripped():
-            tree = self.queue.pop(self._is_live)
-            if tree is None:
+            entry = self.queue.pop(self._is_live)
+            if entry is None:
                 break
+            tree = build_tree(entry)
             try:
+                # the permutation bound: a tree that a second split order
+                # reached is expanded once
+                if dedup and self.tree_cache.seen_or_mark(tree_key(tree),
+                                                          tree.b_s):
+                    self.stats.duplicates_skipped += 1
+                    continue
                 children = self.expand(tree)
             except CacheLimitError as exc:
                 # the unfinished subtree is still uncovered: requeue its
                 # root so that its bound enters the gap
                 self.stats.limit_hit = str(exc)
-                self.queue.push(tree)
+                self.queue.push((entry,))
                 break
-            for child in children:
-                self.queue.push(child)
+            self.queue.push(children)
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
 
         self._record_trace()
-        return self._finish()
+        result = self._finish()
+        # the liveness gate's closure holds the run: dropping it leaves no
+        # reference cycle for the collector to find after the fit
+        del self._is_live
+        return result
 
     def _limit_tripped(self) -> bool:
         if self.config.time_limit is not None \
@@ -472,12 +471,13 @@ class _Run:
         ))
 
     def _finish(self) -> SearchResult:
-        # the live tree of least b_s; its bound is the one Fraction made
-        min_tree = self.queue.min_lower_bound(self._is_live)
+        # the live entry of least b_s; its tree's bound is the one
+        # Fraction made
+        least = self.queue.min_lower_bound(self._is_live)
         # a run stopped by a limit is never certified, even with no gap
-        certified = min_tree is None and self.stats.limit_hit is None
-        gap = Fraction(0) if min_tree is None \
-            else self.best_obj - min_tree.lower_bound
+        certified = least is None and self.stats.limit_hit is None
+        gap = Fraction(0) if least is None \
+            else self.best_obj - build_tree(least).lower_bound
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)
@@ -503,4 +503,4 @@ def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     run.best_obj = best
-    return run.expand(tree)
+    return [build_tree(entry) for entry in run.expand(tree)]

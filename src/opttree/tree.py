@@ -11,10 +11,11 @@ compares those integers and ``lower_bound`` and ``objective`` turn them
 into exact rationals.  ``TreeState(...)`` sums them over its leaves; the
 search prices a child from its parent's sums, adjusted for the leaf it
 splits and the two it adds, so a child's cost does not grow with the
-leaf count, and it builds only the children the incumbent does not
-reject, with ``TreeState.derived``.  The module-level ``objective``
-recomputes a tree's objective from its leaves alone, as an independent
-reference.
+leaf count.  It queues a child the incumbent does not reject as an entry
+of those sums and what builds it (``as_entry``), and builds the tree,
+with ``build_tree`` and ``TreeState.derived``, only when it needs its
+leaves.  The module-level ``objective`` recomputes a tree's objective
+from its leaves alone, as an independent reference.
 
 A leaf's capture is a set of row classes (see ``dataset``): an int with
 one bit per class, not per sample, so on data with few distinct rows it
@@ -45,6 +46,7 @@ class Clause(NamedTuple):
 LeafKey = tuple[Clause, ...]  # clauses sorted by feature index
 
 _feature = attrgetter("feature")
+_clauses = attrgetter("clauses")
 
 
 def canonical_clauses(clauses: Sequence[Clause]) -> LeafKey:
@@ -67,13 +69,12 @@ class Leaf:
     every tree of a search that holds it.
     """
 
-    __slots__ = ("clauses", "ds", "n_captured", "n_ones", "n_correct",
+    __slots__ = ("clauses", "n_captured", "n_ones", "n_correct",
                  "prediction", "mistakes", "b0_count")
 
     def __init__(self, clauses: LeafKey, n_captured: int, ones: int,
-                 b0_count: int, ds: Dataset):
+                 b0_count: int):
         self.clauses = clauses
-        self.ds = ds
         self.n_captured = n_captured
         self.n_ones = ones
         zeros = n_captured - ones
@@ -107,19 +108,17 @@ def and_clauses(data: Dataset | EquivalenceIndex, capture: int,
     return capture
 
 
-def _counted(key: LeafKey, capture: int, ds: Dataset,
-             eq: EquivalenceIndex) -> Leaf:
+def _counted(key: LeafKey, capture: int, eq: EquivalenceIndex) -> Leaf:
     """The leaf ``key`` that captures the row classes ``capture``."""
     return Leaf(key, weighted_count(capture, eq.size_planes),
                 weighted_count(capture, eq.one_planes),
-                weighted_count(capture, eq.minority_planes), ds)
+                weighted_count(capture, eq.minority_planes))
 
 
-def make_leaf(clauses: Sequence[Clause], ds: Dataset,
-              eq: EquivalenceIndex) -> Leaf:
+def make_leaf(clauses: Sequence[Clause], eq: EquivalenceIndex) -> Leaf:
     """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    return _counted(key, and_clauses(eq, eq.all_classes, key), ds, eq)
+    return _counted(key, and_clauses(eq, eq.all_classes, key), eq)
 
 
 def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
@@ -136,7 +135,7 @@ def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
 
 
 def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
-                    key: LeafKey, ds: Dataset, eq: EquivalenceIndex,
+                    key: LeafKey, eq: EquivalenceIndex,
                     parent: Optional[Leaf] = None,
                     sibling: Optional[Leaf] = None) -> Leaf:
     """Extend a leaf by one literal.
@@ -153,9 +152,9 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
     if sibling is not None:
         return Leaf(key, parent.n_captured - sibling.n_captured,
                     parent.n_ones - sibling.n_ones,
-                    parent.b0_count - sibling.b0_count, ds)
+                    parent.b0_count - sibling.b0_count)
     return _counted(key, and_literal(eq, parent_capture, feature, polarity),
-                    ds, eq)
+                    eq)
 
 
 @dataclass(slots=True)
@@ -175,6 +174,9 @@ class TreeState:
     splittable: tuple[bool, ...]
     n_samples: int
     lam: Fraction
+    # the samples the leaves partition, for ``check_partition``; a search
+    # tree has its root's
+    ds: Optional[Dataset] = field(default=None, repr=False, compare=False)
     scale: int = field(init=False, repr=False)
     b_s: int = field(init=False, repr=False)
     r_s: int = field(init=False, repr=False)
@@ -210,6 +212,7 @@ class TreeState:
         tree.splittable = splittable
         tree.n_samples = parent.n_samples
         tree.lam = parent.lam
+        tree.ds = parent.ds
         tree.scale = parent.scale
         tree.b_s, tree.r_s, tree.b0_s = b_s, r_s, b0_s
         tree.unchanged_capture = unchanged_capture
@@ -229,19 +232,55 @@ class TreeState:
     def objective(self) -> Fraction:
         return Fraction(self.r_s, self.scale)
 
-    def check_partition(self) -> None:
+    def check_partition(self, ds: Optional[Dataset] = None) -> None:
         """Debug invariant: the leaves' captures, recounted per sample
-        from their clauses and the dataset's columns, partition the
-        samples and match the kept counts."""
+        from their clauses and the columns of ``ds`` (by default the
+        tree's own dataset), partition the samples and match the kept
+        counts."""
+        ds = self.ds if ds is None else ds
+        if ds is None:
+            raise ValueError("check_partition needs the tree's dataset")
         total = union = 0
         for l in self.leaves:
-            capture = and_clauses(l.ds, l.ds.all_samples, l.clauses)
+            capture = and_clauses(ds, ds.all_samples, l.clauses)
             if capture.bit_count() != l.n_captured:
                 raise AssertionError(f"{l!r} does not capture its count")
             total += l.n_captured
             union |= capture
         if total != self.n_samples or union.bit_count() != self.n_samples:
             raise AssertionError("leaf captures do not partition the samples")
+
+
+# A queue entry stands for a tree by the sums the search prices it with,
+# then what builds it: a plain tuple
+#     (b_s, b0_s, r_s, unchanged_capture, leaf count, parent, i, c1, c2,
+#      s1, s2)
+# for the child of ``parent`` that splits its leaf i into c1 and c2 with
+# flags s1 and s2, or (..., leaf count, tree, None) for a built tree.
+
+
+def as_entry(tree: TreeState) -> tuple:
+    """The queue entry of a built tree."""
+    return (tree.b_s, tree.b0_s, tree.r_s, tree.unchanged_capture,
+            len(tree.leaves), tree, None)
+
+
+def build_tree(entry: tuple) -> TreeState:
+    """The tree a queue entry stands for.  A child's two new leaves are
+    inserted into its parent's other leaves, which stay in canonical
+    order, with ``bisect``, so nothing sorts."""
+    b_s, b0_s, r_s, unchanged_capture, _, parent, i = entry[:7]
+    if i is None:
+        return parent
+    c1, c2, s1, s2 = entry[7:]
+    others = parent.leaves[:i] + parent.leaves[i + 1:]
+    flags = parent.splittable[:i] + parent.splittable[i + 1:]
+    j1 = bisect_left(others, c1.clauses, key=_clauses)
+    j2 = bisect_left(others, c2.clauses, j1, key=_clauses)
+    return TreeState.derived(
+        parent, others[:j1] + (c1,) + others[j1:j2] + (c2,) + others[j2:],
+        flags[:j1] + (s1,) + flags[j1:j2] + (s2,) + flags[j2:],
+        b_s, r_s, b0_s, unchanged_capture)
 
 
 def sort_leaves(leaves: Sequence[Leaf],
@@ -253,9 +292,9 @@ def sort_leaves(leaves: Sequence[Leaf],
 
 def root_tree(ds: Dataset, lam: Fraction, eq: EquivalenceIndex) -> TreeState:
     """Single all-capturing splittable leaf; objective = minority fraction."""
-    leaf = make_leaf([], ds, eq)
+    leaf = make_leaf([], eq)
     return TreeState(leaves=(leaf,), splittable=(True,),
-                     n_samples=ds.n_samples, lam=lam)
+                     n_samples=ds.n_samples, lam=lam, ds=ds)
 
 
 def objective(tree: TreeState, lam: Fraction) -> Fraction:

@@ -7,7 +7,6 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -16,8 +15,9 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, and_clauses, child_keys,
-                          make_child_leaf, make_leaf, root_tree, sort_leaves)
+from opttree.tree import (Clause, TreeState, and_clauses, as_entry,
+                          build_tree, child_keys, make_child_leaf, make_leaf,
+                          root_tree, sort_leaves)
 from tests.conftest import bits, random_dataset
 
 
@@ -44,7 +44,7 @@ def _closed(k, n, lam, **toggles):
                    [1] * k + [0] * (n - k))
     run = _run_at(ds, lam, Fraction(1), leaf_accuracy=False,
                   incremental_accuracy=False, **toggles)
-    leaf = make_leaf([Clause(0, True)], ds, run.eq)
+    leaf = make_leaf([Clause(0, True)], run.eq)
     closed = run._expandable_index(TreeState(
         leaves=(leaf,), splittable=(True,), n_samples=n, lam=lam)) is None
     splits = run._split_table(root_tree(ds, lam, run.eq).leaves[0])[1]
@@ -76,8 +76,8 @@ def test_leaf_is_dead():
     rows = [[1, i % 2] for i in range(15)] + [[0, i % 2] for i in range(985)]
     ds = from_rows(["a", "b"], rows, [i % 3 == 0 for i in range(1000)])
     eq = build_equivalence_index(ds)
-    small = make_leaf([Clause(0, True)], ds, eq)
-    big = make_leaf([Clause(0, False)], ds, eq)
+    small = make_leaf([Clause(0, True)], eq)
+    big = make_leaf([Clause(0, False)], eq)
     leaves, flags = sort_leaves((small, big), (True, False))
     tree = TreeState(leaves=leaves, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)
@@ -145,22 +145,18 @@ SOME_OPEN = ALL_FLAGS - {(False, False)}
 
 def _flags_by_feature(deltas, lam, **toggles):
     """For every root split, the flags of the two new leaves over the
-    children the search builds, below an incumbent of 1 that no child
-    replaces, so that every flag pair is priced in."""
+    children the search prices in, built from their queue entries, below
+    an incumbent of 1 that no child replaces, so that every flag pair is
+    priced in and, with lookahead and the floor off, live."""
     ds = _gain_dataset(deltas)
     run = _run_at(ds, lam, Fraction(1), lookahead=False,
                   equivalent_points=False, **toggles)
     run._set_best = lambda tree: None
     seen = {}
-    evaluate = run._evaluate
-
-    def recording(child):
+    for child in map(build_tree, run.expand(root_tree(ds, lam, run.eq))):
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
         seen.setdefault(f, set()).add(child.splittable)
-        return evaluate(child)
-
-    run._evaluate = recording
-    run.expand(root_tree(ds, lam, run.eq))
+    assert run.stats.trees_evaluated == sum(map(len, seen.values()))
     return seen
 
 
@@ -183,11 +179,11 @@ def test_split_gain_nonnegative_random():
     for _ in range(200):
         ds = random_dataset(rng, rng.randint(2, 30), rng.randint(1, 4))
         eq = build_equivalence_index(ds)
-        parent = make_leaf([], ds, eq)
+        parent = make_leaf([], eq)
         f = rng.randrange(ds.n_features)
         k1, k2 = child_keys(parent, f)
-        left = make_child_leaf(eq.all_classes, f, False, k1, ds, eq)
-        right = make_child_leaf(eq.all_classes, f, True, k2, ds, eq)
+        left = make_child_leaf(eq.all_classes, f, False, k1, eq)
+        right = make_child_leaf(eq.all_classes, f, True, k2, eq)
         left_capture, right_capture = (and_clauses(eq, eq.all_classes, k)
                                        for k in (k1, k2))
         assert left_capture & right_capture == 0
@@ -201,7 +197,8 @@ def test_lookahead_prunes():
 
     def pruned(b, best, **toggles):
         run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
-        return not run._is_live(SimpleNamespace(b_s=_scaled(run, b), b0_s=0))
+        # a queue entry begins (b_s, b0_s, ...)
+        return not run._is_live((_scaled(run, b), 0))
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))
     assert not pruned(Fraction(30, 100), Fraction(32, 100))
@@ -221,10 +218,11 @@ def test_equivalent_points_floor():
     tree = root_tree(ds, lam, eq)
     assert Fraction(tree.b0_s, tree.scale) == Fraction(1, 6)
     # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
-    assert not _run_at(ds, lam, Fraction(106, 600))._is_live(tree)
-    assert _run_at(ds, lam, Fraction(107, 600))._is_live(tree)
+    entry = as_entry(tree)
+    assert not _run_at(ds, lam, Fraction(106, 600))._is_live(entry)
+    assert _run_at(ds, lam, Fraction(107, 600))._is_live(entry)
     assert _run_at(ds, lam, Fraction(106, 600),
-                   equivalent_points=False)._is_live(tree)
+                   equivalent_points=False)._is_live(entry)
 
     distinct = from_rows(["a", "b"], [[0, 0], [0, 1], [1, 0]], [1, 0, 1])
     root = root_tree(distinct, lam, build_equivalence_index(distinct))
@@ -282,8 +280,7 @@ def test_remaining_evaluations():
 
     def traced(best, trees):
         run = _run_at(ds, lam, best)
-        for tree in trees:
-            run.queue.push(tree)
+        run.queue.push([as_entry(tree) for tree in trees])
         run._record_trace()
         return run.trace[-1]
 

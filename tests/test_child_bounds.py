@@ -3,12 +3,14 @@ capture only for the leaves the search splits.
 
 The search prices every child from one base per expansion, the parent's
 sums less the designated leaf plus the new leaf penalty, adjusted for the
-two leaves the split adds; it builds the ones the price does not reject
-with ``TreeState.derived``, and queues a child on its liveness alone,
-without looking for an open leaf.  No child reuses its parent's leaves:
-every child is a split.  These tests check the
-sums and the queueing against from-scratch work on every child of real
-fits that the search builds, and check that after a fit the run holds a
+two leaves the split adds.  A child the price does not reject becomes a
+queue entry, its sums and what builds it, and is queued on its liveness
+alone, without looking for an open leaf; it is built, with
+``TreeState.derived``, only when it is popped or becomes the incumbent.
+No child reuses its parent's leaves: every child is a split.  These tests
+check the sums and the queueing against from-scratch work on every child
+that real fits price in, each built here from its entry, and on every
+tree the fits build; and they check that after a fit the run holds a
 capture, a set of row classes, with the split table of exactly the leaves
 the search split.
 """
@@ -16,10 +18,11 @@ the search split.
 import random
 from fractions import Fraction
 
+from opttree import search
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
-from opttree.tree import TreeState, and_clauses
+from opttree.tree import TreeState, and_clauses, build_tree
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -29,6 +32,11 @@ TOGGLE_SETS = (
     BoundToggles(lookahead=False, equivalent_points=False,
                  incremental_accuracy=False),
 )
+# the default toggles and each one flipped from its default
+TOGGLES_ONE_OFF = (BoundToggles(), BoundToggles(similar_support=True)) \
+    + tuple(BoundToggles(**{name: False}) for name in (
+        "lookahead", "node_support", "incremental_accuracy",
+        "leaf_accuracy", "equivalent_points", "permutation_cache"))
 
 
 def _from_scratch(tree):
@@ -40,45 +48,45 @@ def _sums(tree):
     return tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture, tree.scale
 
 
+def _entry_sums(entry):
+    """An entry's (b_s, r_s, b0_s, unchanged capture, leaf count)."""
+    b_s, b0_s, r_s, unchanged_capture, n_leaves = entry[:5]
+    return b_s, r_s, b0_s, unchanged_capture, n_leaves
+
+
 def test_derived_children_match_a_from_scratch_sum(monkeypatch):
-    built = []
-    derived = TreeState.derived.__func__
-
-    def recording(cls, parent, *args):
-        child = derived(cls, parent, *args)
-        built.append((parent, child))
-        return child
-
-    monkeypatch.setattr(TreeState, "derived", classmethod(recording))
-    evaluated = []
-    evaluate = _Run._evaluate
-
-    def recording_evaluate(run, child):
-        # the price rejected every child the hierarchical bound rejects
-        assert child.b_s < run.best_s
-        ok = evaluate(run, child)
-        if ok:
-            evaluated.append(child)
-        return ok
-
-    monkeypatch.setattr(_Run, "_evaluate", recording_evaluate)
+    # every child an expansion prices in passes its final liveness filter
+    # once; record them there and build each one here
     expand = _Run.expand
+    priced = []
     returned = closed = 0
 
     def checking_expand(run, tree):
         nonlocal returned, closed
-        evaluated.clear()
-        out = expand(run, tree)
-        kept = {id(c) for c in out}
+        gate, seen = run._is_live, []
+
+        def recording(entry):
+            seen.append(entry)
+            return gate(entry)
+        run._is_live = recording
+        evaluated = run.stats.trees_evaluated
+        try:
+            out = expand(run, tree)
+        finally:
+            run._is_live = gate
+        assert run.stats.trees_evaluated - evaluated == len(seen)
+        kept = {id(e) for e in out}
         # a child is returned iff it is live, and only the liveness gate
         # drops children that have no open leaf: none of them is live
-        for child in evaluated:
-            live = run._is_live(child)
+        for entry in seen:
+            child = build_tree(entry)
+            live = gate(entry)
             expandable = run._expandable_index(child) is not None
-            assert (id(child) in kept) == live
+            assert (id(entry) in kept) == live
             assert expandable or not live
             returned += live
             closed += not expandable
+            priced.append((tree, child, entry))
         return out
 
     monkeypatch.setattr(_Run, "expand", checking_expand)
@@ -91,13 +99,15 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
         lam = Fraction(1, rng.choice((20, 30, 50)))
         for policy in Policy:
             for toggles in TOGGLE_SETS:
-                built.clear()
+                priced.clear()
                 config = SearchConfig(lam=lam, policy=policy,
                                       toggles=toggles, max_trees=400)
                 _Run(ds, config).run()
                 fits += 1
-                for parent, child in built:
+                for parent, child, entry in priced:
                     assert _sums(child) == _sums(_from_scratch(child))
+                    assert _entry_sums(entry) \
+                        == _sums(child)[:4] + (len(child.leaves),)
                     if child.leaves is parent.leaves:
                         retire += 1
                         continue
@@ -121,6 +131,45 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     assert retire == 0 and must_split > 1000 and returned > 10000
     assert both_unchanged > 1000
     assert closed > 100
+
+
+def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
+    # through ``fit``: every tree the search builds from a queue entry,
+    # at a pop or for a new incumbent, holds its leaves in canonical order
+    # and the sums its entry was priced with, which a from-scratch sum
+    # over its leaves reproduces
+    built = []
+
+    def recording(entry):
+        tree = build_tree(entry)
+        built.append((entry, tree))
+        return tree
+
+    monkeypatch.setattr(search, "build_tree", recording)
+    rng = random.Random(17)
+    fits = trees = 0
+    for _ in range(6):
+        ds = random_dataset(rng, rng.randint(10, 60), rng.randint(2, 5),
+                            duplicate_bias=rng.choice((0.0, 0.3)))
+        lam = Fraction(1, rng.choice((10, 20, 40)))
+        for policy in Policy:
+            for toggles in TOGGLES_ONE_OFF:
+                built.clear()
+                res = search.fit(ds, SearchConfig(
+                    lam=lam, policy=policy, toggles=toggles, max_trees=300))
+                fits += 1
+                assert any(tree is res.best_tree for _, tree in built) \
+                    or len(res.best_tree.leaves) == 1
+                for entry, tree in built:
+                    keys = [leaf.key for leaf in tree.leaves]
+                    assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert _sums(tree) == _sums(_from_scratch(tree))
+                    assert _entry_sums(entry) \
+                        == _sums(tree)[:4] + (len(tree.leaves),)
+                    assert tree.ds is ds
+                trees += len(built)
+    assert fits == 6 * len(Policy) * len(TOGGLES_ONE_OFF)
+    assert trees > 2000
 
 
 def _fit_recording_splits(ds, config):

@@ -82,7 +82,7 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
     run = _Run(ds, SearchConfig(lam=lam))
     eq = run.eq
     clauses = _clauses(m, clauses1)
-    leaf = make_leaf(clauses, ds, eq)
+    leaf = make_leaf(clauses, eq)
     assert _counts(leaf, run) == _recount(ds, _samples(ds, clauses), lam)
     # the capture the leaf's split table keeps
     capture = run._split_table(leaf)[0]
@@ -94,13 +94,13 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
             samples = _samples(ds, clauses + [Clause(f, polarity)])
             expected = _recount(ds, samples, lam)
             child = make_child_leaf(capture, f, polarity,
-                                    keys[polarity], ds, eq)
+                                    keys[polarity], eq)
             assert _counts(child, run) == expected
             # counted as the parent's counts minus its sibling's
             sibling = make_child_leaf(capture, f, not polarity,
-                                      keys[not polarity], ds, eq)
+                                      keys[not polarity], eq)
             child = make_child_leaf(capture, f, polarity,
-                                    keys[polarity], ds, eq, leaf, sibling)
+                                    keys[polarity], eq, leaf, sibling)
             assert _counts(child, run) == expected
 
 
@@ -111,8 +111,8 @@ def test_similar_support_omega_is_the_per_sample_difference(drawn):
     ds = _dataset(m, pool, picks)
     run = _Run(ds, SearchConfig(lam=lam))
     run.best_s = run.q * ds.n_samples  # an incumbent of objective 1
-    one = make_leaf(_clauses(m, clauses1), ds, run.eq)
-    two = make_leaf(_clauses(m, clauses2), ds, run.eq)
+    one = make_leaf(_clauses(m, clauses1), run.eq)
+    two = make_leaf(_clauses(m, clauses2), run.eq)
     # the captures their split tables keep
     (one_capture, _), (two_capture, _) = (run._split_table(leaf)
                                           for leaf in (one, two))

@@ -85,11 +85,11 @@ def test_witness_leaves_consistent(toy_ds):
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
         leaves, flags = sort_leaves(
-            [make_leaf(k, ds, eq) for k in res.leaf_keys],
+            [make_leaf(k, eq) for k in res.leaf_keys],
             [False] * len(res.leaf_keys))
         tree = TreeState(leaves=leaves, splittable=flags,
                          n_samples=ds.n_samples, lam=lam)
-        tree.check_partition()
+        tree.check_partition(ds)
         assert tree.objective == objective(tree, lam) == res.objective
         assert sum(l.mistakes for l in leaves) == res.mistakes
         assert len(leaves) == res.n_leaves

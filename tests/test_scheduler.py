@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy, SearchQueue, priority
-from opttree.tree import Clause, TreeState, make_leaf, root_tree, sort_leaves
+from opttree.search import SearchConfig, _Run
+from opttree.tree import (Clause, TreeState, as_entry, build_tree, make_leaf,
+                          root_tree, sort_leaves)
 from tests.conftest import expanded_trees, random_dataset
 
 
@@ -23,8 +25,8 @@ def ds():
 
 def _split_tree(ds, splittable=(False, True), lam=Fraction(1, 10)):
     eq = build_equivalence_index(ds)
-    l0 = make_leaf([Clause(0, False)], ds, eq)
-    l1 = make_leaf([Clause(0, True)], ds, eq)
+    l0 = make_leaf([Clause(0, False)], eq)
+    l1 = make_leaf([Clause(0, True)], eq)
     leaves, flags = sort_leaves((l0, l1), splittable)
     return TreeState(leaves=leaves, splittable=flags,
                      n_samples=ds.n_samples, lam=lam)
@@ -97,35 +99,57 @@ def test_entropy_and_gini_priorities(ds):
 
 def test_queue_pops_equal_keys_in_push_order(ds):
     q = SearchQueue(Policy.LOWER_BOUND, ds)
-    a = _split_tree(ds, (False, True))
-    b = _split_tree(ds, (True, False))
-    c = _split_tree(ds, (True, True))  # lower b: nothing unchanged
-    assert a.b_s == b.b_s and a != b
-    for tree in (b, a, c):
-        q.push(tree)
+    a, b, c = (as_entry(_split_tree(ds, flags)) for flags in
+               ((False, True), (True, False), (True, True)))
+    # c has the lower bound: nothing unchanged
+    assert a[0] == b[0] > c[0] and build_tree(a) != build_tree(b)
+    q.push([b, a])
+    q.push([c])
     assert q.pop() is c  # strictly smaller bound first
     assert q.pop() is b  # tie between a and b: pushed first
     assert q.pop() is a
     assert q.pop() is None
 
 
+def test_queue_keys_a_child_by_its_sums():
+    # entries priced from one parent, below an incumbent of 1 that no
+    # child replaces, are keyed and popped as the trees they build, under
+    # every policy
+    rng = random.Random(4)
+    ds = random_dataset(rng, 40, 5)
+    lam = Fraction(1, 40)
+    root = root_tree(ds, lam, build_equivalence_index(ds))
+    for policy in Policy:
+        run = _Run(ds, SearchConfig(lam=lam, policy=policy))
+        run.best_s = root.scale
+        run._set_best = lambda tree: None
+        entries = run.expand(root)
+        assert len(entries) > 10
+        q = SearchQueue(policy, ds)
+        q.push(entries)
+        keys = sorted((priority(build_tree(e), policy, ds), i)
+                      for i, e in enumerate(entries))
+        assert [q.pop() for _ in entries] == [entries[i] for _, i in keys]
+
+
 def test_queue_lazy_invalidation(ds):
     q = SearchQueue(Policy.BFS, ds)
-    a = _split_tree(ds)
-    q.push(a)
-    assert q.pop(is_live=lambda t: False) is None
+    q.push([as_entry(_split_tree(ds))])
+    assert q.pop(is_live=lambda e: False) is None
     assert len(q) == 0
 
 
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
-    a = _split_tree(ds, (False, True))
-    b = _split_tree(ds, (True, True))
-    q.push(a)
-    q.push(b)
+    a = as_entry(_split_tree(ds, (False, True)))
+    b = as_entry(_split_tree(ds, (True, True)))
+    q.push([a, b])
     assert q.max_size == 2
-    assert b.lower_bound < a.lower_bound
+    q.push([])
+    assert q.max_size == 2
+    assert build_tree(b).lower_bound < build_tree(a).lower_bound
     assert q.min_lower_bound() is b
-    assert q.min_lower_bound(lambda t: t is a) is a
-    assert q.min_lower_bound(lambda t: False) is None
-    assert {id(t) for t in q.trees()} == {id(a), id(b)}
+    assert q.min_lower_bound(lambda e: e is a) is a
+    assert q.min_lower_bound(lambda e: False) is None
+    assert {id(e) for e in q.trees()} == {id(a), id(b)}
+    assert q.buckets == {(a[0], 2): 1, (b[0], 2): 1}

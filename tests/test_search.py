@@ -1,4 +1,7 @@
+import gc
+import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -9,8 +12,9 @@ from opttree.caches import tree_key
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
+from opttree import search
 from opttree.search import SearchConfig, _Run, expand, fit
-from opttree.tree import Clause, root_tree
+from opttree.tree import Clause, build_tree, root_tree
 from tests.conftest import expanded_trees, random_dataset
 
 
@@ -163,17 +167,17 @@ def test_expand_prunes_by_best(toy_ds):
 
 
 def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
-    """Children are built without sorting: their leaf keys must still be
+    """Trees are built without sorting: their leaf keys must still be
     strictly increasing.  Within one run, whose leaves are interned, two
-    children get equal ``tree_key``s exactly when they hold the same
+    built trees get equal ``tree_key``s exactly when they hold the same
     multiset of (leaf key, flag) pairs."""
     built = []
-    evaluate = _Run._evaluate
 
-    def recording(run, child):
-        built.append(child)
-        return evaluate(run, child)
-    monkeypatch.setattr(_Run, "_evaluate", recording)
+    def recording(entry):
+        tree = build_tree(entry)
+        built.append(tree)
+        return tree
+    monkeypatch.setattr(search, "build_tree", recording)
     rng = random.Random(7)
     repeats = 0
     for _ in range(100):
@@ -182,15 +186,16 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
         for tree in expanded_trees(ds, lam, rng, levels=5):
             keys = [leaf.key for leaf in tree.leaves]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-        # every child one fit's expansions build, duplicates included
+        # every tree one fit builds, at pops and for the incumbent,
+        # duplicates included
         built.clear()
         fit(ds, SearchConfig(lam=lam, max_trees=3000))
         by_pairs: dict = {}
-        for child in built:
-            keys = [leaf.key for leaf in child.leaves]
+        for tree in built:
+            keys = [leaf.key for leaf in tree.leaves]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            pairs = tuple(sorted(zip(keys, child.splittable)))
-            by_pairs.setdefault(pairs, []).append(tree_key(child))
+            pairs = tuple(sorted(zip(keys, tree.splittable)))
+            by_pairs.setdefault(pairs, []).append(tree_key(tree))
         tree_keys = {k for ks in by_pairs.values() for k in ks}
         assert len(tree_keys) == len(by_pairs)
         assert all(len(set(ks)) == 1 for ks in by_pairs.values())
@@ -198,68 +203,86 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
     assert repeats > 0
 
 
-def test_zero_gain_split_forbids_both_unchanged(monkeypatch):
+def _priced_children(ds, config, tree, best):
+    """Every child that one expansion of ``tree`` prices in below the
+    incumbent ``best``, built from its queue entry: the expansion's final
+    liveness filter sees each of them once."""
+    run = _Run(ds, config)
+    run.best_s = math.ceil(best * run.n * run.q)
+    run.best_obj = best
+    gate, priced = run._is_live, []
+
+    def recording(entry):
+        priced.append(entry)
+        return gate(entry)
+    run._is_live = recording
+    live = run.expand(tree)
+    assert run.stats.trees_evaluated == len(priced)
+    assert live == [e for e in priced if gate(e)]
+    return [build_tree(e) for e in priced]
+
+
+def test_zero_gain_split_forbids_both_unchanged():
     # XOR labels: any single split has zero gain, so with incremental
     # accuracy on no child of the root has both leaves unchanged.  Below an
     # incumbent of 1 such a child is priced in: with the bound off, the
-    # first one is built and becomes the incumbent, which prices out the
-    # second
+    # first one is priced in and becomes the incumbent, which prices out
+    # the second
     rows = [[0, 0], [0, 1], [1, 0], [1, 1]] * 3
     labels = [0, 1, 1, 0] * 3
     ds = from_rows(["a", "b"], rows, labels)
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
     root = root_tree(ds, lam, eq)
-    built = []
-    evaluate = _Run._evaluate
-
-    def recording(run, child):
-        built.append(child)
-        return evaluate(run, child)
-
-    monkeypatch.setattr(_Run, "_evaluate", recording)
     for incremental_accuracy, n_built, n_closed in ((True, 6, 0),
                                                     (False, 7, 1)):
-        built.clear()
         config = SearchConfig(lam=lam, toggles=BoundToggles(
             incremental_accuracy=incremental_accuracy))
         assert expand(root, ds, eq, config, Fraction(1))
+        built = _priced_children(ds, config, root, Fraction(1))
         assert len(built) == n_built
         assert sum(not any(c.splittable) for c in built) == n_closed
-    monkeypatch.undo()
     res = fit(ds, SearchConfig(lam=lam))
     assert res.certified
     assert res.objective == Fraction(4, 100)
 
 
 def test_permutation_dedup_counts_duplicates():
-    # the label is a xor b, except that it is c where a = b = 1.  Splitting
-    # the root on a and then both sides on b, or on b and then both sides
-    # on a, reaches the same four leaves with a=b=1 still open, and
-    # breadth-first that tree is still live when the second order builds it
-    rows = [list(r) for r in product((0, 1), repeat=3)] * 2
-    labels = [a ^ b ^ (a & b & c) for a, b, c in rows]
-    ds = from_rows(["a", "b", "c"], rows, labels)
-    run = _Run(ds, SearchConfig(lam=Fraction(1, 50), policy=Policy.BFS))
+    # the label is a xor b, except that it is c and d where a = b = 1.
+    # Splitting the root on a and then both sides on b, or on b and then
+    # both sides on a, reaches the same four leaves with a=b=1 still open.
+    # Breadth-first both copies are priced in and queued, and the copy
+    # popped second, still live, is skipped there rather than expanded
+    rows = [list(r) for r in product((0, 1), repeat=4)] * 2
+    labels = [a ^ b ^ (a & b & c & d) for a, b, c, d in rows]
+    ds = from_rows(["a", "b", "c", "d"], rows, labels)
+    config = SearchConfig(lam=Fraction(1, 50), policy=Policy.BFS)
+    run = _Run(ds, config)
     duplicates = []
-    evaluate = run._evaluate
+    mark = run.tree_cache.seen_or_mark
 
-    def recording(child):
-        new = evaluate(child)
-        if not new:
-            duplicates.append((child, run._is_live(child)))
-        return new
+    def recording(key, b_s):
+        seen = mark(key, b_s)
+        if seen:
+            duplicates.append(key)
+        return seen
 
-    run._evaluate = recording
+    run.tree_cache.seen_or_mark = recording
     res = run.run()
-    assert res.certified and res.objective == Fraction(1, 10)
+    assert res.certified and res.objective == Fraction(3, 25)
     assert res.stats.duplicates_skipped == len(duplicates) == 1
-    ((child, live),) = duplicates
-    assert live
-    assert [leaf.key for leaf in child.leaves] == [
+    ((leaves, flags),) = duplicates
+    assert [leaf.key for leaf in leaves] == [
         (Clause(0, a), Clause(1, b)) for a in (False, True)
         for b in (False, True)]
-    assert child.splittable == (False, False, False, True)
+    assert flags == (False, False, False, True)
+    # without the cache the second copy is expanded too, and nothing else
+    # changes: the same objective after one expansion more
+    off = fit(ds, replace(config, toggles=BoundToggles(
+        permutation_cache=False)))
+    assert off.certified and off.objective == res.objective
+    assert off.stats.expansions == res.stats.expansions + 1
+    assert off.stats.duplicates_skipped == 0
 
 
 @pytest.mark.parametrize("incremental_accuracy", [False, True])
@@ -324,6 +347,49 @@ def _siblings(parent, child, deficit, incremental_accuracy):
             and gain * lam.denominator < lam.numerator * child.n_samples:
         kept.update({c1: c2, c2: c1})
     return kept
+
+
+def test_tree_cache_stop_at_pop_never_overstates():
+    """The tree cache holds expanded trees, so its limit trips when a
+    popped tree is marked; the popped entry is requeued, so its bound
+    enters the gap and the run is not certified."""
+    rng = random.Random(41)
+    stops = 0
+    for _ in range(30):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 4))
+        lam = Fraction(1, rng.choice((200, 400)))
+        optimum = exhaustive_optimum(ds, lam).objective
+        for k in (10, 20, 30, 40, 60):
+            res = fit(ds, SearchConfig(lam=lam, max_cache_entries=k))
+            if not (res.stats.limit_hit or "").startswith("tree cache"):
+                continue
+            stops += 1
+            assert not res.certified and res.gap > 0
+            assert res.stats.expansions >= k
+            assert res.objective - res.gap <= optimum <= res.objective
+    assert stops > 20
+
+
+def test_fit_leaves_no_cyclic_garbage():
+    # a finished run holds no reference cycle, so with the collector off
+    # nothing of a fit is left for it to find; a cache stop included
+    rng = random.Random(3)
+    ds = random_dataset(rng, 60, 6)
+    configs = (SearchConfig(lam=Fraction(1, 50)),
+               SearchConfig(lam=Fraction(1, 200), max_trees=500),
+               SearchConfig(lam=Fraction(1, 200), max_cache_entries=30))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for config in configs:
+            res = fit(ds, config)
+            assert res.stats.expansions > 1
+            del res
+            assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_ablations_preserve_answer(noisy_ds):

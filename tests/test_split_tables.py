@@ -4,7 +4,7 @@ The first expansion of a leaf records its feasible splits in a table that
 the run keeps; later expansions of the leaf walk the table.  These tests
 check that the table changes no result of a fit, only how many leaf-cache
 lookups it makes, that it looks up the children of every unused feature
-before the expansion builds any child tree, and that a table never
+before the expansion prices any child, and that a table never
 outlives its run.
 """
 
@@ -16,8 +16,9 @@ from opttree.bounds import BoundToggles
 from opttree.caches import LeafCache
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy
-from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import Clause, TreeState, child_keys, make_leaf, root_tree
+from opttree.search import SearchConfig, _Run
+from opttree.tree import (Clause, TreeState, build_tree, child_keys,
+                          make_leaf, root_tree)
 from tests.conftest import random_dataset
 
 TOGGLE_SETS = (
@@ -59,20 +60,19 @@ def _outcome(res):
 def _check_table_building(monkeypatch):
     """Check, in every expansion that builds a leaf's table, that the two
     children of every feature the leaf does not use are looked up, in
-    feature order, and all before the expansion builds its first child
-    tree, so that a cache limit stops the expansion before any of its
-    children is evaluated; and that an expansion walking a kept table
-    looks nothing up.  The returned state counts the tables checked."""
-    state = {"building": False, "interned": [], "derived": False,
-             "checked": 0}
-    expand_, intern, derived = _Run.expand, LeafCache.intern, \
-        TreeState.derived.__func__
+    feature order, and all before the expansion prices its first child,
+    so that a cache limit stops the expansion before any of its children
+    is evaluated; and that an expansion walking a kept table looks
+    nothing up.  The returned state counts the tables checked."""
+    state = {"building": False, "interned": [], "run": None, "checked": 0}
+    expand_, intern = _Run.expand, LeafCache.intern
 
     def expanding(run, tree):
         idx = run._expandable_index(tree)
         leaf = None if idx is None else tree.leaves[idx]
         building = leaf is not None and leaf not in run.split_tables
-        state.update(building=building, interned=[], derived=False)
+        state.update(building=building, interned=[], run=run,
+                     evaluated=run.stats.trees_evaluated)
         children = expand_(run, tree)
         if building:
             used = {c.feature for c in leaf.clauses}
@@ -86,17 +86,13 @@ def _check_table_building(monkeypatch):
 
     def interning(cache, key, build, *args):
         if args:  # not the root, which the run interns before expanding
-            assert state["building"] and not state["derived"]
+            assert state["building"]
+            assert state["run"].stats.trees_evaluated == state["evaluated"]
             state["interned"].append(key)
         return intern(cache, key, build, *args)
 
-    def deriving(cls, *args):
-        state["derived"] = True
-        return derived(cls, *args)
-
     monkeypatch.setattr(_Run, "expand", expanding)
     monkeypatch.setattr(LeafCache, "intern", interning)
-    monkeypatch.setattr(TreeState, "derived", classmethod(deriving))
     return state
 
 
@@ -138,17 +134,18 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     # build the children, flags included, that a fresh root's does, also
     # those the incumbent or the liveness gate then drop
     built = []
-    evaluate = _Run._evaluate
-
-    def recording(run, child):
-        built.append(child)
-        return evaluate(run, child)
-
-    monkeypatch.setattr(_Run, "_evaluate", recording)
 
     def children(root, ds, eq, config):
+        # every child the expansion prices in below an incumbent of 1
+        # passes its final liveness filter once: record it there
+        run = _Run(ds, config, eq)
+        run.best_s = root.scale
+        run.best_obj = Fraction(1)
+        gate = run._is_live
         built.clear()
-        expand(root, ds, eq, config, Fraction(1))
+        run._is_live = lambda entry: built.append(entry) or gate(entry)
+        run.expand(root)
+        built[:] = map(build_tree, built)
         return [(tuple(l.key for l in t.leaves), t.splittable, t.h, t.b_s,
                  t.r_s, t.b0_s, t.unchanged_capture) for t in built]
 
@@ -198,7 +195,7 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     got, want = (children(TreeState(leaves=tuple(ls), splittable=(True, True),
                                     n_samples=ds.n_samples, lam=lam),
                           ds, eq, SearchConfig(lam=lam))
-                 for ls in (leaves, [make_leaf(k, ds, eq) for k in keys]))
+                 for ls in (leaves, [make_leaf(k, eq) for k in keys]))
     assert got == want
     # every child splits the 30-sample leaf, keeping the other
     assert want and all(keys[1] in leaf_keys for leaf_keys, *_ in want)

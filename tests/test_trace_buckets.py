@@ -1,5 +1,6 @@
 """Trace records are summed over the queue's (b_s, leaf count) buckets;
-they must equal a scan of every queued tree, stale entries included."""
+they must equal a scan of every queued tree, stale entries included,
+each built from its queue entry."""
 
 import math
 import random
@@ -9,6 +10,7 @@ from functools import cache
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy, SearchQueue
 from opttree.search import SearchConfig, _Run, fit
+from opttree.tree import build_tree
 from tests.conftest import random_dataset
 
 
@@ -19,10 +21,11 @@ def _perm_sum(slots, f):
 
 def _scan(run):
     """(remaining bound, its floor(log10), least lower bound, size) from
-    every tree in the heap, with the remaining bound's definition: a tree
-    with lower bound b and L leaves may add up to floor((best - b) / lam)
-    of the 3^M - L unused leaves, in any order."""
-    trees = list(run.queue.trees())
+    every tree in the heap, each built from its entry, with the remaining
+    bound's definition: a tree with lower bound b and L leaves may add up
+    to floor((best - b) / lam) of the 3^M - L unused leaves, in any
+    order."""
+    trees = [build_tree(entry) for entry in run.queue.trees()]
     pool = 3 ** run.ds.n_features
     remaining = 0
     for tree in trees:

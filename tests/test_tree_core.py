@@ -49,35 +49,35 @@ def test_make_child_leaf_counts():
     labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
     ds = from_rows(["a", "b"], rows, labels)
     eq = _eq(ds)
-    parent = make_leaf([], ds, eq)
+    parent = make_leaf([], eq)
     assert parent.n_captured == 10
     key = child_keys(parent, 0)[1]
-    child = make_child_leaf(eq.all_classes, 0, True, key, ds, eq)
+    child = make_child_leaf(eq.all_classes, 0, True, key, eq)
     assert child.key is key and key == (Clause(0, True),)
     assert child.n_captured == 6
     assert child.prediction == 1
     assert child.mistakes == 1
 
 
-def _alone(leaf, lam):
+def _alone(leaf, ds, lam):
     """A tree of ``leaf`` alone, flagged splittable."""
     return TreeState(leaves=(leaf,), splittable=(True,),
-                     n_samples=leaf.ds.n_samples, lam=lam)
+                     n_samples=ds.n_samples, lam=lam)
 
 
 def test_make_child_leaf_empty_is_dead():
     ds = from_rows(["a"], [[1], [1]], [0, 1])
     lam = Fraction(1, 100)
     run = _Run(ds, SearchConfig(lam=lam))
-    parent = make_leaf([Clause(0, True)], ds, run.eq)
+    parent = make_leaf([Clause(0, True)], run.eq)
     # a leaf cannot be extended on a feature it uses
     with pytest.raises(ValueError):
         child_keys(parent, 0)
-    empty = make_leaf([Clause(0, False)], ds, run.eq)
+    empty = make_leaf([Clause(0, False)], run.eq)
     assert empty.n_captured == 0
     # node support never designates it, and the root's table refuses the
     # split that would make it
-    assert run._expandable_index(_alone(empty, lam)) is None
+    assert run._expandable_index(_alone(empty, ds, lam)) is None
     root = root_tree(ds, lam, run.eq).leaves[0]
     assert run._split_table(root)[1] == []
 
@@ -94,8 +94,8 @@ def test_dead_threshold_arithmetic():
     assert f == 0 and leaf.key == (Clause(0, True),)
     assert leaf.n_captured == 15 and other.n_captured == 985
     assert flag_pairs == ((False, False), (True, False))
-    assert run._expandable_index(_alone(leaf, lam)) is None
-    assert run._expandable_index(_alone(other, lam)) == 0
+    assert run._expandable_index(_alone(leaf, ds, lam)) is None
+    assert run._expandable_index(_alone(other, ds, lam)) == 0
 
 
 def test_objective_examples():
@@ -107,8 +107,8 @@ def test_objective_examples():
     rows = [[0], [1]]
     ds2 = from_rows(["a"], rows, [0, 1])
     eq2 = _eq(ds2)
-    l0 = make_leaf([Clause(0, False)], ds2, eq2)
-    l1 = make_leaf([Clause(0, True)], ds2, eq2)
+    l0 = make_leaf([Clause(0, False)], eq2)
+    l1 = make_leaf([Clause(0, True)], eq2)
     leaves, flags = sort_leaves((l0, l1), (False, False))
     two = TreeState(leaves=leaves, splittable=flags, n_samples=2, lam=lam)
     assert objective(two, lam) == Fraction(2, 100)
@@ -117,7 +117,7 @@ def test_objective_examples():
 
 def _random_tree(ds, eq, lam, rng):
     """Random split sequence from the root; returns a valid TreeState."""
-    leaves = [make_leaf([], ds, eq)]
+    leaves = [make_leaf([], eq)]
     for _ in range(rng.randint(0, 3)):
         candidates = [
             (i, f) for i, leaf in enumerate(leaves)
@@ -133,7 +133,7 @@ def _random_tree(ds, eq, lam, rng):
         for polarity in (False, True):
             leaves.append(make_child_leaf(capture, f, polarity,
                                           child_keys(parent, f)[polarity],
-                                          ds, eq))
+                                          eq))
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
     return TreeState(leaves=sorted_leaves, splittable=sorted_flags,
@@ -163,7 +163,7 @@ def test_incremental_equals_scratch_on_random_pairs():
         parent = _random_tree(ds, eq, lam, rng)
         best = Fraction(rng.randint(1, 20), 20)
         for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
-            child.check_partition()
+            child.check_partition(ds)
             b, r, b0 = scratch_bounds(child, lam)
             assert child.lower_bound == b
             assert child.objective == r
@@ -177,10 +177,13 @@ def test_partition_check(toy_ds):
     eq = _eq(toy_ds)
     tree = root_tree(toy_ds, lam, eq)
     tree.check_partition()
-    l0 = make_leaf([Clause(0, False)], toy_ds, eq)
+    l0 = make_leaf([Clause(0, False)], eq)
     broken = TreeState(leaves=(l0,), splittable=(True,),
                        n_samples=toy_ds.n_samples, lam=lam)
     with pytest.raises(AssertionError):
+        broken.check_partition(toy_ds)
+    # a tree built without its dataset must be given one
+    with pytest.raises(ValueError):
         broken.check_partition()
 
 
