@@ -5,7 +5,7 @@ queue numbers its pushes, so equal keys pop in the order they were pushed,
 which is the order the search priced the children in.  Lower keys are
 popped first.
 
-The queue holds entries, not trees (see ``tree.as_entry``): a child's
+The queue holds entries, not trees (see ``tree.child_entry``): a child's
 scaled sums and what builds it, so that a tree is built only when its
 leaves are needed.  The bound-based keys are integers read from those
 sums, in units of 1/(N*q) for lam = p/q over N samples.  Within one
@@ -35,7 +35,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .dataset import Dataset
-from .tree import TreeState, as_entry, build_tree
+from .tree import (B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, TreeState,
+                   as_entry, build_tree, penalized_leaves)
 
 
 class Policy(Enum):
@@ -72,17 +73,16 @@ def _gini(entry: tuple, n: int) -> Fraction:
     return total
 
 
-# each policy's key of a queue entry over N samples; an entry is
-# (b_s, b0_s, r_s, unchanged_capture, leaf count, ...), and the penalized
-# leaf count h is 0 for the root alone
+# each policy's key of a queue entry over N samples
 _KEYS: dict[Policy, Callable[[tuple, int], object]] = {
-    Policy.BFS: lambda e, n: e[4] if e[4] > 1 else 0,
-    Policy.DFS: lambda e, n: -e[4] if e[4] > 1 else 0,
-    Policy.LOWER_BOUND: lambda e, n: e[0],
-    Policy.OBJECTIVE: lambda e, n: e[2],
+    Policy.BFS: lambda e, n: penalized_leaves(e[N_LEAVES]),
+    Policy.DFS: lambda e, n: -penalized_leaves(e[N_LEAVES]),
+    Policy.LOWER_BOUND: lambda e, n: e[B_S],
+    Policy.OBJECTIVE: lambda e, n: e[R_S],
     # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);
     # c = N when no leaf is unchanged, as in the root
-    Policy.CURIOSITY: lambda e, n: e[0] * n * n // (e[3] or n),
+    Policy.CURIOSITY: lambda e, n: e[B_S] * n * n
+    // (e[UNCHANGED_CAPTURE] or n),
     Policy.ENTROPY: _entropy,
     Policy.GINI: _gini,
 }
@@ -101,6 +101,8 @@ class SearchQueue:
     stale ones included, with that pair; a pair with no entry has no key.
     """
 
+    _bucket = staticmethod(itemgetter(B_S, N_LEAVES))
+
     def __init__(self, policy: Policy, ds: Dataset):
         self._key = _KEYS[policy]  # chosen once for the queue
         self._n = ds.n_samples
@@ -112,11 +114,11 @@ class SearchQueue:
     def push(self, entries: Iterable[tuple]) -> None:
         """Queue a batch of entries: one expansion's live children."""
         key, n, heap, buckets = self._key, self._n, self._heap, self.buckets
-        pushes = self._pushes
+        pushes, bucket_of = self._pushes, self._bucket
         for entry in entries:
             pushes += 1
             heapq.heappush(heap, (key(entry, n), pushes, entry))
-            bucket = (entry[0], entry[4])
+            bucket = bucket_of(entry)
             buckets[bucket] = buckets.get(bucket, 0) + 1
         self._pushes = pushes
         if len(heap) > self.max_size:
@@ -127,7 +129,7 @@ class SearchQueue:
         heap, buckets = self._heap, self.buckets
         while heap:
             _, _, entry = heapq.heappop(heap)
-            bucket = (entry[0], entry[4])
+            bucket = self._bucket(entry)
             count = buckets[bucket]
             if count == 1:
                 del buckets[bucket]
@@ -152,4 +154,4 @@ class SearchQueue:
         as integer ``b_s``; None when there is none."""
         return min((e for _, _, e in self._heap
                     if is_live is None or is_live(e)),
-                   key=itemgetter(0), default=None)
+                   key=itemgetter(B_S), default=None)

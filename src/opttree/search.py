@@ -25,14 +25,14 @@ the new leaf penalty, and adds what its two new leaves bring under their
 flags.  A price at or above the incumbent is dropped there; every other
 child is evaluated and becomes one queue entry, its sums and what builds
 it (the parent, the designated index, the two new leaves and their
-flags; see ``tree.as_entry``).  The run's one liveness gate
+flags; see ``tree.child_entry``).  The run's one liveness gate
 (``_Run._is_live``) alone decides whether an entry is queued, and later
 whether a popped one is still worth expanding.  A tree is built from its
-entry (``tree.build_tree``) only when the entry is popped, when its
-objective beats the incumbent, and for the one entry ``_finish`` reports,
-so the work per child is a few integer sums and a heap push, whatever
-the queue or the tree.  A built tree's leaves stay in canonical
-(leaf-key) order by construction: the two new leaves are inserted into
+entry (``tree.build_tree``) only when the entry is popped or when its
+objective beats the incumbent, so the work per child is a few integer
+sums and a heap push, whatever the queue or the tree.  A built tree's
+leaves stay in canonical (leaf-key) order by construction: the two new
+leaves are inserted into
 the parent's ordered remaining leaves with ``bisect``, and a new clause
 into its leaf's feature-ordered clauses, so nothing in the loop sorts.
 Child leaves are interned, so the permutation cache keys a tree on the
@@ -79,9 +79,9 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (Leaf, TreeState, and_clauses, as_entry, build_tree,
-                   child_keys, make_child_leaf, root_tree,
-                   sort_leaves)  # noqa: F401
+from .tree import (B0_S, B_S, Leaf, TreeState, and_clauses, as_entry,
+                   build_tree, child_entry, child_keys, make_child_leaf,
+                   root_tree, sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
 # are tried, by (c1 may be splittable, c2 may be splittable, must split)
@@ -209,15 +209,14 @@ class _Run:
         improvement and belongs in the queue: its bound, plus the
         lookahead margin and (when that bound is on) its equivalent-points
         floor, is below the incumbent.  The margin and the floor are never
-        negative, so this implies the hierarchical bound.  An entry begins
-        (b_s, b0_s, ...), see ``tree.as_entry``."""
-        margin = self.margin_s
+        negative, so this implies the hierarchical bound."""
+        margin, b, z = self.margin_s, B_S, B0_S
         if self.toggles.equivalent_points:
             def is_live(entry: tuple) -> bool:
-                return entry[0] + entry[1] + margin < self.best_s
+                return entry[b] + entry[z] + margin < self.best_s
         else:
             def is_live(entry: tuple) -> bool:
-                return entry[0] + margin < self.best_s
+                return entry[b] + margin < self.best_s
         return is_live
 
     def _expandable_index(self, tree: TreeState) -> Optional[int]:
@@ -304,12 +303,11 @@ class _Run:
                     continue
                 emitted_any = True
                 stats.trees_evaluated += 1
-                entry = (b_s,
-                         base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
-                         r_s,
-                         base_capture + (0 if s1 else c1.n_captured)
-                         + (0 if s2 else c2.n_captured),
-                         n_leaves, tree, idx, c1, c2, s1, s2)
+                entry = child_entry(
+                    b_s, base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
+                    r_s, base_capture + (0 if s1 else c1.n_captured)
+                    + (0 if s2 else c2.n_captured),
+                    n_leaves, tree, idx, c1, c2, s1, s2)
                 if r_s < best_s:
                     self._set_best(build_tree(entry))
                     best_s = self.best_s
@@ -471,13 +469,11 @@ class _Run:
         ))
 
     def _finish(self) -> SearchResult:
-        # the live entry of least b_s; its tree's bound is the one
-        # Fraction made
         least = self.queue.min_lower_bound(self._is_live)
         # a run stopped by a limit is never certified, even with no gap
         certified = least is None and self.stats.limit_hit is None
         gap = Fraction(0) if least is None \
-            else self.best_obj - build_tree(least).lower_bound
+            else self.best_obj - Fraction(least[B_S], self.n * self.q)
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)

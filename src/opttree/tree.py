@@ -12,7 +12,7 @@ into exact rationals.  ``TreeState(...)`` sums them over its leaves; the
 search prices a child from its parent's sums, adjusted for the leaf it
 splits and the two it adds, so a child's cost does not grow with the
 leaf count.  It queues a child the incumbent does not reject as an entry
-of those sums and what builds it (``as_entry``), and builds the tree,
+of those sums and what builds it (``child_entry``), and builds the tree,
 with ``build_tree`` and ``TreeState.derived``, only when it needs its
 leaves.  The module-level ``objective`` recomputes a tree's objective
 from its leaves alone, as an independent reference.
@@ -220,9 +220,7 @@ class TreeState:
 
     @property
     def h(self) -> int:
-        """The penalized leaf count: 0 for the root-only tree, the leaf
-        count for any split tree."""
-        return 0 if len(self.leaves) == 1 else len(self.leaves)
+        return penalized_leaves(len(self.leaves))
 
     @property
     def lower_bound(self) -> Fraction:
@@ -232,14 +230,11 @@ class TreeState:
     def objective(self) -> Fraction:
         return Fraction(self.r_s, self.scale)
 
-    def check_partition(self, ds: Optional[Dataset] = None) -> None:
+    def check_partition(self) -> None:
         """Debug invariant: the leaves' captures, recounted per sample
-        from their clauses and the columns of ``ds`` (by default the
-        tree's own dataset), partition the samples and match the kept
-        counts."""
-        ds = self.ds if ds is None else ds
-        if ds is None:
-            raise ValueError("check_partition needs the tree's dataset")
+        from their clauses and the columns of the tree's dataset,
+        partition the samples and match the kept counts."""
+        ds = self.ds
         total = union = 0
         for l in self.leaves:
             capture = and_clauses(ds, ds.all_samples, l.clauses)
@@ -251,16 +246,30 @@ class TreeState:
             raise AssertionError("leaf captures do not partition the samples")
 
 
+def penalized_leaves(n_leaves: int) -> int:
+    """The penalized leaf count h of a tree with ``n_leaves`` leaves: 0 for
+    the root-only tree, the leaf count for any split tree."""
+    return 0 if n_leaves == 1 else n_leaves
+
+
 # A queue entry stands for a tree by the sums the search prices it with,
-# then what builds it: a plain tuple
-#     (b_s, b0_s, r_s, unchanged_capture, leaf count, parent, i, c1, c2,
-#      s1, s2)
-# for the child of ``parent`` that splits its leaf i into c1 and c2 with
-# flags s1 and s2, or (..., leaf count, tree, None) for a built tree.
+# then what builds it: a plain tuple made by ``child_entry`` or
+# ``as_entry``, whose sums are read at these indices
+B_S, B0_S, R_S, UNCHANGED_CAPTURE, N_LEAVES = range(5)
+
+
+def child_entry(b_s: int, b0_s: int, r_s: int, unchanged_capture: int,
+                n_leaves: int, parent: TreeState, i: int, c1: Leaf,
+                c2: Leaf, s1: bool, s2: bool) -> tuple:
+    """The entry of the child of ``parent`` that splits its leaf i into c1
+    and c2 with flags s1 and s2, priced at the given sums."""
+    return (b_s, b0_s, r_s, unchanged_capture, n_leaves, parent, i, c1, c2,
+            s1, s2)
 
 
 def as_entry(tree: TreeState) -> tuple:
-    """The queue entry of a built tree."""
+    """The queue entry of a built tree: its sums, then the tree and no
+    split index."""
     return (tree.b_s, tree.b0_s, tree.r_s, tree.unchanged_capture,
             len(tree.leaves), tree, None)
 

@@ -16,8 +16,8 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
 from opttree.tree import (Clause, TreeState, and_clauses, as_entry,
-                          build_tree, child_keys, make_child_leaf, make_leaf,
-                          root_tree, sort_leaves)
+                          build_tree, child_entry, child_keys,
+                          make_child_leaf, make_leaf, root_tree, sort_leaves)
 from tests.conftest import bits, random_dataset
 
 
@@ -197,8 +197,11 @@ def test_lookahead_prunes():
 
     def pruned(b, best, **toggles):
         run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
-        # a queue entry begins (b_s, b0_s, ...)
-        return not run._is_live((_scaled(run, b), 0))
+        # an entry of bound b; with equivalent points off nothing else of
+        # it is read
+        entry = child_entry(_scaled(run, b), 0, 0, 0, 2, None, 0, None,
+                            None, True, True)
+        return not run._is_live(entry)
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))
     assert not pruned(Fraction(30, 100), Fraction(32, 100))

@@ -22,7 +22,8 @@ from opttree import search
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
-from opttree.tree import TreeState, and_clauses, build_tree
+from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE,
+                          TreeState, and_clauses, build_tree)
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -50,8 +51,8 @@ def _sums(tree):
 
 def _entry_sums(entry):
     """An entry's (b_s, r_s, b0_s, unchanged capture, leaf count)."""
-    b_s, b0_s, r_s, unchanged_capture, n_leaves = entry[:5]
-    return b_s, r_s, b0_s, unchanged_capture, n_leaves
+    return (entry[B_S], entry[R_S], entry[B0_S], entry[UNCHANGED_CAPTURE],
+            entry[N_LEAVES])
 
 
 def test_derived_children_match_a_from_scratch_sum(monkeypatch):
@@ -69,7 +70,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
             seen.append(entry)
             return gate(entry)
         run._is_live = recording
-        evaluated = run.stats.trees_evaluated
+        evaluated, best_before = run.stats.trees_evaluated, run.best_s
         try:
             out = expand(run, tree)
         finally:
@@ -79,6 +80,9 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
         # a child is returned iff it is live, and only the liveness gate
         # drops children that have no open leaf: none of them is live
         for entry in seen:
+            # the hierarchical bound dropped every child priced at or
+            # above the incumbent, which only falls during the expansion
+            assert entry[B_S] < best_before
             child = build_tree(entry)
             live = gate(entry)
             expandable = run._expandable_index(child) is not None

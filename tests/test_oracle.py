@@ -88,8 +88,8 @@ def test_witness_leaves_consistent(toy_ds):
             [make_leaf(k, eq) for k in res.leaf_keys],
             [False] * len(res.leaf_keys))
         tree = TreeState(leaves=leaves, splittable=flags,
-                         n_samples=ds.n_samples, lam=lam)
-        tree.check_partition(ds)
+                         n_samples=ds.n_samples, lam=lam, ds=ds)
+        tree.check_partition()
         assert tree.objective == objective(tree, lam) == res.objective
         assert sum(l.mistakes for l in leaves) == res.mistakes
         assert len(leaves) == res.n_leaves

@@ -19,6 +19,9 @@ NOT_RUN = {
         "from-scratch reference used by tests and the benchmark",
     "opttree.tree.TreeState.check_partition":
         "from-scratch reference used by tests and the benchmark",
+    "opttree.tree.TreeState.lower_bound":
+        "rational view of b_s for tests; the search compares b_s and "
+        "reports the queue's bounds from b_s without building a tree",
     "opttree.bounds.symmetry_savings": "paper counting result",
     "opttree.bounds.total_evaluations_bound_log10": "paper counting result",
     "opttree.bounds.max_leaves_apriori":

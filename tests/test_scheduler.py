@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy, SearchQueue, priority
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (Clause, TreeState, as_entry, build_tree, make_leaf,
-                          root_tree, sort_leaves)
+from opttree.tree import (B_S, Clause, TreeState, as_entry, build_tree,
+                          make_leaf, root_tree, sort_leaves)
 from tests.conftest import expanded_trees, random_dataset
 
 
@@ -102,7 +102,7 @@ def test_queue_pops_equal_keys_in_push_order(ds):
     a, b, c = (as_entry(_split_tree(ds, flags)) for flags in
                ((False, True), (True, False), (True, True)))
     # c has the lower bound: nothing unchanged
-    assert a[0] == b[0] > c[0] and build_tree(a) != build_tree(b)
+    assert a[B_S] == b[B_S] > c[B_S] and build_tree(a) != build_tree(b)
     q.push([b, a])
     q.push([c])
     assert q.pop() is c  # strictly smaller bound first
@@ -152,4 +152,4 @@ def test_queue_max_size_and_min_bound(ds):
     assert q.min_lower_bound(lambda e: e is a) is a
     assert q.min_lower_bound(lambda e: False) is None
     assert {id(e) for e in q.trees()} == {id(a), id(b)}
-    assert q.buckets == {(a[0], 2): 1, (b[0], 2): 1}
+    assert q.buckets == {(a[B_S], 2): 1, (b[B_S], 2): 1}

@@ -137,7 +137,7 @@ def _random_tree(ds, eq, lam, rng):
     flags = tuple(rng.random() < 0.5 for _ in leaves)
     sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
     return TreeState(leaves=sorted_leaves, splittable=sorted_flags,
-                     n_samples=ds.n_samples, lam=lam)
+                     n_samples=ds.n_samples, lam=lam, ds=ds)
 
 
 def scratch_bounds(tree, lam):
@@ -163,7 +163,7 @@ def test_incremental_equals_scratch_on_random_pairs():
         parent = _random_tree(ds, eq, lam, rng)
         best = Fraction(rng.randint(1, 20), 20)
         for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
-            child.check_partition(ds)
+            child.check_partition()
             b, r, b0 = scratch_bounds(child, lam)
             assert child.lower_bound == b
             assert child.objective == r
@@ -179,11 +179,8 @@ def test_partition_check(toy_ds):
     tree.check_partition()
     l0 = make_leaf([Clause(0, False)], eq)
     broken = TreeState(leaves=(l0,), splittable=(True,),
-                       n_samples=toy_ds.n_samples, lam=lam)
+                       n_samples=toy_ds.n_samples, lam=lam, ds=toy_ds)
     with pytest.raises(AssertionError):
-        broken.check_partition(toy_ds)
-    # a tree built without its dataset must be given one
-    with pytest.raises(ValueError):
         broken.check_partition()
 
 
