@@ -2,16 +2,17 @@
 
 Leaves are identified by their canonically ordered clause set.  Within one
 search, ``LeafCache`` hands out one ``Leaf`` object per leaf key, and a
-tree keeps its leaves in leaf-key order, so two trees hold the same
-multiset of (leaf, splittable flag) pairs exactly when their ``leaves``
-tuples hold the same objects in the same order and their flag tuples are
-equal.  A tree's key is therefore the pair of tuples it already has,
-``(tree.leaves, tree.splittable)``: nothing is built or sorted, and leaves
-hash and compare by identity.  Any permutation of the same leaves maps to
-one cache entry.  The invariant holds only for trees whose leaves came
-from one ``LeafCache``, so a key means nothing outside its search.  A
-cached leaf holds its counts and no capture; the run keeps the capture
-of each leaf it splits with that leaf's split table (see ``search``).
+tree keeps its unchanged leaves and its leaves to split as two tuples,
+each in leaf-key order, so two trees hold the same unchanged leaves and
+the same leaves to split exactly when their two tuples hold the same
+objects in the same order.  A tree's key is therefore the pair of tuples
+it already has, ``(tree.unchanged, tree.split)``: nothing is built or
+sorted, and leaves hash and compare by identity.  Any permutation of the
+same leaves maps to one cache entry.  The invariant holds only for trees
+whose leaves came from one ``LeafCache``, so a key means nothing outside
+its search.  A cached leaf holds its counts and no capture; the run keeps
+the capture of each leaf it splits with that leaf's split table (see
+``search``).
 
 The search looks a leaf's children up only while it works out that leaf's
 split table, during the leaf's first expansion (see ``search``), so
@@ -19,8 +20,8 @@ split table, during the leaf's first expansion (see ``search``), so
 feature in every expansion.
 
 The tree cache holds the trees the search has expanded.  A child is
-queued unbuilt, so the search marks a tree only when it pops one (see
-``search``): a popped tree whose key is already held, a copy that a
+queued unbuilt, so the search marks a tree only when it expands a popped
+entry (see ``search``): a tree whose key is already held, a copy that a
 second split order reached, is skipped rather than expanded again.  Its
 size, and the limit ``max_entries``, therefore count expanded trees, not
 evaluated ones.  It stores each tree's scaled lower bound ``b_s`` (units
@@ -36,7 +37,7 @@ from typing import Callable
 
 from .tree import Leaf, LeafKey, TreeState
 
-TreeKey = tuple[tuple[Leaf, ...], tuple[bool, ...]]
+TreeKey = tuple[tuple[Leaf, ...], tuple[Leaf, ...]]
 
 
 class CacheLimitError(RuntimeError):
@@ -44,8 +45,9 @@ class CacheLimitError(RuntimeError):
 
 
 def tree_key(tree: TreeState) -> TreeKey:
-    """The tree's interned leaves, in canonical order, and their flags."""
-    return (tree.leaves, tree.splittable)
+    """The tree's interned unchanged leaves and leaves to split, each in
+    canonical order."""
+    return (tree.unchanged, tree.split)
 
 
 @dataclass

@@ -65,8 +65,5 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
         return (grow(left, clauses + (Clause(f, False),), depth + 1)
                 + grow(right, clauses + (Clause(f, True),), depth + 1))
 
-    leaves = grow(ds.all_samples, (), 0)
-    leaves_t, flags = sort_leaves(tuple(leaves),
-                                  tuple(False for _ in leaves))
-    return TreeState(leaves=leaves_t, splittable=flags,
-                     n_samples=ds.n_samples, lam=lam, ds=ds)
+    return TreeState(unchanged=sort_leaves(grow(ds.all_samples, (), 0)),
+                     split=(), n_samples=ds.n_samples, lam=lam, ds=ds)

@@ -16,7 +16,7 @@ when there are none), is b_s/(q*c) as a rational.  Every c is at most N,
 so two different values of b_s/c differ by at least 1/N^2, and the
 integer ``b_s * N * N // c`` orders and ties exactly as the rational.
 Only the entropy (float) and Gini (Fraction) keys are not integers; they
-read the leaves, so they build the entry's tree.
+read the leaves still to split, so they build the entry's tree.
 
 Besides the heap, the queue counts its entries, stale ones included, per
 (``b_s``, leaf count) bucket.  Everything the search's trace reports about
@@ -50,10 +50,9 @@ class Policy(Enum):
 
 
 def _entropy(entry: tuple, n: int) -> float:
-    tree = build_tree(entry)
     total = 0.0
-    for leaf, s in zip(tree.leaves, tree.splittable):
-        if not s or leaf.n_captured == 0:
+    for leaf in build_tree(entry).split:
+        if leaf.n_captured == 0:
             continue
         p = leaf.n_ones / leaf.n_captured
         if 0.0 < p < 1.0:
@@ -63,10 +62,9 @@ def _entropy(entry: tuple, n: int) -> float:
 
 
 def _gini(entry: tuple, n: int) -> Fraction:
-    tree = build_tree(entry)
     total = Fraction(0)
-    for leaf, s in zip(tree.leaves, tree.splittable):
-        if not s or leaf.n_captured == 0:
+    for leaf in build_tree(entry).split:
+        if leaf.n_captured == 0:
             continue
         p = Fraction(leaf.n_ones, leaf.n_captured)
         total += Fraction(leaf.n_captured, n) * 2 * p * (1 - p)
@@ -151,7 +149,12 @@ class SearchQueue:
                         is_live: Optional[Callable[[tuple], bool]] = None
                         ) -> Optional[tuple]:
         """The (live) queued entry with the smallest lower bound, compared
-        as integer ``b_s``; None when there is none."""
-        return min((e for _, _, e in self._heap
-                    if is_live is None or is_live(e)),
-                   key=itemgetter(B_S), default=None)
+        as integer ``b_s``, the first in heap order among equals; None when
+        there is none.  Liveness is asked only of an entry whose bound is
+        below the least live one found so far."""
+        least = None
+        for _, _, entry in self._heap:
+            if (least is None or entry[B_S] < least[B_S]) \
+                    and (is_live is None or is_live(entry)):
+                least = entry
+        return least

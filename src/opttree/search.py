@@ -1,48 +1,51 @@
 """Branch-and-bound driver: child generation, pruning, certification.
 
-One designated leaf (the canonically first splittable one that node
-support leaves open) is split per expansion, and its two new leaves take
-every unchanged/splittable flag pair the bounds allow (``_FLAG_PAIRS``).
-Nothing reflags a leaf: by induction on the splits, a tree with a
-splittable leaf flagged unchanged is made by the same splits with that
-leaf created unchanged.  So every reachable (leaves, flags) state is
-priced once per split order that reaches it.  The tree cache holds the
-trees the search has expanded, so a state that two orders reach is
-expanded once: the copy popped second is skipped there.
+A tree is its unchanged leaves and its leaves still to split, each in
+canonical order (see ``tree.TreeState``).  An expansion splits
+``split[0]``, and its two new leaves take every unchanged/split flag
+pair the bounds allow (``_FLAG_PAIRS``).  A split table keeps a new leaf
+to split only when node support leaves it open, and the run checks the
+root once, so every leaf to split is open.  Nothing reflags a leaf: by
+induction on the splits, a tree with a leaf to split flagged unchanged
+is made by the same splits with that leaf created unchanged.  So only
+split order makes a duplicate: every reachable tree is priced once per
+split order that reaches it, and the tree cache, which holds the trees
+the search has expanded, skips the copy popped second.
 
 Every comparison the loop makes is an integer comparison: with lam = p/q
 over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each child
 is priced as its scaled lower bound, objective and equivalent-points
-floor (``b_s``, ``r_s``, ``b0_s``), and a tree built from it carries the
-same sums.  The pruning gates, the heap keys (see ``scheduler``), the
-tree cache and its purge all compare these integers, which order exactly
-as the rationals they scale; ``Fraction`` appears only in what a run
-reports (incumbent objective, trace records, gap).
+floor (``b_s``, ``r_s``, ``b0_s``), the sums that ``TreeState``'s
+properties take over its leaves.  The pruning gates, the heap keys (see
+``scheduler``), the tree cache and its purge all compare these integers,
+which order exactly as the rationals they scale; ``Fraction`` appears
+only in what a run reports (incumbent objective, trace records, gap).
 
-A child is its price until it is popped.  Every child of an expansion
-starts from one base, the parent's sums less the designated leaf plus
-the new leaf penalty, and adds what its two new leaves bring under their
-flags.  A price at or above the incumbent is dropped there; every other
-child is evaluated and becomes one queue entry, its sums and what builds
-it (the parent, the designated index, the two new leaves and their
-flags; see ``tree.child_entry``).  The run's one liveness gate
-(``_Run._is_live``) alone decides whether an entry is queued, and later
-whether a popped one is still worth expanding.  A tree is built from its
-entry (``tree.build_tree``) only when the entry is popped or when its
-objective beats the incumbent, so the work per child is a few integer
-sums and a heap push, whatever the queue or the tree.  A built tree's
-leaves stay in canonical (leaf-key) order by construction: the two new
-leaves are inserted into
-the parent's ordered remaining leaves with ``bisect``, and a new clause
-into its leaf's feature-ordered clauses, so nothing in the loop sorts.
-Child leaves are interned, so the permutation cache keys a tree on the
-leaf and flag tuples it already holds (see ``caches``).  A trace record
-sums the remaining-evaluations bound over the queue's (``b_s``, leaf
-count) buckets rather than over its entries; only ``_finish`` scans the
-heap, once per fit, to find the least live bound behind the gap.
+A child is its price until it is expanded.  Every child of an expansion
+starts from one base, the parent's sums less the split leaf plus the new
+leaf penalty, and adds what its two new leaves bring under their flags.
+A price at or above the incumbent is dropped there; every other child is
+evaluated and becomes one queue entry, its sums and what builds it (the
+parent, the two new leaves and their flags; see ``tree.child_entry``).
+The entry is the only home of a tree's sums: the loop pops an entry,
+expands it and pushes its children's entries.  The run's one liveness
+gate (``_Run._is_live``) alone decides whether an entry is queued, and
+later whether a popped one is still worth expanding.  A tree is built
+from its entry (``tree.build_tree``) only when the entry is expanded or
+when its objective beats the incumbent, so the work per child is a few
+integer sums and a heap push, whatever the queue or the tree.  A built
+tree's two leaf tuples stay in canonical (leaf-key) order by
+construction: each new leaf is inserted into one of them with
+``bisect``, and a new clause into its leaf's feature-ordered clauses, so
+nothing in the loop sorts.  Child leaves are interned, so the
+permutation cache keys a tree on the two tuples it already holds (see
+``caches``).  A trace record sums the remaining-evaluations bound over
+the queue's (``b_s``, leaf count) buckets rather than over its entries;
+only ``_finish`` scans the heap, once per fit, for the least live bound
+behind the gap.
 
 An expansion costs what is new about its tree, not what is known about
-its designated leaf.  Which features may split a leaf, its two children
+the leaf it splits.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
 them depend only on the leaf, the data, lam and the toggles.  The first
 expansion of a leaf works them all out, checking every unused feature,
@@ -79,12 +82,13 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (B0_S, B_S, Leaf, TreeState, and_clauses, as_entry,
-                   build_tree, child_entry, child_keys, make_child_leaf,
-                   root_tree, sort_leaves)  # noqa: F401
+from .tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Leaf,
+                   TreeState, and_clauses, as_entry, build_tree,
+                   child_entry, child_keys, make_child_leaf,
+                   penalized_leaves, root_tree, sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
-# are tried, by (c1 may be splittable, c2 may be splittable, must split)
+# are tried, by (c1 may be kept to split, c2 may be, must split)
 _FLAG_PAIRS = {
     (open1, open2, must_split): tuple(
         (s1, s2) for s1 in (False, True) if open1 or not s1
@@ -152,7 +156,7 @@ class SearchStats:
     duplicates_skipped: int = 0
     similar_support_skips: int = 0
     expansions: int = 0     # trees expanded
-    split_tables: int = 0   # split tables built: distinct leaves designated
+    split_tables: int = 0   # split tables built: distinct leaves split
     limit_hit: Optional[str] = None
 
 
@@ -194,9 +198,9 @@ class _Run:
         self.best_s = 0
         self.best_obj = Fraction(0)
         self.best_tree: Optional[TreeState] = None
-        # each designated leaf's capture and feasible splits, by leaf
-        # identity; kept by the run, since the splits depend on its lam
-        # and toggles and a leaf may outlive it
+        # each split leaf's capture and feasible splits, by leaf identity;
+        # kept by the run, since the splits depend on its lam and toggles
+        # and a leaf may outlive it
         self.split_tables: dict[Leaf, tuple[int, list]] = {}
         # lookahead: a tree's children pay at least one more leaf penalty
         self.margin_s = self.lam_s if self.toggles.lookahead else 0
@@ -219,22 +223,14 @@ class _Run:
                 return entry[b] + margin < self.best_s
         return is_live
 
-    def _expandable_index(self, tree: TreeState) -> Optional[int]:
-        """The designated leaf: the first splittable one that node support
-        leaves open."""
-        for i, (leaf, s) in enumerate(zip(tree.leaves, tree.splittable)):
-            if s and self.q * leaf.n_captured >= self.support_s:
-                return i
-        return None
-
     # -- best tracking ---------------------------------------------------
 
-    def _set_best(self, tree: TreeState) -> None:
-        """Make ``tree``, whose objective beats the incumbent, the new
-        incumbent."""
-        self.best_s = tree.r_s
-        self.best_obj = tree.objective
-        self.best_tree = tree
+    def _set_best(self, entry: tuple) -> None:
+        """Make the tree of ``entry`` the incumbent: the root, or a child
+        whose objective beats the incumbent."""
+        self.best_s = entry[R_S]
+        self.best_obj = Fraction(self.best_s, self.n * self.q)
+        self.best_tree = build_tree(entry)
         self.stats.trees_to_optimum = self.stats.trees_evaluated
         self.stats.time_to_optimum = time.perf_counter() - self._t0
         self.stats.tree_cache_purged += \
@@ -242,39 +238,44 @@ class _Run:
 
     # -- expansion --------------------------------------------------------
 
-    def expand(self, tree: TreeState) -> list[tuple]:
-        """Price and filter the children of a popped tree.
+    def expand(self, entry: tuple) -> list[tuple]:
+        """Build the tree of a popped entry, split its first leaf to split,
+        and price and filter the children.
 
-        Returns the queue entries of the live children; updates the
-        incumbent as a side effect (a child's objective can improve the
-        best even when its descendants are pruned).  Only a child that
-        becomes the incumbent is built here.
+        Returns the queue entries of the live children, or none when the
+        permutation cache has seen the tree; updates the incumbent as a
+        side effect (a child's objective can improve the best even when
+        its descendants are pruned).  Only a child that becomes the
+        incumbent is built here.
         """
-        idx = self._expandable_index(tree)
-        if idx is None:
-            return []
+        tree = build_tree(entry)
         stats = self.stats
+        # the permutation bound: a tree that a second split order reached
+        # is expanded once
+        if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
+                tree_key(tree), entry[B_S]):
+            stats.duplicates_skipped += 1
+            return []
         stats.expansions += 1
-        leaf = tree.leaves[idx]
+        leaf = tree.split[0]
         # the leaf's capture, from which its table built every child leaf
         # and into which similar support ANDs a literal
         capture, splits = self.split_tables.get(leaf) \
             or self._split_table(leaf)
         out: list[tuple] = []
 
-        # every child's sums start from these, which take out the
-        # designated leaf and add the new leaf penalty.  Its two new leaves
-        # add their mistakes to r_s; an unchanged one also adds them to b_s
-        # and its samples to the unchanged capture, a splittable one its
-        # floor to b0_s
+        # every child's sums start from these, which take out the split
+        # leaf and add the new leaf penalty.  Its two new leaves add their
+        # mistakes to r_s; an unchanged one also adds them to b_s and its
+        # samples to the unchanged capture, one to split its floor to b0_s
         q = self.q
         # a child has one leaf more than its parent and is never the root
-        n_leaves = len(tree.leaves) + 1
-        penalty_s = self.lam_s * (n_leaves - tree.h)
-        base_b_s = tree.b_s + penalty_s
-        base_r_s = tree.r_s + penalty_s - q * leaf.mistakes
-        base_b0_s = tree.b0_s - q * leaf.b0_count
-        base_capture = tree.unchanged_capture
+        n_leaves = entry[N_LEAVES] + 1
+        penalty_s = self.lam_s * (n_leaves - penalized_leaves(n_leaves - 1))
+        base_b_s = entry[B_S] + penalty_s
+        base_r_s = entry[R_S] + penalty_s - q * leaf.mistakes
+        base_b0_s = entry[B0_S] - q * leaf.b0_count
+        base_capture = entry[UNCHANGED_CAPTURE]
         best_s = self.best_s
         similar_support = self.toggles.similar_support
 
@@ -303,24 +304,24 @@ class _Run:
                     continue
                 emitted_any = True
                 stats.trees_evaluated += 1
-                entry = child_entry(
+                child = child_entry(
                     b_s, base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
                     r_s, base_capture + (0 if s1 else c1.n_captured)
                     + (0 if s2 else c2.n_captured),
-                    n_leaves, tree, idx, c1, c2, s1, s2)
+                    n_leaves, tree, c1, c2, s1, s2)
                 if r_s < best_s:
-                    self._set_best(build_tree(entry))
+                    self._set_best(child)
                     best_s = self.best_s
-                out.append(entry)
+                out.append(child)
             if similar_support and not emitted_any and flag_pairs:
                 rejected_floors.append((base_b_s + base_b0_s + min(
                     (z1 if s1 else m1) + (z2 if s2 else m2)
                     for s1, s2 in flag_pairs), capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
         # the children that every earlier gate would have kept.  It also
-        # drops every child with no open leaf: node support flags no leaf
-        # it closes splittable, so such a child's leaves are all unchanged,
-        # its objective equals its bound, and the incumbent is as good
+        # drops every child with no leaf to split: its leaves are all
+        # unchanged, its objective equals its bound, and the incumbent is
+        # as good
         return list(filter(self._is_live, out))
 
     def _split_table(self, leaf: Leaf) -> tuple[int, list]:
@@ -386,32 +387,25 @@ class _Run:
 
     def run(self) -> SearchResult:
         root = root_tree(self.ds, self.lam, self.eq)
-        self.leaf_cache.intern(root.leaves[0].key, lambda: root.leaves[0])
-        self.best_tree = root
-        self.best_obj = root.objective
-        self.best_s = root.r_s
-        self.stats.trees_evaluated = 1
+        (leaf,) = root.split
+        self.leaf_cache.intern(leaf.key, lambda: leaf)
         entry = as_entry(root)
-        if self._is_live(entry) and self._expandable_index(root) is not None:
+        self._set_best(entry)
+        self.stats.trees_evaluated = 1
+        # node support may close the root; every other leaf to split was
+        # found open by its parent's split table
+        if self._is_live(entry) and self.q * leaf.n_captured >= self.support_s:
             self.queue.push((entry,))
 
         next_trace = self.config.trace_interval
-        dedup = self.toggles.permutation_cache
         # limits are checked before every expansion, and only while work
         # is left: a search that has run out of trees stays certified
         while len(self.queue) and not self._limit_tripped():
             entry = self.queue.pop(self._is_live)
             if entry is None:
                 break
-            tree = build_tree(entry)
             try:
-                # the permutation bound: a tree that a second split order
-                # reached is expanded once
-                if dedup and self.tree_cache.seen_or_mark(tree_key(tree),
-                                                          tree.b_s):
-                    self.stats.duplicates_skipped += 1
-                    continue
-                children = self.expand(tree)
+                children = self.expand(entry)
             except CacheLimitError as exc:
                 # the unfinished subtree is still uncovered: requeue its
                 # root so that its bound enters the gap
@@ -492,11 +486,12 @@ def fit(ds: Dataset, config: SearchConfig,
 
 
 def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
-           config: SearchConfig, best: Fraction) -> list[TreeState]:
+           config: SearchConfig, best: Fraction) -> list[tuple]:
     """Stateless child generation for one tree against incumbent ``best``
-    (testing surface)."""
+    (testing surface): the queue entries of its live children, whose
+    trees ``build_tree`` makes."""
     run = _Run(ds, config, eq)
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     run.best_obj = best
-    return [build_tree(entry) for entry in run.expand(tree)]
+    return run.expand(as_entry(tree))

@@ -2,18 +2,19 @@
 
 The objective of a tree is (misclassified fraction) + lam * (leaf count),
 with the convention that the root-only tree has an effective leaf count of
-zero, so its objective is just the minority-class fraction.  The lower
-bound counts only the mistakes of unchanged leaves, which is valid for
-every descendant because unchanged leaves are never split again.
+zero, so its objective is just the minority-class fraction.  A tree is
+its unchanged leaves and the leaves still to split.  The lower bound
+counts only the mistakes of unchanged leaves, which is valid for every
+descendant because unchanged leaves are never split again.
 
-A tree keeps its bounds as integers scaled by N*q (lam = p/q); the search
-compares those integers and ``lower_bound`` and ``objective`` turn them
-into exact rationals.  ``TreeState(...)`` sums them over its leaves; the
-search prices a child from its parent's sums, adjusted for the leaf it
+Bounds are integers scaled by N*q (lam = p/q), and the search compares
+those integers.  A ``TreeState`` holds leaves only; its properties sum
+the bounds over them, which the search does for the root alone.  It
+prices every child from its parent's sums, adjusted for the leaf it
 splits and the two it adds, so a child's cost does not grow with the
-leaf count.  It queues a child the incumbent does not reject as an entry
-of those sums and what builds it (``child_entry``), and builds the tree,
-with ``build_tree`` and ``TreeState.derived``, only when it needs its
+leaf count, and queues a child the incumbent does not reject as one
+entry, those sums and what builds it (``child_entry``): the only home of
+a child's sums.  ``build_tree`` makes the tree when the search needs its
 leaves.  The module-level ``objective`` recomputes a tree's objective
 from its leaves alone, as an independent reference.
 
@@ -159,76 +160,54 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
 
 @dataclass(slots=True)
 class TreeState:
-    """A tree as a set of leaves partitioned into unchanged and splittable.
+    """A tree as its unchanged leaves and its leaves still to split (the
+    paper's d_un and d_split), each in canonical (leaf-key) order, so the
+    leaf an expansion splits is ``split[0]``.
 
-    The bound sums are taken once, when the tree is built, and kept scaled
+    A tree stores no sums; its properties sum them over the leaves, scaled
     to integers: with lam = p/q over N samples, a value e/N + lam*H is
-    stored as e*q + H*p*N, in units of 1/(N*q) (``scale``).  ``b_s`` is the
-    lower bound (unchanged mistakes plus the leaf penalty), ``r_s`` the
-    objective (``b_s`` plus the splittable leaves' mistakes), ``b0_s`` the
-    equivalent-points floor under the splittable leaves, and
-    ``unchanged_capture`` the number of samples the unchanged leaves hold.
+    e*q + H*p*N.  ``b_s`` is the lower bound (unchanged mistakes plus the
+    leaf penalty), ``r_s`` the objective, ``b0_s`` the equivalent-points
+    floor under the leaves to split, and ``unchanged_capture`` the samples
+    the unchanged leaves hold.  The search takes them for the root alone;
+    every other tree's sums live in its queue entry (``child_entry``).
     """
 
-    leaves: tuple[Leaf, ...]          # canonically ordered by leaf key
-    splittable: tuple[bool, ...]
+    unchanged: tuple[Leaf, ...]
+    split: tuple[Leaf, ...]
     n_samples: int
     lam: Fraction
     # the samples the leaves partition, for ``check_partition``; a search
     # tree has its root's
     ds: Optional[Dataset] = field(default=None, repr=False, compare=False)
-    scale: int = field(init=False, repr=False)
-    b_s: int = field(init=False, repr=False)
-    r_s: int = field(init=False, repr=False)
-    b0_s: int = field(init=False, repr=False)
-    unchanged_capture: int = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        err_unchanged = err_splittable = b0 = capture = 0
-        for leaf, s in zip(self.leaves, self.splittable):
-            if s:
-                err_splittable += leaf.mistakes
-                b0 += leaf.b0_count
-            else:
-                err_unchanged += leaf.mistakes
-                capture += leaf.n_captured
-        q = self.lam.denominator
-        self.scale = self.n_samples * q
-        self.b_s = q * err_unchanged \
-            + self.lam.numerator * self.n_samples * self.h
-        self.r_s = self.b_s + q * err_splittable
-        self.b0_s = q * b0
-        self.unchanged_capture = capture
-
-    @classmethod
-    def derived(cls, parent: TreeState, leaves: tuple[Leaf, ...],
-                splittable: tuple[bool, ...], b_s: int, r_s: int,
-                b0_s: int, unchanged_capture: int) -> TreeState:
-        """A child of ``parent`` with the given leaves and flags, in
-        canonical order, and its scaled sums, which the search priced
-        from the parent's."""
-        tree = cls.__new__(cls)
-        tree.leaves = leaves
-        tree.splittable = splittable
-        tree.n_samples = parent.n_samples
-        tree.lam = parent.lam
-        tree.ds = parent.ds
-        tree.scale = parent.scale
-        tree.b_s, tree.r_s, tree.b0_s = b_s, r_s, b0_s
-        tree.unchanged_capture = unchanged_capture
-        return tree
+    @property
+    def leaves(self) -> tuple[Leaf, ...]:
+        """Every leaf, unchanged or split, in canonical order."""
+        return sort_leaves(self.unchanged + self.split)
 
     @property
     def h(self) -> int:
-        return penalized_leaves(len(self.leaves))
+        return penalized_leaves(len(self.unchanged) + len(self.split))
 
     @property
-    def lower_bound(self) -> Fraction:
-        return Fraction(self.b_s, self.scale)
+    def b_s(self) -> int:
+        lam = self.lam
+        return lam.denominator * sum(l.mistakes for l in self.unchanged) \
+            + lam.numerator * self.n_samples * self.h
 
     @property
-    def objective(self) -> Fraction:
-        return Fraction(self.r_s, self.scale)
+    def r_s(self) -> int:
+        return self.b_s \
+            + self.lam.denominator * sum(l.mistakes for l in self.split)
+
+    @property
+    def b0_s(self) -> int:
+        return self.lam.denominator * sum(l.b0_count for l in self.split)
+
+    @property
+    def unchanged_capture(self) -> int:
+        return sum(l.n_captured for l in self.unchanged)
 
     def check_partition(self) -> None:
         """Debug invariant: the leaves' captures, recounted per sample
@@ -259,50 +238,55 @@ B_S, B0_S, R_S, UNCHANGED_CAPTURE, N_LEAVES = range(5)
 
 
 def child_entry(b_s: int, b0_s: int, r_s: int, unchanged_capture: int,
-                n_leaves: int, parent: TreeState, i: int, c1: Leaf,
-                c2: Leaf, s1: bool, s2: bool) -> tuple:
-    """The entry of the child of ``parent`` that splits its leaf i into c1
-    and c2 with flags s1 and s2, priced at the given sums."""
-    return (b_s, b0_s, r_s, unchanged_capture, n_leaves, parent, i, c1, c2,
+                n_leaves: int, parent: TreeState, c1: Leaf, c2: Leaf,
+                s1: bool, s2: bool) -> tuple:
+    """The entry of the child of ``parent`` that splits its leaf
+    ``split[0]`` into c1 and c2, each kept to split when its flag (s1, s2)
+    is true, priced at the given sums."""
+    return (b_s, b0_s, r_s, unchanged_capture, n_leaves, parent, c1, c2,
             s1, s2)
 
 
 def as_entry(tree: TreeState) -> tuple:
     """The queue entry of a built tree: its sums, then the tree and no
-    split index."""
+    new leaf."""
     return (tree.b_s, tree.b0_s, tree.r_s, tree.unchanged_capture,
-            len(tree.leaves), tree, None)
+            len(tree.unchanged) + len(tree.split), tree, None)
+
+
+def _inserted(leaves: tuple[Leaf, ...], leaf: Leaf) -> tuple[Leaf, ...]:
+    """``leaves``, in canonical order, with ``leaf`` in its place."""
+    j = bisect_left(leaves, leaf.clauses, key=_clauses)
+    return leaves[:j] + (leaf,) + leaves[j:]
 
 
 def build_tree(entry: tuple) -> TreeState:
     """The tree a queue entry stands for.  A child's two new leaves are
-    inserted into its parent's other leaves, which stay in canonical
-    order, with ``bisect``, so nothing sorts."""
-    b_s, b0_s, r_s, unchanged_capture, _, parent, i = entry[:7]
-    if i is None:
+    inserted into its parent's unchanged leaves and the split leaves after
+    ``split[0]``, which stay in canonical order, with ``bisect``, so
+    nothing sorts."""
+    parent, c1 = entry[5:7]
+    if c1 is None:
         return parent
-    c1, c2, s1, s2 = entry[7:]
-    others = parent.leaves[:i] + parent.leaves[i + 1:]
-    flags = parent.splittable[:i] + parent.splittable[i + 1:]
-    j1 = bisect_left(others, c1.clauses, key=_clauses)
-    j2 = bisect_left(others, c2.clauses, j1, key=_clauses)
-    return TreeState.derived(
-        parent, others[:j1] + (c1,) + others[j1:j2] + (c2,) + others[j2:],
-        flags[:j1] + (s1,) + flags[j1:j2] + (s2,) + flags[j2:],
-        b_s, r_s, b0_s, unchanged_capture)
+    c2, s1, s2 = entry[7:]
+    unchanged, split = parent.unchanged, parent.split[1:]
+    for leaf, s in ((c1, s1), (c2, s2)):
+        if s:
+            split = _inserted(split, leaf)
+        else:
+            unchanged = _inserted(unchanged, leaf)
+    return TreeState(unchanged, split, parent.n_samples, parent.lam,
+                     parent.ds)
 
 
-def sort_leaves(leaves: Sequence[Leaf],
-                splittable: Sequence[bool]) -> tuple[tuple, tuple]:
-    order = sorted(range(len(leaves)), key=lambda i: leaves[i].key)
-    return (tuple(leaves[i] for i in order),
-            tuple(splittable[i] for i in order))
+def sort_leaves(leaves: Sequence[Leaf]) -> tuple[Leaf, ...]:
+    """``leaves`` in canonical (leaf-key) order."""
+    return tuple(sorted(leaves, key=_clauses))
 
 
 def root_tree(ds: Dataset, lam: Fraction, eq: EquivalenceIndex) -> TreeState:
-    """Single all-capturing splittable leaf; objective = minority fraction."""
-    leaf = make_leaf([], eq)
-    return TreeState(leaves=(leaf,), splittable=(True,),
+    """Single all-capturing leaf to split; objective = minority fraction."""
+    return TreeState(unchanged=(), split=(make_leaf([], eq),),
                      n_samples=ds.n_samples, lam=lam, ds=ds)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from opttree.dataset import Dataset, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, expand
-from opttree.tree import root_tree
+from opttree.tree import TreeState, build_tree, root_tree, sort_leaves
 
 
 def bits(cells) -> int:
@@ -28,17 +28,35 @@ def random_dataset(rng: random.Random, n: int, m: int,
     return from_rows([f"f{j}" for j in range(m)], rows, labels)
 
 
+def make_tree(ds: Dataset, lam: Fraction, unchanged=(), split=()
+              ) -> TreeState:
+    """A tree of the given unchanged leaves and leaves to split, each put
+    in canonical order."""
+    return TreeState(sort_leaves(unchanged), sort_leaves(split),
+                     ds.n_samples, lam, ds=ds)
+
+
+def lower_bound(tree: TreeState) -> Fraction:
+    """A tree's lower bound: its scaled sum ``b_s`` over N*q."""
+    return Fraction(tree.b_s, tree.n_samples * tree.lam.denominator)
+
+
+def tree_objective(tree: TreeState) -> Fraction:
+    """A tree's objective as its sums give it: ``r_s`` over N*q."""
+    return Fraction(tree.r_s, tree.n_samples * tree.lam.denominator)
+
+
 def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,
                    levels: int = 3, width: int = 3) -> list:
-    """The root and the children ``expand`` builds below it, expanding up
-    to ``width`` random children of each level."""
+    """The root and the trees of the children ``expand`` keeps below it,
+    expanding up to ``width`` random children of each level."""
     eq = build_equivalence_index(ds)
     config = SearchConfig(lam=lam)
     frontier = [root_tree(ds, lam, eq)]
     trees = list(frontier)
     for _ in range(levels):
-        children = [c for t in frontier
-                    for c in expand(t, ds, eq, config, Fraction(1))]
+        children = [build_tree(e) for t in frontier
+                    for e in expand(t, ds, eq, config, Fraction(1))]
         trees += children
         frontier = rng.sample(children, min(width, len(children)))
     return trees

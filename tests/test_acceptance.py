@@ -21,9 +21,9 @@ from opttree.dataset import build_equivalence_index, from_rows, load_csv
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, expand, fit
-from opttree.tree import objective
-from tests.conftest import LAMBDAS, random_dataset
-from tests.test_tree_core import _random_tree, scratch_bounds
+from opttree.tree import build_tree, objective
+from tests.conftest import LAMBDAS, lower_bound, random_dataset
+from tests.test_tree_core import _random_tree, priced_bounds, scratch_bounds
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 COMPAS_PATH = DATA_DIR / "compas_binary.csv"
@@ -138,8 +138,9 @@ def test_criterion_4_search_space_counting(capsys, report):
 
 
 def test_criterion_5_incremental_equals_scratch(report):
-    """The bounds the search prunes with, kept on each tree it builds, equal
-    a from-scratch sum over the tree's leaves; so does every incumbent."""
+    """The bounds the search prices each child at, kept in its queue entry,
+    equal a from-scratch sum over the child's leaves; so does every
+    incumbent's objective."""
     rng = random.Random(99)
     lam = Fraction(1, 20)
     mismatches = 0
@@ -149,11 +150,10 @@ def test_criterion_5_incremental_equals_scratch(report):
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, lam, rng)
         best = Fraction(rng.randint(1, 20), 20)
-        for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
-            b, r, b0 = scratch_bounds(child, lam)
-            if child.lower_bound != b or child.objective != r \
-                    or Fraction(child.b0_s, child.scale) != b0 \
-                    or child.lower_bound < parent.lower_bound:
+        for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+            priced = priced_bounds(entry, ds.n_samples, lam)
+            if priced != scratch_bounds(build_tree(entry), lam) \
+                    or priced[0] < lower_bound(parent):
                 mismatches += 1
             checked += 1
     fits = 0

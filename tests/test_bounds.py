@@ -1,11 +1,12 @@
 """Each pruning rule, checked where the search evaluates it: node support
-in ``_Run._expandable_index`` and the split flags, ``_Run._is_live``, the
-accuracy and gain checks in ``_Run._split_table``, ``_Run._similar_skip``
-and ``_Run._record_trace``."""
+in the split flags and the root check of ``_Run.run``, ``_Run._is_live``,
+the accuracy and gain checks in ``_Run._split_table``,
+``_Run._similar_skip`` and ``_Run._record_trace``."""
 
+import itertools
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,11 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, and_clauses, as_entry,
+from opttree.search import SearchConfig, _Run, expand, fit
+from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, as_entry,
                           build_tree, child_entry, child_keys,
-                          make_child_leaf, make_leaf, root_tree, sort_leaves)
-from tests.conftest import bits, random_dataset
+                          make_child_leaf, make_leaf, root_tree)
+from tests.conftest import lower_bound, random_dataset
 
 
 def _run_at(ds, lam, best, **toggles):
@@ -37,22 +38,16 @@ def _scaled(run, value: Fraction) -> int:
 
 
 def _closed(k, n, lam, **toggles):
-    """Whether node support closes the leaf f0=1 over n samples, k of
-    which have f0=1: the run never designates it, and the root's split on
-    f0 never flags it splittable (the two must agree)."""
+    """Whether node support closes the leaf f0=1 over n samples, 0 < k < n
+    of which have f0=1: the root's split on f0 never keeps it to split."""
     ds = from_rows(["a"], [[1]] * k + [[0]] * (n - k),
                    [1] * k + [0] * (n - k))
     run = _run_at(ds, lam, Fraction(1), leaf_accuracy=False,
                   incremental_accuracy=False, **toggles)
-    leaf = make_leaf([Clause(0, True)], run.eq)
-    closed = run._expandable_index(TreeState(
-        leaves=(leaf,), splittable=(True,), n_samples=n, lam=lam)) is None
-    splits = run._split_table(root_tree(ds, lam, run.eq).leaves[0])[1]
-    if 0 < k < n:
-        ((_, _, c2, flag_pairs),) = splits
-        assert c2.key == leaf.key
-        assert closed == all(not s2 for _, s2 in flag_pairs)
-    return closed
+    ((_, _, c2, flag_pairs),) = run._split_table(
+        root_tree(ds, lam, run.eq).split[0])[1]
+    assert c2.key == (Clause(0, True),) and c2.n_captured == k
+    return all(not s2 for _, s2 in flag_pairs)
 
 
 def test_toggles_defaults_and_replace():
@@ -67,38 +62,53 @@ def test_leaf_is_dead():
     lam = Fraction(1, 100)
     assert _closed(15, 1000, lam)
     assert not _closed(20, 1000, lam)  # boundary: equality passes
-    assert _closed(0, 1000, lam)
+    assert _closed(1, 1000, lam)
     # node support off: never closed
-    assert not _closed(0, 1000, lam, node_support=False)
+    assert not _closed(1, 1000, lam, node_support=False)
     assert not _closed(15, 1000, lam, node_support=False)
 
-    # the search never splits a dead leaf unless node support is off
+    # a fit never splits the dead leaf unless node support is off; the
+    # label a xor b makes splitting it worth trying once lookahead and
+    # leaf accuracy, which would prune those trees first, are off
     rows = [[1, i % 2] for i in range(15)] + [[0, i % 2] for i in range(985)]
-    ds = from_rows(["a", "b"], rows, [i % 3 == 0 for i in range(1000)])
-    eq = build_equivalence_index(ds)
-    small = make_leaf([Clause(0, True)], eq)
-    big = make_leaf([Clause(0, False)], eq)
-    leaves, flags = sort_leaves((small, big), (True, False))
-    tree = TreeState(leaves=leaves, splittable=flags,
-                     n_samples=ds.n_samples, lam=lam)
-    run = _run_at(ds, lam, Fraction(1))
-    assert run.expand(tree) == []
-    # no split of it was tried
-    assert run.split_tables == {} and len(run.leaf_cache) == 0
-    off = _run_at(ds, lam, Fraction(1), node_support=False)
-    off.expand(tree)
-    # tried, then refused by leaf accuracy
-    assert off.split_tables[small][1] == []
-    assert [l.key for l in off.leaf_cache._store.values()] \
-        == list(child_keys(small, 1))
+    ds = from_rows(["a", "b"], rows, [a ^ b for a, b in rows])
+
+    def split_leaves(**toggles):
+        run = _Run(ds, SearchConfig(lam=lam, toggles=BoundToggles(
+            lookahead=False, leaf_accuracy=False, **toggles)))
+        run.run()
+        return {leaf.key for leaf in run.split_tables}
+
+    assert (Clause(0, True),) not in split_leaves()
+    assert (Clause(0, True),) in split_leaves(node_support=False)
+
+
+def test_node_support_closes_the_root():
+    # lam > 1/2: the root holds fewer than 2*lam of the samples, so under
+    # every toggle set with node support on it is never expanded, though
+    # with lookahead off it is live
+    rng = random.Random(21)
+    names = [f.name for f in fields(BoundToggles)]
+    opened = 0
+    for _ in range(12):
+        ds = random_dataset(rng, rng.randint(4, 30), rng.randint(1, 4))
+        lam = Fraction(rng.randint(51, 99), 100)
+        for values in itertools.product((False, True), repeat=len(names)):
+            toggles = BoundToggles(**dict(zip(names, values)))
+            stats = fit(ds, SearchConfig(lam=lam, toggles=toggles)).stats
+            if toggles.node_support:
+                assert stats.expansions == 0
+            else:
+                opened += stats.expansions > 0
+    assert opened > 100
 
 
 def _refused_features(ds, lam, **toggles):
     """The features the root's split table leaves out."""
     root = root_tree(ds, lam, build_equivalence_index(ds))
     run = _run_at(ds, lam, Fraction(1), **toggles)
-    run.expand(root)
-    kept = {f for f, *_ in run.split_tables[root.leaves[0]][1]}
+    run.expand(as_entry(root))
+    kept = {f for f, *_ in run.split_tables[root.split[0]][1]}
     return set(range(ds.n_features)) - kept
 
 
@@ -116,7 +126,7 @@ def test_child_accuracy_admissible():
 
 def test_monotone_in_lambda():
     a, b = Fraction(1, 100), Fraction(1, 10)
-    for k in (0, 5, 10, 20):
+    for k in (1, 5, 10, 20):
         if _closed(k, 100, a):
             assert _closed(k, 100, b)
     rng = random.Random(4)
@@ -139,7 +149,7 @@ def _gain_dataset(deltas):
 
 
 ALL_FLAGS = {(s1, s2) for s1 in (False, True) for s2 in (False, True)}
-# a split gaining less than lam keeps one of its two leaves splittable
+# a split gaining less than lam keeps one of its two leaves to split
 SOME_OPEN = ALL_FLAGS - {(False, False)}
 
 
@@ -151,11 +161,13 @@ def _flags_by_feature(deltas, lam, **toggles):
     ds = _gain_dataset(deltas)
     run = _run_at(ds, lam, Fraction(1), lookahead=False,
                   equivalent_points=False, **toggles)
-    run._set_best = lambda tree: None
+    run._set_best = lambda entry: None
     seen = {}
-    for child in map(build_tree, run.expand(root_tree(ds, lam, run.eq))):
+    root = root_tree(ds, lam, run.eq)
+    for child in map(build_tree, run.expand(as_entry(root))):
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
-        seen.setdefault(f, set()).add(child.splittable)
+        seen.setdefault(f, set()).add(
+            tuple(leaf in child.split for leaf in child.leaves))
     assert run.stats.trees_evaluated == sum(map(len, seen.values()))
     return seen
 
@@ -199,8 +211,8 @@ def test_lookahead_prunes():
         run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
         # an entry of bound b; with equivalent points off nothing else of
         # it is read
-        entry = child_entry(_scaled(run, b), 0, 0, 0, 2, None, 0, None,
-                            None, True, True)
+        entry = child_entry(_scaled(run, b), 0, 0, 0, 2, None, None, None,
+                            True, True)
         return not run._is_live(entry)
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))
@@ -219,7 +231,7 @@ def test_equivalent_points_floor():
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
     tree = root_tree(ds, lam, eq)
-    assert Fraction(tree.b0_s, tree.scale) == Fraction(1, 6)
+    assert tree.b0_s == lam.denominator  # one sample in N: 1/6
     # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
     entry = as_entry(tree)
     assert not _run_at(ds, lam, Fraction(106, 600))._is_live(entry)
@@ -240,10 +252,10 @@ def test_equivalent_points_floor_le_splittable_error():
         ds = random_dataset(rng, rng.randint(4, 30), 3, duplicate_bias=0.5)
         eq = build_equivalence_index(ds)
         root = root_tree(ds, lam, eq)
-        for tree in [root] + expand(root, ds, eq, SearchConfig(lam=lam),
-                                    Fraction(1)):
+        for entry in [as_entry(root)] + expand(
+                root, ds, eq, SearchConfig(lam=lam), Fraction(1)):
             trees += 1
-            assert 0 <= tree.b0_s <= tree.r_s - tree.b_s
+            assert 0 <= entry[B0_S] <= entry[R_S] - entry[B_S]
     assert trees > 100
 
 
@@ -264,15 +276,16 @@ def test_max_leaves_formulas():
         eq = build_equivalence_index(ds)
         best = Fraction(rng.randint(1, 10), 20)
         parents = [root_tree(ds, lam, eq)]
-        parents += expand(parents[0], ds, eq, SearchConfig(lam=lam), best)
+        parents += map(build_tree, expand(parents[0], ds, eq,
+                                          SearchConfig(lam=lam), best))
         for parent in parents:
-            for child in expand(parent, ds, eq, SearchConfig(lam=lam),
+            for entry in expand(parent, ds, eq, SearchConfig(lam=lam),
                                 best):
                 children += 1
-                assert child.h <= min(math.floor(best / lam),
-                                      2 ** ds.n_features)
-                assert child.h < parent.h + math.floor(
-                    (best - parent.lower_bound) / lam)
+                h = build_tree(entry).h
+                assert h <= min(math.floor(best / lam), 2 ** ds.n_features)
+                assert h < parent.h + math.floor(
+                    (best - lower_bound(parent)) / lam)
     assert children > 50
 
 

@@ -2,17 +2,17 @@
 capture only for the leaves the search splits.
 
 The search prices every child from one base per expansion, the parent's
-sums less the designated leaf plus the new leaf penalty, adjusted for the
-two leaves the split adds.  A child the price does not reject becomes a
-queue entry, its sums and what builds it, and is queued on its liveness
-alone, without looking for an open leaf; it is built, with
-``TreeState.derived``, only when it is popped or becomes the incumbent.
+sums less its first leaf to split plus the new leaf penalty, adjusted for
+the two leaves the split adds.  A child the price does not reject becomes
+a queue entry, its sums and what builds it, and is queued on its liveness
+alone, without looking for a leaf to split; its tree, which stores no
+sums, is built only when the entry is expanded or becomes the incumbent.
 No child reuses its parent's leaves: every child is a split.  These tests
-check the sums and the queueing against from-scratch work on every child
-that real fits price in, each built here from its entry, and on every
-tree the fits build; and they check that after a fit the run holds a
-capture, a set of row classes, with the split table of exactly the leaves
-the search split.
+check the sums and the queueing against from-scratch sums over the
+leaves of every child that real fits price in, each built here from its
+entry, and of every tree the fits build; and they check that after a fit
+the run holds a capture, a set of row classes, with the split table of
+exactly the leaves the search split.
 """
 
 import random
@@ -23,7 +23,7 @@ from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE,
-                          TreeState, and_clauses, build_tree)
+                          and_clauses, build_tree)
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -40,13 +40,11 @@ TOGGLES_ONE_OFF = (BoundToggles(), BoundToggles(similar_support=True)) \
         "leaf_accuracy", "equivalent_points", "permutation_cache"))
 
 
-def _from_scratch(tree):
-    return TreeState(leaves=tree.leaves, splittable=tree.splittable,
-                     n_samples=tree.n_samples, lam=tree.lam)
-
-
 def _sums(tree):
-    return tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture, tree.scale
+    """A tree's (b_s, r_s, b0_s, unchanged capture, leaf count), summed
+    from scratch over its leaves."""
+    return (tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture,
+            len(tree.leaves))
 
 
 def _entry_sums(entry):
@@ -62,7 +60,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     priced = []
     returned = closed = 0
 
-    def checking_expand(run, tree):
+    def checking_expand(run, parent_entry):
         nonlocal returned, closed
         gate, seen = run._is_live, []
 
@@ -72,31 +70,31 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
         run._is_live = recording
         evaluated, best_before = run.stats.trees_evaluated, run.best_s
         try:
-            out = expand(run, tree)
+            out = expand(run, parent_entry)
         finally:
             run._is_live = gate
         assert run.stats.trees_evaluated - evaluated == len(seen)
         kept = {id(e) for e in out}
+        parent = build_tree(parent_entry)
         # a child is returned iff it is live, and only the liveness gate
-        # drops children that have no open leaf: none of them is live
+        # drops children that have no leaf to split: none of them is live
         for entry in seen:
             # the hierarchical bound dropped every child priced at or
             # above the incumbent, which only falls during the expansion
             assert entry[B_S] < best_before
             child = build_tree(entry)
             live = gate(entry)
-            expandable = run._expandable_index(child) is not None
             assert (id(entry) in kept) == live
-            assert expandable or not live
+            assert child.split or not live
             returned += live
-            closed += not expandable
-            priced.append((tree, child, entry))
+            closed += not child.split
+            priced.append((parent, child, entry))
         return out
 
     monkeypatch.setattr(_Run, "expand", checking_expand)
 
     rng = random.Random(7)
-    retire = must_split = both_unchanged = fits = 0
+    must_split = both_unchanged = fits = 0
     for _ in range(6):
         ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
                             duplicate_bias=rng.choice((0.0, 0.3)))
@@ -109,39 +107,36 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
                 _Run(ds, config).run()
                 fits += 1
                 for parent, child, entry in priced:
-                    assert _sums(child) == _sums(_from_scratch(child))
-                    assert _entry_sums(entry) \
-                        == _sums(child)[:4] + (len(child.leaves),)
-                    if child.leaves is parent.leaves:
-                        retire += 1
-                        continue
-                    # a split gaining less than lam may not leave both
-                    # new leaves unchanged, unless the bound is off
+                    assert _entry_sums(entry) == _sums(child)
+                    # the parent's first leaf to split is the one split
                     (split,) = [l for l in parent.leaves
                                 if l not in child.leaves]
-                    new = [i for i, l in enumerate(child.leaves)
-                           if l not in parent.leaves]
-                    gain = sum(child.leaves[i].n_correct for i in new) \
-                        - split.n_correct
+                    assert split is parent.split[0]
+                    # a split gaining less than lam may not leave both
+                    # new leaves unchanged, unless the bound is off
+                    new = [l for l in child.leaves if l not in parent.leaves]
+                    gain = sum(l.n_correct for l in new) - split.n_correct
                     if gain * lam.denominator >= lam.numerator * ds.n_samples:
                         continue
-                    is_open = any(child.splittable[i] for i in new)
+                    is_open = any(l in child.split for l in new)
                     if toggles.incremental_accuracy:
                         assert is_open
                         must_split += 1
                     else:
                         both_unchanged += not is_open
     assert fits == 6 * 7 * len(TOGGLE_SETS)
-    assert retire == 0 and must_split > 1000 and returned > 10000
+    assert must_split > 1000 and returned > 10000
     assert both_unchanged > 1000
     assert closed > 100
 
 
 def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
     # through ``fit``: every tree the search builds from a queue entry,
-    # at a pop or for a new incumbent, holds its leaves in canonical order
-    # and the sums its entry was priced with, which a from-scratch sum
-    # over its leaves reproduces
+    # at a pop or for a new incumbent, holds its unchanged leaves and its
+    # leaves to split each in canonical order, and the sums its entry was
+    # priced with, which a from-scratch sum over its leaves reproduces.
+    # Node support is read once, for the root: every other leaf to split
+    # was kept open by its split table
     built = []
 
     def recording(entry):
@@ -151,7 +146,7 @@ def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
 
     monkeypatch.setattr(search, "build_tree", recording)
     rng = random.Random(17)
-    fits = trees = 0
+    fits = trees = opened = 0
     for _ in range(6):
         ds = random_dataset(rng, rng.randint(10, 60), rng.randint(2, 5),
                             duplicate_bias=rng.choice((0.0, 0.3)))
@@ -165,15 +160,19 @@ def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
                 assert any(tree is res.best_tree for _, tree in built) \
                     or len(res.best_tree.leaves) == 1
                 for entry, tree in built:
-                    keys = [leaf.key for leaf in tree.leaves]
-                    assert all(a < b for a, b in zip(keys, keys[1:]))
-                    assert _sums(tree) == _sums(_from_scratch(tree))
-                    assert _entry_sums(entry) \
-                        == _sums(tree)[:4] + (len(tree.leaves),)
+                    for leaves in (tree.unchanged, tree.split):
+                        keys = [leaf.key for leaf in leaves]
+                        assert all(a < b for a, b in zip(keys, keys[1:]))
+                    assert _entry_sums(entry) == _sums(tree)
                     assert tree.ds is ds
+                    if toggles.node_support and len(tree.leaves) > 1:
+                        support = 2 * lam.numerator * ds.n_samples
+                        assert all(lam.denominator * leaf.n_captured
+                                   >= support for leaf in tree.split)
+                        opened += len(tree.split)
                 trees += len(built)
     assert fits == 6 * len(Policy) * len(TOGGLES_ONE_OFF)
-    assert trees > 2000
+    assert trees > 2000 and opened > 1000
 
 
 def _fit_recording_splits(ds, config):
@@ -182,11 +181,12 @@ def _fit_recording_splits(ds, config):
     split = []
     expand = run.expand
 
-    def recording(tree):
-        idx = run._expandable_index(tree)
-        if idx is not None:
-            split.append(tree.leaves[idx])
-        return expand(tree)
+    def recording(entry):
+        expansions = run.stats.expansions
+        out = expand(entry)
+        if run.stats.expansions > expansions:
+            split.append(build_tree(entry).split[0])
+        return out
 
     run.expand = recording
     run.run()

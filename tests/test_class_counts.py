@@ -3,9 +3,9 @@
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
 code the search runs (``make_leaf``, ``make_child_leaf`` from a capture
-and from a sibling, the capture a split table keeps, node support in
-``_Run._expandable_index`` and ``_Run._similar_skip``) on data with many
-duplicate rows, and recount every figure per sample through
+and from a sibling, the capture a split table keeps, node support's
+comparison against ``_Run.support_s`` and ``_Run._similar_skip``) on data
+with many duplicate rows, and recount every figure per sample through
 ``and_literal`` on the dataset's columns.
 """
 
@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 
 from opttree.dataset import and_literal, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (Clause, TreeState, child_keys, make_child_leaf,
-                          make_leaf)
+from opttree.tree import Clause, child_keys, make_child_leaf, make_leaf
 
 # rows drawn from a pool of at most 6, so classes hold many samples
 data = st.integers(1, 6).flatmap(lambda m: st.tuples(
@@ -68,10 +67,9 @@ def _recount(ds, capture, lam):
 
 
 def _counts(leaf, run):
-    alone = TreeState(leaves=(leaf,), splittable=(True,),
-                      n_samples=run.n, lam=run.lam)
+    # node support closes a leaf by the run's comparison of its count
     return (leaf.n_captured, leaf.n_correct, leaf.mistakes, leaf.b0_count,
-            leaf.prediction, run._expandable_index(alone) is None)
+            leaf.prediction, run.q * leaf.n_captured < run.support_s)
 
 
 @given(data)

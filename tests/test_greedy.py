@@ -4,13 +4,13 @@ from fractions import Fraction
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.greedy import GreedyParams, greedy_fit
 from opttree.tree import objective
-from tests.conftest import random_dataset
+from tests.conftest import random_dataset, tree_objective
 
 
 def test_perfect_split_found(toy_ds):
     lam = Fraction(1, 100)
     tree = greedy_fit(toy_ds, GreedyParams(max_depth=1), lam)
-    assert not any(tree.splittable)
+    assert tree.split == ()
     assert len(tree.leaves) == 2
     assert sum(l.mistakes for l in tree.leaves) == 0
     assert {c.feature for leaf in tree.leaves for c in leaf.clauses} == {0}
@@ -21,7 +21,7 @@ def test_depth_zero_effect_and_pure_node_stops():
     tree = greedy_fit(ds, GreedyParams(max_depth=3), Fraction(1, 10))
     assert len(tree.leaves) == 1  # pure labels: no reduction available
     assert tree.h == 0
-    assert tree.objective == 0
+    assert tree_objective(tree) == 0
 
 
 def test_tie_breaks_to_lowest_feature():
@@ -49,8 +49,8 @@ def test_greedy_objective_consistency_random():
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
         tree = greedy_fit(ds, GreedyParams(max_depth=ds.n_features), lam)
         tree.check_partition()
-        assert not any(tree.splittable)
-        assert tree.objective == objective(tree, lam)
+        assert tree.split == ()
+        assert tree_objective(tree) == objective(tree, lam)
         # never worse than predicting the majority class outright
         majority = min(ds.label_one_count,
                        ds.n_samples - ds.label_one_count)

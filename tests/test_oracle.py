@@ -8,8 +8,8 @@ from opttree import oracle
 from opttree.dataset import (build_equivalence_index, from_rows,
                              weighted_count)
 from opttree.oracle import OracleResourceError, exhaustive_optimum
-from opttree.tree import TreeState, make_leaf, objective, sort_leaves
-from tests.conftest import random_dataset
+from opttree.tree import make_leaf, objective
+from tests.conftest import make_tree, random_dataset, tree_objective
 
 
 def parity_dataset(bits: int, copies: int):
@@ -84,15 +84,12 @@ def test_witness_leaves_consistent(toy_ds):
     for ds, lam in datasets:
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
-        leaves, flags = sort_leaves(
-            [make_leaf(k, eq) for k in res.leaf_keys],
-            [False] * len(res.leaf_keys))
-        tree = TreeState(leaves=leaves, splittable=flags,
-                         n_samples=ds.n_samples, lam=lam, ds=ds)
+        tree = make_tree(ds, lam, unchanged=[make_leaf(k, eq)
+                                             for k in res.leaf_keys])
         tree.check_partition()
-        assert tree.objective == objective(tree, lam) == res.objective
-        assert sum(l.mistakes for l in leaves) == res.mistakes
-        assert len(leaves) == res.n_leaves
+        assert tree_objective(tree) == objective(tree, lam) == res.objective
+        assert sum(l.mistakes for l in tree.leaves) == res.mistakes
+        assert len(tree.leaves) == res.n_leaves
 
 
 def test_objective_floor_from_equivalent_points():

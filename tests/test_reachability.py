@@ -1,6 +1,7 @@
 """Every public function of the bound and tree modules is run by the
-program itself, so tests cannot come to check a copy of the arithmetic
-instead of the code that prunes."""
+program itself (a library fit, and ``opttree fit`` and ``opttree count``
+from the command line), so tests cannot come to check a copy of the
+arithmetic instead of the code that prunes."""
 
 import inspect
 import random
@@ -13,23 +14,17 @@ from opttree.cli import main
 from opttree.search import SearchConfig, fit
 from tests.conftest import random_dataset
 
-# name -> why nothing in `fit` or `opttree count` runs it
+# name -> why nothing in `fit`, `opttree fit` or `opttree count` runs it
 NOT_RUN = {
     "opttree.tree.objective":
         "from-scratch reference used by tests and the benchmark",
     "opttree.tree.TreeState.check_partition":
         "from-scratch reference used by tests and the benchmark",
-    "opttree.tree.TreeState.lower_bound":
-        "rational view of b_s for tests; the search compares b_s and "
-        "reports the queue's bounds from b_s without building a tree",
     "opttree.bounds.symmetry_savings": "paper counting result",
     "opttree.bounds.total_evaluations_bound_log10": "paper counting result",
     "opttree.bounds.max_leaves_apriori":
         "paper counting result, reached only through "
         "total_evaluations_bound_log10",
-    "opttree.tree.sort_leaves":
-        "canonical-order helper for greedy_fit and the tests; perfbench "
-        "wraps it by name as the tree layer's sorting span",
 }
 
 
@@ -57,10 +52,21 @@ def _public_functions(module):
                 yield f"{module.__name__}.{name}", code
 
 
-def test_public_bound_and_tree_functions_are_reached(capsys):
+def _csv(ds) -> str:
+    """The dataset as the CSV ``opttree fit`` reads, label column y."""
+    lines = [",".join([*ds.feature_names, "y"])]
+    for i in range(ds.n_samples):
+        lines.append(",".join(str(col >> i & 1)
+                              for col in (*ds.columns, ds.labels)))
+    return "\n".join(lines) + "\n"
+
+
+def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
     opttree.bounds.cumulative_perm.cache_clear()  # memo hits skip the body
     rng = random.Random(1)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
+    data = tmp_path / "data.csv"
+    data.write_text(_csv(ds), encoding="utf-8")
     reached = set()
 
     def profile(frame, event, arg):
@@ -73,6 +79,10 @@ def test_public_bound_and_tree_functions_are_reached(capsys):
         # a fit stopped with work left reports a gap from a lower bound
         stopped = fit(ds, SearchConfig(lam=Fraction(1, 30), max_trees=20))
         assert main(["count", "--features", "3", "--depth", "2"]) == 0
+        # the model JSON lists the best tree's leaves
+        assert main(["fit", "--data", str(data), "--label", "y",
+                     "--lambda", "1/30",
+                     "--out", str(tmp_path / "model.json")]) == 0
     finally:
         sys.setprofile(None)
     capsys.readouterr()

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy, SearchQueue, priority
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (B_S, Clause, TreeState, as_entry, build_tree,
-                          make_leaf, root_tree, sort_leaves)
-from tests.conftest import expanded_trees, random_dataset
+from opttree.tree import (B_S, Clause, as_entry, build_tree, make_leaf,
+                          root_tree)
+from tests.conftest import (expanded_trees, lower_bound, make_tree,
+                            random_dataset, tree_objective)
 
 
 @pytest.fixture
@@ -23,13 +25,16 @@ def ds():
     return from_rows(["a", "b"], rows, labels)
 
 
-def _split_tree(ds, splittable=(False, True), lam=Fraction(1, 10)):
+def _split_tree(ds, to_split=(False, True), lam=Fraction(1, 10)):
+    """The tree of the leaves f0=0 and f0=1, each to split where its flag
+    is true and unchanged otherwise."""
     eq = build_equivalence_index(ds)
-    l0 = make_leaf([Clause(0, False)], eq)
-    l1 = make_leaf([Clause(0, True)], eq)
-    leaves, flags = sort_leaves((l0, l1), splittable)
-    return TreeState(leaves=leaves, splittable=flags,
-                     n_samples=ds.n_samples, lam=lam)
+    leaves = (make_leaf([Clause(0, False)], eq),
+              make_leaf([Clause(0, True)], eq))
+    return make_tree(ds, lam,
+                     unchanged=[l for l, s in zip(leaves, to_split)
+                                if not s],
+                     split=[l for l, s in zip(leaves, to_split) if s])
 
 
 def test_bfs_dfs_priorities(ds):
@@ -44,9 +49,9 @@ def test_bfs_dfs_priorities(ds):
 def test_bound_and_objective_priorities(ds):
     # keys are the bounds scaled by N*q = 80
     t = _split_tree(ds)
-    assert t.lower_bound == Fraction(1, 8) + Fraction(2, 10)
-    assert priority(t, Policy.LOWER_BOUND, ds) == t.lower_bound * 80 == 26
-    assert priority(t, Policy.OBJECTIVE, ds) == t.objective * 80 == 36
+    assert lower_bound(t) == Fraction(1, 8) + Fraction(2, 10)
+    assert priority(t, Policy.LOWER_BOUND, ds) == lower_bound(t) * 80 == 26
+    assert priority(t, Policy.OBJECTIVE, ds) == tree_objective(t) * 80 == 36
 
 
 def test_curiosity_priority(ds):
@@ -54,19 +59,18 @@ def test_curiosity_priority(ds):
     lam = Fraction(1, 10)
     root = root_tree(ds, lam, build_equivalence_index(ds))
     assert priority(root, Policy.CURIOSITY, ds) \
-        == root.lower_bound * 8 * 80 == 0  # nothing unchanged: c = N
+        == lower_bound(root) * 8 * 80 == 0  # nothing unchanged: c = N
     t = _split_tree(ds)  # unchanged leaf captures 4 of 8
     assert priority(t, Policy.CURIOSITY, ds) \
-        == t.lower_bound / Fraction(4, 8) * 8 * 80 == 416
+        == lower_bound(t) / Fraction(4, 8) * 8 * 80 == 416
 
 
 def _curiosity_reference(tree):
     """The rational curiosity key: lower bound over the fraction of
     samples that unchanged leaves hold (all of them when none)."""
     n = tree.n_samples
-    held = sum(l.n_captured for l, s in zip(tree.leaves, tree.splittable)
-               if not s)
-    return tree.lower_bound / Fraction(held or n, n)
+    held = sum(l.n_captured for l in tree.unchanged)
+    return lower_bound(tree) / Fraction(held or n, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -77,8 +81,8 @@ def test_integer_keys_order_and_tie_as_rationals(n, m, p, q, seed):
     ds = random_dataset(rng, n, m, duplicate_bias=rng.choice((0.0, 0.5)))
     trees = expanded_trees(ds, Fraction(p, q), rng)
     references = {Policy.CURIOSITY: _curiosity_reference,
-                  Policy.LOWER_BOUND: lambda t: t.lower_bound,
-                  Policy.OBJECTIVE: lambda t: t.objective}
+                  Policy.LOWER_BOUND: lower_bound,
+                  Policy.OBJECTIVE: tree_objective}
     for policy, reference in references.items():
         pairs = sorted(((reference(t), priority(t, policy, ds))
                         for t in trees), key=lambda rk: rk[0])
@@ -88,7 +92,7 @@ def test_integer_keys_order_and_tie_as_rationals(n, m, p, q, seed):
 
 
 def test_entropy_and_gini_priorities(ds):
-    t = _split_tree(ds)  # splittable leaf: 4 captured, 1 one-label
+    t = _split_tree(ds)  # leaf to split: 4 captured, 1 one-label
     p = 1 / 4
     expected_h2 = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
     assert priority(t, Policy.ENTROPY, ds) \
@@ -121,9 +125,9 @@ def test_queue_keys_a_child_by_its_sums():
     root = root_tree(ds, lam, build_equivalence_index(ds))
     for policy in Policy:
         run = _Run(ds, SearchConfig(lam=lam, policy=policy))
-        run.best_s = root.scale
-        run._set_best = lambda tree: None
-        entries = run.expand(root)
+        run.best_s = run.q * run.n
+        run._set_best = lambda entry: None
+        entries = run.expand(as_entry(root))
         assert len(entries) > 10
         q = SearchQueue(policy, ds)
         q.push(entries)
@@ -147,9 +151,64 @@ def test_queue_max_size_and_min_bound(ds):
     assert q.max_size == 2
     q.push([])
     assert q.max_size == 2
-    assert build_tree(b).lower_bound < build_tree(a).lower_bound
+    assert lower_bound(build_tree(b)) < lower_bound(build_tree(a))
     assert q.min_lower_bound() is b
     assert q.min_lower_bound(lambda e: e is a) is a
     assert q.min_lower_bound(lambda e: False) is None
     assert {id(e) for e in q.trees()} == {id(a), id(b)}
     assert q.buckets == {(a[B_S], 2): 1, (b[B_S], 2): 1}
+
+
+def _plain_min(queue, is_live):
+    """The first live entry of least ``b_s`` in heap order."""
+    return min((e for e in queue.trees() if is_live(e)), key=itemgetter(B_S),
+               default=None)
+
+
+def _checked_min(queue, is_live):
+    """``queue.min_lower_bound(is_live)``, checking that liveness is asked
+    only of entries below the least live bound found before it."""
+    least = []
+
+    def asked(entry):
+        assert not least or entry[B_S] < least[-1]
+        live = is_live(entry)
+        if live:
+            least.append(entry[B_S])
+        return live
+    return queue.min_lower_bound(asked)
+
+
+def test_min_lower_bound_is_the_plain_min_on_random_queues(ds):
+    rng = random.Random(9)
+    for _ in range(300):
+        q = SearchQueue(rng.choice(list(Policy)[:5]), ds)
+        # fake entries: bounds from a narrow range, so that ties abound
+        entries = [(rng.randint(0, 6), 0, 0, 1, rng.randint(1, 4))
+                   for _ in range(rng.randint(0, 30))]
+        q.push(entries)
+        live = {id(e) for e in entries if rng.random() < 0.5}
+        for is_live in (lambda e: id(e) in live, lambda e: True):
+            assert _checked_min(q, is_live) is _plain_min(q, is_live)
+        assert q.min_lower_bound() is _plain_min(q, lambda e: True)
+
+
+def test_min_lower_bound_is_the_plain_min_on_stopped_fits():
+    rng = random.Random(10)
+    stopped = 0
+    for _ in range(30):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=rng.choice((0.0, 0.5)))
+        policy = rng.choice(list(Policy))
+        run = _Run(ds, SearchConfig(lam=Fraction(1, 50), policy=policy,
+                                    max_trees=rng.randint(20, 400)))
+        result = run.run()
+        # the gate the finished run judged the queue with
+        is_live = run._liveness_gate()
+        least = _checked_min(run.queue, is_live)
+        assert least is _plain_min(run.queue, is_live)
+        if least is not None:
+            stopped += 1
+            assert result.gap == result.objective \
+                - Fraction(least[B_S], run.n * run.q)
+    assert stopped > 10

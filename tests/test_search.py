@@ -14,8 +14,14 @@ from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree import search
 from opttree.search import SearchConfig, _Run, expand, fit
-from opttree.tree import Clause, build_tree, root_tree
-from tests.conftest import expanded_trees, random_dataset
+from opttree.tree import Clause, as_entry, build_tree, root_tree
+from tests.conftest import (expanded_trees, lower_bound, random_dataset,
+                            tree_objective)
+
+
+def _flags(tree):
+    """Whether each leaf, in canonical order, is still to split."""
+    return tuple(leaf in tree.split for leaf in tree.leaves)
 
 
 def test_lambda_must_be_positive(toy_ds):
@@ -50,10 +56,9 @@ def test_deterministic_runs(noisy_ds):
     b = fit(noisy_ds, SearchConfig(lam=Fraction(1, 20)))
     assert a.objective == b.objective
     # tree keys hold one run's interned leaves; compare their leaf keys
-    assert [(leaf.key, s) for leaf, s in zip(a.best_tree.leaves,
-                                             a.best_tree.splittable)] \
-        == [(leaf.key, s) for leaf, s in zip(b.best_tree.leaves,
-                                             b.best_tree.splittable)]
+    assert [leaf.key for leaf in a.best_tree.leaves] \
+        == [leaf.key for leaf in b.best_tree.leaves]
+    assert _flags(a.best_tree) == _flags(b.best_tree)
     assert a.stats.trees_evaluated == b.stats.trees_evaluated
     assert a.stats.trees_to_optimum == b.stats.trees_to_optimum
     assert a.stats.max_queue_size == b.stats.max_queue_size
@@ -148,12 +153,13 @@ def test_expand_children_respect_hierarchy():
     eq = build_equivalence_index(ds)
     root = root_tree(ds, lam, eq)
     cfg = SearchConfig(lam=lam)
-    children = expand(root, ds, eq, cfg, Fraction(1, 2))
+    children = [build_tree(e) for e in expand(root, ds, eq, cfg,
+                                              Fraction(1, 2))]
     assert children
     for child in children:
         child.check_partition()
-        assert child.lower_bound >= root.lower_bound
-        assert child.lower_bound <= child.objective
+        assert lower_bound(child) >= lower_bound(root)
+        assert lower_bound(child) <= tree_objective(child)
         assert child.h == 2
 
 
@@ -167,10 +173,11 @@ def test_expand_prunes_by_best(toy_ds):
 
 
 def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
-    """Trees are built without sorting: their leaf keys must still be
-    strictly increasing.  Within one run, whose leaves are interned, two
-    built trees get equal ``tree_key``s exactly when they hold the same
-    multiset of (leaf key, flag) pairs."""
+    """Trees are built without sorting: the keys of their unchanged leaves
+    and of their leaves to split must still be strictly increasing.
+    Within one run, whose leaves are interned, two built trees get equal
+    ``tree_key``s exactly when they hold the same multiset of (leaf key,
+    flag) pairs."""
     built = []
 
     def recording(entry):
@@ -183,18 +190,19 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
     for _ in range(100):
         ds = random_dataset(rng, rng.randint(10, 80), rng.randint(2, 5))
         lam = Fraction(1, rng.randint(10, 80))
-        for tree in expanded_trees(ds, lam, rng, levels=5):
-            keys = [leaf.key for leaf in tree.leaves]
-            assert all(a < b for a, b in zip(keys, keys[1:]))
+        trees = expanded_trees(ds, lam, rng, levels=5)
         # every tree one fit builds, at pops and for the incumbent,
         # duplicates included
         built.clear()
         fit(ds, SearchConfig(lam=lam, max_trees=3000))
+        for tree in trees + built:
+            for leaves in (tree.unchanged, tree.split):
+                keys = [leaf.key for leaf in leaves]
+                assert all(a < b for a, b in zip(keys, keys[1:]))
         by_pairs: dict = {}
         for tree in built:
             keys = [leaf.key for leaf in tree.leaves]
-            assert all(a < b for a, b in zip(keys, keys[1:]))
-            pairs = tuple(sorted(zip(keys, tree.splittable)))
+            pairs = tuple(sorted(zip(keys, _flags(tree))))
             by_pairs.setdefault(pairs, []).append(tree_key(tree))
         tree_keys = {k for ks in by_pairs.values() for k in ks}
         assert len(tree_keys) == len(by_pairs)
@@ -216,7 +224,7 @@ def _priced_children(ds, config, tree, best):
         priced.append(entry)
         return gate(entry)
     run._is_live = recording
-    live = run.expand(tree)
+    live = run.expand(as_entry(tree))
     assert run.stats.trees_evaluated == len(priced)
     assert live == [e for e in priced if gate(e)]
     return [build_tree(e) for e in priced]
@@ -241,7 +249,7 @@ def test_zero_gain_split_forbids_both_unchanged():
         assert expand(root, ds, eq, config, Fraction(1))
         built = _priced_children(ds, config, root, Fraction(1))
         assert len(built) == n_built
-        assert sum(not any(c.splittable) for c in built) == n_closed
+        assert sum(not c.split for c in built) == n_closed
     res = fit(ds, SearchConfig(lam=lam))
     assert res.certified
     assert res.objective == Fraction(4, 100)
@@ -271,11 +279,12 @@ def test_permutation_dedup_counts_duplicates():
     res = run.run()
     assert res.certified and res.objective == Fraction(3, 25)
     assert res.stats.duplicates_skipped == len(duplicates) == 1
-    ((leaves, flags),) = duplicates
-    assert [leaf.key for leaf in leaves] == [
+    # a=b=1 is left to split, the other three leaves unchanged
+    ((unchanged, split),) = duplicates
+    assert [leaf.key for leaf in unchanged + split] == [
         (Clause(0, a), Clause(1, b)) for a in (False, True)
         for b in (False, True)]
-    assert flags == (False, False, False, True)
+    assert len(split) == 1
     # without the cache the second copy is expanded too, and nothing else
     # changes: the same objective after one expansion more
     off = fit(ds, replace(config, toggles=BoundToggles(
@@ -291,7 +300,7 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
     # from the splits that create that leaf unchanged.  With every other
     # bound off and the incumbent at the optimum, which no tree beats,
     # the only gate is the price: expanded breadth-first, every built tree
-    # with any splittable leaf flagged unchanged is built too, unless the
+    # with any leaf to split flagged unchanged is built too, unless the
     # price rejects it or incremental accuracy forbids it: the leaf's
     # sibling, from a split that gained less than lam, is unchanged too
     toggles = BoundToggles(
@@ -308,19 +317,20 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
         eq = build_equivalence_index(ds)
         best = exhaustive_optimum(ds, lam).objective
         root = root_tree(ds, lam, eq)
-        best_s = best * root.scale
+        best_s = best * ds.n_samples * lam.denominator
         # each built tree with, for every leaf of a split that gained less
         # than lam and whose sibling is still a leaf, that sibling
         frontier, built = [(root, {})], []
         for _ in range(3):
             frontier = [(c, _siblings(t, c, deficit, incremental_accuracy))
                         for t, deficit in frontier
-                        for c in expand(t, ds, eq, config, best)]
+                        for c in map(build_tree,
+                                     expand(t, ds, eq, config, best))]
             built += frontier
-        keys = {(tuple(l.key for l in t.leaves), t.splittable)
+        keys = {(tuple(l.key for l in t.leaves), _flags(t))
                 for t, _ in built}
         for tree, deficit in built:
-            flags = tree.splittable
+            flags = _flags(tree)
             for i, leaf in enumerate(tree.leaves):
                 forbidden = leaf in deficit \
                     and not flags[tree.leaves.index(deficit[leaf])]
@@ -473,7 +483,7 @@ def _outcome(res):
              for r in res.trace]
     return (stats, res.objective, res.gap, res.certified,
             [leaf.key for leaf in res.best_tree.leaves],
-            res.best_tree.splittable, trace)
+            _flags(res.best_tree), trace)
 
 
 def test_row_order_does_not_change_a_result():

@@ -17,8 +17,8 @@ from opttree.caches import LeafCache
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (Clause, TreeState, build_tree, child_keys,
-                          make_leaf, root_tree)
+from opttree.tree import (N_LEAVES, Clause, TreeState, as_entry, build_tree,
+                          child_keys, make_leaf, root_tree)
 from tests.conftest import random_dataset
 
 TOGGLE_SETS = (
@@ -54,7 +54,8 @@ def _outcome(res):
               r.queue_size, r.log10_remaining_bound, r.remaining_bound)
              for r in res.trace]
     return (stats, res.objective, res.gap, res.certified,
-            [l.key for l in best.leaves], best.splittable, best.h, trace)
+            [l.key for l in best.leaves], [l.key for l in best.split],
+            best.h, trace)
 
 
 def _check_table_building(monkeypatch):
@@ -67,14 +68,15 @@ def _check_table_building(monkeypatch):
     state = {"building": False, "interned": [], "run": None, "checked": 0}
     expand_, intern = _Run.expand, LeafCache.intern
 
-    def expanding(run, tree):
-        idx = run._expandable_index(tree)
-        leaf = None if idx is None else tree.leaves[idx]
-        building = leaf is not None and leaf not in run.split_tables
+    def expanding(run, entry):
+        leaf = build_tree(entry).split[0]
+        building = leaf not in run.split_tables
+        expansions = run.stats.expansions
         state.update(building=building, interned=[], run=run,
                      evaluated=run.stats.trees_evaluated)
-        children = expand_(run, tree)
-        if building:
+        children = expand_(run, entry)
+        # a tree the permutation cache skips splits nothing
+        if building and run.stats.expansions > expansions:
             used = {c.feature for c in leaf.clauses}
             assert state["interned"] == [
                 key for f in range(run.ds.n_features) if f not in used
@@ -131,7 +133,7 @@ def test_tables_change_no_result_of_a_fit(monkeypatch):
 def test_tables_do_not_outlive_their_run(monkeypatch):
     # one root leaf object is expanded under toggle sets and lambdas whose
     # tables differ, with the lambdas in either order; each expansion must
-    # build the children, flags included, that a fresh root's does, also
+    # price the children, flags included, that a fresh root's does, also
     # those the incumbent or the liveness gate then drop
     built = []
 
@@ -139,15 +141,17 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         # every child the expansion prices in below an incumbent of 1
         # passes its final liveness filter once: record it there
         run = _Run(ds, config, eq)
-        run.best_s = root.scale
+        run.best_s = run.q * run.n
         run.best_obj = Fraction(1)
         gate = run._is_live
         built.clear()
         run._is_live = lambda entry: built.append(entry) or gate(entry)
-        run.expand(root)
-        built[:] = map(build_tree, built)
-        return [(tuple(l.key for l in t.leaves), t.splittable, t.h, t.b_s,
-                 t.r_s, t.b0_s, t.unchanged_capture) for t in built]
+        run.expand(as_entry(root))
+        trees = map(build_tree, built)
+        # each child's leaf keys, the keys of its leaves to split, and the
+        # sums its entry holds
+        return [(tuple(l.key for l in t.leaves), tuple(l.key for l in t.split))
+                + entry[:N_LEAVES + 1] for entry, t in zip(built, trees)]
 
     toggle_sets = (BoundToggles(),
                    BoundToggles(leaf_accuracy=False,
@@ -162,11 +166,10 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         eq = build_equivalence_index(ds)
         for lams in ((Fraction(1, 40), Fraction(1, 8)),
                      (Fraction(1, 8), Fraction(1, 40))):
-            shared = root_tree(ds, lams[0], eq).leaves[0]
+            shared = root_tree(ds, lams[0], eq).split[0]
             seen = []
             for lam in lams:
-                root = TreeState(leaves=(shared,), splittable=(True,),
-                                 n_samples=ds.n_samples, lam=lam)
+                root = TreeState((), (shared,), ds.n_samples, lam)
                 for toggles in toggle_sets:
                     config = SearchConfig(lam=lam, toggles=toggles)
                     got = children(root, ds, eq, config)
@@ -180,8 +183,8 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
 
     # leaves a run under lam = 1/4 built: f0=0 holds 30 of 100 samples,
     # too few for node support there (30 < 2*N/4) but not under 1/40, so
-    # the run under 1/40 must designate it, as it does for the same tree
-    # built from scratch, whatever the run that built its leaves decided
+    # the run under 1/40 must split it, as it does for the same tree built
+    # from scratch, whatever the run that built its leaves decided
     rows = [[0, i % 2] for i in range(30)] + [[1, i % 2] for i in range(70)]
     labels = [0] * 28 + [1] * 2 + [i % 3 == 0 for i in range(70)]
     ds = from_rows(["a", "b"], rows, labels)
@@ -189,11 +192,10 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     keys = ((Clause(0, False),), (Clause(0, True),))
     coarse = Fraction(1, 4)
     children(root_tree(ds, coarse, eq), ds, eq, SearchConfig(lam=coarse))
-    (leaves,) = {t.leaves for t in built
+    (leaves,) = {t.leaves for t in map(build_tree, built)
                  if tuple(l.key for l in t.leaves) == keys}
     lam = Fraction(1, 40)
-    got, want = (children(TreeState(leaves=tuple(ls), splittable=(True, True),
-                                    n_samples=ds.n_samples, lam=lam),
+    got, want = (children(TreeState((), tuple(ls), ds.n_samples, lam),
                           ds, eq, SearchConfig(lam=lam))
                  for ls in (leaves, [make_leaf(k, eq) for k in keys]))
     assert got == want

@@ -11,7 +11,7 @@ from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy, SearchQueue
 from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import build_tree
-from tests.conftest import random_dataset
+from tests.conftest import lower_bound, random_dataset
 
 
 @cache
@@ -31,12 +31,12 @@ def _scan(run):
     for tree in trees:
         slots = pool - len(tree.leaves)
         f = 0
-        if run.best_obj > tree.lower_bound:
-            f = min(math.floor((run.best_obj - tree.lower_bound) / run.lam),
-                    slots)
+        b = lower_bound(tree)
+        if run.best_obj > b:
+            f = min(math.floor((run.best_obj - b) / run.lam), slots)
         remaining += _perm_sum(slots, f)
     log10 = len(str(remaining)) - 1 if remaining else None
-    least = min((tree.lower_bound for tree in trees), default=None)
+    least = min((lower_bound(tree) for tree in trees), default=None)
     return remaining, log10, least, len(trees)
 
 

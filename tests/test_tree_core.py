@@ -5,10 +5,11 @@ import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (Clause, TreeState, and_clauses, canonical_clauses,
-                          child_keys, make_child_leaf, make_leaf, objective,
-                          root_tree, sort_leaves)
-from tests.conftest import random_dataset
+from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, build_tree,
+                          canonical_clauses, child_keys, make_child_leaf,
+                          make_leaf, objective, root_tree)
+from tests.conftest import (lower_bound, make_tree, random_dataset,
+                            tree_objective)
 
 
 def _eq(ds):
@@ -24,23 +25,24 @@ def test_canonical_clauses_orders_and_rejects_duplicates():
 
 def test_root_tree_minority_fraction():
     ds = from_rows(["a"], [[0]] * 6, [1, 1, 1, 1, 0, 1])
-    tree = root_tree(ds, Fraction(1, 100), _eq(ds))
-    assert tree.objective == Fraction(1, 6)
-    assert tree.lower_bound == 0
+    lam = Fraction(1, 100)
+    tree = root_tree(ds, lam, _eq(ds))
+    assert objective(tree, lam) == tree_objective(tree) == Fraction(1, 6)
+    assert lower_bound(tree) == 0
     assert tree.h == 0
 
 
 def test_root_tree_pure_labels():
     ds = from_rows(["a"], [[0], [1]], [1, 1])
     tree = root_tree(ds, Fraction(1, 10), _eq(ds))
-    assert tree.objective == 0
+    assert tree_objective(tree) == 0
 
 
 def test_root_tree_tie_predicts_zero():
     ds = from_rows(["a"], [[0], [1]], [1, 0])
     tree = root_tree(ds, Fraction(1, 10), _eq(ds))
-    assert tree.leaves[0].prediction == 0
-    assert tree.objective == Fraction(1, 2)
+    assert tree.split[0].prediction == 0
+    assert tree_objective(tree) == Fraction(1, 2)
 
 
 def test_make_child_leaf_counts():
@@ -59,12 +61,6 @@ def test_make_child_leaf_counts():
     assert child.mistakes == 1
 
 
-def _alone(leaf, ds, lam):
-    """A tree of ``leaf`` alone, flagged splittable."""
-    return TreeState(leaves=(leaf,), splittable=(True,),
-                     n_samples=ds.n_samples, lam=lam)
-
-
 def test_make_child_leaf_empty_is_dead():
     ds = from_rows(["a"], [[1], [1]], [0, 1])
     lam = Fraction(1, 100)
@@ -75,10 +71,9 @@ def test_make_child_leaf_empty_is_dead():
         child_keys(parent, 0)
     empty = make_leaf([Clause(0, False)], run.eq)
     assert empty.n_captured == 0
-    # node support never designates it, and the root's table refuses the
-    # split that would make it
-    assert run._expandable_index(_alone(empty, ds, lam)) is None
-    root = root_tree(ds, lam, run.eq).leaves[0]
+    # a leaf is split only once a split table made it, and the root's
+    # table refuses the split that would make this one
+    root = root_tree(ds, lam, run.eq).split[0]
     assert run._split_table(root)[1] == []
 
 
@@ -88,14 +83,14 @@ def test_dead_threshold_arithmetic():
     ds = from_rows(["a"], rows, [1] * 15 + [0] * 985)
     lam = Fraction(1, 100)
     run = _Run(ds, SearchConfig(lam=lam))
-    root = root_tree(ds, lam, run.eq).leaves[0]
-    # the root's one split may flag only the 985-sample leaf splittable
+    root = root_tree(ds, lam, run.eq).split[0]
+    # the root's one split may keep only the 985-sample leaf to split
     ((f, other, leaf, flag_pairs),) = run._split_table(root)[1]
     assert f == 0 and leaf.key == (Clause(0, True),)
     assert leaf.n_captured == 15 and other.n_captured == 985
     assert flag_pairs == ((False, False), (True, False))
-    assert run._expandable_index(_alone(leaf, ds, lam)) is None
-    assert run._expandable_index(_alone(other, ds, lam)) == 0
+    assert run.q * leaf.n_captured < run.support_s \
+        <= run.q * other.n_captured
 
 
 def test_objective_examples():
@@ -109,14 +104,15 @@ def test_objective_examples():
     eq2 = _eq(ds2)
     l0 = make_leaf([Clause(0, False)], eq2)
     l1 = make_leaf([Clause(0, True)], eq2)
-    leaves, flags = sort_leaves((l0, l1), (False, False))
-    two = TreeState(leaves=leaves, splittable=flags, n_samples=2, lam=lam)
-    assert objective(two, lam) == Fraction(2, 100)
-    assert two.objective == two.lower_bound  # terminal: no splittable error
+    two = make_tree(ds2, lam, unchanged=(l1, l0))
+    assert two.leaves == (l0, l1)
+    assert objective(two, lam) == tree_objective(two) == Fraction(2, 100)
+    assert tree_objective(two) == lower_bound(two)  # nothing left to split
 
 
 def _random_tree(ds, eq, lam, rng):
-    """Random split sequence from the root; returns a valid TreeState."""
+    """Random split sequence from the root; returns a valid TreeState with
+    at least one leaf to split."""
     leaves = [make_leaf([], eq)]
     for _ in range(rng.randint(0, 3)):
         candidates = [
@@ -134,26 +130,30 @@ def _random_tree(ds, eq, lam, rng):
             leaves.append(make_child_leaf(capture, f, polarity,
                                           child_keys(parent, f)[polarity],
                                           eq))
-    flags = tuple(rng.random() < 0.5 for _ in leaves)
-    sorted_leaves, sorted_flags = sort_leaves(tuple(leaves), flags)
-    return TreeState(leaves=sorted_leaves, splittable=sorted_flags,
-                     n_samples=ds.n_samples, lam=lam, ds=ds)
+    rng.shuffle(leaves)
+    k = rng.randint(1, len(leaves))
+    return make_tree(ds, lam, unchanged=leaves[k:], split=leaves[:k])
 
 
 def scratch_bounds(tree, lam):
     """Lower bound, objective and equivalent-points floor summed from the
     leaves, independently of the sums the tree keeps."""
     n = tree.n_samples
-    unchanged = [l for l, s in zip(tree.leaves, tree.splittable) if not s]
-    split = [l for l, s in zip(tree.leaves, tree.splittable) if s]
-    b = Fraction(sum(l.mistakes for l in unchanged), n) + lam * tree.h
-    b0 = Fraction(sum(l.b0_count for l in split), n)
+    b = Fraction(sum(l.mistakes for l in tree.unchanged), n) + lam * tree.h
+    b0 = Fraction(sum(l.b0_count for l in tree.split), n)
     return b, objective(tree, lam), b0
 
 
+def priced_bounds(entry, n, lam):
+    """The lower bound, objective and equivalent-points floor the search
+    priced a child at, read from its queue entry."""
+    scale = n * lam.denominator
+    return tuple(Fraction(entry[i], scale) for i in (B_S, R_S, B0_S))
+
+
 def test_incremental_equals_scratch_on_random_pairs():
-    """Children the search builds carry the bounds that a from-scratch sum
-    over their leaves gives, and never a smaller bound than their parent."""
+    """The search prices children at the bounds that a from-scratch sum
+    over their leaves gives, and never below their parent's bound."""
     rng = random.Random(42)
     lam = Fraction(1, 20)
     checked = 0
@@ -162,13 +162,12 @@ def test_incremental_equals_scratch_on_random_pairs():
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, lam, rng)
         best = Fraction(rng.randint(1, 20), 20)
-        for child in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+        for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+            child = build_tree(entry)
             child.check_partition()
-            b, r, b0 = scratch_bounds(child, lam)
-            assert child.lower_bound == b
-            assert child.objective == r
-            assert Fraction(child.b0_s, child.scale) == b0
-            assert parent.lower_bound <= child.lower_bound <= child.objective
+            b, r, b0 = priced_bounds(entry, ds.n_samples, lam)
+            assert (b, r, b0) == scratch_bounds(child, lam)
+            assert lower_bound(parent) <= b <= r
             checked += 1
 
 
@@ -178,8 +177,7 @@ def test_partition_check(toy_ds):
     tree = root_tree(toy_ds, lam, eq)
     tree.check_partition()
     l0 = make_leaf([Clause(0, False)], eq)
-    broken = TreeState(leaves=(l0,), splittable=(True,),
-                       n_samples=toy_ds.n_samples, lam=lam, ds=toy_ds)
+    broken = make_tree(toy_ds, lam, split=(l0,))
     with pytest.raises(AssertionError):
         broken.check_partition()
 
@@ -187,4 +185,4 @@ def test_partition_check(toy_ds):
 def test_lower_bound_le_objective(toy_ds):
     lam = Fraction(1, 10)
     tree = root_tree(toy_ds, lam, _eq(toy_ds))
-    assert tree.lower_bound <= tree.objective
+    assert lower_bound(tree) <= tree_objective(tree)
