@@ -23,11 +23,14 @@ The tree cache holds the trees the search has expanded.  A child is
 queued unbuilt, so the search marks a tree only when it expands a popped
 entry (see ``search``): a tree whose key is already held, a copy that a
 second split order reached, is skipped rather than expanded again.  Its
-size, and the limit ``max_entries``, therefore count expanded trees, not
-evaluated ones.  It stores each tree's scaled lower bound ``b_s`` (units
-of 1/(N*q) for lam = p/q) and purges with integer comparisons against the
-incumbent's scaled objective, exactly as the rational bounds would
-compare.
+size therefore counts expanded trees, not evaluated ones.  It stores each
+tree's scaled lower bound ``b_s`` (units of 1/(N*q) for lam = p/q) and
+purges with integer comparisons against the incumbent's scaled
+objective, exactly as the rational bounds would compare.
+
+Neither cache has a limit of its own.  The search checks the sizes of
+both against ``max_cache_entries`` between expansions, with its other
+limits, so an expansion always finishes (see ``search``).
 """
 
 from __future__ import annotations
@@ -40,10 +43,6 @@ from .tree import Leaf, LeafKey, TreeState
 TreeKey = tuple[tuple[Leaf, ...], tuple[Leaf, ...]]
 
 
-class CacheLimitError(RuntimeError):
-    """Raised when a configured cache-entry ceiling is exceeded."""
-
-
 def tree_key(tree: TreeState) -> TreeKey:
     """The tree's interned unchanged leaves and leaves to split, each in
     canonical order."""
@@ -52,7 +51,6 @@ def tree_key(tree: TreeState) -> TreeKey:
 
 @dataclass
 class LeafCache:
-    max_entries: int | None = None
     _store: dict[LeafKey, Leaf] = field(default_factory=dict)
     hits: int = 0
     misses: int = 0
@@ -69,9 +67,6 @@ class LeafCache:
         if leaf.key != key:
             raise ValueError("built leaf does not match its key")
         self._store[key] = leaf
-        if self.max_entries is not None and len(self._store) > self.max_entries:
-            raise CacheLimitError(
-                f"leaf cache exceeded {self.max_entries} entries")
         return leaf
 
     def __len__(self) -> int:
@@ -80,7 +75,6 @@ class LeafCache:
 
 @dataclass
 class TreeCache:
-    max_entries: int | None = None
     _store: dict[TreeKey, int] = field(default_factory=dict)
 
     def seen_or_mark(self, key: TreeKey, b_s: int) -> bool:
@@ -89,9 +83,6 @@ class TreeCache:
         if key in self._store:
             return True
         self._store[key] = b_s
-        if self.max_entries is not None and len(self._store) > self.max_entries:
-            raise CacheLimitError(
-                f"tree cache exceeded {self.max_entries} entries")
         return False
 
     def garbage_collect(self, best_s: int, lam_s: int) -> int:

@@ -76,7 +76,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, cumulative_perm, floor_log10
-from .caches import CacheLimitError, LeafCache, TreeCache, tree_key
+from .caches import LeafCache, TreeCache, tree_key
 from .dataset import (Dataset, EquivalenceIndex, and_literal,
                       build_equivalence_index, weighted_count)
 from .scheduler import Policy, SearchQueue
@@ -190,8 +190,8 @@ class _Run:
         # node support: a leaf holding less than 2*lam of the samples may
         # never be split (q*n_captured >= support_s keeps it open)
         self.support_s = 2 * self.lam_s if self.toggles.node_support else 0
-        self.leaf_cache = LeafCache(max_entries=config.max_cache_entries)
-        self.tree_cache = TreeCache(max_entries=config.max_cache_entries)
+        self.leaf_cache = LeafCache()
+        self.tree_cache = TreeCache()
         self.queue = SearchQueue(config.policy, ds)
         self.stats = SearchStats()
         self.trace: list[TraceRecord] = []
@@ -204,24 +204,17 @@ class _Run:
         self.split_tables: dict[Leaf, tuple[int, list]] = {}
         # lookahead: a tree's children pay at least one more leaf penalty
         self.margin_s = self.lam_s if self.toggles.lookahead else 0
-        self._is_live = self._liveness_gate()
 
     # -- gates ------------------------------------------------------------
 
-    def _liveness_gate(self):
+    def _is_live(self, entry: tuple) -> bool:
         """The run's one test that a queue entry may still lead to an
         improvement and belongs in the queue: its bound, plus the
         lookahead margin and (when that bound is on) its equivalent-points
         floor, is below the incumbent.  The margin and the floor are never
         negative, so this implies the hierarchical bound."""
-        margin, b, z = self.margin_s, B_S, B0_S
-        if self.toggles.equivalent_points:
-            def is_live(entry: tuple) -> bool:
-                return entry[b] + entry[z] + margin < self.best_s
-        else:
-            def is_live(entry: tuple) -> bool:
-                return entry[b] + margin < self.best_s
-        return is_live
+        floor_s = entry[B0_S] if self.toggles.equivalent_points else 0
+        return entry[B_S] + floor_s + self.margin_s < self.best_s
 
     # -- best tracking ---------------------------------------------------
 
@@ -278,6 +271,7 @@ class _Run:
         base_capture = entry[UNCHANGED_CAPTURE]
         best_s = self.best_s
         similar_support = self.toggles.similar_support
+        equivalent_points = self.toggles.equivalent_points
 
         # similar-support memory: floors of feature splits already proven
         # hopeless, compared pairwise against new candidates via omega
@@ -314,9 +308,14 @@ class _Run:
                     best_s = self.best_s
                 out.append(child)
             if similar_support and not emitted_any and flag_pairs:
-                rejected_floors.append((base_b_s + base_b0_s + min(
+                # the least bound of any descendant of the split, plus its
+                # equivalent-points floor when that bound is on
+                if not equivalent_points:
+                    z1 = z2 = 0
+                rejected_floors.append((base_b_s + min(
                     (z1 if s1 else m1) + (z2 if s2 else m2)
-                    for s1, s2 in flag_pairs), capture1))
+                    for s1, s2 in flag_pairs)
+                    + (base_b0_s if equivalent_points else 0), capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
         # the children that every earlier gate would have kept.  It also
         # drops every child with no leaf to split: its leaves are all
@@ -333,9 +332,10 @@ class _Run:
         split gaining less than lam may not leave both unchanged).  All of
         it depends only on the leaf, the data, lam and the toggles, so
         later expansions of the leaf walk the table.  Every unused feature
-        is checked here, before the expansion prices any child, so a
-        cache limit that stops the expansion does so before any of its
-        children is evaluated, and leaves no table behind.
+        is checked here, before the expansion prices any child.  The
+        table adds at most two leaves per unused feature to the leaf cache,
+        which bounds how far past ``max_cache_entries`` one expansion can
+        take it.
         """
         capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
         used = {c.feature for c in leaf.clauses}
@@ -398,42 +398,35 @@ class _Run:
             self.queue.push((entry,))
 
         next_trace = self.config.trace_interval
-        # limits are checked before every expansion, and only while work
-        # is left: a search that has run out of trees stays certified
-        while len(self.queue) and not self._limit_tripped():
+        # every limit is checked before every expansion, and an expansion
+        # always finishes, so the queue holds all the work left
+        while not self._limit_tripped():
             entry = self.queue.pop(self._is_live)
             if entry is None:
                 break
-            try:
-                children = self.expand(entry)
-            except CacheLimitError as exc:
-                # the unfinished subtree is still uncovered: requeue its
-                # root so that its bound enters the gap
-                self.stats.limit_hit = str(exc)
-                self.queue.push((entry,))
-                break
-            self.queue.push(children)
+            self.queue.push(self.expand(entry))
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
 
         self._record_trace()
-        result = self._finish()
-        # the liveness gate's closure holds the run: dropping it leaves no
-        # reference cycle for the collector to find after the fit
-        del self._is_live
-        return result
+        return self._finish()
 
     def _limit_tripped(self) -> bool:
-        if self.config.time_limit is not None \
-                and time.perf_counter() - self._t0 >= self.config.time_limit:
+        """The run's one check of its limits; names in ``limit_hit`` the
+        first one reached."""
+        config = self.config
+        if config.time_limit is not None \
+                and time.perf_counter() - self._t0 >= config.time_limit:
             self.stats.limit_hit = "time_limit"
-            return True
-        if self.config.max_trees is not None \
-                and self.stats.trees_evaluated >= self.config.max_trees:
+        elif config.max_trees is not None \
+                and self.stats.trees_evaluated >= config.max_trees:
             self.stats.limit_hit = "max_trees"
-            return True
-        return False
+        elif config.max_cache_entries is not None and max(
+                len(self.leaf_cache),
+                len(self.tree_cache)) > config.max_cache_entries:
+            self.stats.limit_hit = "max_cache_entries"
+        return self.stats.limit_hit is not None
 
     def _record_trace(self) -> None:
         # remaining-evaluations bound: a queued tree with lower bound b and
@@ -464,9 +457,12 @@ class _Run:
 
     def _finish(self) -> SearchResult:
         least = self.queue.min_lower_bound(self._is_live)
-        # a run stopped by a limit is never certified, even with no gap
-        certified = least is None and self.stats.limit_hit is None
-        gap = Fraction(0) if least is None \
+        # with no live entry left the search is complete, whatever limit
+        # it reached on the way
+        certified = least is None
+        if certified:
+            self.stats.limit_hit = None
+        gap = Fraction(0) if certified \
             else self.best_obj - Fraction(least[B_S], self.n * self.q)
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size

@@ -433,3 +433,31 @@ def test_similar_support_omega():
     c = cls(1, 1)
     assert skipped(c, a, 7 * per_sample)  # omega = (4 + 1 + 2)/10
     assert not skipped(c, a, 7 * per_sample - 1)
+
+
+def test_equivalent_points_off_reads_no_floor():
+    # every leaf's equivalent-points floor is counted from the index's
+    # minority planes.  With the bound off nothing of a fit reads the
+    # floor, similar support's rejected floors included, so zeroing the
+    # planes changes no count; with it on, the same zeroing changes fits
+    def outcome(res):
+        counts = {k: v for k, v in vars(res.stats).items()
+                  if k not in ("total_time", "time_to_optimum")}
+        return counts, res.objective, res.gap
+
+    rng = random.Random(28)
+    changed_when_on = 0
+    for _ in range(20):
+        ds = random_dataset(rng, rng.randint(30, 80), rng.randint(5, 8),
+                            duplicate_bias=0.6)
+        eq = build_equivalence_index(ds)
+        zeroed = replace(eq, minority_planes=(0,) * len(eq.minority_planes))
+        lam = Fraction(1, rng.choice((30, 100)))
+        for on in (False, True):
+            toggles = BoundToggles(equivalent_points=on, similar_support=True)
+            config = SearchConfig(lam=lam, toggles=toggles, max_trees=3000)
+            same = outcome(fit(ds, config, eq)) \
+                == outcome(fit(ds, config, zeroed))
+            assert same or on
+            changed_when_on += not same
+    assert changed_when_on > 10

@@ -1,11 +1,13 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from opttree.caches import CacheLimitError, LeafCache, TreeCache, tree_key
+from opttree.caches import LeafCache, TreeCache, tree_key
 from opttree.dataset import build_equivalence_index, from_rows
+from opttree.search import SearchConfig, fit
 from opttree.tree import Clause, make_leaf
-from tests.conftest import make_tree
+from tests.conftest import make_tree, random_dataset
 
 
 @pytest.fixture
@@ -43,12 +45,17 @@ def test_leaf_cache_rejects_mismatched_key(ds):
         cache.intern((Clause(1, True),), lambda: _leaf(ds, (Clause(0, True),)))
 
 
-def test_leaf_cache_limit(ds):
-    cache = LeafCache(max_entries=1)
-    cache.intern((Clause(0, True),), lambda: _leaf(ds, (Clause(0, True),)))
-    with pytest.raises(CacheLimitError):
-        cache.intern((Clause(0, False),),
-                     lambda: _leaf(ds, (Clause(0, False),)))
+def test_leaf_cache_limit():
+    # the caches have no limit of their own: the search stops between
+    # expansions once the leaf cache holds more than k leaves, so the last
+    # expansion's split table (two leaves per unused feature) may take it
+    # past k
+    ds = random_dataset(random.Random(19), 40, 6)
+    for k in (1, 5, 20, 50):
+        res = fit(ds, SearchConfig(lam=Fraction(1, 200), max_cache_entries=k))
+        assert res.stats.limit_hit == "max_cache_entries"
+        assert not res.certified and res.gap > 0
+        assert k < res.stats.leaf_cache_size <= k + 2 * ds.n_features
 
 
 KEYS = ((Clause(0, False),), (Clause(0, True), Clause(1, False)),
@@ -95,12 +102,26 @@ def test_tree_cache_seen_or_mark(ds):
     assert len(cache) == 1
 
 
-def test_tree_cache_limit(ds):
-    cache = TreeCache(max_entries=1)
-    cache.seen_or_mark(tree_key(_three_leaf_tree(ds, LeafCache())), 0)
-    with pytest.raises(CacheLimitError):
-        flipped = _three_leaf_tree(ds, LeafCache(), flipped=True)
-        cache.seen_or_mark(tree_key(flipped), 0)
+def test_tree_cache_limit():
+    # over 3 features there are at most 3^3 = 27 leaves, so with k >= 27
+    # only the tree cache can stop the search.  It marks one tree per
+    # expansion, so it stops with exactly k + 1 entries
+    rng = random.Random(20)
+    stops = 0
+    for _ in range(10):
+        ds = random_dataset(rng, rng.randint(30, 60), 3)
+        for k in (27, 40):
+            res = fit(ds, SearchConfig(lam=Fraction(1, 400),
+                                       max_cache_entries=k))
+            assert res.stats.leaf_cache_size <= 27
+            if res.stats.limit_hit is None:
+                assert res.certified and res.stats.tree_cache_size <= k
+                continue
+            stops += 1
+            assert res.stats.limit_hit == "max_cache_entries"
+            assert not res.certified and res.gap > 0
+            assert res.stats.tree_cache_size == k + 1
+    assert stops > 5
 
 
 def test_tree_cache_garbage_collect(ds):

@@ -96,8 +96,7 @@ def test_cache_limit():
     ds = random_dataset(rng, 40, 6)
     cfg = SearchConfig(lam=Fraction(1, 200), max_cache_entries=20)
     res = fit(ds, cfg)
-    assert res.stats.limit_hit is not None
-    assert "cache" in res.stats.limit_hit
+    assert res.stats.limit_hit == "max_cache_entries"
     assert not res.certified
 
 
@@ -359,25 +358,32 @@ def _siblings(parent, child, deficit, incremental_accuracy):
     return kept
 
 
-def test_tree_cache_stop_at_pop_never_overstates():
-    """The tree cache holds expanded trees, so its limit trips when a
-    popped tree is marked; the popped entry is requeued, so its bound
-    enters the gap and the run is not certified."""
+def test_cache_stop_never_overstates():
+    """The cache limit is checked between expansions, so the last one may
+    take the leaf cache past k by its split table (two leaves per unused
+    feature) and the tree cache by the one tree it expanded.  The queue
+    then holds all the work left, so its least live bound is the gap."""
     rng = random.Random(41)
-    stops = 0
+    stops = tree_stops = 0
     for _ in range(30):
         ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 4))
         lam = Fraction(1, rng.choice((200, 400)))
         optimum = exhaustive_optimum(ds, lam).objective
         for k in (10, 20, 30, 40, 60):
             res = fit(ds, SearchConfig(lam=lam, max_cache_entries=k))
-            if not (res.stats.limit_hit or "").startswith("tree cache"):
+            s = res.stats
+            assert s.leaf_cache_size <= k + 2 * ds.n_features
+            assert s.tree_cache_size <= k + 1
+            assert res.objective - res.gap <= optimum <= res.objective
+            if s.limit_hit is None:
+                assert res.certified and res.objective == optimum
                 continue
             stops += 1
+            tree_stops += s.tree_cache_size > k
+            assert s.limit_hit == "max_cache_entries"
+            assert max(s.leaf_cache_size, s.tree_cache_size) > k
             assert not res.certified and res.gap > 0
-            assert res.stats.expansions >= k
-            assert res.objective - res.gap <= optimum <= res.objective
-    assert stops > 20
+    assert stops > 50 and tree_stops > 20
 
 
 def test_fit_leaves_no_cyclic_garbage():
@@ -397,6 +403,13 @@ def test_fit_leaves_no_cyclic_garbage():
             assert res.stats.expansions > 1
             del res
             assert gc.collect() == 0
+        # the stateless expansion makes and drops a run of its own
+        eq = build_equivalence_index(ds)
+        children = expand(root_tree(ds, Fraction(1, 200), eq), ds, eq,
+                          configs[1], Fraction(1))
+        assert children
+        del children
+        assert gc.collect() == 0
     finally:
         if enabled:
             gc.enable()
@@ -444,6 +457,31 @@ def test_limit_keeps_certificate_when_no_work_is_left(limit):
     ds = from_rows(["a", "b"], [[0, 1], [1, 0], [1, 1]], [1, 1, 1])
     res = fit(ds, SearchConfig(lam=Fraction(1, 100), **limit))
     assert res.certified and res.stats.limit_hit is None
+    if "max_trees" not in limit:
+        return
+    # a refit that may evaluate as many trees as the certified fit did
+    # often reaches its limit when the queue holds only stale entries
+    # (a queue left nonempty means the limit stopped the loop).  Nothing
+    # is left to search, so it is certified; a refit stopped with work
+    # left is not
+    rng = random.Random(300)
+    stale_stops = 0
+    for _ in range(60):
+        ds = random_dataset(rng, rng.randint(15, 45), rng.randint(3, 5))
+        lam = Fraction(1, rng.choice((30, 100)))
+        optimum = exhaustive_optimum(ds, lam).objective
+        done = fit(ds, SearchConfig(lam=lam))
+        run = _Run(ds, SearchConfig(
+            lam=lam, max_trees=done.stats.trees_evaluated))
+        res = run.run()
+        assert res.objective - res.gap <= optimum <= res.objective
+        if res.certified:
+            assert res.stats.limit_hit is None and res.gap == 0
+            assert res.objective == optimum
+            stale_stops += len(run.queue) > 0
+        else:
+            assert res.stats.limit_hit == "max_trees" and res.gap > 0
+    assert stale_stops > 5
 
 
 @pytest.mark.parametrize("k", [2, 10, 50, 300])

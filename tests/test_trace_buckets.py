@@ -47,7 +47,7 @@ TOGGLES = (BoundToggles(), BoundToggles(lookahead=False),
 
 def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
     seen = {"records": 0, "stale_then_record": 0, "stale_since": 0,
-            "requeues": 0}
+            "cache_stops": 0}
     record = _Run._record_trace
     pop = SearchQueue.pop
 
@@ -80,8 +80,8 @@ def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
             res = fit(ds, SearchConfig(
                 lam=lam, policy=policy, toggles=rng.choice(TOGGLES),
                 trace_interval=rng.randint(1, 40), **limit))
-            if "cache" in (res.stats.limit_hit or ""):
-                seen["requeues"] += 1
+            if res.stats.limit_hit == "max_cache_entries":
+                seen["cache_stops"] += 1
     assert seen["records"] > 1500
     assert seen["stale_then_record"] > 300
-    assert seen["requeues"] > 20
+    assert seen["cache_stops"] > 20
