@@ -282,8 +282,10 @@ def cmd_ablate(args) -> int:
                             f"{s.time_to_optimum:.6f}", s.trees_evaluated,
                             s.trees_to_optimum, s.max_queue_size])
             else:
-                limit = args.time_limit
-                mark = f">{limit}" if limit is not None else "censored"
+                # ">T" only for a stop at the time limit T; any other
+                # limit leaves the time unknown
+                mark = f">{args.time_limit}" \
+                    if s.limit_hit == "time_limit" else "censored"
                 w.writerow([name, mark, mark, s.trees_evaluated,
                             s.trees_to_optimum, s.max_queue_size])
     finally:

@@ -4,7 +4,8 @@
 alone.  No optimality machinery here: recursive splitting on the best
 exact Gini impurity reduction down to ``max_depth``, with deterministic
 tie-breaking (lowest feature index wins) so runs are reproducible.  The
-leaf penalty lam enters only the returned tree's objective.
+leaf penalty lam plays no part: a tree's objective under it is
+``tree.objective(tree, lam)``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ def _gini(n_ones: int, n: int) -> Fraction:
     return 2 * p * (1 - p)
 
 
-def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
+def greedy_fit(ds: Dataset, params: GreedyParams,
                eq: Optional[EquivalenceIndex] = None) -> TreeState:
     """Grow a tree greedily and return it as a terminal search state."""
     if eq is None:
@@ -66,4 +67,4 @@ def greedy_fit(ds: Dataset, params: GreedyParams, lam: Fraction,
                 + grow(right, clauses + (Clause(f, True),), depth + 1))
 
     return TreeState(unchanged=sort_leaves(grow(ds.all_samples, (), 0)),
-                     split=(), n_samples=ds.n_samples, lam=lam, ds=ds)
+                     split=(), ds=ds)

@@ -35,8 +35,8 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .dataset import Dataset
-from .tree import (B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, TreeState,
-                   as_entry, build_tree, penalized_leaves)
+from .tree import (B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, build_tree,
+                   penalized_leaves)
 
 
 class Policy(Enum):
@@ -86,11 +86,6 @@ _KEYS: dict[Policy, Callable[[tuple, int], object]] = {
 }
 
 
-def priority(tree: TreeState, policy: Policy, ds: Dataset):
-    """Scheduling key for a tree; smaller keys are explored sooner."""
-    return _KEYS[policy](as_entry(tree), ds.n_samples)
-
-
 class SearchQueue:
     """Min-heap worklist of entries with deterministic tie-breaking and
     lazy invalidation: stale entries are discarded at pop time.
@@ -122,8 +117,9 @@ class SearchQueue:
         if len(heap) > self.max_size:
             self.max_size = len(heap)
 
-    def pop(self, is_live: Optional[Callable[[tuple], bool]] = None
-            ) -> Optional[tuple]:
+    def pop(self, is_live: Callable[[tuple], bool]) -> Optional[tuple]:
+        """The first queued entry that ``is_live`` accepts, discarding
+        the stale ones popped before it; None when there is none."""
         heap, buckets = self._heap, self.buckets
         while heap:
             _, _, entry = heapq.heappop(heap)
@@ -133,7 +129,7 @@ class SearchQueue:
                 del buckets[bucket]
             else:
                 buckets[bucket] = count - 1
-            if is_live is None or is_live(entry):
+            if is_live(entry):
                 return entry
         return None
 
@@ -145,16 +141,15 @@ class SearchQueue:
         for _, _, entry in self._heap:
             yield entry
 
-    def min_lower_bound(self,
-                        is_live: Optional[Callable[[tuple], bool]] = None
+    def min_lower_bound(self, is_live: Callable[[tuple], bool]
                         ) -> Optional[tuple]:
-        """The (live) queued entry with the smallest lower bound, compared
+        """The live queued entry with the smallest lower bound, compared
         as integer ``b_s``, the first in heap order among equals; None when
         there is none.  Liveness is asked only of an entry whose bound is
         below the least live one found so far."""
         least = None
         for _, _, entry in self._heap:
             if (least is None or entry[B_S] < least[B_S]) \
-                    and (is_live is None or is_live(entry)):
+                    and is_live(entry):
                 least = entry
         return least

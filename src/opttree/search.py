@@ -15,8 +15,8 @@ the search has expanded, skips the copy popped second.
 Every comparison the loop makes is an integer comparison: with lam = p/q
 over N samples, a value e/N + lam*H scales to e*q + H*p*N.  Each child
 is priced as its scaled lower bound, objective and equivalent-points
-floor (``b_s``, ``r_s``, ``b0_s``), the sums that ``TreeState``'s
-properties take over its leaves.  The pruning gates, the heap keys (see
+floor (``b_s``, ``r_s``, ``b0_s``), the sums that ``tree.as_entry``
+takes from scratch over its leaves.  The pruning gates, the heap keys (see
 ``scheduler``), the tree cache and its purge all compare these integers,
 which order exactly as the rationals they scale; ``Fraction`` appears
 only in what a run reports (incumbent objective, trace records, gap).
@@ -386,12 +386,13 @@ class _Run:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
-        root = root_tree(self.ds, self.lam, self.eq)
+        root = root_tree(self.ds, self.eq)
         (leaf,) = root.split
         self.leaf_cache.intern(leaf.key, lambda: leaf)
-        entry = as_entry(root)
-        self._set_best(entry)
+        entry = as_entry(root, self.lam)
+        # the root counts itself, as a child incumbent does
         self.stats.trees_evaluated = 1
+        self._set_best(entry)
         # node support may close the root; every other leaf to split was
         # found open by its parent's split table
         if self._is_live(entry) and self.q * leaf.n_captured >= self.support_s:
@@ -490,4 +491,4 @@ def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     run.best_obj = best
-    return run.expand(as_entry(tree))
+    return run.expand(as_entry(tree, config.lam))

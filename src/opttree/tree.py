@@ -3,20 +3,20 @@
 The objective of a tree is (misclassified fraction) + lam * (leaf count),
 with the convention that the root-only tree has an effective leaf count of
 zero, so its objective is just the minority-class fraction.  A tree is
-its unchanged leaves and the leaves still to split.  The lower bound
+its unchanged leaves and the leaves still to split, over its dataset;
+lam and N belong to the objective, not to the tree.  The lower bound
 counts only the mistakes of unchanged leaves, which is valid for every
 descendant because unchanged leaves are never split again.
 
 Bounds are integers scaled by N*q (lam = p/q), and the search compares
-those integers.  A ``TreeState`` holds leaves only; its properties sum
-the bounds over them, which the search does for the root alone.  It
-prices every child from its parent's sums, adjusted for the leaf it
-splits and the two it adds, so a child's cost does not grow with the
-leaf count, and queues a child the incumbent does not reject as one
-entry, those sums and what builds it (``child_entry``): the only home of
-a child's sums.  ``build_tree`` makes the tree when the search needs its
-leaves.  The module-level ``objective`` recomputes a tree's objective
-from its leaves alone, as an independent reference.
+those integers.  ``as_entry`` is the one from-scratch sum of them over a
+tree's leaves: the search takes it for the root, and ``objective`` reads
+a tree's objective from it.  The search prices every other tree from its
+parent's sums, adjusted for the leaf it splits and the two it adds, so a
+child's cost does not grow with the leaf count, and queues a child the
+incumbent does not reject as one entry, those sums and what builds it
+(``child_entry``): the only home of a child's sums.  ``build_tree`` makes
+the tree when the search needs its leaves.
 
 A leaf's capture is a set of row classes (see ``dataset``): an int with
 one bit per class, not per sample, so on data with few distinct rows it
@@ -162,24 +162,15 @@ def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
 class TreeState:
     """A tree as its unchanged leaves and its leaves still to split (the
     paper's d_un and d_split), each in canonical (leaf-key) order, so the
-    leaf an expansion splits is ``split[0]``.
+    leaf an expansion splits is ``split[0]``, over the dataset ``ds``
+    whose samples the leaves partition.
 
-    A tree stores no sums; its properties sum them over the leaves, scaled
-    to integers: with lam = p/q over N samples, a value e/N + lam*H is
-    e*q + H*p*N.  ``b_s`` is the lower bound (unchanged mistakes plus the
-    leaf penalty), ``r_s`` the objective, ``b0_s`` the equivalent-points
-    floor under the leaves to split, and ``unchanged_capture`` the samples
-    the unchanged leaves hold.  The search takes them for the root alone;
-    every other tree's sums live in its queue entry (``child_entry``).
+    A tree stores no sums: ``as_entry`` takes them over its leaves.
     """
 
     unchanged: tuple[Leaf, ...]
     split: tuple[Leaf, ...]
-    n_samples: int
-    lam: Fraction
-    # the samples the leaves partition, for ``check_partition``; a search
-    # tree has its root's
-    ds: Optional[Dataset] = field(default=None, repr=False, compare=False)
+    ds: Dataset = field(repr=False, compare=False)
 
     @property
     def leaves(self) -> tuple[Leaf, ...]:
@@ -189,25 +180,6 @@ class TreeState:
     @property
     def h(self) -> int:
         return penalized_leaves(len(self.unchanged) + len(self.split))
-
-    @property
-    def b_s(self) -> int:
-        lam = self.lam
-        return lam.denominator * sum(l.mistakes for l in self.unchanged) \
-            + lam.numerator * self.n_samples * self.h
-
-    @property
-    def r_s(self) -> int:
-        return self.b_s \
-            + self.lam.denominator * sum(l.mistakes for l in self.split)
-
-    @property
-    def b0_s(self) -> int:
-        return self.lam.denominator * sum(l.b0_count for l in self.split)
-
-    @property
-    def unchanged_capture(self) -> int:
-        return sum(l.n_captured for l in self.unchanged)
 
     def check_partition(self) -> None:
         """Debug invariant: the leaves' captures, recounted per sample
@@ -221,7 +193,7 @@ class TreeState:
                 raise AssertionError(f"{l!r} does not capture its count")
             total += l.n_captured
             union |= capture
-        if total != self.n_samples or union.bit_count() != self.n_samples:
+        if total != ds.n_samples or union.bit_count() != ds.n_samples:
             raise AssertionError("leaf captures do not partition the samples")
 
 
@@ -247,10 +219,20 @@ def child_entry(b_s: int, b0_s: int, r_s: int, unchanged_capture: int,
             s1, s2)
 
 
-def as_entry(tree: TreeState) -> tuple:
-    """The queue entry of a built tree: its sums, then the tree and no
-    new leaf."""
-    return (tree.b_s, tree.b0_s, tree.r_s, tree.unchanged_capture,
+def as_entry(tree: TreeState, lam: Fraction) -> tuple:
+    """The queue entry of a built tree, its sums taken from scratch over
+    its leaves, then the tree and no new leaf.  With lam = p/q over N
+    samples, a value e/N + lam*H is scaled to e*q + H*p*N: ``B_S`` is the
+    lower bound (unchanged mistakes plus the leaf penalty), ``R_S`` the
+    objective, ``B0_S`` the equivalent-points floor under the leaves to
+    split, and ``UNCHANGED_CAPTURE`` the samples the unchanged leaves
+    hold."""
+    q = lam.denominator
+    b_s = q * sum(l.mistakes for l in tree.unchanged) \
+        + lam.numerator * tree.ds.n_samples * tree.h
+    return (b_s, q * sum(l.b0_count for l in tree.split),
+            b_s + q * sum(l.mistakes for l in tree.split),
+            sum(l.n_captured for l in tree.unchanged),
             len(tree.unchanged) + len(tree.split), tree, None)
 
 
@@ -275,8 +257,7 @@ def build_tree(entry: tuple) -> TreeState:
             split = _inserted(split, leaf)
         else:
             unchanged = _inserted(unchanged, leaf)
-    return TreeState(unchanged, split, parent.n_samples, parent.lam,
-                     parent.ds)
+    return TreeState(unchanged, split, parent.ds)
 
 
 def sort_leaves(leaves: Sequence[Leaf]) -> tuple[Leaf, ...]:
@@ -284,13 +265,13 @@ def sort_leaves(leaves: Sequence[Leaf]) -> tuple[Leaf, ...]:
     return tuple(sorted(leaves, key=_clauses))
 
 
-def root_tree(ds: Dataset, lam: Fraction, eq: EquivalenceIndex) -> TreeState:
+def root_tree(ds: Dataset, eq: EquivalenceIndex) -> TreeState:
     """Single all-capturing leaf to split; objective = minority fraction."""
-    return TreeState(unchanged=(), split=(make_leaf([], eq),),
-                     n_samples=ds.n_samples, lam=lam, ds=ds)
+    return TreeState(unchanged=(), split=(make_leaf([], eq),), ds=ds)
 
 
 def objective(tree: TreeState, lam: Fraction) -> Fraction:
-    """From-scratch objective: all leaves' mistakes plus the leaf penalty."""
-    err = sum(l.mistakes for l in tree.leaves)
-    return Fraction(err, tree.n_samples) + lam * tree.h
+    """A tree's objective under lam: all leaves' mistakes over N plus the
+    leaf penalty, the ``R_S`` sum of ``as_entry``."""
+    return Fraction(as_entry(tree, lam)[R_S],
+                    tree.ds.n_samples * lam.denominator)

@@ -5,7 +5,8 @@ import pytest
 
 from opttree.dataset import Dataset, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, expand
-from opttree.tree import TreeState, build_tree, root_tree, sort_leaves
+from opttree.tree import (B_S, TreeState, as_entry, build_tree, root_tree,
+                          sort_leaves)
 
 
 def bits(cells) -> int:
@@ -28,22 +29,17 @@ def random_dataset(rng: random.Random, n: int, m: int,
     return from_rows([f"f{j}" for j in range(m)], rows, labels)
 
 
-def make_tree(ds: Dataset, lam: Fraction, unchanged=(), split=()
-              ) -> TreeState:
+def make_tree(ds: Dataset, unchanged=(), split=()) -> TreeState:
     """A tree of the given unchanged leaves and leaves to split, each put
     in canonical order."""
-    return TreeState(sort_leaves(unchanged), sort_leaves(split),
-                     ds.n_samples, lam, ds=ds)
+    return TreeState(sort_leaves(unchanged), sort_leaves(split), ds)
 
 
-def lower_bound(tree: TreeState) -> Fraction:
-    """A tree's lower bound: its scaled sum ``b_s`` over N*q."""
-    return Fraction(tree.b_s, tree.n_samples * tree.lam.denominator)
-
-
-def tree_objective(tree: TreeState) -> Fraction:
-    """A tree's objective as its sums give it: ``r_s`` over N*q."""
-    return Fraction(tree.r_s, tree.n_samples * tree.lam.denominator)
+def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
+    """A tree's lower bound under lam: the scaled sum ``B_S`` of its
+    ``as_entry`` over N*q."""
+    return Fraction(as_entry(tree, lam)[B_S],
+                    tree.ds.n_samples * lam.denominator)
 
 
 def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,
@@ -52,7 +48,7 @@ def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,
     expanding up to ``width`` random children of each level."""
     eq = build_equivalence_index(ds)
     config = SearchConfig(lam=lam)
-    frontier = [root_tree(ds, lam, eq)]
+    frontier = [root_tree(ds, eq)]
     trees = list(frontier)
     for _ in range(levels):
         children = [build_tree(e) for t in frontier

@@ -21,7 +21,7 @@ from opttree.dataset import build_equivalence_index, from_rows, load_csv
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, expand, fit
-from opttree.tree import build_tree, objective
+from opttree.tree import N_LEAVES, as_entry, build_tree, objective
 from tests.conftest import LAMBDAS, lower_bound, random_dataset
 from tests.test_tree_core import _random_tree, priced_bounds, scratch_bounds
 
@@ -148,12 +148,15 @@ def test_criterion_5_incremental_equals_scratch(report):
     while checked < 1000:
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
         eq = build_equivalence_index(ds)
-        parent = _random_tree(ds, eq, lam, rng)
+        parent = _random_tree(ds, eq, rng)
         best = Fraction(rng.randint(1, 20), 20)
         for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+            child = build_tree(entry)
             priced = priced_bounds(entry, ds.n_samples, lam)
-            if priced != scratch_bounds(build_tree(entry), lam) \
-                    or priced[0] < lower_bound(parent):
+            if priced != scratch_bounds(child, lam) \
+                    or entry[:N_LEAVES + 1] \
+                    != as_entry(child, lam)[:N_LEAVES + 1] \
+                    or priced[0] < lower_bound(parent, lam):
                 mismatches += 1
             checked += 1
     fits = 0

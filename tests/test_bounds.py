@@ -45,7 +45,7 @@ def _closed(k, n, lam, **toggles):
     run = _run_at(ds, lam, Fraction(1), leaf_accuracy=False,
                   incremental_accuracy=False, **toggles)
     ((_, _, c2, flag_pairs),) = run._split_table(
-        root_tree(ds, lam, run.eq).split[0])[1]
+        root_tree(ds, run.eq).split[0])[1]
     assert c2.key == (Clause(0, True),) and c2.n_captured == k
     return all(not s2 for _, s2 in flag_pairs)
 
@@ -105,9 +105,9 @@ def test_node_support_closes_the_root():
 
 def _refused_features(ds, lam, **toggles):
     """The features the root's split table leaves out."""
-    root = root_tree(ds, lam, build_equivalence_index(ds))
+    root = root_tree(ds, build_equivalence_index(ds))
     run = _run_at(ds, lam, Fraction(1), **toggles)
-    run.expand(as_entry(root))
+    run.expand(as_entry(root, lam))
     kept = {f for f, *_ in run.split_tables[root.split[0]][1]}
     return set(range(ds.n_features)) - kept
 
@@ -163,8 +163,8 @@ def _flags_by_feature(deltas, lam, **toggles):
                   equivalent_points=False, **toggles)
     run._set_best = lambda entry: None
     seen = {}
-    root = root_tree(ds, lam, run.eq)
-    for child in map(build_tree, run.expand(as_entry(root))):
+    root = root_tree(ds, run.eq)
+    for child in map(build_tree, run.expand(as_entry(root, lam))):
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
         seen.setdefault(f, set()).add(
             tuple(leaf in child.split for leaf in child.leaves))
@@ -230,18 +230,17 @@ def test_equivalent_points_floor():
     ds = from_rows(["a", "b"], rows, labels)
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
-    tree = root_tree(ds, lam, eq)
-    assert tree.b0_s == lam.denominator  # one sample in N: 1/6
+    entry = as_entry(root_tree(ds, eq), lam)
+    assert entry[B0_S] == lam.denominator  # one sample in N: 1/6
     # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
-    entry = as_entry(tree)
     assert not _run_at(ds, lam, Fraction(106, 600))._is_live(entry)
     assert _run_at(ds, lam, Fraction(107, 600))._is_live(entry)
     assert _run_at(ds, lam, Fraction(106, 600),
                    equivalent_points=False)._is_live(entry)
 
     distinct = from_rows(["a", "b"], [[0, 0], [0, 1], [1, 0]], [1, 0, 1])
-    root = root_tree(distinct, lam, build_equivalence_index(distinct))
-    assert root.b0_s == 0
+    root = root_tree(distinct, build_equivalence_index(distinct))
+    assert as_entry(root, lam)[B0_S] == 0
 
 
 def test_equivalent_points_floor_le_splittable_error():
@@ -251,8 +250,8 @@ def test_equivalent_points_floor_le_splittable_error():
     for _ in range(100):
         ds = random_dataset(rng, rng.randint(4, 30), 3, duplicate_bias=0.5)
         eq = build_equivalence_index(ds)
-        root = root_tree(ds, lam, eq)
-        for entry in [as_entry(root)] + expand(
+        root = root_tree(ds, eq)
+        for entry in [as_entry(root, lam)] + expand(
                 root, ds, eq, SearchConfig(lam=lam), Fraction(1)):
             trees += 1
             assert 0 <= entry[B0_S] <= entry[R_S] - entry[B_S]
@@ -275,7 +274,7 @@ def test_max_leaves_formulas():
         ds = random_dataset(rng, rng.randint(4, 30), rng.randint(2, 4))
         eq = build_equivalence_index(ds)
         best = Fraction(rng.randint(1, 10), 20)
-        parents = [root_tree(ds, lam, eq)]
+        parents = [root_tree(ds, eq)]
         parents += map(build_tree, expand(parents[0], ds, eq,
                                           SearchConfig(lam=lam), best))
         for parent in parents:
@@ -285,18 +284,18 @@ def test_max_leaves_formulas():
                 h = build_tree(entry).h
                 assert h <= min(math.floor(best / lam), 2 ** ds.n_features)
                 assert h < parent.h + math.floor(
-                    (best - lower_bound(parent)) / lam)
+                    (best - lower_bound(parent, lam)) / lam)
     assert children > 50
 
 
 def test_remaining_evaluations():
     lam = Fraction(1, 10)
     ds = from_rows(["a"], [[0], [1]] * 5, [0, 1] * 5)  # M = 1, N = 10
-    root = root_tree(ds, lam, build_equivalence_index(ds))  # b = 0, L = 1
+    root = root_tree(ds, build_equivalence_index(ds))  # b = 0, L = 1
 
     def traced(best, trees):
         run = _run_at(ds, lam, best)
-        run.queue.push([as_entry(tree) for tree in trees])
+        run.queue.push([as_entry(tree, lam) for tree in trees])
         run._record_trace()
         return run.trace[-1]
 

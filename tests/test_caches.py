@@ -71,7 +71,7 @@ def _three_leaf_tree(ds, cache, order_swapped=False, flipped=False):
     to_split = leaves[0] if flipped else leaves[2]
     if order_swapped:
         leaves.reverse()
-    return make_tree(ds, Fraction(1, 10),
+    return make_tree(ds,
                      unchanged=[l for l in leaves if l is not to_split],
                      split=[to_split])
 

@@ -23,7 +23,7 @@ from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE,
-                          and_clauses, build_tree)
+                          and_clauses, as_entry, build_tree)
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -40,11 +40,10 @@ TOGGLES_ONE_OFF = (BoundToggles(), BoundToggles(similar_support=True)) \
         "leaf_accuracy", "equivalent_points", "permutation_cache"))
 
 
-def _sums(tree):
+def _sums(tree, lam):
     """A tree's (b_s, r_s, b0_s, unchanged capture, leaf count), summed
-    from scratch over its leaves."""
-    return (tree.b_s, tree.r_s, tree.b0_s, tree.unchanged_capture,
-            len(tree.leaves))
+    from scratch over its leaves by ``as_entry``."""
+    return _entry_sums(as_entry(tree, lam))
 
 
 def _entry_sums(entry):
@@ -107,7 +106,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
                 _Run(ds, config).run()
                 fits += 1
                 for parent, child, entry in priced:
-                    assert _entry_sums(entry) == _sums(child)
+                    assert _entry_sums(entry) == _sums(child, lam)
                     # the parent's first leaf to split is the one split
                     (split,) = [l for l in parent.leaves
                                 if l not in child.leaves]
@@ -163,7 +162,7 @@ def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
                     for leaves in (tree.unchanged, tree.split):
                         keys = [leaf.key for leaf in leaves]
                         assert all(a < b for a, b in zip(keys, keys[1:]))
-                    assert _entry_sums(entry) == _sums(tree)
+                    assert _entry_sums(entry) == _sums(tree, lam)
                     assert tree.ds is ds
                     if toggles.node_support and len(tree.leaves) > 1:
                         support = 2 * lam.numerator * ds.n_samples

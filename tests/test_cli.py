@@ -429,6 +429,30 @@ def test_ablate_table(tmp_path, capsys, monkeypatch):
     assert any(v.startswith("policy_") for v in variants)
 
 
+def test_ablate_marks_only_time_limit_stops(tmp_path, capsys):
+    # 30 features and a small lam: no variant certifies within 50 trees.
+    # A variant the tree budget stopped did not run out of time, so its
+    # times are censored, not "> the time limit"
+    rng = random.Random(11)
+    names = [f"f{j}" for j in range(30)] + ["y"]
+    rows = [[rng.randint(0, 1) for _ in names] for _ in range(100)]
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(names) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    for limits, mark in ((["--time-limit", "100", "--max-trees", "50"],
+                          "censored"),
+                         (["--time-limit", "0"], ">0.0")):
+        out = tmp_path / "ablate.csv"
+        assert main(["ablate", "--data", str(data), "--label", "y",
+                     "--lambda", "1/1000", "--out", str(out),
+                     *limits]) == 0
+        with open(out, newline="") as fh:
+            rows_out = list(csv.DictReader(fh))
+        assert len(rows_out) == 13
+        for row in rows_out:
+            assert row["total_time_s"] == row["time_to_optimum_s"] == mark
+
+
 def test_determinism_byte_identical_models(tmp_path, toy_csv):
     _, out1 = _fit(tmp_path, toy_csv)
     first = out1.read_bytes()

@@ -9,7 +9,7 @@ from opttree.dataset import (build_equivalence_index, from_rows,
                              weighted_count)
 from opttree.oracle import OracleResourceError, exhaustive_optimum
 from opttree.tree import make_leaf, objective
-from tests.conftest import make_tree, random_dataset, tree_objective
+from tests.conftest import make_tree, random_dataset
 
 
 def parity_dataset(bits: int, copies: int):
@@ -84,10 +84,10 @@ def test_witness_leaves_consistent(toy_ds):
     for ds, lam in datasets:
         res = exhaustive_optimum(ds, lam)
         eq = build_equivalence_index(ds)
-        tree = make_tree(ds, lam, unchanged=[make_leaf(k, eq)
-                                             for k in res.leaf_keys])
+        tree = make_tree(ds, unchanged=[make_leaf(k, eq)
+                                        for k in res.leaf_keys])
         tree.check_partition()
-        assert tree_objective(tree) == objective(tree, lam) == res.objective
+        assert objective(tree, lam) == res.objective
         assert sum(l.mistakes for l in tree.leaves) == res.mistakes
         assert len(tree.leaves) == res.n_leaves
 

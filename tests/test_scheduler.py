@@ -8,12 +8,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.scheduler import Policy, SearchQueue, priority
+from opttree.scheduler import _KEYS, Policy, SearchQueue
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (B_S, Clause, as_entry, build_tree, make_leaf,
-                          root_tree)
+                          objective, root_tree)
 from tests.conftest import (expanded_trees, lower_bound, make_tree,
-                            random_dataset, tree_objective)
+                            random_dataset)
+
+LAM = Fraction(1, 10)
+
+
+def priority(tree, policy, lam=LAM):
+    """The key ``policy`` gives a tree, from its entry's sums."""
+    return _KEYS[policy](as_entry(tree, lam), tree.ds.n_samples)
+
+
+def _live(entry):
+    return True
 
 
 @pytest.fixture
@@ -25,52 +36,50 @@ def ds():
     return from_rows(["a", "b"], rows, labels)
 
 
-def _split_tree(ds, to_split=(False, True), lam=Fraction(1, 10)):
+def _split_tree(ds, to_split=(False, True)):
     """The tree of the leaves f0=0 and f0=1, each to split where its flag
     is true and unchanged otherwise."""
     eq = build_equivalence_index(ds)
     leaves = (make_leaf([Clause(0, False)], eq),
               make_leaf([Clause(0, True)], eq))
-    return make_tree(ds, lam,
+    return make_tree(ds,
                      unchanged=[l for l, s in zip(leaves, to_split)
                                 if not s],
                      split=[l for l, s in zip(leaves, to_split) if s])
 
 
 def test_bfs_dfs_priorities(ds):
-    lam = Fraction(1, 10)
-    root = root_tree(ds, lam, build_equivalence_index(ds))
+    root = root_tree(ds, build_equivalence_index(ds))
     t = _split_tree(ds)
-    assert priority(root, Policy.BFS, ds) == 0
-    assert priority(t, Policy.BFS, ds) == 2
-    assert priority(t, Policy.DFS, ds) == -2
+    assert priority(root, Policy.BFS) == 0
+    assert priority(t, Policy.BFS) == 2
+    assert priority(t, Policy.DFS) == -2
 
 
 def test_bound_and_objective_priorities(ds):
     # keys are the bounds scaled by N*q = 80
     t = _split_tree(ds)
-    assert lower_bound(t) == Fraction(1, 8) + Fraction(2, 10)
-    assert priority(t, Policy.LOWER_BOUND, ds) == lower_bound(t) * 80 == 26
-    assert priority(t, Policy.OBJECTIVE, ds) == tree_objective(t) * 80 == 36
+    assert lower_bound(t, LAM) == Fraction(1, 8) + Fraction(2, 10)
+    assert priority(t, Policy.LOWER_BOUND) == lower_bound(t, LAM) * 80 == 26
+    assert priority(t, Policy.OBJECTIVE) == objective(t, LAM) * 80 == 36
 
 
 def test_curiosity_priority(ds):
     # key = floor(N^2 * b_s / c): b_s/(q*c) scaled by q*N^2 = 640
-    lam = Fraction(1, 10)
-    root = root_tree(ds, lam, build_equivalence_index(ds))
-    assert priority(root, Policy.CURIOSITY, ds) \
-        == lower_bound(root) * 8 * 80 == 0  # nothing unchanged: c = N
+    root = root_tree(ds, build_equivalence_index(ds))
+    assert priority(root, Policy.CURIOSITY) \
+        == lower_bound(root, LAM) * 8 * 80 == 0  # nothing unchanged: c = N
     t = _split_tree(ds)  # unchanged leaf captures 4 of 8
-    assert priority(t, Policy.CURIOSITY, ds) \
-        == lower_bound(t) / Fraction(4, 8) * 8 * 80 == 416
+    assert priority(t, Policy.CURIOSITY) \
+        == lower_bound(t, LAM) / Fraction(4, 8) * 8 * 80 == 416
 
 
-def _curiosity_reference(tree):
+def _curiosity_reference(tree, lam):
     """The rational curiosity key: lower bound over the fraction of
     samples that unchanged leaves hold (all of them when none)."""
-    n = tree.n_samples
+    n = tree.ds.n_samples
     held = sum(l.n_captured for l in tree.unchanged)
-    return lower_bound(tree) / Fraction(held or n, n)
+    return lower_bound(tree, lam) / Fraction(held or n, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -79,12 +88,13 @@ def _curiosity_reference(tree):
 def test_integer_keys_order_and_tie_as_rationals(n, m, p, q, seed):
     rng = random.Random(seed)
     ds = random_dataset(rng, n, m, duplicate_bias=rng.choice((0.0, 0.5)))
-    trees = expanded_trees(ds, Fraction(p, q), rng)
+    lam = Fraction(p, q)
+    trees = expanded_trees(ds, lam, rng)
     references = {Policy.CURIOSITY: _curiosity_reference,
                   Policy.LOWER_BOUND: lower_bound,
-                  Policy.OBJECTIVE: tree_objective}
+                  Policy.OBJECTIVE: objective}
     for policy, reference in references.items():
-        pairs = sorted(((reference(t), priority(t, policy, ds))
+        pairs = sorted(((reference(t, lam), priority(t, policy, lam))
                         for t in trees), key=lambda rk: rk[0])
         assert all(type(k) is int for _, k in pairs)
         for (ra, ka), (rb, kb) in zip(pairs, pairs[1:]):
@@ -95,26 +105,26 @@ def test_entropy_and_gini_priorities(ds):
     t = _split_tree(ds)  # leaf to split: 4 captured, 1 one-label
     p = 1 / 4
     expected_h2 = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-    assert priority(t, Policy.ENTROPY, ds) \
+    assert priority(t, Policy.ENTROPY) \
         == pytest.approx(4 / 8 * expected_h2)
     # the Gini impurity 4/8 * 2p(1 - p) with p = 1/4, times N/2 = 4: the
     # key is ones * zeros / n_c, which orders and ties alike
     gini = Fraction(4, 8) * 2 * Fraction(1, 4) * Fraction(3, 4)
-    assert priority(t, Policy.GINI, ds) == gini * 4 == Fraction(1 * 3, 4)
+    assert priority(t, Policy.GINI) == gini * 4 == Fraction(1 * 3, 4)
 
 
 def test_queue_pops_equal_keys_in_push_order(ds):
     q = SearchQueue(Policy.LOWER_BOUND, ds)
-    a, b, c = (as_entry(_split_tree(ds, flags)) for flags in
+    a, b, c = (as_entry(_split_tree(ds, flags), LAM) for flags in
                ((False, True), (True, False), (True, True)))
     # c has the lower bound: nothing unchanged
     assert a[B_S] == b[B_S] > c[B_S] and build_tree(a) != build_tree(b)
     q.push([b, a])
     q.push([c])
-    assert q.pop() is c  # strictly smaller bound first
-    assert q.pop() is b  # tie between a and b: pushed first
-    assert q.pop() is a
-    assert q.pop() is None
+    assert q.pop(_live) is c  # strictly smaller bound first
+    assert q.pop(_live) is b  # tie between a and b: pushed first
+    assert q.pop(_live) is a
+    assert q.pop(_live) is None
 
 
 def test_queue_keys_a_child_by_its_sums():
@@ -124,37 +134,38 @@ def test_queue_keys_a_child_by_its_sums():
     rng = random.Random(4)
     ds = random_dataset(rng, 40, 5)
     lam = Fraction(1, 40)
-    root = root_tree(ds, lam, build_equivalence_index(ds))
+    root = root_tree(ds, build_equivalence_index(ds))
     for policy in Policy:
         run = _Run(ds, SearchConfig(lam=lam, policy=policy))
         run.best_s = run.q * run.n
         run._set_best = lambda entry: None
-        entries = run.expand(as_entry(root))
+        entries = run.expand(as_entry(root, lam))
         assert len(entries) > 10
         q = SearchQueue(policy, ds)
         q.push(entries)
-        keys = sorted((priority(build_tree(e), policy, ds), i)
+        keys = sorted((priority(build_tree(e), policy, lam), i)
                       for i, e in enumerate(entries))
-        assert [q.pop() for _ in entries] == [entries[i] for _, i in keys]
+        assert [q.pop(_live) for _ in entries] \
+            == [entries[i] for _, i in keys]
 
 
 def test_queue_lazy_invalidation(ds):
     q = SearchQueue(Policy.BFS, ds)
-    q.push([as_entry(_split_tree(ds))])
+    q.push([as_entry(_split_tree(ds), LAM)])
     assert q.pop(is_live=lambda e: False) is None
     assert len(q) == 0
 
 
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
-    a = as_entry(_split_tree(ds, (False, True)))
-    b = as_entry(_split_tree(ds, (True, True)))
+    a = as_entry(_split_tree(ds, (False, True)), LAM)
+    b = as_entry(_split_tree(ds, (True, True)), LAM)
     q.push([a, b])
     assert q.max_size == 2
     q.push([])
     assert q.max_size == 2
-    assert lower_bound(build_tree(b)) < lower_bound(build_tree(a))
-    assert q.min_lower_bound() is b
+    assert lower_bound(build_tree(b), LAM) < lower_bound(build_tree(a), LAM)
+    assert q.min_lower_bound(_live) is b
     assert q.min_lower_bound(lambda e: e is a) is a
     assert q.min_lower_bound(lambda e: False) is None
     assert {id(e) for e in q.trees()} == {id(a), id(b)}
@@ -190,9 +201,8 @@ def test_min_lower_bound_is_the_plain_min_on_random_queues(ds):
                    for _ in range(rng.randint(0, 30))]
         q.push(entries)
         live = {id(e) for e in entries if rng.random() < 0.5}
-        for is_live in (lambda e: id(e) in live, lambda e: True):
+        for is_live in (lambda e: id(e) in live, _live):
             assert _checked_min(q, is_live) is _plain_min(q, is_live)
-        assert q.min_lower_bound() is _plain_min(q, lambda e: True)
 
 
 def test_min_lower_bound_is_the_plain_min_on_stopped_fits():

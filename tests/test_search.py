@@ -14,9 +14,9 @@ from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree import search
 from opttree.search import SearchConfig, _Run, expand, fit
-from opttree.tree import Clause, as_entry, build_tree, root_tree
-from tests.conftest import (expanded_trees, lower_bound, random_dataset,
-                            tree_objective)
+from opttree.tree import (B_S, Clause, as_entry, build_tree, objective,
+                          root_tree)
+from tests.conftest import expanded_trees, lower_bound, random_dataset
 
 
 def _flags(tree):
@@ -142,6 +142,18 @@ def test_trace_monotonicity_lower_bound_policy():
     assert mins == sorted(mins)
 
 
+def test_trees_to_optimum_counts_the_incumbent(toy_ds):
+    # lam > 1/2: a split costs more than the root's minority fraction, so
+    # the root is the optimum and the only tree evaluated; it counts itself
+    # as the first tree, as a child incumbent does
+    res = fit(toy_ds, SearchConfig(lam=Fraction(3, 5)))
+    assert res.certified and len(res.best_tree.leaves) == 1
+    assert res.stats.trees_evaluated == res.stats.trees_to_optimum == 1
+    res = fit(toy_ds, SearchConfig(lam=Fraction(1, 100)))
+    assert res.certified and len(res.best_tree.leaves) == 2
+    assert 1 < res.stats.trees_to_optimum <= res.stats.trees_evaluated
+
+
 def test_expand_children_respect_hierarchy():
     # XOR labels: no depth-1 split improves the incumbent, so children
     # survive the gates and can be inspected
@@ -150,22 +162,22 @@ def test_expand_children_respect_hierarchy():
     ds = from_rows(["a", "b"], rows, labels)
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
-    root = root_tree(ds, lam, eq)
+    root = root_tree(ds, eq)
     cfg = SearchConfig(lam=lam)
     children = [build_tree(e) for e in expand(root, ds, eq, cfg,
                                               Fraction(1, 2))]
     assert children
     for child in children:
         child.check_partition()
-        assert lower_bound(child) >= lower_bound(root)
-        assert lower_bound(child) <= tree_objective(child)
+        assert lower_bound(child, lam) >= lower_bound(root, lam)
+        assert lower_bound(child, lam) <= objective(child, lam)
         assert child.h == 2
 
 
 def test_expand_prunes_by_best(toy_ds):
     lam = Fraction(1, 100)
     eq = build_equivalence_index(toy_ds)
-    root = root_tree(toy_ds, lam, eq)
+    root = root_tree(toy_ds, eq)
     cfg = SearchConfig(lam=lam)
     # best below 2*lam: every split child fails the hierarchical gate
     assert expand(root, toy_ds, eq, cfg, Fraction(1, 100)) == []
@@ -223,7 +235,7 @@ def _priced_children(ds, config, tree, best):
         priced.append(entry)
         return gate(entry)
     run._is_live = recording
-    live = run.expand(as_entry(tree))
+    live = run.expand(as_entry(tree, config.lam))
     assert run.stats.trees_evaluated == len(priced)
     assert live == [e for e in priced if gate(e)]
     return [build_tree(e) for e in priced]
@@ -240,7 +252,7 @@ def test_zero_gain_split_forbids_both_unchanged():
     ds = from_rows(["a", "b"], rows, labels)
     lam = Fraction(1, 100)
     eq = build_equivalence_index(ds)
-    root = root_tree(ds, lam, eq)
+    root = root_tree(ds, eq)
     for incremental_accuracy, n_built, n_closed in ((True, 6, 0),
                                                     (False, 7, 1)):
         config = SearchConfig(lam=lam, toggles=BoundToggles(
@@ -315,13 +327,14 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
         config = SearchConfig(lam=lam, toggles=toggles)
         eq = build_equivalence_index(ds)
         best = exhaustive_optimum(ds, lam).objective
-        root = root_tree(ds, lam, eq)
+        root = root_tree(ds, eq)
         best_s = best * ds.n_samples * lam.denominator
         # each built tree with, for every leaf of a split that gained less
         # than lam and whose sibling is still a leaf, that sibling
         frontier, built = [(root, {})], []
         for _ in range(3):
-            frontier = [(c, _siblings(t, c, deficit, incremental_accuracy))
+            frontier = [(c, _siblings(t, c, deficit, lam,
+                                      incremental_accuracy))
                         for t, deficit in frontier
                         for c in map(build_tree,
                                      expand(t, ds, eq, config, best))]
@@ -333,7 +346,8 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
             for i, leaf in enumerate(tree.leaves):
                 forbidden = leaf in deficit \
                     and not flags[tree.leaves.index(deficit[leaf])]
-                price = tree.b_s + lam.denominator * leaf.mistakes
+                price = as_entry(tree, lam)[B_S] \
+                    + lam.denominator * leaf.mistakes
                 if not flags[i] or forbidden or price >= best_s:
                     continue
                 unchanged = flags[:i] + (False,) + flags[i + 1:]
@@ -343,7 +357,7 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
     assert checked > 200
 
 
-def _siblings(parent, child, deficit, incremental_accuracy):
+def _siblings(parent, child, deficit, lam, incremental_accuracy):
     """``deficit`` for ``child``, given its ``parent``'s: the split leaf
     leaves it, and the two new leaves join it when their split gains less
     than lam and incremental accuracy is on."""
@@ -351,9 +365,8 @@ def _siblings(parent, child, deficit, incremental_accuracy):
     c1, c2 = [l for l in child.leaves if l not in parent.leaves]
     kept = {l: o for l, o in deficit.items() if split not in (l, o)}
     gain = c1.n_correct + c2.n_correct - split.n_correct
-    lam = child.lam
     if incremental_accuracy \
-            and gain * lam.denominator < lam.numerator * child.n_samples:
+            and gain * lam.denominator < lam.numerator * child.ds.n_samples:
         kept.update({c1: c2, c2: c1})
     return kept
 
@@ -405,7 +418,7 @@ def test_fit_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
         # the stateless expansion makes and drops a run of its own
         eq = build_equivalence_index(ds)
-        children = expand(root_tree(ds, Fraction(1, 200), eq), ds, eq,
+        children = expand(root_tree(ds, eq), ds, eq,
                           configs[1], Fraction(1))
         assert children
         del children

@@ -146,7 +146,7 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         gate = run._is_live
         built.clear()
         run._is_live = lambda entry: built.append(entry) or gate(entry)
-        run.expand(as_entry(root))
+        run.expand(as_entry(root, config.lam))
         trees = map(build_tree, built)
         # each child's leaf keys, the keys of its leaves to split, and the
         # sums its entry holds
@@ -166,14 +166,14 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         eq = build_equivalence_index(ds)
         for lams in ((Fraction(1, 40), Fraction(1, 8)),
                      (Fraction(1, 8), Fraction(1, 40))):
-            shared = root_tree(ds, lams[0], eq).split[0]
+            shared = root_tree(ds, eq).split[0]
             seen = []
             for lam in lams:
-                root = TreeState((), (shared,), ds.n_samples, lam)
+                root = TreeState((), (shared,), ds)
                 for toggles in toggle_sets:
                     config = SearchConfig(lam=lam, toggles=toggles)
                     got = children(root, ds, eq, config)
-                    want = children(root_tree(ds, lam, eq), ds, eq, config)
+                    want = children(root_tree(ds, eq), ds, eq, config)
                     assert got == want
                     seen.append(want)
             changes += sum(a != b for a, b in zip(seen, seen[1:]))
@@ -191,11 +191,11 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     eq = build_equivalence_index(ds)
     keys = ((Clause(0, False),), (Clause(0, True),))
     coarse = Fraction(1, 4)
-    children(root_tree(ds, coarse, eq), ds, eq, SearchConfig(lam=coarse))
+    children(root_tree(ds, eq), ds, eq, SearchConfig(lam=coarse))
     (leaves,) = {t.leaves for t in map(build_tree, built)
                  if tuple(l.key for l in t.leaves) == keys}
     lam = Fraction(1, 40)
-    got, want = (children(TreeState((), tuple(ls), ds.n_samples, lam),
+    got, want = (children(TreeState((), tuple(ls), ds),
                           ds, eq, SearchConfig(lam=lam))
                  for ls in (leaves, [make_leaf(k, eq) for k in keys]))
     assert got == want

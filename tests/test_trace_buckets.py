@@ -31,12 +31,13 @@ def _scan(run):
     for tree in trees:
         slots = pool - len(tree.leaves)
         f = 0
-        b = lower_bound(tree)
+        b = lower_bound(tree, run.lam)
         if run.best_obj > b:
             f = min(math.floor((run.best_obj - b) / run.lam), slots)
         remaining += _perm_sum(slots, f)
     log10 = len(str(remaining)) - 1 if remaining else None
-    least = min((lower_bound(tree) for tree in trees), default=None)
+    least = min((lower_bound(tree, run.lam) for tree in trees),
+                default=None)
     return remaining, log10, least, len(trees)
 
 

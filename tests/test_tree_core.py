@@ -5,11 +5,11 @@ import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run, expand
-from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, build_tree,
-                          canonical_clauses, child_keys, make_child_leaf,
-                          make_leaf, objective, root_tree)
-from tests.conftest import (lower_bound, make_tree, random_dataset,
-                            tree_objective)
+from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, Clause, and_clauses,
+                          as_entry, build_tree, canonical_clauses,
+                          child_keys, make_child_leaf, make_leaf, objective,
+                          root_tree)
+from tests.conftest import lower_bound, make_tree, random_dataset
 
 
 def _eq(ds):
@@ -26,23 +26,23 @@ def test_canonical_clauses_orders_and_rejects_duplicates():
 def test_root_tree_minority_fraction():
     ds = from_rows(["a"], [[0]] * 6, [1, 1, 1, 1, 0, 1])
     lam = Fraction(1, 100)
-    tree = root_tree(ds, lam, _eq(ds))
-    assert objective(tree, lam) == tree_objective(tree) == Fraction(1, 6)
-    assert lower_bound(tree) == 0
+    tree = root_tree(ds, _eq(ds))
+    assert objective(tree, lam) == Fraction(1, 6)
+    assert lower_bound(tree, lam) == 0
     assert tree.h == 0
 
 
 def test_root_tree_pure_labels():
     ds = from_rows(["a"], [[0], [1]], [1, 1])
-    tree = root_tree(ds, Fraction(1, 10), _eq(ds))
-    assert tree_objective(tree) == 0
+    tree = root_tree(ds, _eq(ds))
+    assert objective(tree, Fraction(1, 10)) == 0
 
 
 def test_root_tree_tie_predicts_zero():
     ds = from_rows(["a"], [[0], [1]], [1, 0])
-    tree = root_tree(ds, Fraction(1, 10), _eq(ds))
+    tree = root_tree(ds, _eq(ds))
     assert tree.split[0].prediction == 0
-    assert tree_objective(tree) == Fraction(1, 2)
+    assert objective(tree, Fraction(1, 10)) == Fraction(1, 2)
 
 
 def test_make_child_leaf_counts():
@@ -73,7 +73,7 @@ def test_make_child_leaf_empty_is_dead():
     assert empty.n_captured == 0
     # a leaf is split only once a split table made it, and the root's
     # table refuses the split that would make this one
-    root = root_tree(ds, lam, run.eq).split[0]
+    root = root_tree(ds, run.eq).split[0]
     assert run._split_table(root)[1] == []
 
 
@@ -83,7 +83,7 @@ def test_dead_threshold_arithmetic():
     ds = from_rows(["a"], rows, [1] * 15 + [0] * 985)
     lam = Fraction(1, 100)
     run = _Run(ds, SearchConfig(lam=lam))
-    root = root_tree(ds, lam, run.eq).split[0]
+    root = root_tree(ds, run.eq).split[0]
     # the root's one split may keep only the 985-sample leaf to split
     ((f, other, leaf, flag_pairs),) = run._split_table(root)[1]
     assert f == 0 and leaf.key == (Clause(0, True),)
@@ -96,7 +96,7 @@ def test_dead_threshold_arithmetic():
 def test_objective_examples():
     ds = from_rows(["a"], [[0]] * 8, [1, 1, 0, 0, 1, 1, 1, 1])
     lam = Fraction(1, 100)
-    tree = root_tree(ds, lam, _eq(ds))
+    tree = root_tree(ds, _eq(ds))
     assert objective(tree, lam) == Fraction(1, 4)
 
     rows = [[0], [1]]
@@ -104,13 +104,13 @@ def test_objective_examples():
     eq2 = _eq(ds2)
     l0 = make_leaf([Clause(0, False)], eq2)
     l1 = make_leaf([Clause(0, True)], eq2)
-    two = make_tree(ds2, lam, unchanged=(l1, l0))
+    two = make_tree(ds2, unchanged=(l1, l0))
     assert two.leaves == (l0, l1)
-    assert objective(two, lam) == tree_objective(two) == Fraction(2, 100)
-    assert tree_objective(two) == lower_bound(two)  # nothing left to split
+    assert objective(two, lam) == Fraction(2, 100)
+    assert objective(two, lam) == lower_bound(two, lam)  # nothing to split
 
 
-def _random_tree(ds, eq, lam, rng):
+def _random_tree(ds, eq, rng):
     """Random split sequence from the root; returns a valid TreeState with
     at least one leaf to split."""
     leaves = [make_leaf([], eq)]
@@ -132,16 +132,17 @@ def _random_tree(ds, eq, lam, rng):
                                           eq))
     rng.shuffle(leaves)
     k = rng.randint(1, len(leaves))
-    return make_tree(ds, lam, unchanged=leaves[k:], split=leaves[:k])
+    return make_tree(ds, unchanged=leaves[k:], split=leaves[:k])
 
 
 def scratch_bounds(tree, lam):
     """Lower bound, objective and equivalent-points floor summed from the
-    leaves, independently of the sums the tree keeps."""
-    n = tree.n_samples
+    leaves as rationals, the paper's formulas."""
+    n = tree.ds.n_samples
     b = Fraction(sum(l.mistakes for l in tree.unchanged), n) + lam * tree.h
+    r = b + Fraction(sum(l.mistakes for l in tree.split), n)
     b0 = Fraction(sum(l.b0_count for l in tree.split), n)
-    return b, objective(tree, lam), b0
+    return b, r, b0
 
 
 def priced_bounds(entry, n, lam):
@@ -152,37 +153,39 @@ def priced_bounds(entry, n, lam):
 
 
 def test_incremental_equals_scratch_on_random_pairs():
-    """The search prices children at the bounds that a from-scratch sum
-    over their leaves gives, and never below their parent's bound."""
+    """The search prices children at the sums that ``as_entry`` takes
+    from scratch over their leaves, which are the paper's bounds, and
+    never below their parent's bound."""
     rng = random.Random(42)
     lam = Fraction(1, 20)
     checked = 0
     while checked < 1000:
         ds = random_dataset(rng, rng.randint(4, 25), rng.randint(2, 4))
         eq = build_equivalence_index(ds)
-        parent = _random_tree(ds, eq, lam, rng)
+        parent = _random_tree(ds, eq, rng)
         best = Fraction(rng.randint(1, 20), 20)
         for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
             child = build_tree(entry)
             child.check_partition()
+            assert entry[:N_LEAVES + 1] \
+                == as_entry(child, lam)[:N_LEAVES + 1]
             b, r, b0 = priced_bounds(entry, ds.n_samples, lam)
             assert (b, r, b0) == scratch_bounds(child, lam)
-            assert lower_bound(parent) <= b <= r
+            assert lower_bound(parent, lam) <= b <= r
             checked += 1
 
 
 def test_partition_check(toy_ds):
-    lam = Fraction(1, 10)
     eq = _eq(toy_ds)
-    tree = root_tree(toy_ds, lam, eq)
+    tree = root_tree(toy_ds, eq)
     tree.check_partition()
     l0 = make_leaf([Clause(0, False)], eq)
-    broken = make_tree(toy_ds, lam, split=(l0,))
+    broken = make_tree(toy_ds, split=(l0,))
     with pytest.raises(AssertionError):
         broken.check_partition()
 
 
 def test_lower_bound_le_objective(toy_ds):
     lam = Fraction(1, 10)
-    tree = root_tree(toy_ds, lam, _eq(toy_ds))
-    assert lower_bound(tree) <= tree_objective(tree)
+    tree = root_tree(toy_ds, _eq(toy_ds))
+    assert lower_bound(tree, lam) <= objective(tree, lam)
