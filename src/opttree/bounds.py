@@ -10,9 +10,10 @@ remaining-evaluations bound is summed in ``_Run._record_trace`` with
 ``cumulative_perm``.  The leaf-count caps need no check of their own:
 lam*H <= b < best already bounds H.
 
-What stays here is counting with big integers (a priori leaf cap, total
-tree evaluations, search-space size, symmetry savings), reported as
-floor(log10) where the magnitudes are astronomical.
+What stays here is the one check of lam (``validate_lam``) and counting
+with big integers (a priori leaf cap, total tree evaluations, search-space
+size, symmetry savings), reported as floor(log10) where the magnitudes are
+astronomical.
 """
 
 from __future__ import annotations
@@ -36,14 +37,23 @@ class BoundToggles:
     similar_support: bool = False
 
 
+def validate_lam(lam: Fraction) -> None:
+    """Reject a lam that is not a positive int or Fraction, whose
+    numerator and denominator every scaled bound uses."""
+    if not isinstance(lam, (int, Fraction)):
+        raise ValueError("lam must be an int or Fraction, not "
+                         f"{type(lam).__name__}")
+    if lam <= 0:
+        raise ValueError("lam must be positive: it bounds the leaf count")
+
+
 def _floor_ratio(a: Fraction, b: Fraction) -> int:
     """floor(a / b) for positive b, exactly."""
     return (a.numerator * b.denominator) // (a.denominator * b.numerator)
 
 
 def max_leaves_apriori(lam: Fraction, n_features: int) -> int:
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    validate_lam(lam)
     return min(_floor_ratio(Fraction(1, 2), lam), 2 ** n_features)
 
 

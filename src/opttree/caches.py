@@ -17,7 +17,7 @@ the capture of each leaf it splits with that leaf's split table (see
 The search looks a leaf's children up only while it works out that leaf's
 split table, during the leaf's first expansion (see ``search``), so
 ``hits`` counts at most two lookups per (leaf, feature), not two per
-feature in every expansion.
+feature in every expansion, and its size counts the misses.
 
 The tree cache holds the trees the search has expanded.  A child is
 queued unbuilt, so the search marks a tree only when it expands a popped
@@ -53,7 +53,6 @@ def tree_key(tree: TreeState) -> TreeKey:
 class LeafCache:
     _store: dict[LeafKey, Leaf] = field(default_factory=dict)
     hits: int = 0
-    misses: int = 0
 
     def intern(self, key: LeafKey, build: Callable[..., Leaf],
                *args) -> Leaf:
@@ -62,7 +61,6 @@ class LeafCache:
         if leaf is not None:
             self.hits += 1
             return leaf
-        self.misses += 1
         leaf = build(*args)
         if leaf.key != key:
             raise ValueError("built leaf does not match its key")

@@ -24,6 +24,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .bounds import validate_lam
 from .dataset import Dataset, build_equivalence_index
 from .tree import Clause, LeafKey, canonical_clauses
 
@@ -49,11 +50,7 @@ class OracleResult:
 
 def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
     """Globally optimal objective and one witness leaf set."""
-    if not isinstance(lam, (int, Fraction)):
-        raise ValueError(
-            f"lam must be an int or Fraction, not {type(lam).__name__}")
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    validate_lam(lam)
     n, m = ds.n_samples, ds.n_features
     # one frame per node on a path: a path splits on each feature at most
     # once, and each split leaves fewer distinct rows on either side

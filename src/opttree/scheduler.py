@@ -15,8 +15,8 @@ bound over the fraction c/N of samples held by unchanged leaves (c = N
 when there are none), is b_s/(q*c) as a rational.  Every c is at most N,
 so two different values of b_s/c differ by at least 1/N^2, and the
 integer ``b_s * N * N // c`` orders and ties exactly as the rational.
-Only the entropy (float) and Gini (Fraction) keys are not integers; they
-read the leaves still to split, so they build the entry's tree.
+Only the entropy (float) and Gini (float, Fraction) keys are not integers;
+they read the leaves still to split, so they build the entry's tree.
 
 Besides the heap, the queue counts its entries, stale ones included, per
 (``b_s``, leaf count) bucket.  Everything the search's trace reports about
@@ -61,14 +61,20 @@ def _entropy(entry: tuple, n: int) -> float:
     return total
 
 
-def _gini(entry: tuple, n: int) -> Fraction:
+def _gini(entry: tuple, n: int) -> tuple[float, Fraction]:
     """The leaves to split's Gini impurity, sum (n_c/N) * 2p(1 - p) over
     the leaves' sample counts n_c and one-label shares p, times the
-    constant N/2: sum ones * zeros / n_c, which orders and ties alike."""
-    return sum((Fraction(leaf.n_ones * (leaf.n_captured - leaf.n_ones),
-                         leaf.n_captured)
-                for leaf in build_tree(entry).split if leaf.n_captured),
-               Fraction(0))
+    constant N/2: g = sum ones * zeros / n_c, which orders and ties alike,
+    summed over integers.  float(g) is correctly rounded, so the key
+    (float(g), g) orders as g and compares g only when the floats tie."""
+    num, den = 0, 1
+    for leaf in build_tree(entry).split:
+        if leaf.n_captured:
+            num = num * leaf.n_captured \
+                + leaf.n_ones * (leaf.n_captured - leaf.n_ones) * den
+            den *= leaf.n_captured
+    g = Fraction(num, den)
+    return float(g), g
 
 
 # each policy's key of a queue entry over N samples

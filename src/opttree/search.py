@@ -63,8 +63,9 @@ capture is a non-negative int with one bit per class; a count over it is
 a weighted popcount of the index's count planes (``weighted_count``).
 Leaves keep counts, not captures.  A leaf's split table rebuilds its
 capture from its clauses (``and_clauses``) and hands it to
-``make_child_leaf``, which ANDs in one class column and keeps only the
-child's counts; so the run holds a capture only for leaves it has split.
+``make_child_leaf``, which ANDs in the negative literal's class column
+and keeps only the child's counts; the positive child is the leaf's
+minus those.  So the run holds a capture only for leaves it has split.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .bounds import BoundToggles, cumulative_perm, floor_log10
+from .bounds import (BoundToggles, cumulative_perm, floor_log10,
+                     validate_lam)
 from .caches import LeafCache, TreeCache, tree_key
 from .dataset import (Dataset, EquivalenceIndex, and_literal,
                       build_equivalence_index, weighted_count)
@@ -109,14 +111,7 @@ class SearchConfig:
     trace_interval: int = 1000
 
     def validate(self) -> None:
-        # the search scales by lam's numerator and denominator
-        if not isinstance(self.lam, (int, Fraction)):
-            raise ValueError("lam must be an int or Fraction, not "
-                             f"{type(self.lam).__name__}")
-        if self.lam <= 0:
-            raise ValueError(
-                "lam must be positive: lam = 0 admits trees with up to 2^M "
-                "leaves and the leaf-count bounds degenerate")
+        validate_lam(self.lam)
         # `not >= 0` rejects NaN as well as negative values
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
@@ -345,11 +340,12 @@ class _Run:
             if f in used:
                 continue
             k1, k2 = child_keys(leaf, f)
-            c1 = self.leaf_cache.intern(k1, make_child_leaf, capture, f,
-                                        False, k1, self.eq)
-            # counted as the leaf's counts minus c1's
-            c2 = self.leaf_cache.intern(k2, make_child_leaf, capture, f,
-                                        True, k2, self.eq, leaf, c1)
+            c1 = self.leaf_cache.intern(k1, make_child_leaf, k1, capture,
+                                        f, self.eq)
+            # the leaf's counts minus c1's
+            c2 = self.leaf_cache.intern(
+                k2, Leaf, k2, leaf.n_captured - c1.n_captured,
+                leaf.n_ones - c1.n_ones, leaf.b0_count - c1.b0_count)
             # a split capturing nothing (or everything) on one side can
             # never help
             if c1.n_captured == 0 or c2.n_captured == 0:

@@ -24,8 +24,9 @@ is short whatever the sample count.  A leaf keeps counts, not its
 capture; the search rebuilds a capture from the leaf's clauses and the
 class columns (``and_clauses``) when it first splits the leaf.  The two
 children of a leaf on one feature partition its classes, and every
-count adds over classes, so ``make_child_leaf`` counts the positive
-child as the parent's counts minus the negative child's.
+count adds over classes, so only the negative child is counted from the
+capture (``make_child_leaf``): the positive one is the parent's counts
+minus the negative one's.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .dataset import Dataset, EquivalenceIndex, and_literal, weighted_count
 
@@ -122,39 +124,29 @@ def make_leaf(clauses: Sequence[Clause], eq: EquivalenceIndex) -> Leaf:
     return _counted(key, and_clauses(eq, eq.all_classes, key), eq)
 
 
+@lru_cache(maxsize=None)
+def _literals(feature: int) -> tuple[LeafKey, LeafKey]:
+    """A feature's negative and positive literal, each as a key."""
+    return (Clause(feature, False),), (Clause(feature, True),)
+
+
 def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
     """Keys of ``leaf`` extended by the negative and by the positive
     literal on a feature it does not use: one bisect finds the clause's
-    place in the feature order for both."""
+    place in the feature order for both literals, each made once."""
     clauses = leaf.clauses
     i = bisect_left(clauses, feature, key=_feature)
-    if i < len(clauses) and clauses[i].feature == feature:
-        raise ValueError(f"feature {feature} already in leaf clauses")
     head, tail = clauses[:i], clauses[i:]
-    return (head + (Clause(feature, False),) + tail,
-            head + (Clause(feature, True),) + tail)
+    negative, positive = _literals(feature)
+    return head + negative + tail, head + positive + tail
 
 
-def make_child_leaf(parent_capture: int, feature: int, polarity: bool,
-                    key: LeafKey, eq: EquivalenceIndex,
-                    parent: Optional[Leaf] = None,
-                    sibling: Optional[Leaf] = None) -> Leaf:
-    """Extend a leaf by one literal.
-
-    ``parent_capture`` is the parent's set of row classes, which the
-    search builds once per split leaf; the child's
-    capture is that ANDed with the literal's class column, and the child
-    keeps only its counts.  ``key`` must be the literal's entry of
-    ``child_keys(parent, feature)``: the search builds it once, for the
-    leaf-cache lookup, and hands it over on a miss.  Given the ``parent``
-    leaf and the ``sibling`` on the feature's other literal, each count is
-    the parent's minus the sibling's, and no capture is read.
-    """
-    if sibling is not None:
-        return Leaf(key, parent.n_captured - sibling.n_captured,
-                    parent.n_ones - sibling.n_ones,
-                    parent.b0_count - sibling.b0_count)
-    return _counted(key, and_literal(eq, parent_capture, feature, polarity),
+def make_child_leaf(key: LeafKey, parent_capture: int, feature: int,
+                    eq: EquivalenceIndex) -> Leaf:
+    """The leaf ``key``, the first of ``child_keys(parent, feature)``:
+    ``parent_capture``, the parent's row classes, ANDed with the negative
+    literal's class column, of which the leaf keeps only the counts."""
+    return _counted(key, and_literal(eq, parent_capture, feature, False),
                     eq)
 
 

@@ -15,6 +15,7 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
+from opttree.oracle import exhaustive_optimum
 from opttree.search import SearchConfig, _Run, expand, fit
 from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, as_entry,
                           build_tree, child_entry, child_keys,
@@ -194,8 +195,8 @@ def test_split_gain_nonnegative_random():
         parent = make_leaf([], eq)
         f = rng.randrange(ds.n_features)
         k1, k2 = child_keys(parent, f)
-        left = make_child_leaf(eq.all_classes, f, False, k1, eq)
-        right = make_child_leaf(eq.all_classes, f, True, k2, eq)
+        left = make_child_leaf(k1, eq.all_classes, f, eq)
+        right = make_leaf(k2, eq)
         left_capture, right_capture = (and_clauses(eq, eq.all_classes, k)
                                        for k in (k1, k2))
         assert left_capture & right_capture == 0
@@ -264,6 +265,9 @@ def test_max_leaves_formulas():
     assert max_leaves_apriori(Fraction(1, 2), 4) == 1
     with pytest.raises(ValueError):
         max_leaves_apriori(Fraction(0), 4)
+    # the one lam check of the search and the oracle
+    with pytest.raises(ValueError, match="not float"):
+        max_leaves_apriori(0.1, 3)
 
     # the current and parent-specific caps follow from the lower-bound
     # gate: every child the search keeps satisfies both
@@ -319,6 +323,8 @@ def test_total_evaluations_bound():
         prev = cur
     with pytest.raises(ValueError):
         total_evaluations_bound_log10(Fraction(0), 3)
+    with pytest.raises(ValueError, match="not float"):
+        total_evaluations_bound_log10(0.1, 3)
     # far beyond CPython's 4300-digit int-to-str limit
     assert total_evaluations_bound_log10(Fraction(1, 3000), 30) > 4300
 
@@ -432,6 +438,22 @@ def test_similar_support_omega():
     c = cls(1, 1)
     assert skipped(c, a, 7 * per_sample)  # omega = (4 + 1 + 2)/10
     assert not skipped(c, a, 7 * per_sample - 1)
+
+
+def test_similar_support_prunes_inside_a_fit():
+    # with every default bound on, similar support never fires on small
+    # data; with lookahead off it skips splits here and the fit still
+    # certifies the exhaustive optimum
+    r = random.Random(110)
+    ds = random_dataset(r, r.randint(10, 40), r.randint(3, 6),
+                        duplicate_bias=r.choice([0, 0.5]))
+    lam = Fraction(1, r.randint(3, 30))
+    res = fit(ds, SearchConfig(lam=lam, toggles=BoundToggles(
+        lookahead=False, similar_support=True)))
+    assert res.stats.similar_support_skips > 0
+    assert res.certified
+    assert res.objective == exhaustive_optimum(ds, lam).objective \
+        == Fraction(14, 39)
 
 
 def test_equivalent_points_off_reads_no_floor():

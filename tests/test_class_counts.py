@@ -2,15 +2,17 @@
 
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
-code the search runs (``make_leaf``, ``make_child_leaf`` from a capture
-and from a sibling, the capture a split table keeps, node support's
-comparison against ``_Run.support_s`` and ``_Run._similar_skip``) on data
-with many duplicate rows, and recount every figure per sample through
-``and_literal`` on the dataset's columns.
+code the search runs (``make_leaf``; the children a split table interns,
+the negative one by ``make_child_leaf`` from the capture the table keeps
+and the positive one as the leaf's counts minus the negative one's; node
+support's comparison against ``_Run.support_s``; ``_Run._similar_skip``)
+on data with many duplicate rows, and recount every figure per sample
+through ``and_literal`` on the dataset's columns.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,19 +89,16 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
     for f in range(m):
         if any(c.feature == f for c in clauses):
             continue
-        keys = child_keys(leaf, f)
-        for polarity in (False, True):
-            samples = _samples(ds, clauses + [Clause(f, polarity)])
-            expected = _recount(ds, samples, lam)
-            child = make_child_leaf(capture, f, polarity,
-                                    keys[polarity], eq)
-            assert _counts(child, run) == expected
-            # counted as the parent's counts minus its sibling's
-            sibling = make_child_leaf(capture, f, not polarity,
-                                      keys[not polarity], eq)
-            child = make_child_leaf(capture, f, polarity,
-                                    keys[polarity], eq, leaf, sibling)
-            assert _counts(child, run) == expected
+        k1, k2 = child_keys(leaf, f)
+        negative, positive = (
+            _recount(ds, _samples(ds, clauses + [Clause(f, polarity)]), lam)
+            for polarity in (False, True))
+        assert _counts(make_child_leaf(k1, capture, f, eq), run) == negative
+        # the children the table interned: the negative one counted from
+        # the capture, the positive one as the leaf's counts minus those
+        c1, c2 = (run.leaf_cache.intern(k, pytest.fail) for k in (k1, k2))
+        assert _counts(c1, run) == negative
+        assert _counts(c2, run) == positive
 
 
 @given(data)

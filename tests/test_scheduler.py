@@ -108,9 +108,11 @@ def test_entropy_and_gini_priorities(ds):
     assert priority(t, Policy.ENTROPY) \
         == pytest.approx(4 / 8 * expected_h2)
     # the Gini impurity 4/8 * 2p(1 - p) with p = 1/4, times N/2 = 4: the
-    # key is ones * zeros / n_c, which orders and ties alike
+    # key is g = ones * zeros / n_c, which orders and ties alike, as
+    # (float(g), g)
     gini = Fraction(4, 8) * 2 * Fraction(1, 4) * Fraction(3, 4)
-    assert priority(t, Policy.GINI) == gini * 4 == Fraction(1 * 3, 4)
+    assert gini * 4 == Fraction(1 * 3, 4)
+    assert priority(t, Policy.GINI) == (0.75, Fraction(3, 4))
 
 
 def test_queue_pops_equal_keys_in_push_order(ds):

@@ -46,19 +46,21 @@ def test_root_tree_tie_predicts_zero():
 
 
 def test_make_child_leaf_counts():
-    # parent captures 10; the child literal keeps 6, of which 5 labeled 1
-    rows = [[1, 1]] * 5 + [[1, 0]] + [[0, 0]] * 4
+    # parent captures 10; the negative literal keeps 6, of which 5 labeled 1
+    rows = [[0, 1]] * 5 + [[0, 0]] + [[1, 0]] * 4
     labels = [1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
     ds = from_rows(["a", "b"], rows, labels)
     eq = _eq(ds)
     parent = make_leaf([], eq)
     assert parent.n_captured == 10
-    key = child_keys(parent, 0)[1]
-    child = make_child_leaf(eq.all_classes, 0, True, key, eq)
-    assert child.key is key and key == (Clause(0, True),)
+    key = child_keys(parent, 0)[0]
+    child = make_child_leaf(key, eq.all_classes, 0, eq)
+    assert child.key is key and key == (Clause(0, False),)
     assert child.n_captured == 6
     assert child.prediction == 1
     assert child.mistakes == 1
+    # each feature's literals are made once, not per call
+    assert child_keys(parent, 0)[0][0] is key[0]
 
 
 def test_make_child_leaf_empty_is_dead():
@@ -66,9 +68,8 @@ def test_make_child_leaf_empty_is_dead():
     lam = Fraction(1, 100)
     run = _Run(ds, SearchConfig(lam=lam))
     parent = make_leaf([Clause(0, True)], run.eq)
-    # a leaf cannot be extended on a feature it uses
-    with pytest.raises(ValueError):
-        child_keys(parent, 0)
+    # a split table never extends a leaf on a feature it uses
+    assert run._split_table(parent)[1] == []
     empty = make_leaf([Clause(0, False)], run.eq)
     assert empty.n_captured == 0
     # a leaf is split only once a split table made it, and the root's
@@ -126,10 +127,8 @@ def _random_tree(ds, eq, rng):
         i, f = rng.choice(candidates)
         parent = leaves.pop(i)
         capture = and_clauses(eq, eq.all_classes, parent.clauses)
-        for polarity in (False, True):
-            leaves.append(make_child_leaf(capture, f, polarity,
-                                          child_keys(parent, f)[polarity],
-                                          eq))
+        k1, k2 = child_keys(parent, f)
+        leaves += [make_child_leaf(k1, capture, f, eq), make_leaf(k2, eq)]
     rng.shuffle(leaves)
     k = rng.randint(1, len(leaves))
     return make_tree(ds, unchanged=leaves[k:], split=leaves[:k])
