@@ -52,6 +52,8 @@ def exhaustive_optimum(ds: Dataset, lam: Fraction) -> OracleResult:
     """Globally optimal objective and one witness leaf set."""
     validate_lam(lam)
     n, m = ds.n_samples, ds.n_features
+    if n == 0:
+        raise ValueError("the dataset has no samples")
     # one frame per node on a path: a path splits on each feature at most
     # once, and each split leaves fewer distinct rows on either side
     room = sys.getrecursionlimit() - 100  # frames left to the caller

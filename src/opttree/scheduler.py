@@ -5,10 +5,9 @@ queue numbers its pushes, so equal keys pop in the order they were pushed,
 which is the order the search priced the children in.  Lower keys are
 popped first.
 
-The queue holds entries, not trees (see ``tree.child_entry``): a child's
-scaled sums and what builds it, so that a tree is built only when its
-leaves are needed.  The bound-based keys are integers read from those
-sums, in units of 1/(N*q) for lam = p/q over N samples.  Within one
+The queue holds entries, not trees (see ``tree.B_S``): a child's scaled
+sums and what builds it.  The bound-based keys are integers read from
+those sums, in units of 1/(N*q) for lam = p/q over N samples.  Within one
 search N and q are fixed, so ``b_s`` orders trees exactly as their lower
 bounds and ``r_s`` exactly as their objectives.  The curiosity key, lower
 bound over the fraction c/N of samples held by unchanged leaves (c = N
@@ -16,7 +15,8 @@ when there are none), is b_s/(q*c) as a rational.  Every c is at most N,
 so two different values of b_s/c differ by at least 1/N^2, and the
 integer ``b_s * N * N // c`` orders and ties exactly as the rational.
 Only the entropy (float) and Gini (float, Fraction) keys are not integers;
-they read the leaves still to split, so they build the entry's tree.
+they read the leaves to split from the entry, in no set order, and sum
+exactly.
 
 Besides the heap, the queue counts its entries, stale ones included, per
 (``b_s``, leaf count) bucket.  Everything the search's trace reports about
@@ -35,8 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .dataset import Dataset
-from .tree import (B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, build_tree,
-                   penalized_leaves)
+from .tree import B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, penalized_leaves
 
 
 class Policy(Enum):
@@ -49,16 +48,24 @@ class Policy(Enum):
     GINI = "gini"
 
 
+def _to_split(entry: tuple) -> tuple:
+    """The leaves to split of an entry's tree: its parent's after
+    ``split[0]`` and each new leaf flagged so, or a built tree's own."""
+    parent, c1, c2, s1, s2 = entry[5:]
+    if c1 is None:
+        return parent.split
+    return parent.split[1:] + (c1,) * s1 + (c2,) * s2
+
+
 def _entropy(entry: tuple, n: int) -> float:
-    total = 0.0
-    for leaf in build_tree(entry).split:
-        if leaf.n_captured == 0:
-            continue
+    """sum (n_c/N) * H(p) over the leaves to split, rounded exactly."""
+    terms = []
+    for leaf in _to_split(entry):
         p = leaf.n_ones / leaf.n_captured
         if 0.0 < p < 1.0:
             h2 = -p * math.log2(p) - (1 - p) * math.log2(1 - p)
-            total += leaf.n_captured / n * h2
-    return total
+            terms.append(leaf.n_captured / n * h2)
+    return math.fsum(terms)
 
 
 def _gini(entry: tuple, n: int) -> tuple[float, Fraction]:
@@ -68,11 +75,10 @@ def _gini(entry: tuple, n: int) -> tuple[float, Fraction]:
     summed over integers.  float(g) is correctly rounded, so the key
     (float(g), g) orders as g and compares g only when the floats tie."""
     num, den = 0, 1
-    for leaf in build_tree(entry).split:
-        if leaf.n_captured:
-            num = num * leaf.n_captured \
-                + leaf.n_ones * (leaf.n_captured - leaf.n_ones) * den
-            den *= leaf.n_captured
+    for leaf in _to_split(entry):
+        num = num * leaf.n_captured \
+            + leaf.n_ones * (leaf.n_captured - leaf.n_ones) * den
+        den *= leaf.n_captured
     g = Fraction(num, den)
     return float(g), g
 

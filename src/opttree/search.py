@@ -26,23 +26,23 @@ starts from one base, the parent's sums less the split leaf plus the new
 leaf penalty, and adds what its two new leaves bring under their flags.
 A price at or above the incumbent is dropped there; every other child is
 evaluated and becomes one queue entry, its sums and what builds it (the
-parent, the two new leaves and their flags; see ``tree.child_entry``).
-The entry is the only home of a tree's sums: the loop pops an entry,
-expands it and pushes its children's entries.  The run's one liveness
-gate (``_Run._is_live``) alone decides whether an entry is queued, and
-later whether a popped one is still worth expanding.  A tree is built
-from its entry (``tree.build_tree``) only when the entry is expanded or
-when its objective beats the incumbent, so the work per child is a few
-integer sums and a heap push, whatever the queue or the tree.  A built
-tree's two leaf tuples stay in canonical (leaf-key) order by
-construction: each new leaf is inserted into one of them with
-``bisect``, and a new clause into its leaf's feature-ordered clauses, so
-nothing in the loop sorts.  Child leaves are interned, so the
-permutation cache keys a tree on the two tuples it already holds (see
-``caches``).  A trace record sums the remaining-evaluations bound over
-the queue's (``b_s``, leaf count) buckets rather than over its entries;
-only ``_finish`` scans the heap, once per fit, for the least live bound
-behind the gap.
+parent, the two new leaves and their flags; see ``tree.B_S``), the
+only record of a tree not yet expanded, the incumbent's included
+(``best_entry``).  The run's one liveness gate (``_Run._is_live``) alone
+decides whether an entry is queued, and later whether a popped one is
+still worth expanding.  A tree is built from its entry
+(``tree.build_tree``) only when the entry is expanded and once for the
+tree the fit returns, so the work per child is a few integer sums and a
+heap push, whatever the queue or the tree.  A built tree's two leaf
+tuples stay in canonical (leaf-key) order by construction: each new
+leaf is inserted into one of them with ``bisect``, and a new clause into
+its leaf's feature-ordered clauses, so nothing in the loop sorts.  Child
+leaves are interned, so the permutation cache keys a tree on the two
+tuples it already holds (see ``caches``).  A trace record sums the
+remaining-evaluations bound over the queue's (``b_s``, leaf count)
+buckets rather than over its entries; only the last, which ``_finish``
+takes, scans the heap, once per fit, for the least live bound behind the
+gap.
 
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
@@ -70,7 +70,6 @@ minus those.  So the run holds a capture only for leaves it has split.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -85,9 +84,9 @@ from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
 from .tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Leaf,
-                   TreeState, and_clauses, as_entry, build_tree,
-                   child_entry, child_keys, make_child_leaf,
-                   penalized_leaves, root_tree, sort_leaves)  # noqa: F401
+                   TreeState, and_clauses, as_entry, build_tree, child_keys,
+                   make_child_leaf, penalized_leaves, root_tree,
+                   sort_leaves)  # noqa: F401
 
 # the (s1, s2) flag pairs a split's children may take, in the order they
 # are tried, by (c1 may be kept to split, c2 may be, must split)
@@ -112,6 +111,8 @@ class SearchConfig:
 
     def validate(self) -> None:
         validate_lam(self.lam)
+        if not isinstance(self.policy, Policy):
+            raise ValueError(f"policy must be a Policy, not {self.policy!r}")
         # `not >= 0` rejects NaN as well as negative values
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
@@ -171,6 +172,8 @@ class _Run:
     def __init__(self, ds: Dataset, config: SearchConfig,
                  eq: Optional[EquivalenceIndex] = None):
         config.validate()
+        if ds.n_samples == 0:
+            raise ValueError("the dataset has no samples")
         # limits and total_time cover the whole fit, index included
         self._t0 = time.perf_counter()
         self.ds = ds
@@ -191,8 +194,7 @@ class _Run:
         self.stats = SearchStats()
         self.trace: list[TraceRecord] = []
         self.best_s = 0
-        self.best_obj = Fraction(0)
-        self.best_tree: Optional[TreeState] = None
+        self.best_entry: Optional[tuple] = None
         # each split leaf's capture and feasible splits, by leaf identity;
         # kept by the run, since the splits depend on its lam and toggles
         # and a leaf may outlive it
@@ -217,8 +219,7 @@ class _Run:
         """Make the tree of ``entry`` the incumbent: the root, or a child
         whose objective beats the incumbent."""
         self.best_s = entry[R_S]
-        self.best_obj = Fraction(self.best_s, self.n * self.q)
-        self.best_tree = build_tree(entry)
+        self.best_entry = entry
         self.stats.trees_to_optimum = self.stats.trees_evaluated
         self.stats.time_to_optimum = time.perf_counter() - self._t0
         self.stats.tree_cache_purged += \
@@ -233,8 +234,7 @@ class _Run:
         Returns the queue entries of the live children, or none when the
         permutation cache has seen the tree; updates the incumbent as a
         side effect (a child's objective can improve the best even when
-        its descendants are pruned).  Only a child that becomes the
-        incumbent is built here.
+        its descendants are pruned).
         """
         tree = build_tree(entry)
         stats = self.stats
@@ -293,7 +293,7 @@ class _Run:
                     continue
                 emitted_any = True
                 stats.trees_evaluated += 1
-                child = child_entry(
+                child = (
                     b_s, base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
                     r_s, base_capture + (0 if s1 else c1.n_captured)
                     + (0 if s2 else c2.n_captured),
@@ -405,8 +405,6 @@ class _Run:
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
-
-        self._record_trace()
         return self._finish()
 
     def _limit_tripped(self) -> bool:
@@ -425,27 +423,38 @@ class _Run:
             self.stats.limit_hit = "max_cache_entries"
         return self.stats.limit_hit is not None
 
-    def _record_trace(self) -> None:
+    def _record_trace(self, final: bool = False) -> None:
+        """Append a trace record, its least bound read from the queue's
+        buckets, stale entries included, except in the ``final`` one: that
+        scans the queue for the least live bound, and with none (a
+        certified search) counts no remaining evaluations either."""
+        buckets = self.queue.buckets
+        if final:
+            least = self.queue.min_lower_bound(self._is_live)
+            least_s = None if least is None else least[B_S]
+        else:
+            least_s = min((b_s for b_s, _ in buckets), default=None)
         # remaining-evaluations bound: a queued tree with lower bound b and
         # L leaves may still add up to f = floor((best - b) / lam) of the
         # 3^M - L unused leaves, in any order.  Both terms depend on the
         # tree only through (b_s, L), so the sum runs over the queue's
         # buckets of that pair, stale entries included.
-        pool = 3 ** self.ds.n_features
         remaining = 0
-        for (b_s, n_leaves), count in self.queue.buckets.items():
-            slots = pool - n_leaves
-            f = 0
-            if self.best_s > b_s:
-                f = min((self.best_s - b_s) // self.lam_s, slots)
-            remaining += count * cumulative_perm(slots, f)
-        min_b_s = min((b_s for b_s, _ in self.queue.buckets), default=None)
+        if least_s is not None:
+            pool = 3 ** self.ds.n_features
+            for (b_s, n_leaves), count in buckets.items():
+                slots = pool - n_leaves
+                f = 0
+                if self.best_s > b_s:
+                    f = min((self.best_s - b_s) // self.lam_s, slots)
+                remaining += count * cumulative_perm(slots, f)
+        scale = self.n * self.q
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,
             trees_evaluated=self.stats.trees_evaluated,
-            best_objective=self.best_obj,
-            min_queue_lower_bound=None if min_b_s is None
-            else Fraction(min_b_s, self.n * self.q),
+            best_objective=Fraction(self.best_s, scale),
+            min_queue_lower_bound=None if least_s is None
+            else Fraction(least_s, scale),
             queue_size=len(self.queue),
             log10_remaining_bound=None if remaining == 0
             else floor_log10(remaining),
@@ -453,21 +462,23 @@ class _Run:
         ))
 
     def _finish(self) -> SearchResult:
-        least = self.queue.min_lower_bound(self._is_live)
+        # the last record holds the result's figures
+        self._record_trace(final=True)
+        last = self.trace[-1]
         # with no live entry left the search is complete, whatever limit
         # it reached on the way
-        certified = least is None
+        certified = last.min_queue_lower_bound is None
         if certified:
             self.stats.limit_hit = None
         gap = Fraction(0) if certified \
-            else self.best_obj - Fraction(least[B_S], self.n * self.q)
+            else last.best_objective - last.min_queue_lower_bound
         self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)
         self.stats.leaf_cache_hits = self.leaf_cache.hits
         self.stats.tree_cache_size = len(self.tree_cache)
-        return SearchResult(best_tree=self.best_tree,
-                            objective=self.best_obj,
+        return SearchResult(best_tree=build_tree(self.best_entry),
+                            objective=last.best_objective,
                             certified=certified, gap=gap,
                             stats=self.stats, trace=self.trace)
 
@@ -476,15 +487,3 @@ def fit(ds: Dataset, config: SearchConfig,
         eq: Optional[EquivalenceIndex] = None) -> SearchResult:
     """Run branch-and-bound to a certified optimum or a resource limit."""
     return _Run(ds, config, eq).run()
-
-
-def expand(tree: TreeState, ds: Dataset, eq: EquivalenceIndex,
-           config: SearchConfig, best: Fraction) -> list[tuple]:
-    """Stateless child generation for one tree against incumbent ``best``
-    (testing surface): the queue entries of its live children, whose
-    trees ``build_tree`` makes."""
-    run = _Run(ds, config, eq)
-    # integer scaled values compare with ceil(x) exactly as with x
-    run.best_s = math.ceil(best * run.n * run.q)
-    run.best_obj = best
-    return run.expand(as_entry(tree, config.lam))

@@ -14,9 +14,9 @@ tree's leaves: the search takes it for the root, and ``objective`` reads
 a tree's objective from it.  The search prices every other tree from its
 parent's sums, adjusted for the leaf it splits and the two it adds, so a
 child's cost does not grow with the leaf count, and queues a child the
-incumbent does not reject as one entry, those sums and what builds it
-(``child_entry``): the only home of a child's sums.  ``build_tree`` makes
-the tree when the search needs its leaves.
+incumbent does not reject as one entry, those sums and what builds it:
+the only record of a tree not yet expanded.  ``build_tree`` makes the
+tree when the search expands the entry or returns it as the result.
 
 A leaf's capture is a set of row classes (see ``dataset``): an int with
 one bit per class, not per sample, so on data with few distinct rows it
@@ -195,37 +195,29 @@ def penalized_leaves(n_leaves: int) -> int:
     return 0 if n_leaves == 1 else n_leaves
 
 
-# A queue entry stands for a tree by the sums the search prices it with,
-# then what builds it: a plain tuple made by ``child_entry`` or
-# ``as_entry``, whose sums are read at these indices
+# A queue entry is a plain tuple: the sums the search prices a tree with,
+# read at these indices, then the parent, the two new leaves that split its
+# ``split[0]`` and their flags (true: kept to split), or, from ``as_entry``,
+# a built tree, no new leaves and false flags
 B_S, B0_S, R_S, UNCHANGED_CAPTURE, N_LEAVES = range(5)
 
 
-def child_entry(b_s: int, b0_s: int, r_s: int, unchanged_capture: int,
-                n_leaves: int, parent: TreeState, c1: Leaf, c2: Leaf,
-                s1: bool, s2: bool) -> tuple:
-    """The entry of the child of ``parent`` that splits its leaf
-    ``split[0]`` into c1 and c2, each kept to split when its flag (s1, s2)
-    is true, priced at the given sums."""
-    return (b_s, b0_s, r_s, unchanged_capture, n_leaves, parent, c1, c2,
-            s1, s2)
-
-
 def as_entry(tree: TreeState, lam: Fraction) -> tuple:
-    """The queue entry of a built tree, its sums taken from scratch over
-    its leaves, then the tree and no new leaf.  With lam = p/q over N
-    samples, a value e/N + lam*H is scaled to e*q + H*p*N: ``B_S`` is the
-    lower bound (unchanged mistakes plus the leaf penalty), ``R_S`` the
-    objective, ``B0_S`` the equivalent-points floor under the leaves to
-    split, and ``UNCHANGED_CAPTURE`` the samples the unchanged leaves
-    hold."""
+    """The queue entry of a built tree, in a child entry's shape: its
+    sums taken from scratch over its leaves, then the tree, no new leaves
+    and false flags.  With lam = p/q over N samples, a value e/N + lam*H
+    is scaled to e*q + H*p*N: ``B_S`` is the lower bound (unchanged
+    mistakes plus the leaf penalty), ``R_S`` the objective, ``B0_S`` the
+    equivalent-points floor under the leaves to split, and
+    ``UNCHANGED_CAPTURE`` the samples the unchanged leaves hold."""
     q = lam.denominator
     b_s = q * sum(l.mistakes for l in tree.unchanged) \
         + lam.numerator * tree.ds.n_samples * tree.h
     return (b_s, q * sum(l.b0_count for l in tree.split),
             b_s + q * sum(l.mistakes for l in tree.split),
             sum(l.n_captured for l in tree.unchanged),
-            len(tree.unchanged) + len(tree.split), tree, None)
+            len(tree.unchanged) + len(tree.split),
+            tree, None, None, False, False)
 
 
 def _inserted(leaves: tuple[Leaf, ...], leaf: Leaf) -> tuple[Leaf, ...]:
@@ -239,10 +231,9 @@ def build_tree(entry: tuple) -> TreeState:
     inserted into its parent's unchanged leaves and the split leaves after
     ``split[0]``, which stay in canonical order, with ``bisect``, so
     nothing sorts."""
-    parent, c1 = entry[5:7]
+    parent, c1, c2, s1, s2 = entry[5:]
     if c1 is None:
         return parent
-    c2, s1, s2 = entry[7:]
     unchanged, split = parent.unchanged, parent.split[1:]
     for leaf, s in ((c1, s1), (c2, s2)):
         if s:

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from opttree.dataset import Dataset, build_equivalence_index, from_rows
-from opttree.search import SearchConfig, expand
+from opttree.search import SearchConfig, _Run
 from opttree.tree import (B_S, TreeState, as_entry, build_tree, root_tree,
                           sort_leaves)
 
@@ -40,6 +41,16 @@ def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
     ``as_entry`` over N*q."""
     return Fraction(as_entry(tree, lam)[B_S],
                     tree.ds.n_samples * lam.denominator)
+
+
+def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
+           best: Fraction) -> list[tuple]:
+    """One expansion of ``tree`` against incumbent ``best``: the queue
+    entries of its live children, whose trees ``build_tree`` makes."""
+    run = _Run(ds, config, eq)
+    # integer scaled values compare with ceil(x) exactly as with x
+    run.best_s = math.ceil(best * run.n * run.q)
+    return run.expand(as_entry(tree, config.lam))
 
 
 def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,

@@ -20,9 +20,9 @@ from opttree.cli import main
 from opttree.dataset import build_equivalence_index, from_rows, load_csv
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
-from opttree.search import SearchConfig, expand, fit
+from opttree.search import SearchConfig, fit
 from opttree.tree import N_LEAVES, as_entry, build_tree, objective
-from tests.conftest import LAMBDAS, lower_bound, random_dataset
+from tests.conftest import LAMBDAS, expand, lower_bound, random_dataset
 from tests.test_tree_core import _random_tree, priced_bounds, scratch_bounds
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"

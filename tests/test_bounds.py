@@ -16,11 +16,11 @@ from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             symmetry_savings, total_evaluations_bound_log10)
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
-from opttree.search import SearchConfig, _Run, expand, fit
+from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, as_entry,
-                          build_tree, child_entry, child_keys,
+                          build_tree, child_keys,
                           make_child_leaf, make_leaf, root_tree)
-from tests.conftest import lower_bound, random_dataset
+from tests.conftest import expand, lower_bound, random_dataset
 
 
 def _run_at(ds, lam, best, **toggles):
@@ -28,7 +28,6 @@ def _run_at(ds, lam, best, **toggles):
     run = _Run(ds, SearchConfig(lam=lam, toggles=BoundToggles(**toggles)))
     run._t0 = 0.0
     run.best_s = _scaled(run, best)
-    run.best_obj = best
     return run
 
 
@@ -212,8 +211,7 @@ def test_lookahead_prunes():
         run = _run_at(ds, lam, best, equivalent_points=False, **toggles)
         # an entry of bound b; with equivalent points off nothing else of
         # it is read
-        entry = child_entry(_scaled(run, b), 0, 0, 0, 2, None, None, None,
-                            True, True)
+        entry = (_scaled(run, b), 0, 0, 0, 2, None, None, None, True, True)
         return not run._is_live(entry)
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))

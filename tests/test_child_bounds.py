@@ -6,7 +6,7 @@ sums less its first leaf to split plus the new leaf penalty, adjusted for
 the two leaves the split adds.  A child the price does not reject becomes
 a queue entry, its sums and what builds it, and is queued on its liveness
 alone, without looking for a leaf to split; its tree, which stores no
-sums, is built only when the entry is expanded or becomes the incumbent.
+sums, is built only when the entry is expanded or is the fit's result.
 No child reuses its parent's leaves: every child is a split.  These tests
 check the sums and the queueing against from-scratch sums over the
 leaves of every child that real fits price in, each built here from its
@@ -131,7 +131,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
 
 def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
     # through ``fit``: every tree the search builds from a queue entry,
-    # at a pop or for a new incumbent, holds its unchanged leaves and its
+    # at a pop or for the result, holds its unchanged leaves and its
     # leaves to split each in canonical order, and the sums its entry was
     # priced with, which a from-scratch sum over its leaves reproduces.
     # Node support is read once, for the root: every other leaf to split

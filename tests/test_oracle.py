@@ -26,6 +26,11 @@ def test_lambda_must_be_exact(toy_ds):
     assert exhaustive_optimum(toy_ds, 1).objective == Fraction(1, 2)
 
 
+def test_empty_dataset_is_rejected():
+    with pytest.raises(ValueError, match="no samples"):
+        exhaustive_optimum(from_rows(["a"], [], []), Fraction(1, 10))
+
+
 def test_root_only_when_lambda_large(toy_ds):
     res = exhaustive_optimum(toy_ds, Fraction(1, 2))
     assert res.n_leaves == 1

@@ -33,8 +33,6 @@ NOT_RUN = {
     "opttree.bounds.max_leaves_apriori":
         "paper counting result, reached only through "
         "total_evaluations_bound_log10",
-    "opttree.search.expand": "one expansion against a given incumbent, "
-        "the test surface of child generation",
     "opttree.scheduler.SearchQueue.trees":
         "the queued entries, read by tests and the benchmark's tracer",
 }

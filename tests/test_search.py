@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -13,10 +14,11 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree import search
-from opttree.search import SearchConfig, _Run, expand, fit
+from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B_S, Clause, as_entry, build_tree, objective,
                           root_tree)
-from tests.conftest import expanded_trees, lower_bound, random_dataset
+from tests.conftest import (expand, expanded_trees, lower_bound,
+                            random_dataset)
 
 
 def _flags(tree):
@@ -103,6 +105,46 @@ def test_cache_limit():
 def test_cache_limit_must_be_positive(toy_ds):
     with pytest.raises(ValueError, match="max_cache_entries"):
         fit(toy_ds, SearchConfig(lam=Fraction(1, 100), max_cache_entries=0))
+
+
+def test_policy_must_be_a_policy(toy_ds):
+    with pytest.raises(ValueError, match="policy"):
+        fit(toy_ds, SearchConfig(lam=Fraction(1, 100), policy="gini"))
+
+
+def test_empty_dataset_is_rejected():
+    with pytest.raises(ValueError, match="no samples"):
+        fit(from_rows(["a"], [], []), SearchConfig(lam=Fraction(1, 10)))
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_trees_are_built_only_to_expand_and_to_return(policy):
+    # every call, through any module's name for it: a popped entry's tree
+    # is built to expand it (or to find it a duplicate), and the result's
+    # tree once more; a queued child or a new incumbent is never built
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code is build_tree.__code__:
+            calls += 1
+
+    rng = random.Random(8)
+    expansions = 0
+    for _ in range(6):
+        ds = random_dataset(rng, rng.randint(20, 50), rng.randint(3, 5),
+                            duplicate_bias=0.5)
+        calls = 0
+        sys.setprofile(profile)
+        try:
+            res = fit(ds, SearchConfig(lam=Fraction(1, 50), policy=policy,
+                                       max_trees=2000))
+        finally:
+            sys.setprofile(None)
+        s = res.stats
+        assert calls == s.expansions + s.duplicates_skipped + 1
+        expansions += s.expansions
+    assert expansions > 100
 
 
 LIMITS = ([{"max_cache_entries": k} for k in (1, 2, 5, 10, 20, 50, 200)]
@@ -202,7 +244,7 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
         ds = random_dataset(rng, rng.randint(10, 80), rng.randint(2, 5))
         lam = Fraction(1, rng.randint(10, 80))
         trees = expanded_trees(ds, lam, rng, levels=5)
-        # every tree one fit builds, at pops and for the incumbent,
+        # every tree one fit builds, at pops and for the result,
         # duplicates included
         built.clear()
         fit(ds, SearchConfig(lam=lam, max_trees=3000))
@@ -228,7 +270,6 @@ def _priced_children(ds, config, tree, best):
     liveness filter sees each of them once."""
     run = _Run(ds, config)
     run.best_s = math.ceil(best * run.n * run.q)
-    run.best_obj = best
     gate, priced = run._is_live, []
 
     def recording(entry):

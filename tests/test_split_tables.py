@@ -142,7 +142,6 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         # passes its final liveness filter once: record it there
         run = _Run(ds, config, eq)
         run.best_s = run.q * run.n
-        run.best_obj = Fraction(1)
         gate = run._is_live
         built.clear()
         run._is_live = lambda entry: built.append(entry) or gate(entry)

@@ -1,9 +1,11 @@
 """Trace records are summed over the queue's (b_s, leaf count) buckets;
 they must equal a scan of every queued tree, stale entries included,
-each built from its queue entry."""
+each built from its queue entry.  The last record is taken after the
+fit's scan for the least live bound and must agree with its result."""
 
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 
@@ -27,18 +29,36 @@ def _scan(run):
     order."""
     trees = [build_tree(entry) for entry in run.queue.trees()]
     pool = 3 ** run.ds.n_features
+    best = Fraction(run.best_s, run.n * run.q)
     remaining = 0
     for tree in trees:
         slots = pool - len(tree.leaves)
         f = 0
         b = lower_bound(tree, run.lam)
-        if run.best_obj > b:
-            f = min(math.floor((run.best_obj - b) / run.lam), slots)
+        if best > b:
+            f = min(math.floor((best - b) / run.lam), slots)
         remaining += _perm_sum(slots, f)
     log10 = len(str(remaining)) - 1 if remaining else None
     least = min((lower_bound(tree, run.lam) for tree in trees),
                 default=None)
     return remaining, log10, least, len(trees)
+
+
+def _least_live(run):
+    """The least lower bound of a queued tree that may still beat the
+    incumbent, from scratch over its leaves: its bound, plus lam under
+    lookahead and, when that bound is on, the equivalent-points floor of
+    its leaves to split, is below the incumbent."""
+    best = Fraction(run.best_s, run.n * run.q)
+    bounds = []
+    for tree in map(build_tree, run.queue.trees()):
+        b = lower_bound(tree, run.lam)
+        margin = run.lam if run.toggles.lookahead else 0
+        if run.toggles.equivalent_points:
+            margin += Fraction(sum(l.b0_count for l in tree.split), run.n)
+        if b + margin < best:
+            bounds.append(b)
+    return min(bounds, default=None)
 
 
 TOGGLES = (BoundToggles(), BoundToggles(lookahead=False),
@@ -52,11 +72,18 @@ def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
     record = _Run._record_trace
     pop = SearchQueue.pop
 
-    def checked_record(run):
-        record(run)
+    def checked_record(run, final=False):
+        record(run, final)
         r = run.trace[-1]
+        want = _scan(run)
+        if final:
+            # the last record's bound is the least live one, and a
+            # certified fit (no such bound) has no remaining evaluations
+            least = _least_live(run)
+            want = (0, None, None, want[3]) if least is None else \
+                (*want[:2], least, want[3])
         assert (r.remaining_bound, r.log10_remaining_bound,
-                r.min_queue_lower_bound, r.queue_size) == _scan(run)
+                r.min_queue_lower_bound, r.queue_size) == want
         seen["records"] += 1
         if seen["stale_since"]:
             seen["stale_then_record"] += 1
@@ -86,3 +113,29 @@ def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
     assert seen["records"] > 1500
     assert seen["stale_then_record"] > 300
     assert seen["cache_stops"] > 20
+
+
+def test_last_record_agrees_with_the_result():
+    # fits cut by max_trees at 15 points of their full run: the last
+    # record's bound is objective - gap, and a certified fit's last record
+    # has no bound and no remaining evaluations, even where stale entries
+    # are left in the queue
+    rng = random.Random(5)
+    certified_with_stale = fits = 0
+    for _ in range(40):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=0.5)
+        config = SearchConfig(lam=Fraction(1, 30))
+        total = fit(ds, config).stats.trees_evaluated
+        for k in range(1, 16):
+            res = fit(ds, replace(config, max_trees=total * k // 15))
+            last = res.trace[-1]
+            fits += 1
+            if res.certified:
+                assert (last.min_queue_lower_bound, last.remaining_bound,
+                        last.log10_remaining_bound) == (None, 0, None)
+                certified_with_stale += last.queue_size > 0
+            else:
+                assert last.min_queue_lower_bound == res.objective - res.gap
+                assert last.remaining_bound > 0
+    assert fits == 600 and certified_with_stale >= 1

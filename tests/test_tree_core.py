@@ -4,12 +4,12 @@ from fractions import Fraction
 import pytest
 
 from opttree.dataset import build_equivalence_index, from_rows
-from opttree.search import SearchConfig, _Run, expand
+from opttree.search import SearchConfig, _Run
 from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, Clause, and_clauses,
                           as_entry, build_tree, canonical_clauses,
                           child_keys, make_child_leaf, make_leaf, objective,
                           root_tree)
-from tests.conftest import lower_bound, make_tree, random_dataset
+from tests.conftest import expand, lower_bound, make_tree, random_dataset
 
 
 def _eq(ds):
