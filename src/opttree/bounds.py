@@ -41,10 +41,10 @@ def validate_lam(lam: Fraction) -> None:
     """Reject a lam that is not a positive int or Fraction, whose
     numerator and denominator every scaled bound uses."""
     if not isinstance(lam, (int, Fraction)):
-        raise ValueError("lam must be an int or Fraction, not "
+        raise ValueError("lambda must be an int or Fraction, not "
                          f"{type(lam).__name__}")
     if lam <= 0:
-        raise ValueError("lam must be positive: it bounds the leaf count")
+        raise ValueError("lambda must be > 0: it bounds the search space")
 
 
 def _floor_ratio(a: Fraction, b: Fraction) -> int:

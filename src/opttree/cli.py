@@ -1,5 +1,9 @@
 """Command-line surface: fit, predict, count, ablate, oracle.
 
+Each command parses its options, calls the library and writes what it
+returns: lambda and the limits are checked by the library alone, and an
+output file is opened only once all of the command's output is built.
+
 Exit codes: 0 success/certified, 3 uncertified result emitted, 1 usage or
 data-format error, 2 internal invariant violation.
 """
@@ -7,8 +11,10 @@ data-format error, 2 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import io
 import json
 import sys
 from dataclasses import replace
@@ -16,11 +22,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, count_trees
-from .dataset import (DataFormatError, Dataset, and_literal,
-                      build_equivalence_index, load_csv)
+from .dataset import (DataFormatError, Dataset, build_equivalence_index,
+                      load_csv)
 from .oracle import OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
-from .search import SearchConfig, SearchResult, fit
+from .search import SearchConfig, SearchResult, TraceRecord, fit
+from .tree import Clause, and_clauses
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,6 +45,10 @@ ABLATION_FLAGS = {
 
 
 class _Parser(argparse.ArgumentParser):
+    # no prefix of an option (`ablate --trace`) passes for the option
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     # usage errors must exit 1, not argparse's default 2
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -47,14 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_lambda(text: str) -> Fraction:
     try:
-        lam = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DataFormatError(f"invalid --lambda value {text!r}: {exc}")
-    if lam <= 0:
-        raise DataFormatError(
-            "--lambda must be > 0: the leaf penalty is what bounds the "
-            "search space")
-    return lam
 
 
 def _load(path: str, label: str) -> Dataset:
@@ -104,30 +110,28 @@ def _model_dict(result: SearchResult, ds: Dataset, lam_text: str) -> dict:
     }
 
 
-def _write_trace(path: str, result: SearchResult) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["elapsed_s", "trees_evaluated", "best_objective",
-                    "min_queue_lower_bound", "queue_size",
-                    "log10_remaining_bound"])
-        for rec in result.trace:
-            w.writerow([
-                f"{rec.elapsed_s:.6f}",
-                rec.trees_evaluated,
-                str(rec.best_objective),
-                "" if rec.min_queue_lower_bound is None
-                else str(rec.min_queue_lower_bound),
-                rec.queue_size,
-                "" if rec.log10_remaining_bound is None
-                else rec.log10_remaining_bound,
-            ])
+_TRACE_FIELDS = ["elapsed_s", "trees_evaluated", "best_objective",
+                 "min_queue_lower_bound", "queue_size",
+                 "log10_remaining_bound"]
+_COUNT_STATS = ["max_queue_size", "leaf_cache_size", "leaf_cache_hits",
+                "tree_cache_size", "tree_cache_purged", "duplicates_skipped"]
 
 
-def _print_summary(result: SearchResult, ds: Dataset) -> None:
-    n_correct = sum(l.n_correct for l in result.best_tree.leaves)
+def _trace_csv(trace: list[TraceRecord]) -> str:
+    """The records' fields as they are: csv writes None as an empty field
+    and any other value as its str."""
+    text = io.StringIO()
+    w = csv.writer(text)
+    w.writerow(_TRACE_FIELDS)
+    w.writerows([getattr(rec, name) for name in _TRACE_FIELDS]
+                for rec in trace)
+    return text.getvalue()
+
+
+def _print_summary(result: SearchResult, accuracy: float) -> None:
     s = result.stats
     print(f"objective: {result.objective} ({float(result.objective):.6f})")
-    print(f"training_accuracy: {n_correct / ds.n_samples:.6f}")
+    print(f"training_accuracy: {accuracy:.6f}")
     print(f"leaves: {len(result.best_tree.leaves)}")
     print(f"certified: {str(result.certified).lower()}")
     print(f"gap: {result.gap} ({float(result.gap):.6f})")
@@ -135,26 +139,23 @@ def _print_summary(result: SearchResult, ds: Dataset) -> None:
     print(f"trees_to_optimum: {s.trees_to_optimum}")
     print(f"time_to_optimum_s: {s.time_to_optimum:.6f}")
     print(f"total_time_s: {s.total_time:.6f}")
-    print(f"max_queue_size: {s.max_queue_size}")
-    print(f"leaf_cache_size: {s.leaf_cache_size}")
-    print(f"leaf_cache_hits: {s.leaf_cache_hits}")
-    print(f"tree_cache_size: {s.tree_cache_size}")
-    print(f"tree_cache_purged: {s.tree_cache_purged}")
-    print(f"duplicates_skipped: {s.duplicates_skipped}")
+    for name in _COUNT_STATS:
+        print(f"{name}: {getattr(s, name)}")
     if s.limit_hit:
         print(f"limit: {s.limit_hit}")
 
 
 def cmd_fit(args) -> int:
     ds = _load(args.data, args.label)
-    config = _config_from_args(args)
-    result = fit(ds, config)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(_model_dict(result, ds, args.lam), fh, indent=2)
-        fh.write("\n")
+    result = fit(ds, _config_from_args(args))
+    model = _model_dict(result, ds, args.lam)
+    outputs = [(args.out, json.dumps(model, indent=2) + "\n")]
     if args.trace:
-        _write_trace(args.trace, result)
-    _print_summary(result, ds)
+        outputs.append((args.trace, _trace_csv(result.trace)))
+    for path, text in outputs:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    _print_summary(result, model["training_accuracy"])
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
 
@@ -187,21 +188,20 @@ def cmd_predict(args) -> int:
     _check_model(model)
     ds = _load(args.data, args.label)
     name_to_col = {name: i for i, name in enumerate(ds.feature_names)}
-    for leaf in model["leaves"]:
-        for clause in leaf["clauses"]:
-            if clause["feature"] not in name_to_col:
-                raise DataFormatError(
-                    f"model feature {clause['feature']!r} missing from data")
     # a leaf's capture is the AND of its literals; the leaves must cover
     # every sample exactly once
     everyone = ds.all_samples
     mistakes = covered = covered_twice = 0
     captures = []
     for leaf in model["leaves"]:
-        capture = everyone
+        clauses = []
         for c in leaf["clauses"]:
-            capture = and_literal(ds, capture, name_to_col[c["feature"]],
-                                  bool(c["value"]))
+            if c["feature"] not in name_to_col:
+                raise DataFormatError(
+                    f"model feature {c['feature']!r} missing from data")
+            clauses.append(Clause(name_to_col[c["feature"]],
+                                  bool(c["value"])))
+        capture = and_clauses(ds, everyone, clauses)
         ones = (capture & ds.labels).bit_count()
         mistakes += capture.bit_count() - ones if leaf["prediction"] else ones
         covered_twice |= covered & capture
@@ -232,9 +232,8 @@ def cmd_count(args) -> int:
 
 def cmd_oracle(args) -> int:
     ds = _load(args.data, args.label)
-    lam = _parse_lambda(args.lam)
     try:
-        res = exhaustive_optimum(ds, lam)
+        res = exhaustive_optimum(ds, _parse_lambda(args.lam))
     except OracleResourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -264,33 +263,29 @@ def _ablate_variants(base: SearchConfig):
 def cmd_ablate(args) -> int:
     ds = _load(args.data, args.label)
     base = _config_from_args(args)
+    base.validate()  # before the index is built for it
     # one index for every variant, so a variant's times cover its search
     eq = build_equivalence_index(ds)
-    out = open(args.out, "w", newline="", encoding="utf-8") if args.out \
-        else sys.stdout
-    w = csv.writer(out)
-    w.writerow(["variant", "total_time_s", "time_to_optimum_s",
-                "trees_evaluated", "trees_to_optimum", "max_queue_size"])
+    rows = [["variant", "total_time_s", "time_to_optimum_s",
+             "trees_evaluated", "trees_to_optimum", "max_queue_size"]]
     objectives = {}
-    try:
-        for name, cfg in _ablate_variants(base):
-            result = fit(ds, cfg, eq)
-            s = result.stats
-            if result.certified:
-                objectives[name] = result.objective
-                w.writerow([name, f"{s.total_time:.6f}",
-                            f"{s.time_to_optimum:.6f}", s.trees_evaluated,
-                            s.trees_to_optimum, s.max_queue_size])
-            else:
-                # ">T" only for a stop at the time limit T; any other
-                # limit leaves the time unknown
-                mark = f">{args.time_limit}" \
-                    if s.limit_hit == "time_limit" else "censored"
-                w.writerow([name, mark, mark, s.trees_evaluated,
-                            s.trees_to_optimum, s.max_queue_size])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    for name, cfg in _ablate_variants(base):
+        result = fit(ds, cfg, eq)
+        s = result.stats
+        if result.certified:
+            objectives[name] = result.objective
+            times = [f"{s.total_time:.6f}", f"{s.time_to_optimum:.6f}"]
+        else:
+            # ">T" only for a stop at the time limit T; any other limit
+            # leaves the time unknown
+            times = [f">{args.time_limit}" if s.limit_hit == "time_limit"
+                     else "censored"] * 2
+        rows.append([name, *times, s.trees_evaluated, s.trees_to_optimum,
+                     s.max_queue_size])
+    # the table is written whole, once every variant has run
+    with open(args.out, "w", newline="", encoding="utf-8") if args.out \
+            else contextlib.nullcontext(sys.stdout) as out:
+        csv.writer(out).writerows(rows)
     if len(set(objectives.values())) > 1:
         print("internal error: certified objectives diverge across "
               f"variants: {objectives}", file=sys.stderr)
@@ -305,7 +300,6 @@ def _add_fit_flags(p: _Parser) -> None:
                    help="leaf penalty, decimal or fraction, > 0")
     p.add_argument("--policy", default=Policy.CURIOSITY.value,
                    choices=[pol.value for pol in Policy])
-    p.add_argument("--trace")
     p.add_argument("--time-limit", type=float)
     p.add_argument("--max-trees", type=int)
     p.add_argument("--max-cache-entries", type=int)
@@ -329,6 +323,7 @@ def build_parser() -> _Parser:
     p_fit = sub.add_parser("fit", help="learn a certified-optimal tree")
     _add_fit_flags(p_fit)
     p_fit.add_argument("--out", required=True)
+    p_fit.add_argument("--trace")
     p_fit.set_defaults(func=cmd_fit)
 
     p_pred = sub.add_parser("predict", help="score a model on a CSV")

@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .dataset import Dataset
-from .tree import B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, penalized_leaves
+from .tree import B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE
 
 
 class Policy(Enum):
@@ -85,8 +85,9 @@ def _gini(entry: tuple, n: int) -> tuple[float, Fraction]:
 
 # each policy's key of a queue entry over N samples
 _KEYS: dict[Policy, Callable[[tuple, int], object]] = {
-    Policy.BFS: lambda e, n: penalized_leaves(e[N_LEAVES]),
-    Policy.DFS: lambda e, n: -penalized_leaves(e[N_LEAVES]),
+    # only the root has one leaf: the count orders as the penalized one
+    Policy.BFS: lambda e, n: e[N_LEAVES],
+    Policy.DFS: lambda e, n: -e[N_LEAVES],
     Policy.LOWER_BOUND: lambda e, n: e[B_S],
     Policy.OBJECTIVE: lambda e, n: e[R_S],
     # b_s/(q*c) times q*N^2, floored: exact (see the module docstring);

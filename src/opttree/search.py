@@ -302,7 +302,7 @@ class _Run:
                     self._set_best(child)
                     best_s = self.best_s
                 out.append(child)
-            if similar_support and not emitted_any and flag_pairs:
+            if similar_support and not emitted_any:
                 # the least bound of any descendant of the split, plus its
                 # equivalent-points floor when that bound is on
                 if not equivalent_points:
@@ -323,14 +323,13 @@ class _Run:
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
-        flags that node support and incremental accuracy allow them (a
-        split gaining less than lam may not leave both unchanged).  All of
-        it depends only on the leaf, the data, lam and the toggles, so
-        later expansions of the leaf walk the table.  Every unused feature
-        is checked here, before the expansion prices any child.  The
-        table adds at most two leaves per unused feature to the leaf cache,
-        which bounds how far past ``max_cache_entries`` one expansion can
-        take it.
+        flags that node support and incremental accuracy allow them; a
+        split that allows none is left out.  All of it depends only on the
+        leaf, the data, lam and the toggles, so later expansions of the
+        leaf walk the table.  Every unused feature is checked here, before
+        the expansion prices any child.  The table adds at most two leaves
+        per unused feature to the leaf cache, which bounds how far past
+        ``max_cache_entries`` one expansion can take it.
         """
         capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
         used = {c.feature for c in leaf.clauses}
@@ -359,9 +358,10 @@ class _Run:
             # leave both children unchanged
             must_split = self.toggles.incremental_accuracy and q * (
                 c1.n_correct + c2.n_correct - leaf.n_correct) < lam_s
-            splits.append((f, c1, c2, _FLAG_PAIRS[
-                q * c1.n_captured >= support_s,
-                q * c2.n_captured >= support_s, must_split]))
+            flags = _FLAG_PAIRS[q * c1.n_captured >= support_s,
+                                q * c2.n_captured >= support_s, must_split]
+            if flags:
+                splits.append((f, c1, c2, flags))
         table = self.split_tables[leaf] = (capture, splits)
         self.stats.split_tables += 1
         return table

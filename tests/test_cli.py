@@ -60,6 +60,23 @@ def test_fit_lambda_zero_is_usage_error(tmp_path, toy_csv, capsys):
     assert "lambda" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this interpreter prints ints of any length")
+def test_fit_writes_nothing_when_its_model_cannot_be_built(tmp_path, toy_csv,
+                                                           capsys):
+    # the fit runs, but an objective over 10^5000 has a denominator too
+    # long to print: one error line, and neither output file is made
+    model, trace = tmp_path / "model.json", tmp_path / "trace.csv"
+    code = main(["fit", "--data", str(toy_csv), "--label", "y",
+                 "--lambda", "1e-5000", "--out", str(model),
+                 "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not model.exists() and not trace.exists()
+
+
 def test_fit_rejects_a_label_column_named_twice(tmp_path, capsys):
     data = tmp_path / "twice.csv"
     data.write_text("y,a,y\n0,1,1\n1,0,0\n")
@@ -427,6 +444,30 @@ def test_ablate_table(tmp_path, capsys, monkeypatch):
     assert "all_bounds" in variants
     assert "no_lookahead" in variants
     assert any(v.startswith("policy_") for v in variants)
+
+
+def test_ablate_does_not_take_a_trace(tmp_path, capsys):
+    data = tmp_path / "noisy.csv"
+    data.write_text(NOISY)
+    trace = tmp_path / "trace.csv"
+    code = main(["ablate", "--data", str(data), "--label", "y",
+                 "--lambda", "0.05", "--trace", str(trace)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.endswith(f"error: unrecognized arguments: --trace {trace}\n")
+    assert not trace.exists()
+
+
+def test_ablate_rejects_its_options_before_writing(tmp_path, capsys):
+    data = tmp_path / "noisy.csv"
+    data.write_text(NOISY)
+    out = tmp_path / "ablate.csv"
+    code = main(["ablate", "--data", str(data), "--label", "y",
+                 "--lambda", "0.05", "--max-trees", "-1", "--out", str(out)])
+    assert code == 1
+    assert capsys.readouterr() == ("", "error: max_trees must be >= 0\n")
+    assert not out.exists()
 
 
 def test_ablate_marks_only_time_limit_stops(tmp_path, capsys):

@@ -1,8 +1,9 @@
-"""Every public function of the bound, tree, search, scheduler and cache
-modules is run by the program itself (a library fit, and ``opttree fit``
-and ``opttree count`` from the command line), so tests cannot come to
-check a copy of the arithmetic instead of the code that prunes, and code
-that only tests call must be declared here.
+"""Every public function of the bound, tree, search, scheduler, cache,
+dataset and command-line modules is run by the program itself (a library
+fit, and ``opttree fit``, ``predict``, ``oracle``, ``ablate`` and
+``count`` from the command line), so tests cannot come to check a copy of
+the arithmetic instead of the code that prunes, and code that only tests
+call must be declared here.
 
 A memo belongs on a private function: a cached public function's body
 runs only on its first call in a process, so whether it is reached would
@@ -15,6 +16,8 @@ from fractions import Fraction
 
 import opttree.bounds
 import opttree.caches
+import opttree.cli
+import opttree.dataset
 import opttree.scheduler
 import opttree.search
 import opttree.tree
@@ -22,7 +25,7 @@ from opttree.cli import main
 from opttree.search import SearchConfig, fit
 from tests.conftest import random_dataset
 
-# name -> why nothing in `fit`, `opttree fit` or `opttree count` runs it
+# name -> why nothing in `fit` or the `opttree` commands runs it
 NOT_RUN = {
     "opttree.tree.objective":
         "from-scratch reference used by tests and the benchmark",
@@ -35,6 +38,11 @@ NOT_RUN = {
         "total_evaluations_bound_log10",
     "opttree.scheduler.SearchQueue.trees":
         "the queued entries, read by tests and the benchmark's tracer",
+    "opttree.dataset.from_rows":
+        "builds a dataset in memory for tests and the benchmark",
+    "opttree.dataset.write_csv":
+        "writes the benchmark's and tests' generated datasets",
+    "opttree.dataset.Dataset.label_one_count": "read by tests",
 }
 
 
@@ -72,7 +80,9 @@ def _csv(ds) -> str:
 
 
 def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
-    opttree.bounds.cumulative_perm.cache_clear()  # memo hits skip the body
+    # memo hits skip the body
+    opttree.bounds.cumulative_perm.cache_clear()
+    opttree.cli.build_parser.cache_clear()
     rng = random.Random(1)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
     data = tmp_path / "data.csv"
@@ -90,9 +100,14 @@ def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
         stopped = fit(ds, SearchConfig(lam=Fraction(1, 30), max_trees=20))
         assert main(["count", "--features", "3", "--depth", "2"]) == 0
         # the model JSON lists the best tree's leaves
-        assert main(["fit", "--data", str(data), "--label", "y",
-                     "--lambda", "1/30",
-                     "--out", str(tmp_path / "model.json")]) == 0
+        model = tmp_path / "model.json"
+        common = ["--data", str(data), "--label", "y"]
+        assert main(["fit", *common, "--lambda", "1/30",
+                     "--out", str(model)]) == 0
+        assert main(["predict", "--model", str(model), *common]) == 0
+        assert main(["oracle", *common, "--lambda", "1/30"]) == 0
+        assert main(["ablate", *common, "--lambda", "1/30",
+                     "--out", str(tmp_path / "ablate.csv")]) == 0
     finally:
         sys.setprofile(None)
     capsys.readouterr()
@@ -100,7 +115,8 @@ def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
 
     functions = {}
     for module in (opttree.bounds, opttree.tree, opttree.search,
-                   opttree.scheduler, opttree.caches):
+                   opttree.scheduler, opttree.caches, opttree.dataset,
+                   opttree.cli):
         functions.update(_public_functions(module))
     assert set(NOT_RUN) <= set(functions), "stale allowlist entry"
     unreached = sorted(name for name, code in functions.items()

@@ -51,7 +51,8 @@ def _split_tree(ds, to_split=(False, True)):
 def test_bfs_dfs_priorities(ds):
     root = root_tree(ds, build_equivalence_index(ds))
     t = _split_tree(ds)
-    assert priority(root, Policy.BFS) == 0
+    assert priority(root, Policy.BFS) == 1
+    assert priority(root, Policy.DFS) == -1
     assert priority(t, Policy.BFS) == 2
     assert priority(t, Policy.DFS) == -2
 
