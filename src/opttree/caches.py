@@ -10,9 +10,8 @@ it already has, ``(tree.unchanged, tree.split)``: nothing is built or
 sorted, and leaves hash and compare by identity.  Any permutation of the
 same leaves maps to one cache entry.  The invariant holds only for trees
 whose leaves came from one ``LeafCache``, so a key means nothing outside
-its search.  A cached leaf holds its counts and no capture; the run keeps
-the capture of each leaf it splits with that leaf's split table (see
-``search``).
+its search.  A cached leaf holds its counts and no capture, and so does
+a leaf's split table (see ``search``).
 
 The search looks a leaf's children up only while it works out that leaf's
 split table, during the leaf's first expansion (see ``search``), so
@@ -83,11 +82,12 @@ class TreeCache:
         self._store[key] = b_s
         return False
 
-    def garbage_collect(self, best_s: int, lam_s: int) -> int:
+    def garbage_collect(self, best_s: int, margin_s: int) -> int:
         """Drop entries that can no longer produce an improvement
-        (b_s + lam_s >= best_s, all scaled).  Returns the number purged."""
+        (b_s + margin_s >= best_s, all scaled; the search passes its
+        lookahead margin, lam_s or 0).  Returns the number purged."""
         doomed = [k for k, b_s in self._store.items()
-                  if b_s + lam_s >= best_s]
+                  if b_s + margin_s >= best_s]
         for k in doomed:
             del self._store[k]
         return len(doomed)

@@ -1,8 +1,9 @@
 """Command-line surface: fit, predict, count, ablate, oracle.
 
 Each command parses its options, calls the library and writes what it
-returns: lambda and the limits are checked by the library alone, and an
-output file is opened only once all of the command's output is built.
+returns: lambda and the limits are checked by the library alone, an
+output file is opened only once all of the command's output is built, and
+``fit`` removes the files it wrote when a later one cannot be written.
 
 Exit codes: 0 success/certified, 3 uncertified result emitted, 1 usage or
 data-format error, 2 internal invariant violation.
@@ -16,6 +17,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -152,9 +154,18 @@ def cmd_fit(args) -> int:
     outputs = [(args.out, json.dumps(model, indent=2) + "\n")]
     if args.trace:
         outputs.append((args.trace, _trace_csv(result.trace)))
-    for path, text in outputs:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(text)
+    # an output that cannot be written takes the ones before it away
+    written = []
+    try:
+        for path, text in outputs:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     _print_summary(result, model["training_accuracy"])
     return EXIT_OK if result.certified else EXIT_UNCERTIFIED
 
@@ -232,11 +243,7 @@ def cmd_count(args) -> int:
 
 def cmd_oracle(args) -> int:
     ds = _load(args.data, args.label)
-    try:
-        res = exhaustive_optimum(ds, _parse_lambda(args.lam))
-    except OracleResourceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    res = exhaustive_optimum(ds, _parse_lambda(args.lam))
     print(f"objective: {res.objective} ({float(res.objective):.6f})")
     print(f"mistakes: {res.mistakes}")
     print(f"leaves: {res.n_leaves}")
@@ -362,7 +369,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (DataFormatError, OSError, ValueError) as exc:
+    except (DataFormatError, OracleResourceError, OSError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

@@ -4,12 +4,12 @@ A dataset is held column-wise: one non-negative int per feature plus one
 for the labels, bit i for sample i; the sample count is ``n_samples``,
 not the int's length.  A set of samples (a leaf's capture) is an int of
 the same form, so every support count is ``int.bit_count()`` of an AND.
-Loading, writing and indexing all work on whole columns, joining or
-formatting a column's cells as one "0"/"1" string, so each costs
-O(N*M) for N samples and M features; nothing reads a single sample's bit
-in a loop over samples.  ``load_csv`` reads ``BLOCK_ROWS`` rows at a
-time and keeps only each column's joined strings, so its memory is one
-block of cells plus the columns.  A block of strict rows (one-character
+Loading and indexing work on whole columns, joining or formatting a
+column's cells as one "0"/"1" string, so each costs O(N*M) for N
+samples and M features; nothing reads a single sample's bit in a loop
+over samples.  ``load_csv`` reads ``BLOCK_ROWS`` rows at a time and
+keeps only each column's joined strings, so its memory is one block of
+cells plus the columns.  A block of strict rows (one-character
 "0"/"1" cells, "," separators, "\\n" line ends) gives each column as a
 strided slice of its text, with no per-row work.  The first block that
 is not strict, and the rest of the file, go through ``csv.reader``,
@@ -120,11 +120,6 @@ def _from_cells(cells) -> int:
 def _parse_bits(bits: str) -> int:
     """The int of a "0"/"1" string, bit 0 first."""
     return int(bits[::-1], 2) if bits else 0
-
-
-def _format_bits(bits: int, n: int) -> str:
-    """The n low bits of ``bits`` as "0"/"1" characters, bit 0 first."""
-    return format(bits, f"0{n}b")[::-1] if n else ""
 
 
 BINARY_CELLS = frozenset(("0", "1"))
@@ -245,17 +240,6 @@ def _raise_first_error(header: list[str], records: list[list[str]],
                     f"row {rownum}, column {colname!r}: "
                     f"non-binary cell {cell!r}")
     raise AssertionError("no malformed cell found")
-
-
-def write_csv(ds: Dataset, label_column: str = "label") -> str:
-    """Emit the dataset back to CSV text (round-trip/testing helper)."""
-    out = io.StringIO()
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(list(ds.feature_names) + [label_column])
-    n = ds.n_samples
-    w.writerows(zip(*[_format_bits(c, n) for c in ds.columns],
-                    _format_bits(ds.labels, n)))
-    return out.getvalue()
 
 
 def and_literal(data: Dataset | EquivalenceIndex, capture: int,

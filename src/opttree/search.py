@@ -49,23 +49,23 @@ the leaf it splits.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
 them depend only on the leaf, the data, lam and the toggles.  The first
 expansion of a leaf works them all out, checking every unused feature,
-before it prices any child, and the run keeps them with the leaf's
-capture as the leaf's split table (``_Run.split_tables``, by leaf
-identity); later expansions of the leaf walk the table without a
-leaf-cache lookup or a check.  Node support is read from counts and the
-run's lam, never from the leaf, so a leaf means the same in every run.
-Only similar support, which reads the incumbent, is decided per
-expansion.
+before it prices any child, and the run keeps the list of them as the
+leaf's split table (``_Run.split_tables``, by leaf identity); later
+expansions of the leaf walk the table without a leaf-cache lookup or a
+check.  Node support is read from counts and the run's lam, never from
+the leaf, so a leaf means the same in every run.  Only similar support,
+which reads the incumbent, is decided per expansion, in one block of
+``_Run.expand`` that runs only when it is on.
 
 The search works on row classes, not samples.  The run groups the
 samples by feature vector once (``build_equivalence_index``), and a
 capture is a non-negative int with one bit per class; a count over it is
 a weighted popcount of the index's count planes (``weighted_count``).
-Leaves keep counts, not captures.  A leaf's split table rebuilds its
-capture from its clauses (``and_clauses``) and hands it to
-``make_child_leaf``, which ANDs in the negative literal's class column
-and keeps only the child's counts; the positive child is the leaf's
-minus those.  So the run holds a capture only for leaves it has split.
+Leaves and split tables keep counts, not captures.  A leaf's split
+table rebuilds its capture from its clauses (``and_clauses``) and hands
+it to ``make_child_leaf``, which ANDs in the negative literal's class
+column and keeps only the child's counts; the positive child is the
+leaf's minus those.  So no capture outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -116,12 +116,17 @@ class SearchConfig:
         # `not >= 0` rejects NaN as well as negative values
         if self.time_limit is not None and not self.time_limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
-        if self.max_trees is not None and self.max_trees < 0:
-            raise ValueError("max_trees must be >= 0")
-        if self.trace_interval < 1:
-            raise ValueError("trace_interval must be >= 1")
-        if self.max_cache_entries is not None and self.max_cache_entries < 1:
-            raise ValueError("max_cache_entries must be >= 1")
+        # a count is an int: a NaN limit never trips, a bool passes for
+        # 0 or 1; only the limits may be None
+        for name, least in (("max_trees", 0), ("trace_interval", 1),
+                            ("max_cache_entries", 1)):
+            value = getattr(self, name)
+            if value is None and name != "trace_interval":
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass
@@ -195,10 +200,10 @@ class _Run:
         self.trace: list[TraceRecord] = []
         self.best_s = 0
         self.best_entry: Optional[tuple] = None
-        # each split leaf's capture and feasible splits, by leaf identity;
-        # kept by the run, since the splits depend on its lam and toggles
-        # and a leaf may outlive it
-        self.split_tables: dict[Leaf, tuple[int, list]] = {}
+        # each split leaf's feasible splits, by leaf identity; kept by the
+        # run, since they depend on its lam and toggles and a leaf may
+        # outlive it
+        self.split_tables: dict[Leaf, list] = {}
         # lookahead: a tree's children pay at least one more leaf penalty
         self.margin_s = self.lam_s if self.toggles.lookahead else 0
 
@@ -246,10 +251,9 @@ class _Run:
             return []
         stats.expansions += 1
         leaf = tree.split[0]
-        # the leaf's capture, from which its table built every child leaf
-        # and into which similar support ANDs a literal
-        capture, splits = self.split_tables.get(leaf) \
-            or self._split_table(leaf)
+        splits = self.split_tables.get(leaf)
+        if splits is None:  # not `or`: an empty table is kept as well
+            splits = self._split_table(leaf)
         out: list[tuple] = []
 
         # every child's sums start from these, which take out the split
@@ -266,24 +270,32 @@ class _Run:
         base_capture = entry[UNCHANGED_CAPTURE]
         best_s = self.best_s
         similar_support = self.toggles.similar_support
-        equivalent_points = self.toggles.equivalent_points
-
-        # similar-support memory: floors of feature splits already proven
-        # hopeless, compared pairwise against new candidates via omega
-        rejected_floors: list[tuple[int, object]] = []
+        if similar_support:
+            capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
+            # floors of the splits already proven hopeless, compared with
+            # each later split via omega
+            rejected_floors: list[tuple[int, int]] = []
 
         for f, c1, c2, flag_pairs in splits:
+            m1, m2 = q * c1.mistakes, q * c2.mistakes
+            z1, z2 = q * c1.b0_count, q * c2.b0_count
             if similar_support:
-                # ANDed here rather than read from c1, which would make
-                # every candidate leaf keep its capture
                 capture1 = and_literal(self.eq, capture, f, False)
                 if self._similar_skip(capture1, rejected_floors):
                     stats.similar_support_skips += 1
                     continue
-
-            emitted_any = False
-            m1, m2 = q * c1.mistakes, q * c2.mistakes
-            z1, z2 = q * c1.b0_count, q * c2.b0_count
+                # the incumbent falls only after this split keeps a child,
+                # so one whose least child bound reaches it keeps none; its
+                # floor adds the equivalent-points floor when that is on
+                floor_s = base_b_s + min((0 if s1 else m1) + (0 if s2 else m2)
+                                         for s1, s2 in flag_pairs)
+                if floor_s >= best_s:
+                    if self.toggles.equivalent_points:
+                        floor_s = base_b_s + base_b0_s + min(
+                            (z1 if s1 else m1) + (z2 if s2 else m2)
+                            for s1, s2 in flag_pairs)
+                    rejected_floors.append((floor_s, capture1))
+                    continue
             r_s = base_r_s + m1 + m2
             for s1, s2 in flag_pairs:
                 b_s = base_b_s + (0 if s1 else m1) + (0 if s2 else m2)
@@ -291,7 +303,6 @@ class _Run:
                 # of it is made
                 if b_s >= best_s:
                     continue
-                emitted_any = True
                 stats.trees_evaluated += 1
                 child = (
                     b_s, base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
@@ -302,15 +313,6 @@ class _Run:
                     self._set_best(child)
                     best_s = self.best_s
                 out.append(child)
-            if similar_support and not emitted_any:
-                # the least bound of any descendant of the split, plus its
-                # equivalent-points floor when that bound is on
-                if not equivalent_points:
-                    z1 = z2 = 0
-                rejected_floors.append((base_b_s + min(
-                    (z1 if s1 else m1) + (z2 if s2 else m2)
-                    for s1, s2 in flag_pairs)
-                    + (base_b0_s if equivalent_points else 0), capture1))
         # the incumbent only improves, so one gate at the end keeps exactly
         # the children that every earlier gate would have kept.  It also
         # drops every child with no leaf to split: its leaves are all
@@ -318,8 +320,8 @@ class _Run:
         # as good
         return list(filter(self._is_live, out))
 
-    def _split_table(self, leaf: Leaf) -> tuple[int, list]:
-        """The capture and feasible splits of ``leaf``, kept as its table.
+    def _split_table(self, leaf: Leaf) -> list:
+        """The feasible splits of ``leaf``, kept as its table.
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
@@ -329,7 +331,8 @@ class _Run:
         leaf walk the table.  Every unused feature is checked here, before
         the expansion prices any child.  The table adds at most two leaves
         per unused feature to the leaf cache, which bounds how far past
-        ``max_cache_entries`` one expansion can take it.
+        ``max_cache_entries`` one expansion can take it.  The leaf's
+        capture, from which the negative children are made, is not kept.
         """
         capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
         used = {c.feature for c in leaf.clauses}
@@ -362,9 +365,9 @@ class _Run:
                                 q * c2.n_captured >= support_s, must_split]
             if flags:
                 splits.append((f, c1, c2, flags))
-        table = self.split_tables[leaf] = (capture, splits)
+        self.split_tables[leaf] = splits
         self.stats.split_tables += 1
-        return table
+        return splits
 
     def _similar_skip(self, capture1: int, rejected_floors) -> bool:
         """Prune a candidate split whose companion (same shape, different

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
@@ -14,6 +15,22 @@ def bits(cells) -> int:
     """The int of a 0/1 list, bit i for cell i: a column, labels or a
     capture as the library holds them."""
     return sum(1 << i for i, c in enumerate(cells) if c)
+
+
+def csv_text(ds: Dataset, label: str = "y",
+             label_at: Optional[int] = None) -> str:
+    """The dataset as the strict CSV ``opttree fit`` reads fastest: a
+    header, then one line of "0"/"1" cells per sample, "," between cells
+    and "\\n" after each line, the label column at index ``label_at``
+    (last by default)."""
+    names, columns = list(ds.feature_names), list(ds.columns)
+    at = len(names) if label_at is None else label_at
+    names.insert(at, label)
+    columns.insert(at, ds.labels)
+    lines = [",".join(names)]
+    lines += [",".join(str(col >> i & 1) for col in columns)
+              for i in range(ds.n_samples)]
+    return "\n".join(lines) + "\n"
 
 
 def random_dataset(rng: random.Random, n: int, m: int,

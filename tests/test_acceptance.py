@@ -22,7 +22,8 @@ from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, fit
 from opttree.tree import N_LEAVES, as_entry, build_tree, objective
-from tests.conftest import LAMBDAS, expand, lower_bound, random_dataset
+from tests.conftest import (LAMBDAS, csv_text, expand, lower_bound,
+                            random_dataset)
 from tests.test_tree_core import _random_tree, priced_bounds, scratch_bounds
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -237,8 +238,7 @@ def test_criterion_10_determinism(tmp_path, report):
     data = tmp_path / "d.csv"
     rng = random.Random(10)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
-    from opttree.dataset import write_csv
-    data.write_text(write_csv(ds, "y"))
+    data.write_text(csv_text(ds))
     models = []
     stats = []
     for i in range(2):

@@ -45,7 +45,7 @@ def _closed(k, n, lam, **toggles):
     run = _run_at(ds, lam, Fraction(1), leaf_accuracy=False,
                   incremental_accuracy=False, **toggles)
     ((_, _, c2, flag_pairs),) = run._split_table(
-        root_tree(ds, run.eq).split[0])[1]
+        root_tree(ds, run.eq).split[0])
     assert c2.key == (Clause(0, True),) and c2.n_captured == k
     return all(not s2 for _, s2 in flag_pairs)
 
@@ -108,7 +108,7 @@ def _refused_features(ds, lam, **toggles):
     root = root_tree(ds, build_equivalence_index(ds))
     run = _run_at(ds, lam, Fraction(1), **toggles)
     run.expand(as_entry(root, lam))
-    kept = {f for f, *_ in run.split_tables[root.split[0]][1]}
+    kept = {f for f, *_ in run.split_tables[root.split[0]]}
     return set(range(ds.n_features)) - kept
 
 

@@ -1,5 +1,5 @@
-"""Children take their bounds from their parent, and the run keeps a
-capture only for the leaves the search splits.
+"""Children take their bounds from their parent, and the run keeps no
+capture.
 
 The search prices every child from one base per expansion, the parent's
 sums less its first leaf to split plus the new leaf penalty, adjusted for
@@ -11,7 +11,7 @@ No child reuses its parent's leaves: every child is a split.  These tests
 check the sums and the queueing against from-scratch sums over the
 leaves of every child that real fits price in, each built here from its
 entry, and of every tree the fits build; and they check that after a fit
-the run holds a capture, a set of row classes, with the split table of
+the run holds a split table, only the leaf's splits and no capture, for
 exactly the leaves the search split.
 """
 
@@ -22,8 +22,8 @@ from opttree import search
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE,
-                          and_clauses, as_entry, build_tree)
+from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Leaf,
+                          and_clauses, as_entry, build_tree, child_keys)
 from tests.conftest import bits, random_dataset
 
 TOGGLE_SETS = (
@@ -192,7 +192,7 @@ def _fit_recording_splits(ds, config):
     return run, split
 
 
-def test_only_split_leaves_keep_a_capture():
+def test_split_tables_hold_only_splits():
     rng = random.Random(11)
     for toggles in (BoundToggles(), BoundToggles(similar_support=True)):
         for _ in range(8):
@@ -202,8 +202,17 @@ def test_only_split_leaves_keep_a_capture():
             run, split = _fit_recording_splits(ds, config)
             leaves = list(run.leaf_cache._store.values())
             assert len(leaves) > len({id(l) for l in split})
-            with_capture = {id(l) for l in run.split_tables}
-            assert with_capture == {id(l) for l in split}
+            assert {id(l) for l in run.split_tables} \
+                == {id(l) for l in split}
+            # a table is the list of its leaf's splits: the feature, the
+            # interned children on it and their flag pairs, no capture
+            for leaf, table in run.split_tables.items():
+                assert type(table) is list
+                for f, c1, c2, flag_pairs in table:
+                    assert type(c1) is Leaf and type(c2) is Leaf
+                    assert (c1.key, c2.key) == child_keys(leaf, f)
+                    assert flag_pairs and all(
+                        type(s) is bool for pair in flag_pairs for s in pair)
             for leaf in leaves:
                 # recounted per sample, not through the library's ANDs
                 expected = bits(
@@ -213,8 +222,6 @@ def test_only_split_leaves_keep_a_capture():
                 capture = and_clauses(run.eq, run.eq.all_classes,
                                       leaf.clauses)
                 assert _samples_of(ds, run.eq, capture) == expected
-                if leaf in run.split_tables:
-                    assert run.split_tables[leaf][0] == capture
                 assert leaf.n_captured == expected.bit_count()
 
 

@@ -3,8 +3,9 @@
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
 code the search runs (``make_leaf``; the children a split table interns,
-the negative one by ``make_child_leaf`` from the capture the table keeps
-and the positive one as the leaf's counts minus the negative one's; node
+the negative one by ``make_child_leaf`` from the leaf's capture, which
+``and_clauses`` rebuilds, and the positive one as the leaf's counts minus
+the negative one's; node
 support's comparison against ``_Run.support_s``; ``_Run._similar_skip``)
 on data with many duplicate rows, and recount every figure per sample
 through ``and_literal`` on the dataset's columns.
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from opttree.dataset import and_literal, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import Clause, child_keys, make_child_leaf, make_leaf
+from opttree.tree import (Clause, and_clauses, child_keys, make_child_leaf,
+                          make_leaf)
 
 # rows drawn from a pool of at most 6, so classes hold many samples
 data = st.integers(1, 6).flatmap(lambda m: st.tuples(
@@ -84,8 +86,9 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
     clauses = _clauses(m, clauses1)
     leaf = make_leaf(clauses, eq)
     assert _counts(leaf, run) == _recount(ds, _samples(ds, clauses), lam)
-    # the capture the leaf's split table keeps
-    capture = run._split_table(leaf)[0]
+    # the capture the leaf's split table builds its children from
+    capture = and_clauses(eq, eq.all_classes, leaf.clauses)
+    run._split_table(leaf)
     for f in range(m):
         if any(c.feature == f for c in clauses):
             continue
@@ -110,9 +113,10 @@ def test_similar_support_omega_is_the_per_sample_difference(drawn):
     run.best_s = run.q * ds.n_samples  # an incumbent of objective 1
     one = make_leaf(_clauses(m, clauses1), run.eq)
     two = make_leaf(_clauses(m, clauses2), run.eq)
-    # the captures their split tables keep
-    (one_capture, _), (two_capture, _) = (run._split_table(leaf)
-                                          for leaf in (one, two))
+    # the captures similar support rebuilds
+    one_capture, two_capture = (
+        and_clauses(run.eq, run.eq.all_classes, leaf.clauses)
+        for leaf in (one, two))
     omega = (_samples(ds, one.clauses) ^ _samples(ds, two.clauses)) \
         .bit_count()
     # skipped exactly when the companion's floor reaches best + omega

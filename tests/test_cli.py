@@ -77,6 +77,21 @@ def test_fit_writes_nothing_when_its_model_cannot_be_built(tmp_path, toy_csv,
     assert not model.exists() and not trace.exists()
 
 
+def test_fit_removes_its_model_when_the_trace_cannot_be_written(
+        tmp_path, toy_csv, capsys):
+    # the model is written first; a trace path in a missing directory
+    # fails after it, and the model goes too
+    model = tmp_path / "model.json"
+    code = main(["fit", "--data", str(toy_csv), "--label", "y",
+                 "--lambda", "1/100", "--out", str(model),
+                 "--trace", str(tmp_path / "missing" / "trace.csv")])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [toy_csv]
+
+
 def test_fit_rejects_a_label_column_named_twice(tmp_path, capsys):
     data = tmp_path / "twice.csv"
     data.write_text("y,a,y\n0,1,1\n1,0,0\n")

@@ -23,7 +23,7 @@ import opttree.search
 import opttree.tree
 from opttree.cli import main
 from opttree.search import SearchConfig, fit
-from tests.conftest import random_dataset
+from tests.conftest import csv_text, random_dataset
 
 # name -> why nothing in `fit` or the `opttree` commands runs it
 NOT_RUN = {
@@ -38,11 +38,9 @@ NOT_RUN = {
         "total_evaluations_bound_log10",
     "opttree.scheduler.SearchQueue.trees":
         "the queued entries, read by tests and the benchmark's tracer",
-    "opttree.dataset.from_rows":
-        "builds a dataset in memory for tests and the benchmark",
-    "opttree.dataset.write_csv":
-        "writes the benchmark's and tests' generated datasets",
-    "opttree.dataset.Dataset.label_one_count": "read by tests",
+    "opttree.dataset.from_rows": "builds a dataset in memory for tests",
+    "opttree.dataset.Dataset.label_one_count":
+        "read by tests and the benchmark's dataset check",
 }
 
 
@@ -70,15 +68,6 @@ def _public_functions(module):
                 yield f"{module.__name__}.{name}", code
 
 
-def _csv(ds) -> str:
-    """The dataset as the CSV ``opttree fit`` reads, label column y."""
-    lines = [",".join([*ds.feature_names, "y"])]
-    for i in range(ds.n_samples):
-        lines.append(",".join(str(col >> i & 1)
-                              for col in (*ds.columns, ds.labels)))
-    return "\n".join(lines) + "\n"
-
-
 def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
     # memo hits skip the body
     opttree.bounds.cumulative_perm.cache_clear()
@@ -86,7 +75,7 @@ def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
     rng = random.Random(1)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)
     data = tmp_path / "data.csv"
-    data.write_text(_csv(ds), encoding="utf-8")
+    data.write_text(csv_text(ds), encoding="utf-8")
     reached = set()
 
     def profile(frame, event, arg):

@@ -107,6 +107,21 @@ def test_cache_limit_must_be_positive(toy_ds):
         fit(toy_ds, SearchConfig(lam=Fraction(1, 100), max_cache_entries=0))
 
 
+@pytest.mark.parametrize("name", ["max_trees", "max_cache_entries",
+                                  "trace_interval"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 10.0, True,
+                                   False, "10", -1])
+def test_count_options_must_be_ints_in_range(toy_ds, name, value):
+    # a NaN limit never trips and a NaN interval records nothing; a bool
+    # passes for 0 or 1 and a string fails the comparison with a TypeError
+    config = SearchConfig(lam=Fraction(1, 100), **{name: value})
+    message = f"{name} must be >= " if value == -1 \
+        else f"{name} must be an int, not {value!r}"
+    with pytest.raises(ValueError) as raised:
+        fit(toy_ds, config)
+    assert str(raised.value).startswith(message)
+
+
 def test_policy_must_be_a_policy(toy_ds):
     with pytest.raises(ValueError, match="policy"):
         fit(toy_ds, SearchConfig(lam=Fraction(1, 100), policy="gini"))

@@ -69,13 +69,13 @@ def test_make_child_leaf_empty_is_dead():
     run = _Run(ds, SearchConfig(lam=lam))
     parent = make_leaf([Clause(0, True)], run.eq)
     # a split table never extends a leaf on a feature it uses
-    assert run._split_table(parent)[1] == []
+    assert run._split_table(parent) == []
     empty = make_leaf([Clause(0, False)], run.eq)
     assert empty.n_captured == 0
     # a leaf is split only once a split table made it, and the root's
     # table refuses the split that would make this one
     root = root_tree(ds, run.eq).split[0]
-    assert run._split_table(root)[1] == []
+    assert run._split_table(root) == []
 
 
 def test_dead_threshold_arithmetic():
@@ -86,7 +86,7 @@ def test_dead_threshold_arithmetic():
     run = _Run(ds, SearchConfig(lam=lam))
     root = root_tree(ds, run.eq).split[0]
     # the root's one split may keep only the 985-sample leaf to split
-    ((f, other, leaf, flag_pairs),) = run._split_table(root)[1]
+    ((f, other, leaf, flag_pairs),) = run._split_table(root)
     assert f == 0 and leaf.key == (Clause(0, True),)
     assert leaf.n_captured == 15 and other.n_captured == 985
     assert flag_pairs == ((False, False), (True, False))
