@@ -2,7 +2,7 @@
 
 The pruning rules run where the search evaluates them, on integers scaled
 by N*q (lam = p/q): the hierarchical lower bound, lookahead and equivalent
-points form ``_Run._is_live``; node support (against ``_Run.support_s``),
+points form ``_Run._live``; node support (against ``_Run.support_s``),
 leaf accuracy and incremental accuracy are checked in
 ``_Run._split_table``, node support also for the root in ``_Run.run``;
 similar support in ``_Run._similar_skip``, and the

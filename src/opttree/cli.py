@@ -115,8 +115,9 @@ def _model_dict(result: SearchResult, ds: Dataset, lam_text: str) -> dict:
 _TRACE_FIELDS = ["elapsed_s", "trees_evaluated", "best_objective",
                  "min_queue_lower_bound", "queue_size",
                  "log10_remaining_bound"]
-_COUNT_STATS = ["max_queue_size", "leaf_cache_size", "leaf_cache_hits",
-                "tree_cache_size", "tree_cache_purged", "duplicates_skipped"]
+_COUNT_STATS = ["max_queue_size", "queue_purged", "leaf_cache_size",
+                "leaf_cache_hits", "tree_cache_size", "tree_cache_purged",
+                "duplicates_skipped"]
 
 
 def _trace_csv(trace: list[TraceRecord]) -> str:

@@ -18,19 +18,25 @@ Only the entropy (float) and Gini (float, Fraction) keys are not integers;
 they read the leaves to split from the entry, in no set order, and sum
 exactly.
 
-Besides the heap, the queue counts its entries, stale ones included, per
-(``b_s``, leaf count) bucket.  Everything the search's trace reports about
-the queue (its least lower bound and the remaining-evaluations bound)
-depends on a tree only through that pair, so a trace record costs time in
-the number of distinct buckets, not in the number of queued trees.
+Besides the heap, the queue counts its entries per (``b_s``, leaf count)
+bucket.  Everything the search's trace reports about the queue (its least
+lower bound and the remaining-evaluations bound) depends on a tree only
+through that pair, so a trace record costs time in the number of distinct
+buckets, not in the number of queued trees.
+
+The search keeps every queued entry live: when its incumbent improves it
+drops the entries that can no longer beat it all at once (``retain``), so
+a pop needs no gate and the buckets hold live entries only.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from enum import Enum
 from fractions import Fraction
+from itertools import compress
 from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
@@ -100,11 +106,10 @@ _KEYS: dict[Policy, Callable[[tuple, int], object]] = {
 
 
 class SearchQueue:
-    """Min-heap worklist of entries with deterministic tie-breaking and
-    lazy invalidation: stale entries are discarded at pop time.
+    """Min-heap worklist of entries with deterministic tie-breaking.
 
-    ``buckets`` maps (``b_s``, leaf count) to the number of heap entries,
-    stale ones included, with that pair; a pair with no entry has no key.
+    ``buckets`` maps (``b_s``, leaf count) to the number of heap entries
+    with that pair; a pair with no entry has no key.
     """
 
     _bucket = staticmethod(itemgetter(B_S, N_LEAVES))
@@ -130,9 +135,11 @@ class SearchQueue:
         if len(heap) > self.max_size:
             self.max_size = len(heap)
 
-    def pop(self, is_live: Callable[[tuple], bool]) -> Optional[tuple]:
-        """The first queued entry that ``is_live`` accepts, discarding
-        the stale ones popped before it; None when there is none."""
+    def pop(self, is_live: Optional[Callable[[tuple], bool]] = None
+            ) -> Optional[tuple]:
+        """The first queued entry, or with ``is_live`` the first it
+        accepts, discarding those popped before it; None when there is
+        none."""
         heap, buckets = self._heap, self.buckets
         while heap:
             _, _, entry = heapq.heappop(heap)
@@ -142,15 +149,25 @@ class SearchQueue:
                 del buckets[bucket]
             else:
                 buckets[bucket] = count - 1
-            if is_live(entry):
+            if is_live is None or is_live(entry):
                 return entry
         return None
+
+    def retain(self, keep: Callable[[list[tuple]], list[bool]]) -> int:
+        """Keep only the queued entries that ``keep``, given all of them in
+        one list, flags true; returns how many were dropped.  Those kept
+        pop in the same order as before."""
+        heap = self._heap
+        self._heap = kept = list(compress(heap, keep([e for _, _, e in heap])))
+        heapq.heapify(kept)
+        self.buckets = Counter(self._bucket(e) for _, _, e in kept)
+        return len(heap) - len(kept)
 
     def __len__(self) -> int:
         return len(self._heap)
 
     def trees(self):
-        """The queued entries, stale ones included."""
+        """The queued entries, in heap order."""
         for _, _, entry in self._heap:
             yield entry
 

@@ -28,21 +28,25 @@ A price at or above the incumbent is dropped there; every other child is
 evaluated and becomes one queue entry, its sums and what builds it (the
 parent, the two new leaves and their flags; see ``tree.B_S``), the
 only record of a tree not yet expanded, the incumbent's included
-(``best_entry``).  The run's one liveness gate (``_Run._is_live``) alone
-decides whether an entry is queued, and later whether a popped one is
-still worth expanding.  A tree is built from its entry
-(``tree.build_tree``) only when the entry is expanded and once for the
-tree the fit returns, so the work per child is a few integer sums and a
-heap push, whatever the queue or the tree.  A built tree's two leaf
-tuples stay in canonical (leaf-key) order by construction: each new
-leaf is inserted into one of them with ``bisect``, and a new clause into
-its leaf's feature-ordered clauses, so nothing in the loop sorts.  Child
+(``best_entry``).  The run's one liveness gate (``_Run._live``), which
+judges a batch of entries without a call per entry, alone decides which
+children are queued.  The incumbent only falls, so an entry that fails
+the gate fails it for good: after an expansion that lowers the
+incumbent, and before its children are queued, the run drops every
+queued entry that now fails it (``SearchQueue.retain``).  So every
+queued entry is live, and a popped one is expanded unchecked.  A tree is
+built from its entry (``tree.build_tree``) only when the entry is
+expanded and once for the tree the fit returns, so the work per child is
+a few integer sums and a heap push, whatever the queue or the tree.  A
+built tree's two leaf tuples stay in canonical (leaf-key) order by
+construction: each new leaf is inserted into one of them with
+``bisect``, and a new clause into its leaf's feature-ordered clauses, so
+nothing in the loop sorts.  Child
 leaves are interned, so the permutation cache keys a tree on the two
-tuples it already holds (see ``caches``).  A trace record sums the
-remaining-evaluations bound over the queue's (``b_s``, leaf count)
-buckets rather than over its entries; only the last, which ``_finish``
-takes, scans the heap, once per fit, for the least live bound behind the
-gap.
+tuples it already holds (see ``caches``).  A trace record reads the
+queue's least bound and sums the remaining-evaluations bound over its
+(``b_s``, leaf count) buckets rather than over its entries; the queue is
+all live, so the last record's least bound is the one behind the gap.
 
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
@@ -70,9 +74,11 @@ leaf's minus those.  So no capture outlives the call that made it.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 from .bounds import (BoundToggles, cumulative_perm, floor_log10,
@@ -113,8 +119,16 @@ class SearchConfig:
         validate_lam(self.lam)
         if not isinstance(self.policy, Policy):
             raise ValueError(f"policy must be a Policy, not {self.policy!r}")
-        # `not >= 0` rejects NaN as well as negative values
-        if self.time_limit is not None and not self.time_limit >= 0:
+        if not isinstance(self.toggles, BoundToggles):
+            raise ValueError(
+                f"toggles must be a BoundToggles, not {self.toggles!r}")
+        # a bool would run as a 0- or 1-second limit, and `not >= 0`
+        # rejects NaN as well as negative values
+        limit = self.time_limit
+        if isinstance(limit, bool) \
+                or not isinstance(limit, (int, float, type(None))):
+            raise ValueError(f"time_limit must be seconds, not {limit!r}")
+        if limit is not None and not limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
         # a count is an int: a NaN limit never trips, a bool passes for
         # 0 or 1; only the limits may be None
@@ -146,7 +160,10 @@ class SearchStats:
     trees_to_optimum: int = 0
     time_to_optimum: float = 0.0
     total_time: float = 0.0
+    # the most entries the queue held at once, all of them live
     max_queue_size: int = 0
+    # queued entries dropped unexpanded when the incumbent improved
+    queue_purged: int = 0
     leaf_cache_size: int = 0
     leaf_cache_hits: int = 0
     # expanded trees the tree cache holds at the end, and those it purged
@@ -209,14 +226,17 @@ class _Run:
 
     # -- gates ------------------------------------------------------------
 
-    def _is_live(self, entry: tuple) -> bool:
-        """The run's one test that a queue entry may still lead to an
-        improvement and belongs in the queue: its bound, plus the
-        lookahead margin and (when that bound is on) its equivalent-points
-        floor, is below the incumbent.  The margin and the floor are never
-        negative, so this implies the hierarchical bound."""
-        floor_s = entry[B0_S] if self.toggles.equivalent_points else 0
-        return entry[B_S] + floor_s + self.margin_s < self.best_s
+    def _live(self, entries: list[tuple]) -> list[bool]:
+        """The run's one test that queue entries may still lead to an
+        improvement and belong in the queue, one flag per entry: its
+        bound, plus the lookahead margin and (when that bound is on) its
+        equivalent-points floor, is below the incumbent.  The margin and
+        the floor are never negative, so this implies the hierarchical
+        bound."""
+        limit_s = self.best_s - self.margin_s
+        if self.toggles.equivalent_points:
+            return [e[B_S] + e[B0_S] < limit_s for e in entries]
+        return [e[B_S] < limit_s for e in entries]
 
     # -- best tracking ---------------------------------------------------
 
@@ -318,7 +338,7 @@ class _Run:
         # drops every child with no leaf to split: its leaves are all
         # unchanged, its objective equals its bound, and the incumbent is
         # as good
-        return list(filter(self._is_live, out))
+        return list(compress(out, self._live(out)))
 
     def _split_table(self, leaf: Leaf) -> list:
         """The feasible splits of ``leaf``, kept as its table.
@@ -394,17 +414,24 @@ class _Run:
         self._set_best(entry)
         # node support may close the root; every other leaf to split was
         # found open by its parent's split table
-        if self._is_live(entry) and self.q * leaf.n_captured >= self.support_s:
-            self.queue.push((entry,))
+        if self._live([entry])[0] \
+                and self.q * leaf.n_captured >= self.support_s:
+            self.queue.push([entry])
 
         next_trace = self.config.trace_interval
         # every limit is checked before every expansion, and an expansion
         # always finishes, so the queue holds all the work left
         while not self._limit_tripped():
-            entry = self.queue.pop(self._is_live)
+            entry = self.queue.pop()
             if entry is None:
                 break
-            self.queue.push(self.expand(entry))
+            best_s = self.best_s
+            children = self.expand(entry)
+            # keep the queue all live: a new incumbent ends every queued
+            # tree that it makes hopeless, in one pass
+            if self.best_s < best_s:
+                self.stats.queue_purged += self.queue.retain(self._live)
+            self.queue.push(children)
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
@@ -426,31 +453,23 @@ class _Run:
             self.stats.limit_hit = "max_cache_entries"
         return self.stats.limit_hit is not None
 
-    def _record_trace(self, final: bool = False) -> None:
+    def _record_trace(self) -> None:
         """Append a trace record, its least bound read from the queue's
-        buckets, stale entries included, except in the ``final`` one: that
-        scans the queue for the least live bound, and with none (a
-        certified search) counts no remaining evaluations either."""
+        buckets; with an empty queue (at the end, a certified search) it
+        has none and counts no remaining evaluations."""
         buckets = self.queue.buckets
-        if final:
-            least = self.queue.min_lower_bound(self._is_live)
-            least_s = None if least is None else least[B_S]
-        else:
-            least_s = min((b_s for b_s, _ in buckets), default=None)
+        least_s = min((b_s for b_s, _ in buckets), default=None)
         # remaining-evaluations bound: a queued tree with lower bound b and
         # L leaves may still add up to f = floor((best - b) / lam) of the
         # 3^M - L unused leaves, in any order.  Both terms depend on the
         # tree only through (b_s, L), so the sum runs over the queue's
-        # buckets of that pair, stale entries included.
+        # buckets of that pair.  Every queued tree is live: b < best
         remaining = 0
-        if least_s is not None:
-            pool = 3 ** self.ds.n_features
-            for (b_s, n_leaves), count in buckets.items():
-                slots = pool - n_leaves
-                f = 0
-                if self.best_s > b_s:
-                    f = min((self.best_s - b_s) // self.lam_s, slots)
-                remaining += count * cumulative_perm(slots, f)
+        pool = 3 ** self.ds.n_features
+        for (b_s, n_leaves), count in buckets.items():
+            slots = pool - n_leaves
+            f = min((self.best_s - b_s) // self.lam_s, slots)
+            remaining += count * cumulative_perm(slots, f)
         scale = self.n * self.q
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,
@@ -466,10 +485,10 @@ class _Run:
 
     def _finish(self) -> SearchResult:
         # the last record holds the result's figures
-        self._record_trace(final=True)
+        self._record_trace()
         last = self.trace[-1]
-        # with no live entry left the search is complete, whatever limit
-        # it reached on the way
+        # with no entry left the search is complete, whatever limit it
+        # reached on the way
         certified = last.min_queue_lower_bound is None
         if certified:
             self.stats.limit_hit = None
@@ -488,5 +507,16 @@ class _Run:
 
 def fit(ds: Dataset, config: SearchConfig,
         eq: Optional[EquivalenceIndex] = None) -> SearchResult:
-    """Run branch-and-bound to a certified optimum or a resource limit."""
-    return _Run(ds, config, eq).run()
+    """Run branch-and-bound to a certified optimum or a resource limit.
+
+    The cyclic garbage collector is paused for the whole process while
+    the fit, index build included, runs: a run makes no reference cycle,
+    and each pass would rescan every queued entry.  The caller's
+    collector state is restored, also when the fit raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _Run(ds, config, eq).run()
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,5 +1,5 @@
 """Each pruning rule, checked where the search evaluates it: node support
-in the split flags and the root check of ``_Run.run``, ``_Run._is_live``,
+in the split flags and the root check of ``_Run.run``, ``_Run._live``,
 the accuracy and gain checks in ``_Run._split_table``,
 ``_Run._similar_skip`` and ``_Run._record_trace``."""
 
@@ -212,7 +212,7 @@ def test_lookahead_prunes():
         # an entry of bound b; with equivalent points off nothing else of
         # it is read
         entry = (_scaled(run, b), 0, 0, 0, 2, None, None, None, True, True)
-        return not run._is_live(entry)
+        return not run._live([entry])[0]
 
     assert pruned(Fraction(30, 100), Fraction(305, 1000))
     assert not pruned(Fraction(30, 100), Fraction(32, 100))
@@ -232,10 +232,10 @@ def test_equivalent_points_floor():
     entry = as_entry(root_tree(ds, eq), lam)
     assert entry[B0_S] == lam.denominator  # one sample in N: 1/6
     # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
-    assert not _run_at(ds, lam, Fraction(106, 600))._is_live(entry)
-    assert _run_at(ds, lam, Fraction(107, 600))._is_live(entry)
+    assert not _run_at(ds, lam, Fraction(106, 600))._live([entry])[0]
+    assert _run_at(ds, lam, Fraction(107, 600))._live([entry])[0]
     assert _run_at(ds, lam, Fraction(106, 600),
-                   equivalent_points=False)._is_live(entry)
+                   equivalent_points=False)._live([entry])[0]
 
     distinct = from_rows(["a", "b"], [[0, 0], [0, 1], [1, 0]], [1, 0, 1])
     root = root_tree(distinct, build_equivalence_index(distinct))

@@ -61,17 +61,17 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
 
     def checking_expand(run, parent_entry):
         nonlocal returned, closed
-        gate, seen = run._is_live, []
+        gate, seen = run._live, []
 
-        def recording(entry):
-            seen.append(entry)
-            return gate(entry)
-        run._is_live = recording
+        def recording(entries):
+            seen.extend(entries)
+            return gate(entries)
+        run._live = recording
         evaluated, best_before = run.stats.trees_evaluated, run.best_s
         try:
             out = expand(run, parent_entry)
         finally:
-            run._is_live = gate
+            run._live = gate
         assert run.stats.trees_evaluated - evaluated == len(seen)
         kept = {id(e) for e in out}
         parent = build_tree(parent_entry)
@@ -82,7 +82,7 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
             # above the incumbent, which only falls during the expansion
             assert entry[B_S] < best_before
             child = build_tree(entry)
-            live = gate(entry)
+            (live,) = gate([entry])
             assert (id(entry) in kept) == live
             assert child.split or not live
             returned += live

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import _KEYS, Policy, SearchQueue
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (B_S, Clause, as_entry, build_tree, make_leaf,
-                          objective, root_tree)
+from opttree.tree import (B_S, N_LEAVES, Clause, as_entry, build_tree,
+                          make_leaf, objective, root_tree)
 from tests.conftest import (expanded_trees, lower_bound, make_tree,
                             random_dataset)
 
@@ -159,6 +160,25 @@ def test_queue_lazy_invalidation(ds):
     assert len(q) == 0
 
 
+def test_retain_keeps_the_pop_order_and_recounts_the_buckets(ds):
+    rng = random.Random(8)
+    for _ in range(200):
+        policy = rng.choice(list(Policy)[:5])
+        # fake entries: bounds from a narrow range, so that ties abound
+        entries = [(rng.randint(0, 6), 0, rng.randint(0, 6), 1,
+                    rng.randint(1, 4)) for _ in range(rng.randint(0, 30))]
+        q, twin = SearchQueue(policy, ds), SearchQueue(policy, ds)
+        q.push(entries)
+        twin.push(entries)
+        kept = {id(e) for e in entries if rng.random() < 0.5}
+        assert q.retain(lambda es: [id(e) in kept for e in es]) \
+            == len(entries) - len(kept)
+        assert q.buckets == Counter((e[B_S], e[N_LEAVES]) for e in entries
+                                    if id(e) in kept)
+        want = [id(e) for e in iter(twin.pop, None) if id(e) in kept]
+        assert [id(e) for e in iter(q.pop, None)] == want
+
+
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
     a = as_entry(_split_tree(ds, (False, True)), LAM)
@@ -218,8 +238,10 @@ def test_min_lower_bound_is_the_plain_min_on_stopped_fits():
         run = _Run(ds, SearchConfig(lam=Fraction(1, 50), policy=policy,
                                     max_trees=rng.randint(20, 400)))
         result = run.run()
-        # the gate the finished run judged the queue with
-        is_live = run._is_live
+        # the gate the finished run judged the queue with, asked of one
+        # entry at a time
+        def is_live(entry):
+            return run._live([entry])[0]
         least = _checked_min(run.queue, is_live)
         assert least is _plain_min(run.queue, is_live)
         if least is not None:

@@ -15,7 +15,7 @@ from opttree.oracle import exhaustive_optimum
 from opttree.scheduler import Policy
 from opttree import search
 from opttree.search import SearchConfig, _Run, fit
-from opttree.tree import (B_S, Clause, as_entry, build_tree, objective,
+from opttree.tree import (B0_S, B_S, Clause, as_entry, build_tree, objective,
                           root_tree)
 from tests.conftest import (expand, expanded_trees, lower_bound,
                             random_dataset)
@@ -125,6 +125,23 @@ def test_count_options_must_be_ints_in_range(toy_ds, name, value):
 def test_policy_must_be_a_policy(toy_ds):
     with pytest.raises(ValueError, match="policy"):
         fit(toy_ds, SearchConfig(lam=Fraction(1, 100), policy="gini"))
+
+
+@pytest.mark.parametrize("value", [True, False, "5", Fraction(1, 2),
+                                   float("nan"), -1, -0.5])
+def test_time_limit_must_be_seconds(toy_ds, value):
+    # a bool would run as a 0- or 1-second limit and a string would fail
+    # its comparison with a TypeError
+    with pytest.raises(ValueError, match="time_limit must be"):
+        fit(toy_ds, SearchConfig(lam=Fraction(1, 100), time_limit=value))
+    for seconds in (0, 5, 0.5, float("inf")):
+        fit(toy_ds, SearchConfig(lam=Fraction(1, 100), time_limit=seconds))
+
+
+@pytest.mark.parametrize("value", [None, {}, "lookahead"])
+def test_toggles_must_be_bound_toggles(toy_ds, value):
+    with pytest.raises(ValueError, match="toggles must be a BoundToggles"):
+        fit(toy_ds, SearchConfig(lam=Fraction(1, 100), toggles=value))
 
 
 def test_empty_dataset_is_rejected():
@@ -285,15 +302,15 @@ def _priced_children(ds, config, tree, best):
     liveness filter sees each of them once."""
     run = _Run(ds, config)
     run.best_s = math.ceil(best * run.n * run.q)
-    gate, priced = run._is_live, []
+    gate, priced = run._live, []
 
-    def recording(entry):
-        priced.append(entry)
-        return gate(entry)
-    run._is_live = recording
+    def recording(entries):
+        priced.extend(entries)
+        return gate(entries)
+    run._live = recording
     live = run.expand(as_entry(tree, config.lam))
     assert run.stats.trees_evaluated == len(priced)
-    assert live == [e for e in priced if gate(e)]
+    assert live == [e for e in priced if gate([e])[0]]
     return [build_tree(e) for e in priced]
 
 
@@ -484,6 +501,69 @@ def test_fit_leaves_no_cyclic_garbage():
             gc.enable()
 
 
+def test_fit_restores_the_collector_state(toy_ds):
+    # the pause is process-wide: the caller's state comes back, also when
+    # the fit raises
+    enabled = gc.isenabled()
+    empty = from_rows(["a"], [], [])
+    try:
+        for state in (True, False):
+            (gc.enable if state else gc.disable)()
+            fit(toy_ds, SearchConfig(lam=Fraction(1, 100)))
+            assert gc.isenabled() == state
+            with pytest.raises(ValueError, match="no samples"):
+                fit(empty, SearchConfig(lam=Fraction(1, 10)))
+            assert gc.isenabled() == state
+    finally:
+        (gc.enable if enabled else gc.disable)()
+
+
+def test_fit_runs_without_the_collector(toy_ds, monkeypatch):
+    # the index build and the run see the collector paused
+    states = []
+    build = search.build_equivalence_index
+
+    def recording(ds):
+        states.append(gc.isenabled())
+        return build(ds)
+    monkeypatch.setattr(search, "build_equivalence_index", recording)
+    run = _Run.run
+    monkeypatch.setattr(
+        _Run, "run", lambda self: states.append(gc.isenabled()) or run(self))
+    fit(toy_ds, SearchConfig(lam=Fraction(1, 100)))
+    assert states == [False, False]
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_every_queued_entry_is_live_at_every_pop(policy):
+    # the queue is purged whenever the incumbent falls, so no entry it
+    # holds ever fails the gate: its bound plus lam under lookahead and,
+    # under equivalent points, its floor is below the incumbent
+    rng = random.Random(list(Policy).index(policy))
+    checked = purged = 0
+    for _ in range(8):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=rng.choice((0.0, 0.4)))
+        toggles = rng.choice((BoundToggles(), BoundToggles(lookahead=False),
+                              BoundToggles(equivalent_points=False)))
+        run = _Run(ds, SearchConfig(lam=Fraction(1, rng.choice((20, 50))),
+                                    policy=policy, toggles=toggles,
+                                    max_trees=rng.randint(200, 2000)))
+        margin_s = run.lam_s if toggles.lookahead else 0
+        pop = run.queue.pop
+
+        def checked_pop(*args):
+            nonlocal checked
+            for e in run.queue.trees():
+                floor_s = e[B0_S] if toggles.equivalent_points else 0
+                assert e[B_S] + floor_s + margin_s < run.best_s
+                checked += 1
+            return pop(*args)
+        run.queue.pop = checked_pop
+        purged += run.run().stats.queue_purged
+    assert checked > 1000 and purged > 0
+
+
 def test_ablations_preserve_answer(noisy_ds):
     lam = Fraction(1, 20)
     reference = fit(noisy_ds, SearchConfig(lam=lam)).objective
@@ -529,12 +609,11 @@ def test_limit_keeps_certificate_when_no_work_is_left(limit):
     if "max_trees" not in limit:
         return
     # a refit that may evaluate as many trees as the certified fit did
-    # often reaches its limit when the queue holds only stale entries
-    # (a queue left nonempty means the limit stopped the loop).  Nothing
-    # is left to search, so it is certified; a refit stopped with work
-    # left is not
+    # reaches its limit right after the last expansion that evaluates a
+    # tree.  When that leaves the queue empty, nothing is left to search,
+    # so it is certified; a refit stopped with work left is not
     rng = random.Random(300)
-    stale_stops = 0
+    empty_stops = work_stops = 0
     for _ in range(60):
         ds = random_dataset(rng, rng.randint(15, 45), rng.randint(3, 5))
         lam = Fraction(1, rng.choice((30, 100)))
@@ -544,13 +623,16 @@ def test_limit_keeps_certificate_when_no_work_is_left(limit):
             lam=lam, max_trees=done.stats.trees_evaluated))
         res = run.run()
         assert res.objective - res.gap <= optimum <= res.objective
+        assert res.stats.trees_evaluated == done.stats.trees_evaluated
         if res.certified:
             assert res.stats.limit_hit is None and res.gap == 0
             assert res.objective == optimum
-            stale_stops += len(run.queue) > 0
+            assert len(run.queue) == 0
+            empty_stops += 1
         else:
             assert res.stats.limit_hit == "max_trees" and res.gap > 0
-    assert stale_stops > 5
+            work_stops += 1
+    assert empty_stops > 5 and work_stops > 5
 
 
 @pytest.mark.parametrize("k", [2, 10, 50, 300])

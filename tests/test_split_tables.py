@@ -142,9 +142,9 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         # passes its final liveness filter once: record it there
         run = _Run(ds, config, eq)
         run.best_s = run.q * run.n
-        gate = run._is_live
+        gate = run._live
         built.clear()
-        run._is_live = lambda entry: built.append(entry) or gate(entry)
+        run._live = lambda entries: built.extend(entries) or gate(entries)
         run.expand(as_entry(root, config.lam))
         trees = map(build_tree, built)
         # each child's leaf keys, the keys of its leaves to split, and the

@@ -1,7 +1,7 @@
 """Trace records are summed over the queue's (b_s, leaf count) buckets;
-they must equal a scan of every queued tree, stale entries included,
-each built from its queue entry.  The last record is taken after the
-fit's scan for the least live bound and must agree with its result."""
+they must equal a scan of every queued tree, each built from its queue
+entry.  Every queued tree is live, so a record's least bound is the
+least live one, and the last record must agree with the fit's result."""
 
 import math
 import random
@@ -67,42 +67,38 @@ TOGGLES = (BoundToggles(), BoundToggles(lookahead=False),
 
 
 def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
-    seen = {"records": 0, "stale_then_record": 0, "stale_since": 0,
+    seen = {"records": 0, "purge_then_record": 0, "purged_since": 0,
             "cache_stops": 0}
     record = _Run._record_trace
-    pop = SearchQueue.pop
+    retain = SearchQueue.retain
 
-    def checked_record(run, final=False):
-        record(run, final)
+    def checked_record(run):
+        record(run)
         r = run.trace[-1]
         want = _scan(run)
-        if final:
-            # the last record's bound is the least live one, and a
-            # certified fit (no such bound) has no remaining evaluations
-            least = _least_live(run)
-            want = (0, None, None, want[3]) if least is None else \
-                (*want[:2], least, want[3])
         assert (r.remaining_bound, r.log10_remaining_bound,
                 r.min_queue_lower_bound, r.queue_size) == want
+        # the queue holds live trees only; with none left (a certified
+        # fit) there are no remaining evaluations
+        assert r.min_queue_lower_bound == _least_live(run)
         seen["records"] += 1
-        if seen["stale_since"]:
-            seen["stale_then_record"] += 1
+        if seen["purged_since"]:
+            seen["purge_then_record"] += 1
 
-    def counting_pop(queue, is_live=None):
-        before = len(queue)
-        tree = pop(queue, is_live)
-        seen["stale_since"] += before - len(queue) - (tree is not None)
-        return tree
+    def counting_retain(queue, keep):
+        dropped = retain(queue, keep)
+        seen["purged_since"] += dropped
+        return dropped
 
     monkeypatch.setattr(_Run, "_record_trace", checked_record)
-    monkeypatch.setattr(SearchQueue, "pop", counting_pop)
+    monkeypatch.setattr(SearchQueue, "retain", counting_retain)
     rng = random.Random(11)
     for _ in range(20):
         ds = random_dataset(rng, rng.randint(10, 60), rng.randint(2, 5),
                             duplicate_bias=rng.choice([0.0, 0.4]))
         lam = Fraction(1, rng.randint(10, 60))
         for policy in Policy:
-            seen["stale_since"] = 0
+            seen["purged_since"] = 0
             limit = rng.choice([{"max_trees": rng.randint(1, 1500)},
                                 {"max_cache_entries": rng.randint(1, 60)}])
             res = fit(ds, SearchConfig(
@@ -111,17 +107,17 @@ def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
             if res.stats.limit_hit == "max_cache_entries":
                 seen["cache_stops"] += 1
     assert seen["records"] > 1500
-    assert seen["stale_then_record"] > 300
+    assert seen["purge_then_record"] > 300
     assert seen["cache_stops"] > 20
 
 
 def test_last_record_agrees_with_the_result():
     # fits cut by max_trees at 15 points of their full run: the last
     # record's bound is objective - gap, and a certified fit's last record
-    # has no bound and no remaining evaluations, even where stale entries
-    # are left in the queue
+    # has no bound and no remaining evaluations, also where the limit
+    # stopped it
     rng = random.Random(5)
-    certified_with_stale = fits = 0
+    certified_at_limit = fits = 0
     for _ in range(40):
         ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
                             duplicate_bias=0.5)
@@ -133,9 +129,11 @@ def test_last_record_agrees_with_the_result():
             fits += 1
             if res.certified:
                 assert (last.min_queue_lower_bound, last.remaining_bound,
-                        last.log10_remaining_bound) == (None, 0, None)
-                certified_with_stale += last.queue_size > 0
+                        last.log10_remaining_bound,
+                        last.queue_size) == (None, 0, None, 0)
+                certified_at_limit += \
+                    res.stats.trees_evaluated >= total * k // 15
             else:
                 assert last.min_queue_lower_bound == res.objective - res.gap
                 assert last.remaining_bound > 0
-    assert fits == 600 and certified_with_stale >= 1
+    assert fits == 600 and certified_at_limit >= 1
