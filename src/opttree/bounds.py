@@ -2,8 +2,9 @@
 
 The pruning rules run where the search evaluates them, on integers scaled
 by N*q (lam = p/q): the hierarchical lower bound, lookahead and equivalent
-points form ``_Run._live``; node support (against ``_Run.support_s``),
-leaf accuracy and incremental accuracy are checked in
+points form the liveness gate (``_Run.live_limit_s``) that ``_Run.expand``
+applies to each child it prices; node support (against
+``_Run.support_s``), leaf accuracy and incremental accuracy are checked in
 ``_Run._split_table``, node support also for the root in ``_Run.run``;
 similar support in ``_Run._similar_skip``, and the
 remaining-evaluations bound is summed in ``_Run._record_trace`` with

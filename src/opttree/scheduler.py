@@ -24,21 +24,24 @@ lower bound and the remaining-evaluations bound) depends on a tree only
 through that pair, so a trace record costs time in the number of distinct
 buckets, not in the number of queued trees.
 
-The search keeps every queued entry live: when its incumbent improves it
-drops the entries that can no longer beat it all at once (``retain``), so
-a pop needs no gate and the buckets hold live entries only.
+The search keeps every queued entry live: it queues only live children,
+and when its incumbent improves it drops the entries that can no longer
+beat it all at once (``retain``), so a pop needs no gate and the buckets
+hold live entries only.  A push counts its batch into the buckets, and
+a purge filters and recounts the queue, in C-level passes.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import Counter
+# the C helper behind Counter.update: counts an iterable into a dict
+from collections import _count_elements
 from enum import Enum
 from fractions import Fraction
 from itertools import compress
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .dataset import Dataset
 from .tree import B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE
@@ -113,6 +116,7 @@ class SearchQueue:
     """
 
     _bucket = staticmethod(itemgetter(B_S, N_LEAVES))
+    _entry = staticmethod(itemgetter(2))  # of a heap item
 
     def __init__(self, policy: Policy, ds: Dataset):
         self._key = _KEYS[policy]  # chosen once for the queue
@@ -122,16 +126,16 @@ class SearchQueue:
         self.max_size = 0
         self._pushes = 0
 
-    def push(self, entries: Iterable[tuple]) -> None:
+    def push(self, entries: Sequence[tuple]) -> None:
         """Queue a batch of entries: one expansion's live children."""
-        key, n, heap, buckets = self._key, self._n, self._heap, self.buckets
-        pushes, bucket_of = self._pushes, self._bucket
+        if not entries:  # about half the pushes of a certifying search
+            return
+        key, n, heap, pushes = self._key, self._n, self._heap, self._pushes
         for entry in entries:
             pushes += 1
             heapq.heappush(heap, (key(entry, n), pushes, entry))
-            bucket = bucket_of(entry)
-            buckets[bucket] = buckets.get(bucket, 0) + 1
         self._pushes = pushes
+        _count_elements(self.buckets, map(self._bucket, entries))
         if len(heap) > self.max_size:
             self.max_size = len(heap)
 
@@ -153,14 +157,15 @@ class SearchQueue:
                 return entry
         return None
 
-    def retain(self, keep: Callable[[list[tuple]], list[bool]]) -> int:
+    def retain(self, keep: Callable[[Iterable[tuple]], list[bool]]) -> int:
         """Keep only the queued entries that ``keep``, given all of them in
-        one list, flags true; returns how many were dropped.  Those kept
+        one pass, flags true; returns how many were dropped.  Those kept
         pop in the same order as before."""
-        heap = self._heap
-        self._heap = kept = list(compress(heap, keep([e for _, _, e in heap])))
+        heap, entry = self._heap, self._entry
+        self._heap = kept = list(compress(heap, keep(map(entry, heap))))
         heapq.heapify(kept)
-        self.buckets = Counter(self._bucket(e) for _, _, e in kept)
+        self.buckets = {}
+        _count_elements(self.buckets, map(self._bucket, map(entry, kept)))
         return len(heap) - len(kept)
 
     def __len__(self) -> int:

@@ -25,23 +25,23 @@ A child is its price until it is expanded.  Every child of an expansion
 starts from one base, the parent's sums less the split leaf plus the new
 leaf penalty, and adds what its two new leaves bring under their flags.
 A price at or above the incumbent is dropped there; every other child is
-evaluated and becomes one queue entry, its sums and what builds it (the
-parent, the two new leaves and their flags; see ``tree.B_S``), the
-only record of a tree not yet expanded, the incumbent's included
-(``best_entry``).  The run's one liveness gate (``_Run._live``), which
-judges a batch of entries without a call per entry, alone decides which
-children are queued.  The incumbent only falls, so an entry that fails
-the gate fails it for good: after an expansion that lowers the
-incumbent, and before its children are queued, the run drops every
-queued entry that now fails it (``SearchQueue.retain``).  So every
-queued entry is live, and a popped one is expanded unchecked.  A tree is
-built from its entry (``tree.build_tree``) only when the entry is
-expanded and once for the tree the fit returns, so the work per child is
-a few integer sums and a heap push, whatever the queue or the tree.  A
-built tree's two leaf tuples stay in canonical (leaf-key) order by
+evaluated and gated where it is priced, against the run's one live limit
+(``_Run.live_limit_s``).  Only a live child becomes a queue entry, its
+sums and what builds it (the parent, the two new leaves and their flags;
+see ``tree.B_S``), the only record of a tree not yet expanded, the
+incumbent's included (``best_entry``).  The incumbent only falls, so an
+entry that fails the gate fails it for good: an expansion that lowers
+the incumbent gates the children it kept once more, and the run drops
+every queued entry that now fails the gate (``SearchQueue.retain``),
+each in one batch (``_Run._live``).  So every queued entry is live, and
+a popped one is expanded unchecked.  A tree is built from its entry
+(``tree.build_tree``) only when the entry is expanded and once for the
+tree the fit returns, so the work per child is a few integer sums and,
+if it is live, a heap push, whatever the queue or the tree.  A built
+tree's two leaf tuples stay in canonical (leaf-key) order by
 construction: each new leaf is inserted into one of them with
-``bisect``, and a new clause into its leaf's feature-ordered clauses, so
-nothing in the loop sorts.  Child
+``bisect``, and a split table puts each new clause in its place among
+its leaf's feature-ordered clauses, so nothing in the loop sorts.  Child
 leaves are interned, so the permutation cache keys a tree on the two
 tuples it already holds (see ``caches``).  A trace record reads the
 queue's least bound and sums the remaining-evaluations bound over its
@@ -79,7 +79,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
-from typing import Optional
+from typing import Iterable, Optional
 
 from .bounds import (BoundToggles, cumulative_perm, floor_log10,
                      validate_lam)
@@ -89,8 +89,8 @@ from .dataset import (Dataset, EquivalenceIndex, and_literal,
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
-from .tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Leaf,
-                   TreeState, and_clauses, as_entry, build_tree, child_keys,
+from .tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Clause,
+                   Leaf, TreeState, and_clauses, as_entry, build_tree,
                    make_child_leaf, penalized_leaves, root_tree,
                    sort_leaves)  # noqa: F401
 
@@ -223,17 +223,26 @@ class _Run:
         self.split_tables: dict[Leaf, list] = {}
         # lookahead: a tree's children pay at least one more leaf penalty
         self.margin_s = self.lam_s if self.toggles.lookahead else 0
+        # each feature's negative and positive literal as a key, made once
+        # for every split table of the run
+        self.literals = [((Clause(f, False),), (Clause(f, True),))
+                         for f in range(ds.n_features)]
 
     # -- gates ------------------------------------------------------------
 
-    def _live(self, entries: list[tuple]) -> list[bool]:
-        """The run's one test that queue entries may still lead to an
-        improvement and belong in the queue, one flag per entry: its
-        bound, plus the lookahead margin and (when that bound is on) its
-        equivalent-points floor, is below the incumbent.  The margin and
-        the floor are never negative, so this implies the hierarchical
-        bound."""
-        limit_s = self.best_s - self.margin_s
+    @property
+    def live_limit_s(self) -> int:
+        """An entry may still lead to an improvement and belongs in the
+        queue, is live, when its bound plus (when that bound is on) its
+        equivalent-points floor is below this: the incumbent less the
+        lookahead margin.  The margin and the floor are never negative, so
+        this implies the hierarchical bound."""
+        return self.best_s - self.margin_s
+
+    def _live(self, entries: Iterable[tuple]) -> list[bool]:
+        """One liveness flag per entry, judged as ``expand`` judges each
+        child it prices."""
+        limit_s = self.live_limit_s
         if self.toggles.equivalent_points:
             return [e[B_S] + e[B0_S] < limit_s for e in entries]
         return [e[B_S] < limit_s for e in entries]
@@ -254,7 +263,7 @@ class _Run:
 
     def expand(self, entry: tuple) -> list[tuple]:
         """Build the tree of a popped entry, split its first leaf to split,
-        and price and filter the children.
+        and price and gate each child in turn.
 
         Returns the queue entries of the live children, or none when the
         permutation cache has seen the tree; updates the incumbent as a
@@ -288,7 +297,12 @@ class _Run:
         base_r_s = entry[R_S] + penalty_s - q * leaf.mistakes
         base_b0_s = entry[B0_S] - q * leaf.b0_count
         base_capture = entry[UNCHANGED_CAPTURE]
-        best_s = self.best_s
+        best_s = incumbent_s = self.best_s
+        limit_s = self.live_limit_s
+        floors = self.toggles.equivalent_points
+        # children priced in, added to the run's count before each new
+        # incumbent reads it and at the end
+        evaluated = 0
         similar_support = self.toggles.similar_support
         if similar_support:
             capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
@@ -310,7 +324,7 @@ class _Run:
                 floor_s = base_b_s + min((0 if s1 else m1) + (0 if s2 else m2)
                                          for s1, s2 in flag_pairs)
                 if floor_s >= best_s:
-                    if self.toggles.equivalent_points:
+                    if floors:
                         floor_s = base_b_s + base_b0_s + min(
                             (z1 if s1 else m1) + (z2 if s2 else m2)
                             for s1, s2 in flag_pairs)
@@ -323,22 +337,31 @@ class _Run:
                 # of it is made
                 if b_s >= best_s:
                     continue
-                stats.trees_evaluated += 1
-                child = (
-                    b_s, base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0),
-                    r_s, base_capture + (0 if s1 else c1.n_captured)
-                    + (0 if s2 else c2.n_captured),
-                    n_leaves, tree, c1, c2, s1, s2)
-                if r_s < best_s:
-                    self._set_best(child)
-                    best_s = self.best_s
-                out.append(child)
-        # the incumbent only improves, so one gate at the end keeps exactly
-        # the children that every earlier gate would have kept.  It also
-        # drops every child with no leaf to split: its leaves are all
-        # unchanged, its objective equals its bound, and the incumbent is
-        # as good
-        return list(compress(out, self._live(out)))
+                evaluated += 1
+                b0_s = base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0)
+                # the liveness gate, against the limit as it stands
+                live = (b_s + b0_s if floors else b_s) < limit_s
+                if live or r_s < best_s:
+                    child = (b_s, b0_s, r_s, base_capture
+                             + (0 if s1 else c1.n_captured)
+                             + (0 if s2 else c2.n_captured),
+                             n_leaves, tree, c1, c2, s1, s2)
+                    if r_s < best_s:
+                        stats.trees_evaluated += evaluated
+                        evaluated = 0
+                        self._set_best(child)
+                        best_s, limit_s = self.best_s, self.live_limit_s
+                    if live:
+                        out.append(child)
+        stats.trees_evaluated += evaluated
+        # the incumbent only falls, so a child the gate dropped stays
+        # dropped; the children kept before it fell, the new incumbent
+        # among them, are gated again.  That drops every child with no
+        # leaf to split: its objective equals its bound, so it became the
+        # incumbent
+        if best_s < incumbent_s:
+            return list(compress(out, self._live(out)))
+        return out
 
     def _split_table(self, leaf: Leaf) -> list:
         """The feasible splits of ``leaf``, kept as its table.
@@ -354,33 +377,41 @@ class _Run:
         ``max_cache_entries`` one expansion can take it.  The leaf's
         capture, from which the negative children are made, is not kept.
         """
-        capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
-        used = {c.feature for c in leaf.clauses}
+        eq, intern, clauses = self.eq, self.leaf_cache.intern, leaf.clauses
+        capture = and_clauses(eq, eq.all_classes, clauses)
+        n_captured, n_ones, n_correct, b0_count = (
+            leaf.n_captured, leaf.n_ones, leaf.n_correct, leaf.b0_count)
         q, lam_s, support_s = self.q, self.lam_s, self.support_s
+        leaf_accuracy, incremental_accuracy = (
+            self.toggles.leaf_accuracy, self.toggles.incremental_accuracy)
         splits = []
-        for f in range(self.ds.n_features):
-            if f in used:
+        # the clauses are in feature order: clauses[:i] are on features
+        # below f, and clauses[i] is on f when the leaf uses it
+        i = 0
+        for f, (negative, positive) in enumerate(self.literals):
+            if i < len(clauses) and clauses[i].feature == f:
+                i += 1
                 continue
-            k1, k2 = child_keys(leaf, f)
-            c1 = self.leaf_cache.intern(k1, make_child_leaf, k1, capture,
-                                        f, self.eq)
+            # the leaf's key with each literal on f in its place
+            head, tail = clauses[:i], clauses[i:]
+            k1, k2 = head + negative + tail, head + positive + tail
+            c1 = intern(k1, make_child_leaf, k1, capture, f, eq)
             # the leaf's counts minus c1's
-            c2 = self.leaf_cache.intern(
-                k2, Leaf, k2, leaf.n_captured - c1.n_captured,
-                leaf.n_ones - c1.n_ones, leaf.b0_count - c1.b0_count)
+            c2 = intern(k2, Leaf, k2, n_captured - c1.n_captured,
+                        n_ones - c1.n_ones, b0_count - c1.b0_count)
             # a split capturing nothing (or everything) on one side can
             # never help
             if c1.n_captured == 0 or c2.n_captured == 0:
                 continue
             # leaf accuracy: every leaf of an optimal tree classifies at
             # least lam*N samples correctly
-            if self.toggles.leaf_accuracy and (
+            if leaf_accuracy and (
                     q * c1.n_correct < lam_s or q * c2.n_correct < lam_s):
                 continue
             # incremental accuracy: a split gaining less than lam may not
             # leave both children unchanged
-            must_split = self.toggles.incremental_accuracy and q * (
-                c1.n_correct + c2.n_correct - leaf.n_correct) < lam_s
+            must_split = incremental_accuracy and q * (
+                c1.n_correct + c2.n_correct - n_correct) < lam_s
             flags = _FLAG_PAIRS[q * c1.n_captured >= support_s,
                                 q * c2.n_captured >= support_s, must_split]
             if flags:
@@ -462,14 +493,19 @@ class _Run:
         # remaining-evaluations bound: a queued tree with lower bound b and
         # L leaves may still add up to f = floor((best - b) / lam) of the
         # 3^M - L unused leaves, in any order.  Both terms depend on the
-        # tree only through (b_s, L), so the sum runs over the queue's
-        # buckets of that pair.  Every queued tree is live: b < best
+        # tree only through (L, f), so the buckets' counts are summed per
+        # pair and the sum runs over those.  Every queued tree is live:
+        # b < best
+        best_s, lam_s = self.best_s, self.lam_s
+        per_pair: dict[tuple[int, int], int] = {}
+        for (b_s, n_leaves), count in buckets.items():
+            pair = (n_leaves, (best_s - b_s) // lam_s)
+            per_pair[pair] = per_pair.get(pair, 0) + count
         remaining = 0
         pool = 3 ** self.ds.n_features
-        for (b_s, n_leaves), count in buckets.items():
+        for (n_leaves, f), count in per_pair.items():
             slots = pool - n_leaves
-            f = min((self.best_s - b_s) // self.lam_s, slots)
-            remaining += count * cumulative_perm(slots, f)
+            remaining += count * cumulative_perm(slots, min(f, slots))
         scale = self.n * self.q
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,

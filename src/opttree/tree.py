@@ -34,7 +34,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 from typing import NamedTuple, Sequence
 
@@ -48,7 +47,6 @@ class Clause(NamedTuple):
 
 LeafKey = tuple[Clause, ...]  # clauses sorted by feature index
 
-_feature = attrgetter("feature")
 _clauses = attrgetter("clauses")
 
 
@@ -124,28 +122,12 @@ def make_leaf(clauses: Sequence[Clause], eq: EquivalenceIndex) -> Leaf:
     return _counted(key, and_clauses(eq, eq.all_classes, key), eq)
 
 
-@lru_cache(maxsize=None)
-def _literals(feature: int) -> tuple[LeafKey, LeafKey]:
-    """A feature's negative and positive literal, each as a key."""
-    return (Clause(feature, False),), (Clause(feature, True),)
-
-
-def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
-    """Keys of ``leaf`` extended by the negative and by the positive
-    literal on a feature it does not use: one bisect finds the clause's
-    place in the feature order for both literals, each made once."""
-    clauses = leaf.clauses
-    i = bisect_left(clauses, feature, key=_feature)
-    head, tail = clauses[:i], clauses[i:]
-    negative, positive = _literals(feature)
-    return head + negative + tail, head + positive + tail
-
-
 def make_child_leaf(key: LeafKey, parent_capture: int, feature: int,
                     eq: EquivalenceIndex) -> Leaf:
-    """The leaf ``key``, the first of ``child_keys(parent, feature)``:
-    ``parent_capture``, the parent's row classes, ANDed with the negative
-    literal's class column, of which the leaf keeps only the counts."""
+    """The leaf ``key``, its parent's key with the negative literal on
+    ``feature`` added: ``parent_capture``, the parent's row classes, ANDed
+    with that literal's class column, of which the leaf keeps only the
+    counts."""
     return _counted(key, and_literal(eq, parent_capture, feature, False),
                     eq)
 

@@ -7,8 +7,12 @@ import pytest
 
 from opttree.dataset import Dataset, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (B_S, TreeState, as_entry, build_tree, root_tree,
+from opttree.tree import (B0_S, B_S, R_S, Clause, Leaf, LeafKey, TreeState,
+                          as_entry, build_tree, canonical_clauses, root_tree,
                           sort_leaves)
+
+# the library's expansion, whatever a test later patches in its place
+_EXPAND = _Run.expand
 
 
 def bits(cells) -> int:
@@ -47,6 +51,13 @@ def random_dataset(rng: random.Random, n: int, m: int,
     return from_rows([f"f{j}" for j in range(m)], rows, labels)
 
 
+def child_keys(leaf: Leaf, feature: int) -> tuple[LeafKey, LeafKey]:
+    """The keys of ``leaf`` extended by the negative and by the positive
+    literal on ``feature``, sorted from scratch."""
+    return tuple(canonical_clauses(leaf.clauses + (Clause(feature, p),))
+                 for p in (False, True))
+
+
 def make_tree(ds: Dataset, unchanged=(), split=()) -> TreeState:
     """A tree of the given unchanged leaves and leaves to split, each put
     in canonical order."""
@@ -68,6 +79,61 @@ def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     return run.expand(as_entry(tree, config.lam))
+
+
+def expand_priced(run: _Run, entry: tuple) -> tuple[list, list]:
+    """Expand ``entry`` in ``run``; return every child the expansion
+    priced in, in order, and the entries ``expand`` returned.
+
+    The priced children are found apart from the expansion: a walk of the
+    split table of the leaf it split, skipping each split that similar
+    support skipped, builds every child and sums it from scratch
+    (``as_entry``); a child is priced in when its bound is below the
+    incumbent, which a priced child of lower objective replaces.  Each is
+    returned as an entry in the shape ``expand`` queues: those sums, then
+    the parent and the split.  Checks that ``expand`` returned exactly the
+    priced children live under the final incumbent, in order, written out
+    here rather than asked of the run's gate; that ``trees_evaluated``
+    grew by the number priced; and that the run's incumbent is the
+    walk's."""
+    stats = run.stats
+    best_s, evaluated = run.best_s, stats.trees_evaluated
+    duplicates = stats.duplicates_skipped
+    skipped, skip = [], run._similar_skip
+
+    def recording(*args):
+        skipped.append(skip(*args))
+        return skipped[-1]
+    run._similar_skip = recording
+    try:
+        out = _EXPAND(run, entry)
+    finally:
+        del run._similar_skip
+    if stats.duplicates_skipped > duplicates:
+        assert out == [] and stats.trees_evaluated == evaluated
+        return [], out
+    parent = build_tree(entry)
+    toggles = run.toggles
+    skipped = iter(skipped)
+    priced = []
+    for f, c1, c2, flag_pairs in run.split_tables[parent.split[0]]:
+        if toggles.similar_support and next(skipped):
+            continue
+        for s1, s2 in flag_pairs:
+            split = (parent, c1, c2, s1, s2)
+            sums = as_entry(build_tree((None,) * 5 + split), run.lam)[:5]
+            if sums[B_S] < best_s:
+                priced.append(sums + split)
+                best_s = min(best_s, sums[R_S])
+    margin_s = run.lam_s if toggles.lookahead else 0
+    live = [e for e in priced if e[B_S] + margin_s + (
+        e[B0_S] if toggles.equivalent_points else 0) < best_s]
+    # an entry's parent is the tree the expansion built from ``entry``
+    assert all(e[5] is out[0][5] for e in out)
+    assert [e[:5] + e[6:] for e in out] == [e[:5] + e[6:] for e in live]
+    assert stats.trees_evaluated - evaluated == len(priced)
+    assert run.best_s == best_s
+    return priced, out
 
 
 def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,

@@ -18,9 +18,8 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, as_entry,
-                          build_tree, child_keys,
-                          make_child_leaf, make_leaf, root_tree)
-from tests.conftest import expand, lower_bound, random_dataset
+                          build_tree, make_child_leaf, make_leaf, root_tree)
+from tests.conftest import child_keys, expand, lower_bound, random_dataset
 
 
 def _run_at(ds, lam, best, **toggles):

@@ -23,8 +23,8 @@ from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, UNCHANGED_CAPTURE, Leaf,
-                          and_clauses, as_entry, build_tree, child_keys)
-from tests.conftest import bits, random_dataset
+                          and_clauses, as_entry, build_tree)
+from tests.conftest import bits, child_keys, expand_priced, random_dataset
 
 TOGGLE_SETS = (
     BoundToggles(),
@@ -53,27 +53,18 @@ def _entry_sums(entry):
 
 
 def test_derived_children_match_a_from_scratch_sum(monkeypatch):
-    # every child an expansion prices in passes its final liveness filter
-    # once; record them there and build each one here
-    expand = _Run.expand
+    # every child an expansion prices in, found apart from it by
+    # ``expand_priced`` from its split table and summed from scratch; the
+    # live ones are exactly those ``expand`` returned, with those sums
     priced = []
     returned = closed = 0
 
     def checking_expand(run, parent_entry):
         nonlocal returned, closed
-        gate, seen = run._live, []
-
-        def recording(entries):
-            seen.extend(entries)
-            return gate(entries)
-        run._live = recording
-        evaluated, best_before = run.stats.trees_evaluated, run.best_s
-        try:
-            out = expand(run, parent_entry)
-        finally:
-            run._live = gate
-        assert run.stats.trees_evaluated - evaluated == len(seen)
-        kept = {id(e) for e in out}
+        best_before = run.best_s
+        seen, out = expand_priced(run, parent_entry)
+        # each returned entry by its split, which no other child shares
+        kept = {e[6:]: e for e in out}
         parent = build_tree(parent_entry)
         # a child is returned iff it is live, and only the liveness gate
         # drops children that have no leaf to split: none of them is live
@@ -82,9 +73,11 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
             # above the incumbent, which only falls during the expansion
             assert entry[B_S] < best_before
             child = build_tree(entry)
-            (live,) = gate([entry])
-            assert (id(entry) in kept) == live
+            (live,) = run._live([entry])
+            assert (entry[6:] in kept) == live
             assert child.split or not live
+            # a returned child is checked with the sums it was priced with
+            entry = kept.get(entry[6:], entry)
             returned += live
             closed += not child.split
             priced.append((parent, child, entry))
@@ -127,6 +120,59 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     assert must_split > 1000 and returned > 10000
     assert both_unchanged > 1000
     assert closed > 100
+
+
+def test_the_gate_at_pricing_agrees_with_the_batch_gate(monkeypatch):
+    # each priced child is kept or dropped where it is priced, under the
+    # incumbent of that moment, as ``_live`` judges it under that
+    # incumbent; an expansion that lowers the incumbent hands the children
+    # it kept to ``_live`` once more, and returns those live at its end
+    checked = lowered = partway = 0
+
+    def checking_expand(run, parent_entry):
+        nonlocal checked, lowered, partway
+        best_before, gate, rechecked = run.best_s, run._live, []
+
+        def recording(entries):
+            rechecked.append(list(entries))
+            return gate(rechecked[-1])
+        run._live = recording
+        try:
+            priced, out = expand_priced(run, parent_entry)
+        finally:
+            run._live = gate
+        best_after, kept, best = run.best_s, [], best_before
+        for entry in priced:
+            run.best_s = best
+            (live,) = gate([entry])
+            if live:
+                kept.append(entry[6:])
+            best = min(best, entry[R_S])
+            checked += 1
+        run.best_s = best_after
+        if best_after < best_before:
+            lowered += 1
+            # a child was priced after the first new incumbent
+            first = next(i for i, e in enumerate(priced)
+                         if e[R_S] < best_before)
+            partway += first < len(priced) - 1
+            (inline,) = rechecked
+            assert [e[6:] for e in inline] == kept
+        else:
+            assert rechecked == [] and [e[6:] for e in out] == kept
+        return out
+
+    monkeypatch.setattr(_Run, "expand", checking_expand)
+    rng = random.Random(29)
+    for _ in range(6):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=rng.choice((0.0, 0.3)))
+        lam = Fraction(1, rng.choice((20, 30, 50)))
+        for policy in Policy:
+            for toggles in TOGGLES_ONE_OFF:
+                _Run(ds, SearchConfig(lam=lam, policy=policy,
+                                      toggles=toggles, max_trees=300)).run()
+    assert checked > 20000 and lowered > 100 and partway > 100
 
 
 def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
@@ -205,12 +251,17 @@ def test_split_tables_hold_only_splits():
             assert {id(l) for l in run.split_tables} \
                 == {id(l) for l in split}
             # a table is the list of its leaf's splits: the feature, the
-            # interned children on it and their flag pairs, no capture
+            # interned children on it and their flag pairs, no capture.
+            # Each literal is made once per run, for every table
+            literals = {}
             for leaf, table in run.split_tables.items():
                 assert type(table) is list
                 for f, c1, c2, flag_pairs in table:
                     assert type(c1) is Leaf and type(c2) is Leaf
                     assert (c1.key, c2.key) == child_keys(leaf, f)
+                    for child in (c1, c2):
+                        (new,) = set(child.key) - set(leaf.key)
+                        assert literals.setdefault(new, new) is new
                     assert flag_pairs and all(
                         type(s) is bool for pair in flag_pairs for s in pair)
             for leaf in leaves:

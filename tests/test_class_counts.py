@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from opttree.dataset import and_literal, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (Clause, and_clauses, child_keys, make_child_leaf,
-                          make_leaf)
+from opttree.tree import Clause, and_clauses, make_child_leaf, make_leaf
+from tests.conftest import child_keys
 
 # rows drawn from a pool of at most 6, so classes hold many samples
 data = st.integers(1, 6).flatmap(lambda m: st.tuples(

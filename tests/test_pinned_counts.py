@@ -6,20 +6,37 @@ seeded datasets under each policy, with each optional bound switched off
 and with similar support on.  A change that means to alter the search
 order re-records the file and says so: from the repository root,
 ``PYTHONPATH=src python -m tests.test_pinned_counts`` prints it.
+
+The benchmark's own search is pinned as well: instance 0 of each
+``perfbench`` workload at seed 1, generated by its ``workloads.py`` and
+fitted as the benchmark fits it.
 """
 
+import importlib.util
 import json
 import random
-from dataclasses import fields
+import sys
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
+from opttree import load_csv
 from opttree.bounds import BoundToggles
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, fit
 from tests.conftest import random_dataset
 
 PINNED = Path(__file__).with_name("pinned_counts.json")
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+# trees_evaluated, leaf_cache_hits, max_queue_size, objective and gap of
+# each benchmark workload's instance 0 at seed 1
+BENCHMARK_FITS = {
+    "certify-planted": [7717, 594, 6037, "23/125", "0"],
+    "wide-samples": [7284, 581, 6120, "2253/12500", "0"],
+    "anytime-budget": [10036, 1546, 9918, "153/500", "69/250"],
+}
 LAMBDAS = (Fraction(1, 50), Fraction(1, 25), Fraction(1, 12))
 COUNTS = ("trees_evaluated", "trees_to_optimum", "expansions",
           "duplicates_skipped", "max_queue_size", "leaf_cache_hits")
@@ -63,6 +80,31 @@ def test_counts_match_the_recorded_ones():
     differing = {key: (got[key], want[key]) for key in want
                  if got[key] != want[key]}
     assert differing == {}, f"{len(differing)} fits differ"
+
+
+def _workloads():
+    """The benchmark's workload module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # a dataclass looks its module up while it is defined
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_FITS))
+def test_benchmark_fits_match_the_recorded_ones(name, tmp_path):
+    workloads = _workloads()
+    wl = workloads.WORKLOADS[name]
+    # instance 0's files do not depend on how many instances a run has
+    (inst,) = workloads.generate(replace(wl, instances=1), 1, tmp_path)
+    with open(inst.train, newline="", encoding="utf-8") as fh:
+        ds = load_csv(fh, workloads.LABEL)
+    result = fit(ds, SearchConfig(lam=wl.lam, max_trees=wl.max_trees))
+    s = result.stats
+    assert [s.trees_evaluated, s.leaf_cache_hits, s.max_queue_size,
+            str(result.objective), str(result.gap)] == BENCHMARK_FITS[name]
 
 
 if __name__ == "__main__":

@@ -179,6 +179,33 @@ def test_retain_keeps_the_pop_order_and_recounts_the_buckets(ds):
         assert [id(e) for e in iter(q.pop, None)] == want
 
 
+def test_buckets_count_the_queued_entries(ds):
+    # after every push, pop (with and without a gate that discards) and
+    # retain, the buckets hold each queued (b_s, leaf count) pair with its
+    # count, as plain ints, and no pair without an entry
+    rng = random.Random(26)
+    ops = Counter()
+    for _ in range(100):
+        q = SearchQueue(rng.choice(list(Policy)[:5]), ds)
+        for _ in range(rng.randint(1, 40)):
+            op = rng.choice(("push", "push", "pop", "gated pop", "retain"))
+            if op == "push":
+                q.push([(rng.randint(0, 5), 0, rng.randint(0, 5), 1,
+                         rng.randint(1, 3))
+                        for _ in range(rng.choice((0, 1, 2, 5, 20)))])
+            elif op == "pop":
+                q.pop()
+            elif op == "gated pop":
+                q.pop(lambda e: rng.random() < 0.3)
+            else:
+                q.retain(lambda es: [rng.random() < 0.7 for _ in es])
+            ops[op] += 1
+            want = Counter((e[B_S], e[N_LEAVES]) for e in q.trees())
+            assert dict(q.buckets) == dict(want)
+            assert all(type(n) is int and n > 0 for n in q.buckets.values())
+    assert min(ops.values()) > 200
+
+
 def test_queue_max_size_and_min_bound(ds):
     q = SearchQueue(Policy.BFS, ds)
     a = as_entry(_split_tree(ds, (False, True)), LAM)

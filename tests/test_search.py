@@ -17,8 +17,8 @@ from opttree import search
 from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B0_S, B_S, Clause, as_entry, build_tree, objective,
                           root_tree)
-from tests.conftest import (expand, expanded_trees, lower_bound,
-                            random_dataset)
+from tests.conftest import (expand, expand_priced, expanded_trees,
+                            lower_bound, random_dataset)
 
 
 def _flags(tree):
@@ -298,19 +298,14 @@ def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
 
 def _priced_children(ds, config, tree, best):
     """Every child that one expansion of ``tree`` prices in below the
-    incumbent ``best``, built from its queue entry: the expansion's final
-    liveness filter sees each of them once."""
+    incumbent ``best``, built from its entry: ``expand_priced`` finds them
+    apart from the expansion, from its split table."""
     run = _Run(ds, config)
     run.best_s = math.ceil(best * run.n * run.q)
-    gate, priced = run._live, []
-
-    def recording(entries):
-        priced.extend(entries)
-        return gate(entries)
-    run._live = recording
-    live = run.expand(as_entry(tree, config.lam))
+    priced, live = expand_priced(run, as_entry(tree, config.lam))
     assert run.stats.trees_evaluated == len(priced)
-    assert live == [e for e in priced if gate([e])[0]]
+    assert [e[6:] for e in live] \
+        == [e[6:] for e in priced if run._live([e])[0]]
     return [build_tree(e) for e in priced]
 
 

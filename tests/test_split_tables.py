@@ -18,8 +18,8 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (N_LEAVES, Clause, TreeState, as_entry, build_tree,
-                          child_keys, make_leaf, root_tree)
-from tests.conftest import random_dataset
+                          make_leaf, root_tree)
+from tests.conftest import child_keys, expand_priced, random_dataset
 
 TOGGLE_SETS = (
     BoundToggles(),
@@ -138,14 +138,11 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     built = []
 
     def children(root, ds, eq, config):
-        # every child the expansion prices in below an incumbent of 1
-        # passes its final liveness filter once: record it there
+        # every child the expansion prices in below an incumbent of 1,
+        # found from its split table by ``expand_priced``
         run = _Run(ds, config, eq)
         run.best_s = run.q * run.n
-        gate = run._live
-        built.clear()
-        run._live = lambda entries: built.extend(entries) or gate(entries)
-        run.expand(as_entry(root, config.lam))
+        built[:] = expand_priced(run, as_entry(root, config.lam))[0]
         trees = map(build_tree, built)
         # each child's leaf keys, the keys of its leaves to split, and the
         # sums its entry holds
