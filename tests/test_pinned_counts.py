@@ -2,9 +2,10 @@
 
 A change to the search that means to keep its order must leave every
 count of every fit here as recorded in ``pinned_counts.json``: small
-seeded datasets under each policy, with each optional bound switched off
-and with similar support on.  A change that means to alter the search
-order re-records the file and says so: from the repository root,
+seeded datasets under each policy, with each optional bound switched
+off, with similar support on, with every threshold bound off at once
+and under a cache limit.  A change that means to alter the search order
+re-records the file and says so: from the repository root,
 ``PYTHONPATH=src python -m tests.test_pinned_counts`` prints it.
 
 The benchmark's own search is pinned as well: instance 0 of each
@@ -39,7 +40,9 @@ BENCHMARK_FITS = {
 }
 LAMBDAS = (Fraction(1, 50), Fraction(1, 25), Fraction(1, 12))
 COUNTS = ("trees_evaluated", "trees_to_optimum", "expansions",
-          "duplicates_skipped", "max_queue_size", "leaf_cache_hits")
+          "duplicates_skipped", "max_queue_size", "leaf_cache_hits",
+          "queue_purged", "leaf_cache_size", "tree_cache_size",
+          "tree_cache_purged", "similar_support_skips", "split_tables")
 
 
 def _datasets():
@@ -61,6 +64,13 @@ def _variants():
                 toggles=BoundToggles(**{f.name: False}))
     yield "similar_support=on", dict(
         toggles=BoundToggles(similar_support=True))
+    # every bound that is a threshold of the run, and equivalent points,
+    # off at once: each runs its threshold-0 path
+    yield "thresholds=off", dict(toggles=BoundToggles(
+        lookahead=False, node_support=False, leaf_accuracy=False,
+        incremental_accuracy=False, equivalent_points=False))
+    # a cache limit stops many of these fits, after the stores were purged
+    yield "max_cache_entries=40", dict(max_cache_entries=40)
 
 
 def _all_counts() -> dict:
