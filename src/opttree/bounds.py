@@ -1,15 +1,17 @@
 """Bound switches and the paper's counting results.
 
 The pruning rules run where the search evaluates them, on integers scaled
-by N*q (lam = p/q): the hierarchical lower bound, lookahead and equivalent
-points form the liveness gate (``_Run.live_limit_s``) that ``_Run.expand``
-applies to each child it prices; node support (against
-``_Run.support_s``), leaf accuracy and incremental accuracy are checked in
-``_Run._split_table``, node support also for the root in ``_Run.run``;
-similar support in ``_Run._similar_skip``, and the
-remaining-evaluations bound is summed in ``_Run._record_trace`` with
-``cumulative_perm``.  The leaf-count caps need no check of their own:
-lam*H <= b < best already bounds H.
+by N*q (lam = p/q).  ``_Run.__init__`` alone reads the switches of the
+threshold bounds, each 0 when off, and of equivalent points, which when
+off leaves the run without floors: one path runs for every setting.  The
+hierarchical lower bound, the lookahead margin and the floors form the
+liveness gate (``_Run.live_limit_s``) that ``_Run.expand`` applies to
+each child it prices; node support, leaf accuracy and incremental
+accuracy are checked in ``_Run._split_table``, node support also for
+the root in ``_Run.run``; similar support in ``_Run._similar_skip``,
+and the remaining-evaluations bound is summed in ``_Run._record_trace``
+with ``cumulative_perm``.  The leaf-count caps need no check of their
+own: lam*H <= b < best already bounds H.
 
 What stays here is the one check of lam (``validate_lam``) and counting
 with big integers (a priori leaf cap, total tree evaluations, search-space

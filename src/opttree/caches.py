@@ -23,9 +23,9 @@ queued unbuilt, so the search marks a tree only when it expands a popped
 entry (see ``search``): a tree whose key is already held, a copy that a
 second split order reached, is skipped rather than expanded again.  Its
 size therefore counts expanded trees, not evaluated ones.  It stores each
-tree's scaled lower bound ``b_s`` (units of 1/(N*q) for lam = p/q) and
-purges with integer comparisons against the incumbent's scaled
-objective, exactly as the rational bounds would compare.
+tree's scaled lower bound ``b_s`` (units of 1/(N*q) for lam = p/q), and
+the search purges it, as it purges its queue, against its live limit
+with integer comparisons, exactly as the rational bounds would compare.
 
 Neither cache has a limit of its own.  The search checks the sizes of
 both against ``max_cache_entries`` between expansions, with its other
@@ -82,12 +82,11 @@ class TreeCache:
         self._store[key] = b_s
         return False
 
-    def garbage_collect(self, best_s: int, margin_s: int) -> int:
-        """Drop entries that can no longer produce an improvement
-        (b_s + margin_s >= best_s, all scaled; the search passes its
-        lookahead margin, lam_s or 0).  Returns the number purged."""
-        doomed = [k for k, b_s in self._store.items()
-                  if b_s + margin_s >= best_s]
+    def garbage_collect(self, limit_s: int) -> int:
+        """Drop entries that can no longer produce an improvement, whose
+        scaled bound reaches ``limit_s`` (the search passes its live
+        limit).  Returns the number purged."""
+        doomed = [k for k, b_s in self._store.items() if b_s >= limit_s]
         for k in doomed:
             del self._store[k]
         return len(doomed)

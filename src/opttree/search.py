@@ -31,10 +31,10 @@ sums and what builds it (the parent, the two new leaves and their flags;
 see ``tree.B_S``), the only record of a tree not yet expanded, the
 incumbent's included (``best_entry``).  The incumbent only falls, so an
 entry that fails the gate fails it for good: an expansion that lowers
-the incumbent gates the children it kept once more, and the run drops
-every queued entry that now fails the gate (``SearchQueue.retain``),
-each in one batch (``_Run._live``).  So every queued entry is live, and
-a popped one is expanded unchecked.  A tree is built from its entry
+the incumbent gates its kept children again (``_Run._live``), and one
+block of the run drops each queued entry and stored tree that now fails
+(``SearchQueue.retain``, ``TreeCache.garbage_collect``).  So every
+queued entry is live, and a popped one is expanded unchecked.  A tree is built from its entry
 (``tree.build_tree``) only when the entry is expanded and once for the
 tree the fit returns, so the work per child is a few integer sums and,
 if it is live, a heap push, whatever the queue or the tree.  A built
@@ -51,7 +51,8 @@ all live, so the last record's least bound is the one behind the gap.
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
-them depend only on the leaf, the data, lam and the toggles.  The first
+them depend only on the leaf, the data and the run's thresholds (see
+``bounds``).  The first
 expansion of a leaf works them all out, checking every unused feature,
 before it prices any child, and the run keeps the list of them as the
 leaf's split table (``_Run.split_tables``, by leaf identity); later
@@ -76,7 +77,7 @@ from __future__ import annotations
 
 import gc
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Optional
@@ -200,16 +201,27 @@ class _Run:
         self._t0 = time.perf_counter()
         self.ds = ds
         self.config = config
-        self.eq = eq if eq is not None else build_equivalence_index(ds)
+        toggles = self.toggles = config.toggles
+        eq = eq if eq is not None else build_equivalence_index(ds)
+        # equivalent points off: no leaf of the run has a floor, and the
+        # caller's index stays as it is
+        self.eq = eq if toggles.equivalent_points \
+            else replace(eq, minority_planes=())
         self.lam = config.lam
         self.n = ds.n_samples
         # integer scaling: value v = e/N + lam*H  <->  e*q + H*p*N
         self.q = self.lam.denominator
-        self.lam_s = self.lam.numerator * self.n
-        self.toggles = config.toggles
-        # node support: a leaf holding less than 2*lam of the samples may
-        # never be split (q*n_captured >= support_s keeps it open)
-        self.support_s = 2 * self.lam_s if self.toggles.node_support else 0
+        lam_s = self.lam_s = self.lam.numerator * self.n
+        # bounds that are thresholds, 0 when off, where none fires: a leaf
+        # is split only if q*n_captured >= support_s, 2*lam of the samples
+        # (node support); each child has q*n_correct >= accuracy_s (leaf
+        # accuracy); a split gaining q*gain < gain_s (never negative) keeps
+        # a child to split (incremental accuracy); a tree's children pay at
+        # least one more leaf penalty (lookahead)
+        self.support_s = 2 * lam_s if toggles.node_support else 0
+        self.accuracy_s = lam_s if toggles.leaf_accuracy else 0
+        self.gain_s = lam_s if toggles.incremental_accuracy else 0
+        self.margin_s = lam_s if toggles.lookahead else 0
         self.leaf_cache = LeafCache()
         self.tree_cache = TreeCache()
         self.queue = SearchQueue(config.policy, ds)
@@ -218,11 +230,9 @@ class _Run:
         self.best_s = 0
         self.best_entry: Optional[tuple] = None
         # each split leaf's feasible splits, by leaf identity; kept by the
-        # run, since they depend on its lam and toggles and a leaf may
+        # run, since they depend on its thresholds and a leaf may
         # outlive it
         self.split_tables: dict[Leaf, list] = {}
-        # lookahead: a tree's children pay at least one more leaf penalty
-        self.margin_s = self.lam_s if self.toggles.lookahead else 0
         # each feature's negative and positive literal as a key, made once
         # for every split table of the run
         self.literals = [((Clause(f, False),), (Clause(f, True),))
@@ -232,20 +242,17 @@ class _Run:
 
     @property
     def live_limit_s(self) -> int:
-        """An entry may still lead to an improvement and belongs in the
-        queue, is live, when its bound plus (when that bound is on) its
-        equivalent-points floor is below this: the incumbent less the
-        lookahead margin.  The margin and the floor are never negative, so
-        this implies the hierarchical bound."""
+        """An entry is live, may still lead to an improvement and belongs
+        in the queue, when its bound plus its equivalent-points floor is
+        below this: the incumbent less the lookahead margin, which like the
+        floor is never negative, so this implies the hierarchical bound."""
         return self.best_s - self.margin_s
 
     def _live(self, entries: Iterable[tuple]) -> list[bool]:
         """One liveness flag per entry, judged as ``expand`` judges each
         child it prices."""
         limit_s = self.live_limit_s
-        if self.toggles.equivalent_points:
-            return [e[B_S] + e[B0_S] < limit_s for e in entries]
-        return [e[B_S] < limit_s for e in entries]
+        return [e[B_S] + e[B0_S] < limit_s for e in entries]
 
     # -- best tracking ---------------------------------------------------
 
@@ -256,8 +263,6 @@ class _Run:
         self.best_entry = entry
         self.stats.trees_to_optimum = self.stats.trees_evaluated
         self.stats.time_to_optimum = time.perf_counter() - self._t0
-        self.stats.tree_cache_purged += \
-            self.tree_cache.garbage_collect(self.best_s, self.margin_s)
 
     # -- expansion --------------------------------------------------------
 
@@ -299,7 +304,6 @@ class _Run:
         base_capture = entry[UNCHANGED_CAPTURE]
         best_s = incumbent_s = self.best_s
         limit_s = self.live_limit_s
-        floors = self.toggles.equivalent_points
         # children priced in, added to the run's count before each new
         # incumbent reads it and at the end
         evaluated = 0
@@ -320,15 +324,12 @@ class _Run:
                     continue
                 # the incumbent falls only after this split keeps a child,
                 # so one whose least child bound reaches it keeps none; its
-                # floor adds the equivalent-points floor when that is on
-                floor_s = base_b_s + min((0 if s1 else m1) + (0 if s2 else m2)
-                                         for s1, s2 in flag_pairs)
-                if floor_s >= best_s:
-                    if floors:
-                        floor_s = base_b_s + base_b0_s + min(
-                            (z1 if s1 else m1) + (z2 if s2 else m2)
-                            for s1, s2 in flag_pairs)
-                    rejected_floors.append((floor_s, capture1))
+                # floor adds the equivalent-points floor
+                if base_b_s + min((0 if s1 else m1) + (0 if s2 else m2)
+                                  for s1, s2 in flag_pairs) >= best_s:
+                    rejected_floors.append((base_b_s + base_b0_s + min(
+                        (z1 if s1 else m1) + (z2 if s2 else m2)
+                        for s1, s2 in flag_pairs), capture1))
                     continue
             r_s = base_r_s + m1 + m2
             for s1, s2 in flag_pairs:
@@ -340,7 +341,7 @@ class _Run:
                 evaluated += 1
                 b0_s = base_b0_s + (z1 if s1 else 0) + (z2 if s2 else 0)
                 # the liveness gate, against the limit as it stands
-                live = (b_s + b0_s if floors else b_s) < limit_s
+                live = b_s + b0_s < limit_s
                 if live or r_s < best_s:
                     child = (b_s, b0_s, r_s, base_capture
                              + (0 if s1 else c1.n_captured)
@@ -370,7 +371,7 @@ class _Run:
         on the feature's negative and positive literal and the (s1, s2)
         flags that node support and incremental accuracy allow them; a
         split that allows none is left out.  All of it depends only on the
-        leaf, the data, lam and the toggles, so later expansions of the
+        leaf, the data and the run's thresholds, so later expansions of the
         leaf walk the table.  Every unused feature is checked here, before
         the expansion prices any child.  The table adds at most two leaves
         per unused feature to the leaf cache, which bounds how far past
@@ -381,9 +382,8 @@ class _Run:
         capture = and_clauses(eq, eq.all_classes, clauses)
         n_captured, n_ones, n_correct, b0_count = (
             leaf.n_captured, leaf.n_ones, leaf.n_correct, leaf.b0_count)
-        q, lam_s, support_s = self.q, self.lam_s, self.support_s
-        leaf_accuracy, incremental_accuracy = (
-            self.toggles.leaf_accuracy, self.toggles.incremental_accuracy)
+        q, support_s = self.q, self.support_s
+        accuracy_s, gain_s = self.accuracy_s, self.gain_s
         splits = []
         # the clauses are in feature order: clauses[:i] are on features
         # below f, and clauses[i] is on f when the leaf uses it
@@ -403,15 +403,10 @@ class _Run:
             # never help
             if c1.n_captured == 0 or c2.n_captured == 0:
                 continue
-            # leaf accuracy: every leaf of an optimal tree classifies at
-            # least lam*N samples correctly
-            if leaf_accuracy and (
-                    q * c1.n_correct < lam_s or q * c2.n_correct < lam_s):
+            if q * c1.n_correct < accuracy_s or q * c2.n_correct < accuracy_s:
                 continue
-            # incremental accuracy: a split gaining less than lam may not
-            # leave both children unchanged
-            must_split = incremental_accuracy and q * (
-                c1.n_correct + c2.n_correct - n_correct) < lam_s
+            must_split = q * (c1.n_correct + c2.n_correct
+                              - n_correct) < gain_s
             flags = _FLAG_PAIRS[q * c1.n_captured >= support_s,
                                 q * c2.n_captured >= support_s, must_split]
             if flags:
@@ -458,10 +453,13 @@ class _Run:
                 break
             best_s = self.best_s
             children = self.expand(entry)
-            # keep the queue all live: a new incumbent ends every queued
-            # tree that it makes hopeless, in one pass
+            # a new incumbent ends every queued tree that it makes
+            # hopeless, and every stored one, each in one pass: the queue
+            # stays all live
             if self.best_s < best_s:
                 self.stats.queue_purged += self.queue.retain(self._live)
+                self.stats.tree_cache_purged += \
+                    self.tree_cache.garbage_collect(self.live_limit_s)
             self.queue.push(children)
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval

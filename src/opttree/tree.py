@@ -66,8 +66,9 @@ class Leaf:
     capture, the set of row classes it holds.  It keeps neither that
     capture nor anything of a search: whether it may be split, its
     capture and its feasible splits are the run's, which knows the leaf
-    penalty and the toggles (see ``search``).  Immutable, and shared by
-    every tree of a search that holds it.
+    penalty and the toggles (see ``search``): with equivalent points off
+    its floor ``b0_count`` is 0.  Immutable, and shared by every tree of
+    a search that holds it.
     """
 
     __slots__ = ("clauses", "n_captured", "n_ones", "n_correct",

@@ -8,8 +8,8 @@ import pytest
 from opttree.dataset import Dataset, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (B0_S, B_S, R_S, Clause, Leaf, LeafKey, TreeState,
-                          as_entry, build_tree, canonical_clauses, root_tree,
-                          sort_leaves)
+                          as_entry, build_tree, canonical_clauses, make_leaf,
+                          root_tree, sort_leaves)
 
 # the library's expansion, whatever a test later patches in its place
 _EXPAND = _Run.expand
@@ -74,10 +74,18 @@ def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
 def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
            best: Fraction) -> list[tuple]:
     """One expansion of ``tree`` against incumbent ``best``: the queue
-    entries of its live children, whose trees ``build_tree`` makes."""
+    entries of its live children, whose trees ``build_tree`` makes.
+
+    The tree is expanded as the run's index builds it: with equivalent
+    points off no leaf of the run has a floor, so a leaf of ``tree``
+    that has one is rebuilt over ``run.eq``; every other leaf is kept."""
     run = _Run(ds, config, eq)
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
+    if not config.toggles.equivalent_points:
+        tree = TreeState(*(tuple(make_leaf(l.clauses, run.eq) if l.b0_count
+                                 else l for l in leaves)
+                           for leaves in (tree.unchanged, tree.split)), ds)
     return run.expand(as_entry(tree, config.lam))
 
 

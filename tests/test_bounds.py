@@ -233,8 +233,10 @@ def test_equivalent_points_floor():
     # b + b0 + lam >= best prunes: 0 + 1/6 + 1/100 = 106/600
     assert not _run_at(ds, lam, Fraction(106, 600))._live([entry])[0]
     assert _run_at(ds, lam, Fraction(107, 600))._live([entry])[0]
-    assert _run_at(ds, lam, Fraction(106, 600),
-                   equivalent_points=False)._live([entry])[0]
+    # with the bound off, the run's own index gives the root no floor
+    off = _run_at(ds, lam, Fraction(106, 600), equivalent_points=False)
+    off_entry = as_entry(root_tree(ds, off.eq), lam)
+    assert off_entry[B0_S] == 0 and off._live([off_entry])[0]
 
     distinct = from_rows(["a", "b"], [[0, 0], [0, 1], [1, 0]], [1, 0, 1])
     root = root_tree(distinct, build_equivalence_index(distinct))

@@ -128,17 +128,18 @@ def test_tree_cache_garbage_collect(ds):
     cache = TreeCache()
     leaf_cache = LeafCache()
     t = _three_leaf_tree(ds, leaf_cache)
-    # bounds scaled to units of 1/1000: b = 0.305, lam = 0.01, best = 0.30
+    # bounds scaled to units of 1/1000: b = 0.305, lam = 0.01, best = 0.30,
+    # so the live limit is best - lam = 0.29
     cache.seen_or_mark(tree_key(t), 305)
     # 0.305 + lam >= 0.30: no longer improvable, dropped
-    purged = cache.garbage_collect(300, 10)
+    purged = cache.garbage_collect(290)
     assert purged == 1 and len(cache) == 0
     cache.seen_or_mark(tree_key(t), 289)
     # 0.289 + lam < 0.30: kept
-    assert cache.garbage_collect(300, 10) == 0
+    assert cache.garbage_collect(290) == 0
     assert len(cache) == 1
     other = _three_leaf_tree(ds, leaf_cache, flipped=True)
     cache.seen_or_mark(tree_key(other), 290)
     # 0.29 + lam reaches 0.30 exactly: dropped
-    assert cache.garbage_collect(300, 10) == 1
+    assert cache.garbage_collect(290) == 1
     assert len(cache) == 1

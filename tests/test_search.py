@@ -670,6 +670,30 @@ def _outcome(res):
             _flags(res.best_tree), trace)
 
 
+def test_fit_never_changes_a_shared_index():
+    # ablate's pattern: one index for every variant.  A fit with
+    # equivalent points off runs on an index without floors, yet the
+    # default fit after it, on the same index, still has them: each fit
+    # gives what it gives on a fresh index, and the index stays as built
+    rng = random.Random(27)
+    off = BoundToggles(equivalent_points=False)
+    floors = 0
+    for _ in range(10):
+        ds = random_dataset(rng, rng.randint(30, 80), rng.randint(4, 6),
+                            duplicate_bias=0.6)
+        lam = Fraction(1, rng.choice((30, 100)))
+        configs = [SearchConfig(lam=lam, toggles=off, max_trees=3000),
+                   SearchConfig(lam=lam, max_trees=3000)]
+        eq = build_equivalence_index(ds)
+        floors += as_entry(root_tree(ds, eq), lam)[B0_S] > 0
+        shared = [_outcome(fit(ds, config, eq)) for config in configs]
+        fresh = [_outcome(fit(ds, config, build_equivalence_index(ds)))
+                 for config in configs]
+        assert shared == fresh
+        assert eq == build_equivalence_index(ds)
+    assert floors > 5
+
+
 def test_row_order_does_not_change_a_result():
     # 4 000 rows drawn from 32 possible rows, labelled by a planted rule
     # with noise; row classes are numbered by first occurrence, so a
