@@ -34,7 +34,8 @@ entry that fails the gate fails it for good: an expansion that lowers
 the incumbent gates its kept children again (``_Run._live``), and one
 block of the run drops each queued entry and stored tree that now fails
 (``SearchQueue.retain``, ``TreeCache.garbage_collect``).  So every
-queued entry is live, and a popped one is expanded unchecked.  A tree is built from its entry
+queued entry is live, and
+a popped one is expanded unchecked.  A tree is built from its entry
 (``tree.build_tree``) only when the entry is expanded and once for the
 tree the fit returns, so the work per child is a few integer sums and,
 if it is live, a heap push, whatever the queue or the tree.  A built
@@ -51,8 +52,7 @@ all live, so the last record's least bound is the one behind the gap.
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
 on each and the flags that node support and incremental accuracy allow
-them depend only on the leaf, the data and the run's thresholds (see
-``bounds``).  The first
+them depend only on the leaf, the data and the thresholds.  The first
 expansion of a leaf works them all out, checking every unused feature,
 before it prices any child, and the run keeps the list of them as the
 leaf's split table (``_Run.split_tables``, by leaf identity); later
