@@ -1,10 +1,12 @@
-"""The search's deterministic counts, pinned.
+"""The search's deterministic counts and traces, pinned.
 
 A change to the search that means to keep its order must leave every
-count of every fit here as recorded in ``pinned_counts.json``: small
-seeded datasets under each policy, with each optional bound switched
-off, with similar support on, with every threshold bound off at once
-and under a cache limit.  A change that means to alter the search order
+count and every trace record of every fit here as recorded in
+``pinned_counts.json``: small seeded datasets under each policy, with
+each optional bound switched off, with similar support on, with every
+threshold bound off at once, under a cache limit and with a trace record
+due at every loop turn.  A fit's trace is pinned as its record count and
+a digest of every record's figures but ``elapsed_s``.  A change that means to alter the search order
 re-records the file and says so: from the repository root,
 ``PYTHONPATH=src python -m tests.test_pinned_counts`` prints it.
 
@@ -13,6 +15,7 @@ The benchmark's own search is pinned as well: instance 0 of each
 fitted as the benchmark fits it.
 """
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -66,11 +69,27 @@ def _variants():
         toggles=BoundToggles(similar_support=True))
     # every bound that is a threshold of the run, and equivalent points,
     # off at once: each runs its threshold-0 path
-    yield "thresholds=off", dict(toggles=BoundToggles(
+    no_thresholds = BoundToggles(
         lookahead=False, node_support=False, leaf_accuracy=False,
-        incremental_accuracy=False, equivalent_points=False))
+        incremental_accuracy=False, equivalent_points=False)
+    yield "thresholds=off", dict(toggles=no_thresholds)
     # a cache limit stops many of these fits, after the stores were purged
     yield "max_cache_entries=40", dict(max_cache_entries=40)
+    # a record is due at every loop turn, one that skips a duplicate
+    # included, and the threshold-0 paths pop many duplicates
+    yield "trace_interval=1", dict(trace_interval=1)
+    yield "thresholds=off,trace_interval=1", dict(toggles=no_thresholds,
+                                                  trace_interval=1)
+
+
+def _trace(result) -> list:
+    """The record count and a digest of every record's figures."""
+    figures = [[r.trees_evaluated, str(r.best_objective),
+                str(r.min_queue_lower_bound), r.queue_size,
+                r.log10_remaining_bound, r.remaining_bound]
+               for r in result.trace]
+    digest = hashlib.sha256(json.dumps(figures).encode()).hexdigest()
+    return [len(figures), digest[:16]]
 
 
 def _all_counts() -> dict:
@@ -79,7 +98,7 @@ def _all_counts() -> dict:
         for name, kwargs in _variants():
             result = fit(ds, SearchConfig(lam=lam, max_trees=3000, **kwargs))
             out[f"{k}/{name}"] = [getattr(result.stats, c) for c in COUNTS] \
-                + [str(result.objective), str(result.gap)]
+                + [str(result.objective), str(result.gap)] + _trace(result)
     return out
 
 
