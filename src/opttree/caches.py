@@ -19,13 +19,13 @@ split table, during the leaf's first expansion (see ``search``), so
 feature in every expansion, and its size counts the misses.
 
 The tree cache holds the trees the search has expanded.  A child is
-queued unbuilt, so the search marks a tree only when it expands a popped
-entry (see ``search``): a tree whose key is already held, a copy that a
-second split order reached, is skipped rather than expanded again.  Its
-size therefore counts expanded trees, not evaluated ones.  It stores each
-tree's scaled lower bound ``b_s`` (units of 1/(N*q) for lam = p/q), and
-the search purges it, as it purges its queue, against its live limit
-with integer comparisons, exactly as the rational bounds would compare.
+queued unbuilt, so the search loop marks a tree when it pops and builds
+it, before expanding it (see ``search``): a tree whose key is already
+held, a copy that a second split order reached, is skipped rather than
+expanded again.  Its size therefore counts expanded trees.  It stores
+each tree's scaled lower bound ``b_s`` (units of 1/(N*q) for lam = p/q),
+and the block of the loop that purges the queue purges it against the
+live limit, with integer comparisons, as the rational bounds compare.
 
 Neither cache has a limit of its own.  The search checks the sizes of
 both against ``max_cache_entries`` between expansions, with its other

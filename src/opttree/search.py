@@ -30,16 +30,15 @@ evaluated and gated where it is priced, against the run's one live limit
 sums and what builds it (the parent, the two new leaves and their flags;
 see ``tree.B_S``), the only record of a tree not yet expanded, the
 incumbent's included (``best_entry``).  The incumbent only falls, so an
-entry that fails the gate fails it for good: an expansion that lowers
-the incumbent gates its kept children again (``_Run._live``), and one
-block of the run drops each queued entry and stored tree that now fails
-(``SearchQueue.retain``, ``TreeCache.garbage_collect``).  So every
-queued entry is live, and
-a popped one is expanded unchecked.  A tree is built from its entry
-(``tree.build_tree``) only when the entry is expanded and once for the
-tree the fit returns, so the work per child is a few integer sums and,
-if it is live, a heap push, whatever the queue or the tree.  A built
-tree's two leaf tuples stay in canonical (leaf-key) order by
+entry that fails the gate fails it for good: after an expansion that
+lowers the incumbent, one block of ``_Run.run`` drops each kept child,
+queued entry and stored tree that now fails (``_Run._live``,
+``SearchQueue.retain``, ``TreeCache.garbage_collect``).  So every queued
+entry is live, and a popped one is expanded unchecked.  A tree is built
+from its entry (``tree.build_tree``) only when the entry is popped and
+once for the tree the fit returns, so the work per child is a few integer
+sums and, if it is live, a heap push, whatever the queue or the tree.  A
+built tree's two leaf tuples stay in canonical (leaf-key) order by
 construction: each new leaf is inserted into one of them with
 ``bisect``, and a split table puts each new clause in its place among
 its leaf's feature-ordered clauses, so nothing in the loop sorts.  Child
@@ -48,6 +47,12 @@ tuples it already holds (see ``caches``).  A trace record reads the
 queue's least bound and sums the remaining-evaluations bound over its
 (``b_s``, leaf count) buckets rather than over its entries; the queue is
 all live, so the last record's least bound is the one behind the gap.
+
+Each store has one owner.  ``_Run.run`` alone pops, builds and marks
+the popped tree, pushes and purges; ``_Run.expand`` only prices and gates
+the children of the tree it is handed; ``_Run._split_table`` alone fills
+the split tables and, past the root, the leaf cache; ``_Run._set_best``
+alone writes the incumbent.
 
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
@@ -266,28 +271,14 @@ class _Run:
 
     # -- expansion --------------------------------------------------------
 
-    def expand(self, entry: tuple) -> list[tuple]:
-        """Build the tree of a popped entry, split its first leaf to split,
-        and price and gate each child in turn.
-
-        Returns the queue entries of the live children, or none when the
-        permutation cache has seen the tree; updates the incumbent as a
-        side effect (a child's objective can improve the best even when
-        its descendants are pruned).
-        """
-        tree = build_tree(entry)
-        stats = self.stats
-        # the permutation bound: a tree that a second split order reached
-        # is expanded once
-        if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
-                tree_key(tree), entry[B_S]):
-            stats.duplicates_skipped += 1
-            return []
-        stats.expansions += 1
+    def expand(self, tree: TreeState, entry: tuple) -> list[tuple]:
+        """Split the first leaf to split of ``tree``, the tree of a popped
+        ``entry``, and price and gate each child in turn; return the queue
+        entries of those live under the limit as it stood when each was
+        priced.  Updates the incumbent as a side effect (a child's
+        objective can improve the best even when its descendants are
+        pruned)."""
         leaf = tree.split[0]
-        splits = self.split_tables.get(leaf)
-        if splits is None:  # not `or`: an empty table is kept as well
-            splits = self._split_table(leaf)
         out: list[tuple] = []
 
         # every child's sums start from these, which take out the split
@@ -302,7 +293,7 @@ class _Run:
         base_r_s = entry[R_S] + penalty_s - q * leaf.mistakes
         base_b0_s = entry[B0_S] - q * leaf.b0_count
         base_capture = entry[UNCHANGED_CAPTURE]
-        best_s = incumbent_s = self.best_s
+        best_s = self.best_s
         limit_s = self.live_limit_s
         # children priced in, added to the run's count before each new
         # incumbent reads it and at the end
@@ -314,13 +305,13 @@ class _Run:
             # each later split via omega
             rejected_floors: list[tuple[int, int]] = []
 
-        for f, c1, c2, flag_pairs in splits:
+        for f, c1, c2, flag_pairs in self._split_table(leaf):
             m1, m2 = q * c1.mistakes, q * c2.mistakes
             z1, z2 = q * c1.b0_count, q * c2.b0_count
             if similar_support:
                 capture1 = and_literal(self.eq, capture, f, False)
                 if self._similar_skip(capture1, rejected_floors):
-                    stats.similar_support_skips += 1
+                    self.stats.similar_support_skips += 1
                     continue
                 # the incumbent falls only after this split keeps a child,
                 # so one whose least child bound reaches it keeps none; its
@@ -348,24 +339,17 @@ class _Run:
                              + (0 if s2 else c2.n_captured),
                              n_leaves, tree, c1, c2, s1, s2)
                     if r_s < best_s:
-                        stats.trees_evaluated += evaluated
+                        self.stats.trees_evaluated += evaluated
                         evaluated = 0
                         self._set_best(child)
                         best_s, limit_s = self.best_s, self.live_limit_s
                     if live:
                         out.append(child)
-        stats.trees_evaluated += evaluated
-        # the incumbent only falls, so a child the gate dropped stays
-        # dropped; the children kept before it fell, the new incumbent
-        # among them, are gated again.  That drops every child with no
-        # leaf to split: its objective equals its bound, so it became the
-        # incumbent
-        if best_s < incumbent_s:
-            return list(compress(out, self._live(out)))
+        self.stats.trees_evaluated += evaluated
         return out
 
     def _split_table(self, leaf: Leaf) -> list:
-        """The feasible splits of ``leaf``, kept as its table.
+        """The feasible splits of ``leaf``: its table, kept from its first.
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
@@ -378,6 +362,8 @@ class _Run:
         ``max_cache_entries`` one expansion can take it.  The leaf's
         capture, from which the negative children are made, is not kept.
         """
+        if leaf in self.split_tables:
+            return self.split_tables[leaf]
         eq, intern, clauses = self.eq, self.leaf_cache.intern, leaf.clauses
         capture = and_clauses(eq, eq.all_classes, clauses)
         n_captured, n_ones, n_correct, b0_count = (
@@ -412,7 +398,6 @@ class _Run:
             if flags:
                 splits.append((f, c1, c2, flags))
         self.split_tables[leaf] = splits
-        self.stats.split_tables += 1
         return splits
 
     def _similar_skip(self, capture1: int, rejected_floors) -> bool:
@@ -451,16 +436,26 @@ class _Run:
             entry = self.queue.pop()
             if entry is None:
                 break
-            best_s = self.best_s
-            children = self.expand(entry)
-            # a new incumbent ends every queued tree that it makes
-            # hopeless, and every stored one, each in one pass: the queue
-            # stays all live
-            if self.best_s < best_s:
-                self.stats.queue_purged += self.queue.retain(self._live)
-                self.stats.tree_cache_purged += \
-                    self.tree_cache.garbage_collect(self.live_limit_s)
+            tree = build_tree(entry)
+            # the permutation bound: a tree that a second split order
+            # reached is expanded once
+            if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
+                    tree_key(tree), entry[B_S]):
+                self.stats.duplicates_skipped += 1
+                children = []
+            else:
+                self.stats.expansions += 1
+                best_s = self.best_s
+                children = self.expand(tree, entry)
+                # a new incumbent ends, each in one pass, every kept child,
+                # queued tree and stored tree that it makes hopeless
+                if self.best_s < best_s:
+                    children = list(compress(children, self._live(children)))
+                    self.stats.queue_purged += self.queue.retain(self._live)
+                    self.stats.tree_cache_purged += \
+                        self.tree_cache.garbage_collect(self.live_limit_s)
             self.queue.push(children)
+            # a duplicate's turn steps next_trace as well
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
                 self._record_trace()
@@ -533,6 +528,7 @@ class _Run:
         self.stats.leaf_cache_size = len(self.leaf_cache)
         self.stats.leaf_cache_hits = self.leaf_cache.hits
         self.stats.tree_cache_size = len(self.tree_cache)
+        self.stats.split_tables = len(self.split_tables)
         return SearchResult(best_tree=build_tree(self.best_entry),
                             objective=last.best_objective,
                             certified=certified, gap=gap,

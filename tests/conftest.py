@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import compress
 from typing import Optional
 
 import pytest
@@ -74,7 +75,8 @@ def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
 def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
            best: Fraction) -> list[tuple]:
     """One expansion of ``tree`` against incumbent ``best``: the queue
-    entries of its live children, whose trees ``build_tree`` makes.
+    entries of its children live under the final incumbent, the ones the
+    run pushes, whose trees ``build_tree`` makes.
 
     The tree is expanded as the run's index builds it: with equivalent
     points off no leaf of the run has a floor, so a leaf of ``tree``
@@ -86,12 +88,17 @@ def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
         tree = TreeState(*(tuple(make_leaf(l.clauses, run.eq) if l.b0_count
                                  else l for l in leaves)
                            for leaves in (tree.unchanged, tree.split)), ds)
-    return run.expand(as_entry(tree, config.lam))
+    out = run.expand(tree, as_entry(tree, config.lam))
+    # the run gates them again when the incumbent fell; each one kept
+    # under an incumbent that did not fall is live
+    return list(compress(out, run._live(out)))
 
 
-def expand_priced(run: _Run, entry: tuple) -> tuple[list, list]:
-    """Expand ``entry`` in ``run``; return every child the expansion
-    priced in, in order, and the entries ``expand`` returned.
+def expand_priced(run: _Run, tree: TreeState,
+                  entry: tuple) -> tuple[list, list]:
+    """Expand ``tree``, built from ``entry``, in ``run``; return every
+    child the expansion priced in, in order, and the entries ``expand``
+    returned.
 
     The priced children are found apart from the expansion: a walk of the
     split table of the leaf it split, skipping each split that similar
@@ -100,13 +107,12 @@ def expand_priced(run: _Run, entry: tuple) -> tuple[list, list]:
     incumbent, which a priced child of lower objective replaces.  Each is
     returned as an entry in the shape ``expand`` queues: those sums, then
     the parent and the split.  Checks that ``expand`` returned exactly the
-    priced children live under the final incumbent, in order, written out
-    here rather than asked of the run's gate; that ``trees_evaluated``
-    grew by the number priced; and that the run's incumbent is the
-    walk's."""
+    priced children live under the incumbent of the moment each was
+    priced, in order, written out here rather than asked of the run's
+    gate; that ``trees_evaluated`` grew by the number priced; and that the
+    run's incumbent is the walk's."""
     stats = run.stats
     best_s, evaluated = run.best_s, stats.trees_evaluated
-    duplicates = stats.duplicates_skipped
     skipped, skip = [], run._similar_skip
 
     def recording(*args):
@@ -114,31 +120,29 @@ def expand_priced(run: _Run, entry: tuple) -> tuple[list, list]:
         return skipped[-1]
     run._similar_skip = recording
     try:
-        out = _EXPAND(run, entry)
+        out = _EXPAND(run, tree, entry)
     finally:
         del run._similar_skip
-    if stats.duplicates_skipped > duplicates:
-        assert out == [] and stats.trees_evaluated == evaluated
-        return [], out
-    parent = build_tree(entry)
     toggles = run.toggles
+    margin_s = run.lam_s if toggles.lookahead else 0
     skipped = iter(skipped)
-    priced = []
-    for f, c1, c2, flag_pairs in run.split_tables[parent.split[0]]:
+    priced, live = [], []
+    for f, c1, c2, flag_pairs in run.split_tables[tree.split[0]]:
         if toggles.similar_support and next(skipped):
             continue
         for s1, s2 in flag_pairs:
-            split = (parent, c1, c2, s1, s2)
+            split = (tree, c1, c2, s1, s2)
             sums = as_entry(build_tree((None,) * 5 + split), run.lam)[:5]
             if sums[B_S] < best_s:
                 priced.append(sums + split)
+                if sums[B_S] + margin_s + (sums[B0_S] if toggles
+                                           .equivalent_points else 0) \
+                        < best_s:
+                    live.append(priced[-1])
                 best_s = min(best_s, sums[R_S])
-    margin_s = run.lam_s if toggles.lookahead else 0
-    live = [e for e in priced if e[B_S] + margin_s + (
-        e[B0_S] if toggles.equivalent_points else 0) < best_s]
-    # an entry's parent is the tree the expansion built from ``entry``
-    assert all(e[5] is out[0][5] for e in out)
-    assert [e[:5] + e[6:] for e in out] == [e[:5] + e[6:] for e in live]
+    # an entry's parent is the tree the expansion was handed
+    assert all(e[5] is tree for e in out)
+    assert out == live
     assert stats.trees_evaluated - evaluated == len(priced)
     assert run.best_s == best_s
     return priced, out

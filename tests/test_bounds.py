@@ -106,7 +106,7 @@ def _refused_features(ds, lam, **toggles):
     """The features the root's split table leaves out."""
     root = root_tree(ds, build_equivalence_index(ds))
     run = _run_at(ds, lam, Fraction(1), **toggles)
-    run.expand(as_entry(root, lam))
+    run.expand(root, as_entry(root, lam))
     kept = {f for f, *_ in run.split_tables[root.split[0]]}
     return set(range(ds.n_features)) - kept
 
@@ -163,7 +163,7 @@ def _flags_by_feature(deltas, lam, **toggles):
     run._set_best = lambda entry: None
     seen = {}
     root = root_tree(ds, run.eq)
-    for child in map(build_tree, run.expand(as_entry(root, lam))):
+    for child in map(build_tree, run.expand(root, as_entry(root, lam))):
         (f,) = {c.feature for leaf in child.leaves for c in leaf.clauses}
         seen.setdefault(f, set()).add(
             tuple(leaf in child.split for leaf in child.leaves))

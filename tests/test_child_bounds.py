@@ -55,26 +55,26 @@ def _entry_sums(entry):
 def test_derived_children_match_a_from_scratch_sum(monkeypatch):
     # every child an expansion prices in, found apart from it by
     # ``expand_priced`` from its split table and summed from scratch; the
-    # live ones are exactly those ``expand`` returned, with those sums
+    # live ones are among those ``expand`` returned, with those sums
     priced = []
     returned = closed = 0
 
-    def checking_expand(run, parent_entry):
+    def checking_expand(run, parent, parent_entry):
         nonlocal returned, closed
         best_before = run.best_s
-        seen, out = expand_priced(run, parent_entry)
+        seen, out = expand_priced(run, parent, parent_entry)
         # each returned entry by its split, which no other child shares
         kept = {e[6:]: e for e in out}
-        parent = build_tree(parent_entry)
-        # a child is returned iff it is live, and only the liveness gate
-        # drops children that have no leaf to split: none of them is live
+        # a child live under the final incumbent was returned, and only
+        # the liveness gate drops children that have no leaf to split:
+        # none of them is live
         for entry in seen:
             # the hierarchical bound dropped every child priced at or
             # above the incumbent, which only falls during the expansion
             assert entry[B_S] < best_before
             child = build_tree(entry)
             (live,) = run._live([entry])
-            assert (entry[6:] in kept) == live
+            assert entry[6:] in kept or not live
             assert child.split or not live
             # a returned child is checked with the sums it was priced with
             entry = kept.get(entry[6:], entry)
@@ -125,44 +125,54 @@ def test_derived_children_match_a_from_scratch_sum(monkeypatch):
 def test_the_gate_at_pricing_agrees_with_the_batch_gate(monkeypatch):
     # each priced child is kept or dropped where it is priced, under the
     # incumbent of that moment, as ``_live`` judges it under that
-    # incumbent; an expansion that lowers the incumbent hands the children
-    # it kept to ``_live`` once more, and returns those live at its end
+    # incumbent, and ``expand`` returns the kept ones.  After an expansion
+    # that lowers the incumbent the run hands those to ``_live`` once
+    # more, then the queue; after any other it asks ``_live`` nothing
     checked = lowered = partway = 0
+    gate = _Run._live
+    # the run's calls of its batch gate since the last expansion, and
+    # whether that expansion lowered the incumbent and what it returned
+    batches, last = [], []
 
-    def checking_expand(run, parent_entry):
+    def recording(run, entries):
+        batches.append(list(entries))
+        return gate(run, batches[-1])
+
+    def check_last():
+        if last:
+            fell, out = last
+            assert batches[:1] == ([out] if fell else [])
+            assert len(batches) == 2 * fell
+        batches.clear()
+        last.clear()
+
+    def checking_expand(run, parent, parent_entry):
         nonlocal checked, lowered, partway
-        best_before, gate, rechecked = run.best_s, run._live, []
-
-        def recording(entries):
-            rechecked.append(list(entries))
-            return gate(rechecked[-1])
-        run._live = recording
-        try:
-            priced, out = expand_priced(run, parent_entry)
-        finally:
-            run._live = gate
+        check_last()
+        best_before = run.best_s
+        priced, out = expand_priced(run, parent, parent_entry)
+        assert batches == []
         best_after, kept, best = run.best_s, [], best_before
         for entry in priced:
             run.best_s = best
-            (live,) = gate([entry])
+            (live,) = gate(run, [entry])
             if live:
                 kept.append(entry[6:])
             best = min(best, entry[R_S])
             checked += 1
         run.best_s = best_after
+        assert [e[6:] for e in out] == kept
         if best_after < best_before:
             lowered += 1
             # a child was priced after the first new incumbent
             first = next(i for i, e in enumerate(priced)
                          if e[R_S] < best_before)
             partway += first < len(priced) - 1
-            (inline,) = rechecked
-            assert [e[6:] for e in inline] == kept
-        else:
-            assert rechecked == [] and [e[6:] for e in out] == kept
+        last[:] = [best_after < best_before, out]
         return out
 
     monkeypatch.setattr(_Run, "expand", checking_expand)
+    monkeypatch.setattr(_Run, "_live", recording)
     rng = random.Random(29)
     for _ in range(6):
         ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
@@ -170,8 +180,10 @@ def test_the_gate_at_pricing_agrees_with_the_batch_gate(monkeypatch):
         lam = Fraction(1, rng.choice((20, 30, 50)))
         for policy in Policy:
             for toggles in TOGGLES_ONE_OFF:
+                batches.clear()
                 _Run(ds, SearchConfig(lam=lam, policy=policy,
                                       toggles=toggles, max_trees=300)).run()
+                check_last()
     assert checked > 20000 and lowered > 100 and partway > 100
 
 
@@ -226,12 +238,9 @@ def _fit_recording_splits(ds, config):
     split = []
     expand = run.expand
 
-    def recording(entry):
-        expansions = run.stats.expansions
-        out = expand(entry)
-        if run.stats.expansions > expansions:
-            split.append(build_tree(entry).split[0])
-        return out
+    def recording(tree, entry):
+        split.append(tree.split[0])
+        return expand(tree, entry)
 
     run.expand = recording
     run.run()

@@ -143,7 +143,7 @@ def test_queue_keys_a_child_by_its_sums():
         run = _Run(ds, SearchConfig(lam=lam, policy=policy))
         run.best_s = run.q * run.n
         run._set_best = lambda entry: None
-        entries = run.expand(as_entry(root, lam))
+        entries = run.expand(root, as_entry(root, lam))
         assert len(entries) > 10
         q = SearchQueue(policy, ds)
         q.push(entries)

@@ -2,9 +2,9 @@ import gc
 import math
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
-from itertools import product
+from itertools import compress, product
 
 import pytest
 
@@ -12,7 +12,7 @@ from opttree.bounds import BoundToggles
 from opttree.caches import tree_key
 from opttree.dataset import build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
-from opttree.scheduler import Policy
+from opttree.scheduler import Policy, SearchQueue
 from opttree import search
 from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B0_S, B_S, Clause, as_entry, build_tree, objective,
@@ -302,9 +302,10 @@ def _priced_children(ds, config, tree, best):
     apart from the expansion, from its split table."""
     run = _Run(ds, config)
     run.best_s = math.ceil(best * run.n * run.q)
-    priced, live = expand_priced(run, as_entry(tree, config.lam))
+    priced, out = expand_priced(run, tree, as_entry(tree, config.lam))
     assert run.stats.trees_evaluated == len(priced)
-    assert [e[6:] for e in live] \
+    # the run pushes the priced children live under the final incumbent
+    assert [e[6:] for e in compress(out, run._live(out))] \
         == [e[6:] for e in priced if run._live([e])[0]]
     return [build_tree(e) for e in priced]
 
@@ -557,6 +558,54 @@ def test_every_queued_entry_is_live_at_every_pop(policy):
         run.queue.pop = checked_pop
         purged += run.run().stats.queue_purged
     assert checked > 1000 and purged > 0
+
+
+def test_the_stores_hold_only_live_trees_after_every_turn(monkeypatch):
+    # through ``fit``, at the start of every loop turn: every queued entry
+    # and every child the last turn pushed has bound plus floor below the
+    # live limit, and every tree the tree cache holds has its bound below
+    # it, whatever the policy and the toggles.  When the incumbent falls,
+    # one block of the run keeps that so for all three
+    turns = pushed_in = stored = purges = 0
+    pushed = []
+    push, tripped = SearchQueue.push, _Run._limit_tripped
+
+    def recording_push(queue, entries):
+        pushed.extend(entries)
+        return push(queue, entries)
+
+    def checking_tripped(run):
+        nonlocal turns, pushed_in, stored
+        limit_s = run.live_limit_s
+        queued = list(run.queue.trees())
+        assert all(e[B_S] + e[B0_S] < limit_s for e in queued + pushed)
+        assert all(b_s < limit_s for b_s in run.tree_cache._store.values())
+        turns += 1
+        pushed_in += len(pushed)
+        stored += len(run.tree_cache)
+        pushed.clear()
+        return tripped(run)
+
+    monkeypatch.setattr(SearchQueue, "push", recording_push)
+    monkeypatch.setattr(_Run, "_limit_tripped", checking_tripped)
+    rng = random.Random(28)
+    names = [f.name for f in fields(BoundToggles)
+             if f.name != "permutation_cache"]
+    for _ in range(4):
+        ds = random_dataset(rng, rng.randint(20, 60), rng.randint(3, 6),
+                            duplicate_bias=rng.choice((0.0, 0.4)))
+        lam = Fraction(1, rng.choice((15, 30, 60)))
+        for policy in Policy:
+            for permutation_cache in (False, True):
+                toggles = BoundToggles(
+                    permutation_cache=permutation_cache,
+                    **{name: rng.random() < 0.5 for name in names})
+                pushed.clear()
+                res = fit(ds, SearchConfig(lam=lam, policy=policy,
+                                           toggles=toggles, max_trees=1500))
+                purges += res.stats.queue_purged + res.stats.tree_cache_purged
+    assert turns > 10000 and pushed_in > 10000 and stored > 10 ** 6
+    assert purges > 200
 
 
 def test_ablations_preserve_answer(noisy_ds):

@@ -33,10 +33,17 @@ TIMES = ("time_to_optimum", "total_time")
 
 class _Forgetful(dict):
     """A table store that keeps nothing, so every expansion of a leaf
-    works its splits out again, as a search without tables would."""
+    works its splits out again, as a search without tables would; its
+    length counts the tables it was handed, as a keeping store's counts
+    the tables it holds."""
+
+    handed = 0
 
     def __setitem__(self, leaf, table):
-        pass
+        self.handed += 1
+
+    def __len__(self):
+        return self.handed
 
 
 def _fit(ds, config, forget):
@@ -68,15 +75,13 @@ def _check_table_building(monkeypatch):
     state = {"building": False, "interned": [], "run": None, "checked": 0}
     expand_, intern = _Run.expand, LeafCache.intern
 
-    def expanding(run, entry):
-        leaf = build_tree(entry).split[0]
+    def expanding(run, tree, entry):
+        leaf = tree.split[0]
         building = leaf not in run.split_tables
-        expansions = run.stats.expansions
         state.update(building=building, interned=[], run=run,
                      evaluated=run.stats.trees_evaluated)
-        children = expand_(run, entry)
-        # a tree the permutation cache skips splits nothing
-        if building and run.stats.expansions > expansions:
+        children = expand_(run, tree, entry)
+        if building:
             used = {c.feature for c in leaf.clauses}
             assert state["interned"] == [
                 key for f in range(run.ds.n_features) if f not in used
@@ -142,7 +147,7 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
         # found from its split table by ``expand_priced``
         run = _Run(ds, config, eq)
         run.best_s = run.q * run.n
-        built[:] = expand_priced(run, as_entry(root, config.lam))[0]
+        built[:] = expand_priced(run, root, as_entry(root, config.lam))[0]
         trees = map(build_tree, built)
         # each child's leaf keys, the keys of its leaves to split, and the
         # sums its entry holds
