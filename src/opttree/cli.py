@@ -149,6 +149,9 @@ def _print_summary(result: SearchResult, accuracy: float) -> None:
 
 
 def cmd_fit(args) -> int:
+    if args.trace and os.path.realpath(args.trace) \
+            == os.path.realpath(args.out):
+        raise ValueError("--out and --trace name the same file")
     ds = _load(args.data, args.label)
     result = fit(ds, _config_from_args(args))
     model = _model_dict(result, ds, args.lam)

@@ -92,6 +92,29 @@ def test_fit_removes_its_model_when_the_trace_cannot_be_written(
     assert list(tmp_path.iterdir()) == [toy_csv]
 
 
+@pytest.mark.parametrize("trace", ["m.json", "./m.json", "sub/../m.json",
+                                   "{tmp}/m.json"])
+def test_fit_refuses_one_file_for_model_and_trace(tmp_path, toy_csv, capsys,
+                                                  monkeypatch, trace):
+    # the trace would overwrite the model; the two paths are compared as
+    # the files they resolve to, before the data is read
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path)
+
+    def unreachable(*args):
+        raise AssertionError("read or fitted before the paths were checked")
+    monkeypatch.setattr(cli, "_load", unreachable)
+    monkeypatch.setattr(cli, "fit", unreachable)
+    code = main(["fit", "--data", str(toy_csv), "--label", "y",
+                 "--lambda", "0.01", "--out", "m.json",
+                 "--trace", trace.format(tmp=tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "error: --out and --trace name the same file\n"
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_fit_rejects_a_label_column_named_twice(tmp_path, capsys):
     data = tmp_path / "twice.csv"
     data.write_text("y,a,y\n0,1,1\n1,0,0\n")
