@@ -349,7 +349,7 @@ class _Run:
         return out
 
     def _split_table(self, leaf: Leaf) -> list:
-        """The feasible splits of ``leaf``: its table, kept from its first.
+        """The feasible splits of ``leaf``: its table, made at its first split.
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
@@ -362,8 +362,8 @@ class _Run:
         ``max_cache_entries`` one expansion can take it.  The leaf's
         capture, from which the negative children are made, is not kept.
         """
-        if leaf in self.split_tables:
-            return self.split_tables[leaf]
+        if (splits := self.split_tables.get(leaf)) is not None:
+            return splits
         eq, intern, clauses = self.eq, self.leaf_cache.intern, leaf.clauses
         capture = and_clauses(eq, eq.all_classes, clauses)
         n_captured, n_ones, n_correct, b0_count = (
@@ -447,8 +447,8 @@ class _Run:
                 self.stats.expansions += 1
                 best_s = self.best_s
                 children = self.expand(tree, entry)
-                # a new incumbent ends, each in one pass, every kept child,
-                # queued tree and stored tree that it makes hopeless
+                # one pass each drops the kept children (a closed new
+                # incumbent too), queued and stored trees now hopeless
                 if self.best_s < best_s:
                     children = list(compress(children, self._live(children)))
                     self.stats.queue_purged += self.queue.retain(self._live)

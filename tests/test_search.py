@@ -576,9 +576,12 @@ def test_the_stores_hold_only_live_trees_after_every_turn(monkeypatch):
 
     def checking_tripped(run):
         nonlocal turns, pushed_in, stored
-        limit_s = run.live_limit_s
-        queued = list(run.queue.trees())
-        assert all(e[B_S] + e[B0_S] < limit_s for e in queued + pushed)
+        # the incumbent less lam under lookahead; no floor without
+        # equivalent points
+        toggles = run.toggles
+        limit_s = run.best_s - (run.lam_s if toggles.lookahead else 0)
+        assert all(e[B_S] + (e[B0_S] if toggles.equivalent_points else 0)
+                   < limit_s for e in list(run.queue.trees()) + pushed)
         assert all(b_s < limit_s for b_s in run.tree_cache._store.values())
         turns += 1
         pushed_in += len(pushed)
