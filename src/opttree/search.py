@@ -273,12 +273,13 @@ class _Run:
 
     def expand(self, tree: TreeState, entry: tuple) -> list[tuple]:
         """Split the first leaf to split of ``tree``, the tree of a popped
-        ``entry``, and price and gate each child in turn; return the queue
-        entries of those live under the limit as it stood when each was
-        priced.  Updates the incumbent as a side effect (a child's
-        objective can improve the best even when its descendants are
-        pruned)."""
+        ``entry``, and price and gate each child in turn.  Returns the
+        entries of the children live when priced; a child's objective may
+        lower the incumbent even when its descendants are pruned."""
         leaf = tree.split[0]
+        splits = self.split_tables.get(leaf)
+        if splits is None:  # not `or`: an empty table is kept as well
+            splits = self._split_table(leaf)
         out: list[tuple] = []
 
         # every child's sums start from these, which take out the split
@@ -305,7 +306,7 @@ class _Run:
             # each later split via omega
             rejected_floors: list[tuple[int, int]] = []
 
-        for f, c1, c2, flag_pairs in self._split_table(leaf):
+        for f, c1, c2, flag_pairs in splits:
             m1, m2 = q * c1.mistakes, q * c2.mistakes
             z1, z2 = q * c1.b0_count, q * c2.b0_count
             if similar_support:
@@ -349,7 +350,7 @@ class _Run:
         return out
 
     def _split_table(self, leaf: Leaf) -> list:
-        """The feasible splits of ``leaf``: its table, made at its first split.
+        """The feasible splits of ``leaf``, kept as its table.
 
         A split is ``(feature, c1, c2, flag_pairs)``: the interned children
         on the feature's negative and positive literal and the (s1, s2)
@@ -362,8 +363,6 @@ class _Run:
         ``max_cache_entries`` one expansion can take it.  The leaf's
         capture, from which the negative children are made, is not kept.
         """
-        if (splits := self.split_tables.get(leaf)) is not None:
-            return splits
         eq, intern, clauses = self.eq, self.leaf_cache.intern, leaf.clauses
         capture = and_clauses(eq, eq.all_classes, clauses)
         n_captured, n_ones, n_correct, b0_count = (

@@ -6,8 +6,9 @@ count and every trace record of every fit here as recorded in
 each optional bound switched off, with similar support on, with every
 threshold bound off at once, under a cache limit and with a trace record
 due at every loop turn.  A fit's trace is pinned as its record count and
-a digest of every record's figures but ``elapsed_s``.  A change that means to alter the search order
-re-records the file and says so: from the repository root,
+a digest of every record's figures but ``elapsed_s``.  A change that
+means to alter the search order re-records the file and says so: from
+the repository root,
 ``PYTHONPATH=src python -m tests.test_pinned_counts`` prints it.
 
 The benchmark's own search is pinned as well: instance 0 of each
