@@ -415,6 +415,7 @@ class _Run:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
+        """Each loop turn pops, marks, expands, purges and pushes, in order."""
         root = root_tree(self.ds, self.eq)
         (leaf,) = root.split
         self.leaf_cache.intern(leaf.key, lambda: leaf)
