@@ -3,12 +3,13 @@
 A change to the search that means to keep its order must leave every
 count and every trace record of every fit here as recorded in
 ``pinned_counts.json``: small seeded datasets under each policy, with
-each optional bound switched off, with similar support on, with every
-threshold bound off at once, under a cache limit and with a trace record
-due at every loop turn.  A fit's trace is pinned as its record count and
-a digest of every record's figures but ``elapsed_s``.  A change that
-means to alter the search order re-records the file and says so: from
-the repository root,
+each optional bound switched off, with similar support on (alone, and
+with lookahead or every threshold bound off, where it skips splits),
+with every threshold bound off at once, under a cache limit and with a
+trace record due at every loop turn.  A fit's trace is pinned as its
+record count and a digest of every record's figures but ``elapsed_s``.
+A change that means to alter the search order re-records the file and
+says so: from the repository root,
 ``PYTHONPATH=src python -m tests.test_pinned_counts`` prints it.
 
 The benchmark's own search is pinned as well: instance 0 of each
@@ -74,6 +75,12 @@ def _variants():
         lookahead=False, node_support=False, leaf_accuracy=False,
         incremental_accuracy=False, equivalent_points=False)
     yield "thresholds=off", dict(toggles=no_thresholds)
+    # with the default bounds similar support skips nothing in these fits;
+    # with lookahead or every threshold off it skips splits
+    yield "similar_support=on,lookahead=off", dict(toggles=BoundToggles(
+        similar_support=True, lookahead=False))
+    yield "similar_support=on,thresholds=off", dict(
+        toggles=replace(no_thresholds, similar_support=True))
     # a cache limit stops many of these fits, after the stores were purged
     yield "max_cache_entries=40", dict(max_cache_entries=40)
     # a record is due at every loop turn, one that skips a duplicate
