@@ -72,8 +72,15 @@ def test_criterion_1_oracle_equivalence(report):
 def test_criterion_2_ablation_and_policy_soundness(report):
     fields = ("lookahead", "node_support", "incremental_accuracy",
               "leaf_accuracy", "equivalent_points", "permutation_cache")
+    # similar support skips nothing here under the default bounds; with
+    # lookahead off, and equivalent points too, it skips splits
+    similar = [BoundToggles(similar_support=True),
+               BoundToggles(similar_support=True, lookahead=False),
+               BoundToggles(similar_support=True, lookahead=False,
+                            equivalent_points=False)]
     divergences = 0
     runs = 0
+    skips = 0
     for ds, lam in _instance_set(200):
         ref = exhaustive_optimum(ds, lam).objective
         variants = [SearchConfig(
@@ -81,15 +88,17 @@ def test_criterion_2_ablation_and_policy_soundness(report):
             for field in fields]
         variants += [SearchConfig(lam=lam, policy=policy)
                      for policy in Policy]
-        variants.append(SearchConfig(
-            lam=lam, toggles=BoundToggles(similar_support=True)))
+        variants += [SearchConfig(lam=lam, toggles=toggles)
+                     for toggles in similar]
         for cfg in variants:
             runs += 1
             res = fit(ds, cfg)
+            skips += res.stats.similar_support_skips
             if not res.certified or res.objective != ref:
                 divergences += 1
-    report(2, divergences == 0, f"{runs} ablation/policy runs, "
-                                 f"{divergences} divergences")
+    report(2, divergences == 0 and skips > 0,
+           f"{runs} ablation/policy runs, {divergences} divergences, "
+           f"{skips} similar-support skips")
 
 
 def _ablation_instance():

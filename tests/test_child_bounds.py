@@ -247,21 +247,47 @@ def _fit_recording_splits(ds, config):
     return run, split
 
 
+def _captured(ds, clauses):
+    """The samples ``clauses`` capture, one bit per sample: the AND of the
+    dataset's own columns, not the library's AND of class columns."""
+    everyone = (1 << ds.n_samples) - 1
+    capture = everyone
+    for c in clauses:
+        column = ds.columns[c.feature]
+        capture &= column if c.polarity else everyone & ~column
+    return capture
+
+
 def test_split_tables_hold_only_splits():
     rng = random.Random(11)
-    for toggles in (BoundToggles(), BoundToggles(similar_support=True)):
+    no_thresholds = BoundToggles(
+        lookahead=False, node_support=False, leaf_accuracy=False,
+        incremental_accuracy=False, equivalent_points=False)
+    # with every threshold off a fit runs to millions of trees: it is
+    # stopped, and its split leaves' tables checked, at max_trees
+    for toggles, max_trees in ((BoundToggles(), None),
+                               (BoundToggles(similar_support=True), None),
+                               (BoundToggles(leaf_accuracy=False), None),
+                               (no_thresholds, 5000)):
+        # (leaf, feature) pairs of the tables' leaves with an empty side
+        empty_sides = 0
         for _ in range(8):
             ds = random_dataset(rng, rng.randint(30, 80), rng.randint(3, 6),
                                 duplicate_bias=0.3)
-            config = SearchConfig(lam=Fraction(1, 40), toggles=toggles)
+            config = SearchConfig(lam=Fraction(1, 40), toggles=toggles,
+                                  max_trees=max_trees)
             run, split = _fit_recording_splits(ds, config)
             leaves = list(run.leaf_cache._store.values())
-            assert len(leaves) > len({id(l) for l in split})
+            # node support closes some leaves; with it off a search may
+            # split every leaf it caches
+            if toggles.node_support:
+                assert len(leaves) > len({id(l) for l in split})
             assert {id(l) for l in run.split_tables} \
                 == {id(l) for l in split}
             # a table is the list of its leaf's splits: the feature, the
             # interned children on it and their flag pairs, no capture.
-            # Each literal is made once per run, for every table
+            # Each literal is made once per run, for every table.  No
+            # split has an empty side, whatever the toggles
             literals = {}
             for leaf, table in run.split_tables.items():
                 assert type(table) is list
@@ -271,8 +297,14 @@ def test_split_tables_hold_only_splits():
                     for child in (c1, c2):
                         (new,) = set(child.key) - set(leaf.key)
                         assert literals.setdefault(new, new) is new
+                        assert _captured(ds, child.key) != 0
                     assert flag_pairs and all(
                         type(s) is bool for pair in flag_pairs for s in pair)
+                used = {c.feature for c in leaf.clauses}
+                empty_sides += sum(
+                    0 in (_captured(ds, k1), _captured(ds, k2))
+                    for f in range(ds.n_features) if f not in used
+                    for k1, k2 in [child_keys(leaf, f)])
             for leaf in leaves:
                 # recounted per sample, not through the library's ANDs
                 expected = bits(
@@ -283,6 +315,8 @@ def test_split_tables_hold_only_splits():
                                       leaf.clauses)
                 assert _samples_of(ds, run.eq, capture) == expected
                 assert leaf.n_captured == expected.bit_count()
+        # so the check above is not vacuous
+        assert empty_sides > 0, toggles
 
 
 def _samples_of(ds, eq, capture):
