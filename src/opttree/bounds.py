@@ -1,17 +1,18 @@
 """Bound switches and the paper's counting results.
 
-The pruning rules run where the search evaluates them, on integers scaled
-by N*q (lam = p/q).  ``_Run.__init__`` alone reads the switches of the
-threshold bounds, each 0 when off, and of equivalent points, which when
-off leaves the run without floors: one path runs for every setting.  The
-hierarchical lower bound, the lookahead margin and the floors form the
-liveness gate (``_Run.live_limit_s``) that ``_Run.expand`` applies to
-each child it prices; node support, leaf accuracy and incremental
-accuracy are checked in ``_Run._split_table``, node support also for
-the root in ``_Run.run``; similar support in ``_Run._similar_skip``,
-and the remaining-evaluations bound is summed in ``_Run._record_trace``
-with ``cumulative_perm``.  The leaf-count caps need no check of their
-own: lam*H <= b < best already bounds H.
+The pruning rules run where the search evaluates them, on integers
+scaled by N*q (lam = p/q).  ``_Run.__init__`` alone reads the switches of
+the threshold bounds, each 0 when off but leaf accuracy, whose 1 still
+drops a split with an empty side (the support bound), and of equivalent
+points, which when off leaves the run without floors: one path runs for
+every setting.  The hierarchical lower bound, the lookahead margin and
+the floors form the liveness gate (``_Run.live_limit_s``) that
+``_Run.expand`` applies to each child it prices; node support, leaf
+accuracy and incremental accuracy are checked in ``_Run._split_table``,
+node support also for the root in ``_Run.run``; similar support in
+``_Run._similar_skip``, and the remaining-evaluations bound is summed in
+``_Run._record_trace`` with ``cumulative_perm``.  The leaf-count caps
+need no check of their own: lam*H <= b < best already bounds H.
 
 What stays here is the one check of lam (``validate_lam``) and counting
 with big integers (a priori leaf cap, total tree evaluations, search-space
@@ -63,8 +64,9 @@ def max_leaves_apriori(lam: Fraction, n_features: int) -> int:
 @lru_cache(maxsize=4096)
 def cumulative_perm(slots: int, f: int) -> int:
     """Sum of perm(slots, k) for k = 0..f, as one running product:
-    perm(slots, k) = perm(slots, k - 1) * (slots - k + 1).  Queue entries
-    repeat (slots, f) pairs heavily, so this is memoized."""
+    perm(slots, k) = perm(slots, k - 1) * (slots - k + 1).  Memoized: a
+    trace record calls it once per (leaf count, f) pair of the queue, and
+    a fit's records repeat most pairs."""
     total = term = 1
     for k in range(1, f + 1):
         term *= slots - k + 1

@@ -217,14 +217,15 @@ class _Run:
         # integer scaling: value v = e/N + lam*H  <->  e*q + H*p*N
         self.q = self.lam.denominator
         lam_s = self.lam_s = self.lam.numerator * self.n
-        # bounds that are thresholds, 0 when off, where none fires: a leaf
-        # is split only if q*n_captured >= support_s, 2*lam of the samples
-        # (node support); each child has q*n_correct >= accuracy_s (leaf
-        # accuracy); a split gaining q*gain < gain_s (never negative) keeps
-        # a child to split (incremental accuracy); a tree's children pay at
-        # least one more leaf penalty (lookahead)
+        # bounds that are thresholds: a leaf is split only if q*n_captured
+        # >= support_s, 2*lam of the samples (node support); each child has
+        # q*n_correct >= accuracy_s (leaf accuracy); a split gaining q*gain
+        # < gain_s (never negative) keeps a child to split (incremental
+        # accuracy); a tree's children pay at least one more leaf penalty
+        # (lookahead).  Off, each is 0 and never fires, but leaf accuracy's
+        # 1 still drops an empty child: the support bound with no slack
         self.support_s = 2 * lam_s if toggles.node_support else 0
-        self.accuracy_s = lam_s if toggles.leaf_accuracy else 0
+        self.accuracy_s = lam_s if toggles.leaf_accuracy else 1
         self.gain_s = lam_s if toggles.incremental_accuracy else 0
         self.margin_s = lam_s if toggles.lookahead else 0
         self.leaf_cache = LeafCache()
@@ -384,10 +385,7 @@ class _Run:
             # the leaf's counts minus c1's
             c2 = intern(k2, Leaf, k2, n_captured - c1.n_captured,
                         n_ones - c1.n_ones, b0_count - c1.b0_count)
-            # a split capturing nothing (or everything) on one side can
-            # never help
-            if c1.n_captured == 0 or c2.n_captured == 0:
-                continue
+            # leaf accuracy, which also drops a split with an empty side
             if q * c1.n_correct < accuracy_s or q * c2.n_correct < accuracy_s:
                 continue
             must_split = q * (c1.n_correct + c2.n_correct
@@ -430,19 +428,16 @@ class _Run:
             self.queue.push([entry])
 
         next_trace = self.config.trace_interval
-        # every limit is checked before every expansion, and an expansion
-        # always finishes, so the queue holds all the work left
-        while not self._limit_tripped():
+        # the loop's one exit: no work left, or a limit checked before each
+        # expansion, which always finishes, so the queue holds all work left
+        while self.queue and not self._limit_tripped():
             entry = self.queue.pop()
-            if entry is None:
-                break
             tree = build_tree(entry)
             # the permutation bound: a tree that a second split order
             # reached is expanded once
             if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
                     tree_key(tree), entry[B_S]):
                 self.stats.duplicates_skipped += 1
-                children = []
             else:
                 self.stats.expansions += 1
                 best_s = self.best_s
@@ -454,7 +449,7 @@ class _Run:
                     self.stats.queue_purged += self.queue.retain(self._live)
                     self.stats.tree_cache_purged += \
                         self.tree_cache.garbage_collect(self.live_limit_s)
-            self.queue.push(children)
+                self.queue.push(children)
             # a duplicate's turn steps next_trace as well
             if self.stats.trees_evaluated >= next_trace:
                 next_trace += self.config.trace_interval
@@ -516,11 +511,8 @@ class _Run:
         # the last record holds the result's figures
         self._record_trace()
         last = self.trace[-1]
-        # with no entry left the search is complete, whatever limit it
-        # reached on the way
+        # with no entry left the search is complete and named no limit
         certified = last.min_queue_lower_bound is None
-        if certified:
-            self.stats.limit_hit = None
         gap = Fraction(0) if certified \
             else last.best_objective - last.min_queue_lower_bound
         self.stats.total_time = time.perf_counter() - self._t0
