@@ -309,12 +309,13 @@ def _add_fit_flags(p: _Parser) -> None:
     p.add_argument("--label", required=True)
     p.add_argument("--lambda", dest="lam", required=True,
                    help="leaf penalty, decimal or fraction, > 0")
-    p.add_argument("--policy", default=Policy.CURIOSITY.value,
+    p.add_argument("--policy", default=SearchConfig.policy.value,
                    choices=[pol.value for pol in Policy])
     p.add_argument("--time-limit", type=float)
     p.add_argument("--max-trees", type=int)
     p.add_argument("--max-cache-entries", type=int)
-    p.add_argument("--trace-interval", type=int, default=1000)
+    p.add_argument("--trace-interval", type=int,
+                   default=SearchConfig.trace_interval)
     for flag in ABLATION_FLAGS:
         p.add_argument(f"--{flag}", action="store_true")
     p.add_argument("--similar-support", action="store_true")

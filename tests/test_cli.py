@@ -13,6 +13,7 @@ import pytest
 import opttree
 from opttree import cli, oracle
 from opttree.cli import main
+from opttree.search import SearchConfig
 
 TOY = "a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
 NOISY = ("a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
@@ -302,6 +303,16 @@ def test_predict_deeply_nested_model_is_format_error(tmp_path, toy_csv,
     assert code == 1
     assert out == ""
     assert err == "error: model JSON is nested too deeply\n"
+
+
+def test_bare_fit_and_ablate_parse_to_the_default_config():
+    # each option's default is SearchConfig's own, not a copy of it
+    for command, out in (("fit", ["--out", "m.json"]), ("ablate", [])):
+        args = cli.build_parser().parse_args(
+            [command, "--data", "d.csv", "--label", "y", "--lambda", "1/30",
+             *out])
+        assert cli._config_from_args(args) \
+            == SearchConfig(lam=Fraction(1, 30)), command
 
 
 def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
