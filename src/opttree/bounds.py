@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, perm
 
 
@@ -61,12 +60,12 @@ def max_leaves_apriori(lam: Fraction, n_features: int) -> int:
     return min(_floor_ratio(Fraction(1, 2), lam), 2 ** n_features)
 
 
-@lru_cache(maxsize=4096)
 def cumulative_perm(slots: int, f: int) -> int:
     """Sum of perm(slots, k) for k = 0..f, as one running product:
-    perm(slots, k) = perm(slots, k - 1) * (slots - k + 1).  Memoized: a
-    trace record calls it once per (leaf count, f) pair of the queue, and
-    a fit's records repeat most pairs."""
+    perm(slots, k) = perm(slots, k - 1) * (slots - k + 1).  A trace record
+    calls it once per (leaf count, f) pair of the queue, and a fit's
+    records repeat most pairs, so each run memoizes it for its own records
+    (``_Run.__init__``); no memo outlives the fit."""
     total = term = 1
     for k in range(1, f + 1):
         term *= slots - k + 1

@@ -24,8 +24,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundToggles, count_trees
-from .dataset import (DataFormatError, Dataset, build_equivalence_index,
-                      load_csv)
+from .dataset import DataFormatError, Dataset, load_csv
 from .oracle import OracleResourceError, exhaustive_optimum
 from .scheduler import Policy
 from .search import SearchConfig, SearchResult, TraceRecord, fit
@@ -274,14 +273,11 @@ def _ablate_variants(base: SearchConfig):
 def cmd_ablate(args) -> int:
     ds = _load(args.data, args.label)
     base = _config_from_args(args)
-    base.validate()  # before the index is built for it
-    # one index for every variant, so a variant's times cover its search
-    eq = build_equivalence_index(ds)
     rows = [["variant", "total_time_s", "time_to_optimum_s",
              "trees_evaluated", "trees_to_optimum", "max_queue_size"]]
     objectives = {}
     for name, cfg in _ablate_variants(base):
-        result = fit(ds, cfg, eq)
+        result = fit(ds, cfg)
         s = result.stats
         if result.certified:
             objectives[name] = result.objective

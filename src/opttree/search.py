@@ -80,6 +80,7 @@ leaf's minus those.  So no capture outlives the call that made it.
 
 from __future__ import annotations
 
+import functools
 import gc
 import time
 from dataclasses import dataclass, field, replace
@@ -90,8 +91,8 @@ from typing import Iterable, Optional
 from .bounds import (BoundToggles, cumulative_perm, floor_log10,
                      validate_lam)
 from .caches import LeafCache, TreeCache, tree_key
-from .dataset import (Dataset, EquivalenceIndex, and_literal,
-                      build_equivalence_index, weighted_count)
+from .dataset import (Dataset, and_literal, build_equivalence_index,
+                      weighted_count)
 from .scheduler import Policy, SearchQueue
 # sort_leaves is no longer called here; it stays a module global because
 # perfbench/tracing.py wraps it as the tree layer's sorting span
@@ -197,8 +198,7 @@ class SearchResult:
 class _Run:
     """Mutable state of one branch-and-bound execution."""
 
-    def __init__(self, ds: Dataset, config: SearchConfig,
-                 eq: Optional[EquivalenceIndex] = None):
+    def __init__(self, ds: Dataset, config: SearchConfig):
         config.validate()
         if ds.n_samples == 0:
             raise ValueError("the dataset has no samples")
@@ -207,9 +207,9 @@ class _Run:
         self.ds = ds
         self.config = config
         toggles = self.toggles = config.toggles
-        eq = eq if eq is not None else build_equivalence_index(ds)
-        # equivalent points off: no leaf of the run has a floor, and the
-        # caller's index stays as it is
+        # the run searches only the index it builds; with equivalent points
+        # off no leaf of the run has a floor
+        eq = build_equivalence_index(ds)
         self.eq = eq if toggles.equivalent_points \
             else replace(eq, minority_planes=())
         self.lam = config.lam
@@ -243,6 +243,9 @@ class _Run:
         # for every split table of the run
         self.literals = [((Clause(f, False),), (Clause(f, True),))
                          for f in range(ds.n_features)]
+        # the trace records' memo: they repeat most (slots, f) pairs, and
+        # it goes with the run
+        self.cumulative_perm = functools.cache(cumulative_perm)
 
     # -- gates ------------------------------------------------------------
 
@@ -493,7 +496,7 @@ class _Run:
         pool = 3 ** self.ds.n_features
         for (n_leaves, f), count in per_pair.items():
             slots = pool - n_leaves
-            remaining += count * cumulative_perm(slots, min(f, slots))
+            remaining += count * self.cumulative_perm(slots, min(f, slots))
         scale = self.n * self.q
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,
@@ -527,9 +530,10 @@ class _Run:
                             stats=self.stats, trace=self.trace)
 
 
-def fit(ds: Dataset, config: SearchConfig,
-        eq: Optional[EquivalenceIndex] = None) -> SearchResult:
-    """Run branch-and-bound to a certified optimum or a resource limit.
+def fit(ds: Dataset, config: SearchConfig) -> SearchResult:
+    """Run branch-and-bound on ``ds`` to a certified optimum or a
+    resource limit.  The fit builds its own equivalence index, so its
+    limits and times cover that build too.
 
     The cyclic garbage collector is paused for the whole process while
     the fit, index build included, runs: a run makes no reference cycle,
@@ -538,7 +542,7 @@ def fit(ds: Dataset, config: SearchConfig,
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _Run(ds, config, eq).run()
+        return _Run(ds, config).run()
     finally:
         if enabled:
             gc.enable()

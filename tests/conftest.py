@@ -72,7 +72,7 @@ def lower_bound(tree: TreeState, lam: Fraction) -> Fraction:
                     tree.ds.n_samples * lam.denominator)
 
 
-def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
+def expand(tree: TreeState, ds: Dataset, config: SearchConfig,
            best: Fraction) -> list[tuple]:
     """One expansion of ``tree`` against incumbent ``best``: the queue
     entries of its children live under the final incumbent, the ones the
@@ -81,7 +81,7 @@ def expand(tree: TreeState, ds: Dataset, eq, config: SearchConfig,
     The tree is expanded as the run's index builds it: with equivalent
     points off no leaf of the run has a floor, so a leaf of ``tree``
     that has one is rebuilt over ``run.eq``; every other leaf is kept."""
-    run = _Run(ds, config, eq)
+    run = _Run(ds, config)
     # integer scaled values compare with ceil(x) exactly as with x
     run.best_s = math.ceil(best * run.n * run.q)
     if not config.toggles.equivalent_points:
@@ -158,7 +158,7 @@ def expanded_trees(ds: Dataset, lam: Fraction, rng: random.Random,
     trees = list(frontier)
     for _ in range(levels):
         children = [build_tree(e) for t in frontier
-                    for e in expand(t, ds, eq, config, Fraction(1))]
+                    for e in expand(t, ds, config, Fraction(1))]
         trees += children
         frontier = rng.sample(children, min(width, len(children)))
     return trees

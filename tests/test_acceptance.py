@@ -160,7 +160,7 @@ def test_criterion_5_incremental_equals_scratch(report):
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, rng)
         best = Fraction(rng.randint(1, 20), 20)
-        for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+        for entry in expand(parent, ds, SearchConfig(lam=lam), best):
             child = build_tree(entry)
             priced = priced_bounds(entry, ds.n_samples, lam)
             if priced != scratch_bounds(child, lam) \

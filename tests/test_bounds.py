@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import opttree.search
 from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
@@ -252,7 +253,7 @@ def test_equivalent_points_floor_le_splittable_error():
         eq = build_equivalence_index(ds)
         root = root_tree(ds, eq)
         for entry in [as_entry(root, lam)] + expand(
-                root, ds, eq, SearchConfig(lam=lam), Fraction(1)):
+                root, ds, SearchConfig(lam=lam), Fraction(1)):
             trees += 1
             assert 0 <= entry[B0_S] <= entry[R_S] - entry[B_S]
     assert trees > 100
@@ -278,11 +279,10 @@ def test_max_leaves_formulas():
         eq = build_equivalence_index(ds)
         best = Fraction(rng.randint(1, 10), 20)
         parents = [root_tree(ds, eq)]
-        parents += map(build_tree, expand(parents[0], ds, eq,
+        parents += map(build_tree, expand(parents[0], ds,
                                           SearchConfig(lam=lam), best))
         for parent in parents:
-            for entry in expand(parent, ds, eq, SearchConfig(lam=lam),
-                                best):
+            for entry in expand(parent, ds, SearchConfig(lam=lam), best):
                 children += 1
                 h = build_tree(entry).h
                 assert h <= min(math.floor(best / lam), 2 ** ds.n_features)
@@ -344,7 +344,6 @@ def test_floor_log10_exact():
 
 
 def test_cumulative_perm_is_the_sum_of_perms():
-    cumulative_perm.cache_clear()
     for slots in range(0, 12):
         for f in range(0, 14):
             assert cumulative_perm(slots, f) \
@@ -455,7 +454,7 @@ def test_similar_support_prunes_inside_a_fit():
         == Fraction(14, 39)
 
 
-def test_equivalent_points_off_reads_no_floor():
+def test_equivalent_points_off_reads_no_floor(monkeypatch):
     # every leaf's equivalent-points floor is counted from the index's
     # minority planes.  With the bound off nothing of a fit reads the
     # floor, similar support's rejected floors included, so zeroing the
@@ -464,6 +463,13 @@ def test_equivalent_points_off_reads_no_floor():
         counts = {k: v for k, v in vars(res.stats).items()
                   if k not in ("total_time", "time_to_optimum")}
         return counts, res.objective, res.gap
+
+    def fit_on(index, ds, config):
+        # a fit builds its own index: this one hands it ``index``
+        with monkeypatch.context() as m:
+            m.setattr(opttree.search, "build_equivalence_index",
+                      lambda _: index)
+            return fit(ds, config)
 
     rng = random.Random(28)
     changed_when_on = 0
@@ -476,8 +482,8 @@ def test_equivalent_points_off_reads_no_floor():
         for on in (False, True):
             toggles = BoundToggles(equivalent_points=on, similar_support=True)
             config = SearchConfig(lam=lam, toggles=toggles, max_trees=3000)
-            same = outcome(fit(ds, config, eq)) \
-                == outcome(fit(ds, config, zeroed))
+            same = outcome(fit_on(eq, ds, config)) \
+                == outcome(fit_on(zeroed, ds, config))
             assert same or on
             changed_when_on += not same
     assert changed_when_on > 10

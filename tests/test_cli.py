@@ -5,15 +5,19 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import opttree
+import opttree.search
 from opttree import cli, oracle
 from opttree.cli import main
-from opttree.search import SearchConfig
+from opttree.dataset import build_equivalence_index
+from opttree.search import SearchConfig, _Run
+from tests.conftest import csv_text, random_dataset
 
 TOY = "a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
 NOISY = ("a,b,y\n0,1,1\n1,0,0\n0,1,1\n1,1,0\n0,0,1\n1,0,0\n"
@@ -460,28 +464,28 @@ def test_oracle_refuses_paths_deeper_than_the_stack(tmp_path):
     assert proc.stderr.count("\n") == 1
 
 
-def test_ablate_table(tmp_path, capsys, monkeypatch):
-    import opttree.cli as cli
-    import opttree.search as search
-    builds = []
+def test_ablate_table(tmp_path, capsys):
+    # each variant's fit builds its own index, and ablate builds none:
+    # every call of the index build, by whatever name, is recorded with
+    # the function that made it
+    build = build_equivalence_index.__code__
+    callers = []
 
-    def counting(real, where):
-        def build(ds):
-            builds.append(where)
-            return real(ds)
-        return build
-    # the variants share one index, built by ablate, not by each fit
-    monkeypatch.setattr(cli, "build_equivalence_index",
-                        counting(cli.build_equivalence_index, "ablate"))
-    monkeypatch.setattr(search, "build_equivalence_index",
-                        counting(search.build_equivalence_index, "fit"))
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is build:
+            callers.append(frame.f_back.f_code)
+
     data = tmp_path / "noisy.csv"
     data.write_text(NOISY)
     out = tmp_path / "ablate.csv"
-    code = main(["ablate", "--data", str(data), "--label", "y",
-                 "--lambda", "0.05", "--out", str(out)])
+    sys.setprofile(profile)
+    try:
+        code = main(["ablate", "--data", str(data), "--label", "y",
+                     "--lambda", "0.05", "--out", str(out)])
+    finally:
+        sys.setprofile(None)
     assert code == 0
-    assert builds == ["ablate"]
+    assert callers == [_Run.__init__.__code__] * 13
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     header = ["variant", "total_time_s", "time_to_optimum_s",
@@ -493,6 +497,31 @@ def test_ablate_table(tmp_path, capsys, monkeypatch):
     assert "all_bounds" in variants
     assert "no_lookahead" in variants
     assert any(v.startswith("policy_") for v in variants)
+
+
+def test_ablate_time_limit_covers_each_index_build(tmp_path, capsys,
+                                                   monkeypatch):
+    # every variant builds its index inside its own fit, so a build slower
+    # than the time limit stops every variant at the limit
+    real = opttree.search.build_equivalence_index
+
+    def slow_index(ds):
+        time.sleep(0.03)
+        return real(ds)
+    monkeypatch.setattr(opttree.search, "build_equivalence_index",
+                        slow_index)
+    data = tmp_path / "random.csv"
+    data.write_text(csv_text(random_dataset(random.Random(30), 40, 4)))
+    out = tmp_path / "ablate.csv"
+    code = main(["ablate", "--data", str(data), "--label", "y",
+                 "--lambda", "0.05", "--time-limit", "0.01",
+                 "--out", str(out)])
+    assert code == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 13
+    assert all(r["total_time_s"] == r["time_to_optimum_s"] == ">0.01"
+               for r in rows)
 
 
 def test_ablate_does_not_take_a_trace(tmp_path, capsys):

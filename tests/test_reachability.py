@@ -72,8 +72,7 @@ def _public_functions(module):
 
 
 def test_public_bound_and_tree_functions_are_reached(capsys, tmp_path):
-    # memo hits skip the body
-    opttree.bounds.cumulative_perm.cache_clear()
+    # a memo hit skips the body: the parser is built once per process
     opttree.cli.build_parser.cache_clear()
     rng = random.Random(1)
     ds = random_dataset(rng, 30, 4, duplicate_bias=0.3)

@@ -1,5 +1,8 @@
 import gc
+import importlib
+import inspect
 import math
+import pkgutil
 import random
 import sys
 from dataclasses import fields, replace
@@ -8,6 +11,7 @@ from itertools import compress, product
 
 import pytest
 
+import opttree
 from opttree.bounds import BoundToggles
 from opttree.caches import tree_key
 from opttree.dataset import build_equivalence_index, from_rows
@@ -238,8 +242,7 @@ def test_expand_children_respect_hierarchy():
     eq = build_equivalence_index(ds)
     root = root_tree(ds, eq)
     cfg = SearchConfig(lam=lam)
-    children = [build_tree(e) for e in expand(root, ds, eq, cfg,
-                                              Fraction(1, 2))]
+    children = [build_tree(e) for e in expand(root, ds, cfg, Fraction(1, 2))]
     assert children
     for child in children:
         child.check_partition()
@@ -254,7 +257,7 @@ def test_expand_prunes_by_best(toy_ds):
     root = root_tree(toy_ds, eq)
     cfg = SearchConfig(lam=lam)
     # best below 2*lam: every split child fails the hierarchical gate
-    assert expand(root, toy_ds, eq, cfg, Fraction(1, 100)) == []
+    assert expand(root, toy_ds, cfg, Fraction(1, 100)) == []
 
 
 def test_expand_keeps_leaves_in_canonical_order(monkeypatch):
@@ -326,7 +329,7 @@ def test_zero_gain_split_forbids_both_unchanged():
                                                     (False, 7, 1)):
         config = SearchConfig(lam=lam, toggles=BoundToggles(
             incremental_accuracy=incremental_accuracy))
-        assert expand(root, ds, eq, config, Fraction(1))
+        assert expand(root, ds, config, Fraction(1))
         built = _priced_children(ds, config, root, Fraction(1))
         assert len(built) == n_built
         assert sum(not c.split for c in built) == n_closed
@@ -406,7 +409,7 @@ def test_flagging_a_leaf_unchanged_gives_a_built_tree(incremental_accuracy):
                                       incremental_accuracy))
                         for t, deficit in frontier
                         for c in map(build_tree,
-                                     expand(t, ds, eq, config, best))]
+                                     expand(t, ds, config, best))]
             built += frontier
         keys = {(tuple(l.key for l in t.leaves), _flags(t))
                 for t, _ in built}
@@ -487,8 +490,7 @@ def test_fit_leaves_no_cyclic_garbage():
             assert gc.collect() == 0
         # the stateless expansion makes and drops a run of its own
         eq = build_equivalence_index(ds)
-        children = expand(root_tree(ds, eq), ds, eq,
-                          configs[1], Fraction(1))
+        children = expand(root_tree(ds, eq), ds, configs[1], Fraction(1))
         assert children
         del children
         assert gc.collect() == 0
@@ -528,6 +530,23 @@ def test_fit_runs_without_the_collector(toy_ds, monkeypatch):
         _Run, "run", lambda self: states.append(gc.isenabled()) or run(self))
     fit(toy_ds, SearchConfig(lam=Fraction(1, 100)))
     assert states == [False, False]
+
+
+def test_no_memo_outlives_a_fit():
+    # a memo held by a module or a class grows over a process's fits and
+    # carries their work into the next one; a run keeps its own.  Only
+    # the parser, which every call of ``cli.main`` shares, is kept
+    cached = set()
+    for info in pkgutil.iter_modules(opttree.__path__):
+        module = importlib.import_module(f"opttree.{info.name}")
+        for name, obj in vars(module).items():
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{attr}", getattr(m, "__func__", m))
+                            for attr, m in vars(obj).items()]
+            cached |= {f"{module.__name__}.{n}" for n, m in members
+                       if hasattr(m, "cache_info")}
+    assert cached == {"opttree.cli.build_parser"}
 
 
 @pytest.mark.parametrize("policy", list(Policy))
@@ -720,30 +739,6 @@ def _outcome(res):
     return (stats, res.objective, res.gap, res.certified,
             [leaf.key for leaf in res.best_tree.leaves],
             _flags(res.best_tree), trace)
-
-
-def test_fit_never_changes_a_shared_index():
-    # ablate's pattern: one index for every variant.  A fit with
-    # equivalent points off runs on an index without floors, yet the
-    # default fit after it, on the same index, still has them: each fit
-    # gives what it gives on a fresh index, and the index stays as built
-    rng = random.Random(27)
-    off = BoundToggles(equivalent_points=False)
-    floors = 0
-    for _ in range(10):
-        ds = random_dataset(rng, rng.randint(30, 80), rng.randint(4, 6),
-                            duplicate_bias=0.6)
-        lam = Fraction(1, rng.choice((30, 100)))
-        configs = [SearchConfig(lam=lam, toggles=off, max_trees=3000),
-                   SearchConfig(lam=lam, max_trees=3000)]
-        eq = build_equivalence_index(ds)
-        floors += as_entry(root_tree(ds, eq), lam)[B0_S] > 0
-        shared = [_outcome(fit(ds, config, eq)) for config in configs]
-        fresh = [_outcome(fit(ds, config, build_equivalence_index(ds)))
-                 for config in configs]
-        assert shared == fresh
-        assert eq == build_equivalence_index(ds)
-    assert floors > 5
 
 
 def test_row_order_does_not_change_a_result():

@@ -142,10 +142,10 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     # those the incumbent or the liveness gate then drop
     built = []
 
-    def children(root, ds, eq, config):
+    def children(root, ds, config):
         # every child the expansion prices in below an incumbent of 1,
         # found from its split table by ``expand_priced``
-        run = _Run(ds, config, eq)
+        run = _Run(ds, config)
         run.best_s = run.q * run.n
         built[:] = expand_priced(run, root, as_entry(root, config.lam))[0]
         trees = map(build_tree, built)
@@ -173,8 +173,8 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
                 root = TreeState((), (shared,), ds)
                 for toggles in toggle_sets:
                     config = SearchConfig(lam=lam, toggles=toggles)
-                    got = children(root, ds, eq, config)
-                    want = children(root_tree(ds, eq), ds, eq, config)
+                    got = children(root, ds, config)
+                    want = children(root_tree(ds, eq), ds, config)
                     assert got == want
                     seen.append(want)
             changes += sum(a != b for a, b in zip(seen, seen[1:]))
@@ -192,12 +192,12 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     eq = build_equivalence_index(ds)
     keys = ((Clause(0, False),), (Clause(0, True),))
     coarse = Fraction(1, 4)
-    children(root_tree(ds, eq), ds, eq, SearchConfig(lam=coarse))
+    children(root_tree(ds, eq), ds, SearchConfig(lam=coarse))
     (leaves,) = {t.leaves for t in map(build_tree, built)
                  if tuple(l.key for l in t.leaves) == keys}
     lam = Fraction(1, 40)
-    got, want = (children(TreeState((), tuple(ls), ds),
-                          ds, eq, SearchConfig(lam=lam))
+    got, want = (children(TreeState((), tuple(ls), ds), ds,
+                          SearchConfig(lam=lam))
                  for ls in (leaves, [make_leaf(k, eq) for k in keys]))
     assert got == want
     # every child splits the 30-sample leaf, keeping the other

@@ -161,7 +161,7 @@ def test_incremental_equals_scratch_on_random_pairs():
         eq = build_equivalence_index(ds)
         parent = _random_tree(ds, eq, rng)
         best = Fraction(rng.randint(1, 20), 20)
-        for entry in expand(parent, ds, eq, SearchConfig(lam=lam), best):
+        for entry in expand(parent, ds, SearchConfig(lam=lam), best):
             child = build_tree(entry)
             child.check_partition()
             assert entry[:N_LEAVES + 1] \
