@@ -43,6 +43,9 @@ ABLATION_FLAGS = {
     "no-equiv-points": "equivalent_points",
     "no-permutation-cache": "permutation_cache",
 }
+# the records of `fit --trace FILE` without --trace-interval: one per
+# this many trees, and the final one
+TRACE_INTERVAL = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,7 +155,10 @@ def cmd_fit(args) -> int:
             == os.path.realpath(args.out):
         raise ValueError("--out and --trace name the same file")
     ds = _load(args.data, args.label)
-    result = fit(ds, _config_from_args(args))
+    config = _config_from_args(args)
+    if args.trace and config.trace_interval is None:
+        config.trace_interval = TRACE_INTERVAL
+    result = fit(ds, config)
     model = _model_dict(result, ds, args.lam)
     outputs = [(args.out, json.dumps(model, indent=2) + "\n")]
     if args.trace:

@@ -18,17 +18,24 @@ Only the entropy (float) and Gini (float, Fraction) keys are not integers;
 they read the leaves to split from the entry, in no set order, and sum
 exactly.
 
-Besides the heap, the queue counts its entries per (``b_s``, leaf count)
-bucket.  Everything the search's trace reports about the queue (its least
-lower bound and the remaining-evaluations bound) depends on a tree only
-through that pair, so a trace record costs time in the number of distinct
-buckets, not in the number of queued trees.
+Besides the heap, the queue can count its entries per (``b_s``, leaf
+count) bucket.  Everything the search's trace reports about the queue
+(its least lower bound and the remaining-evaluations bound) depends on a
+tree only through that pair, so a trace record costs time in the number
+of distinct buckets, not in the number of queued trees.
+
+The counts cost nothing until ``buckets`` is read.  A push or a pop only
+notes its entries in a pending list; the read folds them into the counts
+of the last read.  A purge makes those counts stale, and so does the
+pending list outgrowing the heap, since a recount would then be cheaper;
+while they are stale nothing is noted, and the read recounts the heap.
+Folds and recounts are C-level passes, so a search that reads the counts
+only once, when it ends, pays one pass over what it left queued.
 
 The search keeps every queued entry live: it queues only live children,
 and when its incumbent improves it drops the entries that can no longer
 beat it all at once (``retain``), so a pop needs no gate and the buckets
-hold live entries only.  A push counts its batch into the buckets, and
-a purge filters and recounts the queue, in C-level passes.
+hold live entries only.
 """
 
 from __future__ import annotations
@@ -122,9 +129,18 @@ class SearchQueue:
         self._key = _KEYS[policy]  # chosen once for the queue
         self._n = ds.n_samples
         self._heap: list[tuple] = []
-        self.buckets: dict[tuple[int, int], int] = {}
         self.max_size = 0
         self._pushes = 0
+        # the counts at the last read, and the entries pushed and popped
+        # since; both lists are None while the counts are stale
+        self._counts: dict[tuple[int, int], int] = {}
+        self._pushed: Optional[list[tuple]] = []
+        self._popped: Optional[list[tuple]] = []
+        # pops since the last read that the pending lists may hold: pushes
+        # grow the heap and the lists alike, and each pop shrinks the heap
+        # by one and grows the lists by one, so they outgrow the heap on
+        # the pop that takes the pops past half the heap read at
+        self._pop_room = 0
 
     def push(self, entries: Sequence[tuple]) -> None:
         """Queue a batch of entries: one expansion's live children."""
@@ -135,7 +151,8 @@ class SearchQueue:
             pushes += 1
             heapq.heappush(heap, (key(entry, n), pushes, entry))
         self._pushes = pushes
-        _count_elements(self.buckets, map(self._bucket, entries))
+        if self._pushed is not None:
+            self._pushed += entries
         if len(heap) > self.max_size:
             self.max_size = len(heap)
 
@@ -144,15 +161,14 @@ class SearchQueue:
         """The first queued entry, or with ``is_live`` the first it
         accepts, discarding those popped before it; None when there is
         none."""
-        heap, buckets = self._heap, self.buckets
+        heap = self._heap
         while heap:
             _, _, entry = heapq.heappop(heap)
-            bucket = self._bucket(entry)
-            count = buckets[bucket]
-            if count == 1:
-                del buckets[bucket]
-            else:
-                buckets[bucket] = count - 1
+            popped = self._popped
+            if popped is not None:
+                popped.append(entry)
+                if len(popped) > self._pop_room:
+                    self._pushed = self._popped = None
             if is_live is None or is_live(entry):
                 return entry
         return None
@@ -164,9 +180,32 @@ class SearchQueue:
         heap, entry = self._heap, self._entry
         self._heap = kept = list(compress(heap, keep(map(entry, heap))))
         heapq.heapify(kept)
-        self.buckets = {}
-        _count_elements(self.buckets, map(self._bucket, map(entry, kept)))
+        self._pushed = self._popped = None
         return len(heap) - len(kept)
+
+    @property
+    def buckets(self) -> dict[tuple[int, int], int]:
+        """The counts, brought up to date: the pending pushes and pops
+        folded in, or the heap recounted when they are stale.  The dict is
+        the queue's own, valid until its next push, pop or purge."""
+        bucket, counts = self._bucket, self._counts
+        if self._pushed is None:
+            self._counts = counts = {}
+            _count_elements(counts, map(bucket, map(self._entry,
+                                                    self._heap)))
+        else:
+            _count_elements(counts, map(bucket, self._pushed))
+            gone: dict[tuple[int, int], int] = {}
+            _count_elements(gone, map(bucket, self._popped))
+            for pair, n in gone.items():
+                left = counts[pair] - n
+                if left:
+                    counts[pair] = left
+                else:
+                    del counts[pair]
+        self._pushed, self._popped = [], []
+        self._pop_room = len(self._heap) // 2
+        return counts
 
     def __len__(self) -> int:
         return len(self._heap)

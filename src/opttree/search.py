@@ -47,6 +47,12 @@ tuples it already holds (see ``caches``).  A trace record reads the
 queue's least bound and sums the remaining-evaluations bound over its
 (``b_s``, leaf count) buckets rather than over its entries; the queue is
 all live, so the last record's least bound is the one behind the gap.
+Only that last record is always made.  With ``trace_interval`` set, the
+loop also records every that many trees; the queue counts its buckets
+only when a record reads them (see ``scheduler``), so a fit that asks
+for no records pays for one count of what it leaves queued.  The run
+frees its stores before it reads ``total_time``, so the teardown of a
+large queue counts against the fit's time as well.
 
 Each store has one owner.  ``_Run.run`` alone pops, builds and marks
 the popped tree, pushes and purges; ``_Run.expand`` only prices and gates
@@ -82,6 +88,7 @@ from __future__ import annotations
 
 import functools
 import gc
+import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -120,7 +127,9 @@ class SearchConfig:
     time_limit: Optional[float] = None
     max_trees: Optional[int] = None
     max_cache_entries: Optional[int] = None
-    trace_interval: int = 1000
+    # a trace record every this many trees evaluated; None: only the
+    # final record, which holds the result's figures
+    trace_interval: Optional[int] = None
 
     def validate(self) -> None:
         validate_lam(self.lam)
@@ -137,12 +146,12 @@ class SearchConfig:
             raise ValueError(f"time_limit must be seconds, not {limit!r}")
         if limit is not None and not limit >= 0:
             raise ValueError("time_limit must be >= 0 seconds")
-        # a count is an int: a NaN limit never trips, a bool passes for
-        # 0 or 1; only the limits may be None
+        # a count is an int or None: a NaN limit never trips, a bool
+        # passes for 0 or 1
         for name, least in (("max_trees", 0), ("trace_interval", 1),
                             ("max_cache_entries", 1)):
             value = getattr(self, name)
-            if value is None and name != "trace_interval":
+            if value is None:
                 continue
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, not {value!r}")
@@ -430,7 +439,8 @@ class _Run:
                 and self.q * leaf.n_captured >= self.support_s:
             self.queue.push([entry])
 
-        next_trace = self.config.trace_interval
+        interval = self.config.trace_interval
+        next_trace = math.inf if interval is None else interval
         # the loop's one exit: no work left, or a limit checked before each
         # expansion, which always finishes, so the queue holds all work left
         while self.queue and not self._limit_tripped():
@@ -455,7 +465,7 @@ class _Run:
                 self.queue.push(children)
             # a duplicate's turn steps next_trace as well
             if self.stats.trees_evaluated >= next_trace:
-                next_trace += self.config.trace_interval
+                next_trace += interval
                 self._record_trace()
         return self._finish()
 
@@ -483,10 +493,13 @@ class _Run:
         least_s = min((b_s for b_s, _ in buckets), default=None)
         # remaining-evaluations bound: a queued tree with lower bound b and
         # L leaves may still add up to f = floor((best - b) / lam) of the
-        # 3^M - L unused leaves, in any order.  Both terms depend on the
-        # tree only through (L, f), so the buckets' counts are summed per
-        # pair and the sum runs over those.  Every queued tree is live:
-        # b < best
+        # 3^M - L unused leaves, in any order.  Every leaf of an evaluated
+        # tree captures a row class (a split with an empty side is never
+        # priced), so it adds at most K - L more for K classes; K <= 2^M,
+        # so that cap also keeps the count within the unused leaves.  Both
+        # terms depend on the tree only through (L, f), so the buckets'
+        # counts are summed per pair and the sum runs over those.  Every
+        # queued tree is live: b < best
         best_s, lam_s = self.best_s, self.lam_s
         per_pair: dict[tuple[int, int], int] = {}
         for (b_s, n_leaves), count in buckets.items():
@@ -518,12 +531,17 @@ class _Run:
         certified = last.min_queue_lower_bound is None
         gap = Fraction(0) if certified \
             else last.best_objective - last.min_queue_lower_bound
-        self.stats.total_time = time.perf_counter() - self._t0
         self.stats.max_queue_size = self.queue.max_size
         self.stats.leaf_cache_size = len(self.leaf_cache)
         self.stats.leaf_cache_hits = self.leaf_cache.hits
         self.stats.tree_cache_size = len(self.tree_cache)
         self.stats.split_tables = len(self.split_tables)
+        # the stores go before total_time is read: freeing a large queue
+        # is part of the fit, and of the time its limits answer for
+        self.queue = SearchQueue(self.config.policy, self.ds)
+        self.leaf_cache, self.tree_cache = LeafCache(), TreeCache()
+        self.split_tables = {}
+        self.stats.total_time = time.perf_counter() - self._t0
         return SearchResult(best_tree=build_tree(self.best_entry),
                             objective=last.best_objective,
                             certified=certified, gap=gap,

@@ -76,8 +76,10 @@ def test_leaf_is_dead():
     def split_leaves(**toggles):
         run = _Run(ds, SearchConfig(lam=lam, toggles=BoundToggles(
             lookahead=False, leaf_accuracy=False, **toggles)))
+        # the run drops its tables when it finishes
+        tables = run.split_tables
         run.run()
-        return {leaf.key for leaf in run.split_tables}
+        return {leaf.key for leaf in tables}
 
     assert (Clause(0, True),) not in split_leaves()
     assert (Clause(0, True),) in split_leaves(node_support=False)

@@ -233,8 +233,10 @@ def test_trees_built_at_pop_match_a_from_scratch_sum(monkeypatch):
 
 
 def _fit_recording_splits(ds, config):
-    """Run a fit; return the run and the leaves it split."""
+    """Run a fit; return the run, the leaves it split, and its split
+    tables and cached leaves, which the run drops when it finishes."""
     run = _Run(ds, config)
+    tables, leaf_cache = run.split_tables, run.leaf_cache
     split = []
     expand = run.expand
 
@@ -244,7 +246,7 @@ def _fit_recording_splits(ds, config):
 
     run.expand = recording
     run.run()
-    return run, split
+    return run, split, tables, list(leaf_cache._store.values())
 
 
 def _captured(ds, clauses):
@@ -276,20 +278,19 @@ def test_split_tables_hold_only_splits():
                                 duplicate_bias=0.3)
             config = SearchConfig(lam=Fraction(1, 40), toggles=toggles,
                                   max_trees=max_trees)
-            run, split = _fit_recording_splits(ds, config)
-            leaves = list(run.leaf_cache._store.values())
+            run, split, tables, leaves = _fit_recording_splits(ds, config)
             # node support closes some leaves; with it off a search may
             # split every leaf it caches
             if toggles.node_support:
                 assert len(leaves) > len({id(l) for l in split})
-            assert {id(l) for l in run.split_tables} \
+            assert {id(l) for l in tables} \
                 == {id(l) for l in split}
             # a table is the list of its leaf's splits: the feature, the
             # interned children on it and their flag pairs, no capture.
             # Each literal is made once per run, for every table.  No
             # split has an empty side, whatever the toggles
             literals = {}
-            for leaf, table in run.split_tables.items():
+            for leaf, table in tables.items():
                 assert type(table) is list
                 for f, c1, c2, flag_pairs in table:
                     assert type(c1) is Leaf and type(c2) is Leaf

@@ -319,6 +319,26 @@ def test_bare_fit_and_ablate_parse_to_the_default_config():
             == SearchConfig(lam=Fraction(1, 30)), command
 
 
+def test_only_a_fit_that_writes_a_trace_records_periodically(
+        tmp_path, toy_csv, monkeypatch):
+    # a bare fit makes the final record only; --trace adds one every 1000
+    # trees unless --trace-interval says otherwise
+    intervals = []
+
+    def recording_fit(ds, config):
+        intervals.append(config.trace_interval)
+        return opttree.fit(ds, config)
+
+    monkeypatch.setattr(cli, "fit", recording_fit)
+    base = ["fit", "--data", str(toy_csv), "--label", "y", "--lambda",
+            "0.01", "--out", str(tmp_path / "m.json")]
+    trace = ["--trace", str(tmp_path / "t.csv")]
+    for extra in ([], trace, [*trace, "--trace-interval", "7"],
+                  ["--trace-interval", "7"]):
+        assert main(base + extra) == 0
+    assert intervals == [None, 1000, 7, 7]
+
+
 def test_repeated_main_calls_behave_like_fresh_ones(tmp_path, capsys):
     # y = b xor c: five trees are too few to certify the 4-leaf optimum
     rows = [f"{i % 2},{i // 2 % 2},{i // 4 % 2},{(i // 2 ^ i // 4) % 2}"

@@ -104,7 +104,9 @@ def _all_counts() -> dict:
     out = {}
     for k, ds, lam in _datasets():
         for name, kwargs in _variants():
-            result = fit(ds, SearchConfig(lam=lam, max_trees=3000, **kwargs))
+            # a record every 1000 trees unless the variant says otherwise
+            result = fit(ds, SearchConfig(
+                lam=lam, max_trees=3000, **{"trace_interval": 1000, **kwargs}))
             out[f"{k}/{name}"] = [getattr(result.stats, c) for c in COUNTS] \
                 + [str(result.objective), str(result.gap)] + _trace(result)
     return out

@@ -180,13 +180,16 @@ def test_retain_keeps_the_pop_order_and_recounts_the_buckets(ds):
 
 
 def test_buckets_count_the_queued_entries(ds):
-    # after every push, pop (with and without a gate that discards) and
-    # retain, the buckets hold each queued (b_s, leaf count) pair with its
-    # count, as plain ints, and no pair without an entry
+    # read after some pushes, pops (with and without a gate that discards)
+    # and retains, the buckets hold each queued (b_s, leaf count) pair with
+    # its count, as plain ints, and no pair without an entry, whether the
+    # read folds the pending entries in or recounts stale counts.  The
+    # pending entries never outnumber the queued ones
     rng = random.Random(26)
     ops = Counter()
-    for _ in range(100):
+    for _ in range(300):
         q = SearchQueue(rng.choice(list(Policy)[:5]), ds)
+        every = rng.choice((1, 3, 10))  # reads one op in this many
         for _ in range(rng.randint(1, 40)):
             op = rng.choice(("push", "push", "pop", "gated pop", "retain"))
             if op == "push":
@@ -200,10 +203,18 @@ def test_buckets_count_the_queued_entries(ds):
             else:
                 q.retain(lambda es: [rng.random() < 0.7 for _ in es])
             ops[op] += 1
+            stale = q._pushed is None
+            assert stale == (q._popped is None)
+            if not stale:
+                assert len(q._pushed) + len(q._popped) <= len(q)
+            if rng.randrange(every):
+                continue
+            ops["recount" if stale else "fold"] += 1
             want = Counter((e[B_S], e[N_LEAVES]) for e in q.trees())
             assert dict(q.buckets) == dict(want)
             assert all(type(n) is int and n > 0 for n in q.buckets.values())
-    assert min(ops.values()) > 200
+            assert (q._pushed, q._popped) == ([], [])
+    assert min(ops.values()) > 200, ops
 
 
 def test_queue_max_size_and_min_bound(ds):
@@ -264,13 +275,15 @@ def test_min_lower_bound_is_the_plain_min_on_stopped_fits():
         policy = rng.choice(list(Policy))
         run = _Run(ds, SearchConfig(lam=Fraction(1, 50), policy=policy,
                                     max_trees=rng.randint(20, 400)))
+        # the run drops its own reference to the queue when it finishes
+        queue = run.queue
         result = run.run()
         # the gate the finished run judged the queue with, asked of one
         # entry at a time
         def is_live(entry):
             return run._live([entry])[0]
-        least = _checked_min(run.queue, is_live)
-        assert least is _plain_min(run.queue, is_live)
+        least = _checked_min(queue, is_live)
+        assert least is _plain_min(queue, is_live)
         if least is not None:
             stopped += 1
             assert result.gap == result.objective \

@@ -655,6 +655,24 @@ def test_stats_populated(noisy_ds):
     assert res.trace[-1].trees_evaluated == s.trees_evaluated
 
 
+def test_the_run_frees_its_stores_before_it_ends():
+    # a certified and a stopped fit: the stats keep the stores' sizes, and
+    # the stores are empty once run() returns, so total_time covers their
+    # teardown
+    ds = random_dataset(random.Random(4), 60, 6)
+    for limit in ({}, {"max_trees": 300}):
+        run = _Run(ds, SearchConfig(lam=Fraction(1, 60), **limit))
+        queue = run.queue
+        res = run.run()
+        assert res.certified == (not limit)
+        s = res.stats
+        assert len(queue) == (0 if res.certified else res.trace[-1].queue_size)
+        assert s.leaf_cache_size > 0 and s.tree_cache_size > 0 \
+            and s.split_tables > 0
+        assert (len(run.queue), len(run.leaf_cache), len(run.tree_cache),
+                run.split_tables) == (0, 0, 0, {})
+
+
 def _limit_ds():
     return random_dataset(random.Random(7), 200, 10)
 
@@ -687,13 +705,14 @@ def test_limit_keeps_certificate_when_no_work_is_left(limit):
         done = fit(ds, SearchConfig(lam=lam))
         run = _Run(ds, SearchConfig(
             lam=lam, max_trees=done.stats.trees_evaluated))
+        queue = run.queue  # the run drops it when it finishes
         res = run.run()
         assert res.objective - res.gap <= optimum <= res.objective
         assert res.stats.trees_evaluated == done.stats.trees_evaluated
         if res.certified:
             assert res.stats.limit_hit is None and res.gap == 0
             assert res.objective == optimum
-            assert len(run.queue) == 0
+            assert len(queue) == 0
             empty_stops += 1
         else:
             assert res.stats.limit_hit == "max_trees" and res.gap > 0

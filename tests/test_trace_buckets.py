@@ -111,6 +111,38 @@ def test_trace_records_equal_a_scan_of_the_queue(monkeypatch):
     assert seen["cache_stops"] > 20
 
 
+def _figures(record):
+    """A record's fields but ``elapsed_s``."""
+    return (record.trees_evaluated, record.best_objective,
+            record.min_queue_lower_bound, record.queue_size,
+            record.log10_remaining_bound, record.remaining_bound)
+
+
+def test_a_default_fit_records_only_the_last_record_of_a_traced_one():
+    # the final record does not depend on the records before it, which
+    # read the queue's counts between its pushes and pops
+    rng = random.Random(31)
+    periodic = certified = 0
+    for _ in range(20):
+        ds = random_dataset(rng, rng.randint(20, 80), rng.randint(3, 6),
+                            duplicate_bias=rng.choice([0.0, 0.4]))
+        lam = Fraction(1, rng.randint(40, 300))
+        for policy in Policy:
+            # some of these fits certify within their limits
+            config = SearchConfig(
+                lam=lam, policy=policy, max_trees=rng.randint(1, 5000),
+                max_cache_entries=rng.choice([None, rng.randint(1, 300)]))
+            plain = fit(ds, config)
+            traced = fit(ds, replace(config, trace_interval=1000))
+            assert len(plain.trace) == 1
+            assert _figures(plain.trace[0]) == _figures(traced.trace[-1])
+            assert (plain.objective, plain.gap, plain.certified) \
+                == (traced.objective, traced.gap, traced.certified)
+            periodic += len(traced.trace) > 1
+            certified += plain.certified
+    assert periodic > 20 and certified > 40
+
+
 def test_last_record_agrees_with_the_result():
     # fits cut by max_trees at 15 points of their full run: the last
     # record's bound is objective - gap, and a certified fit's last record
