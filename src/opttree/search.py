@@ -506,10 +506,10 @@ class _Run:
             pair = (n_leaves, (best_s - b_s) // lam_s)
             per_pair[pair] = per_pair.get(pair, 0) + count
         remaining = 0
-        pool = 3 ** self.ds.n_features
+        pool, n_classes = 3 ** self.ds.n_features, self.eq.n_classes
         for (n_leaves, f), count in per_pair.items():
-            slots = pool - n_leaves
-            remaining += count * self.cumulative_perm(slots, min(f, slots))
+            remaining += count * self.cumulative_perm(
+                pool - n_leaves, min(f, n_classes - n_leaves))
         scale = self.n * self.q
         self.trace.append(TraceRecord(
             elapsed_s=time.perf_counter() - self._t0,

@@ -309,10 +309,12 @@ def test_remaining_evaluations():
     # f = 0 when best <= b: only the k=0 term, Gamma = 1
     assert traced(Fraction(0), [root]).remaining_bound == 1
     assert traced(Fraction(0), [root]).log10_remaining_bound == 0
-    # f = 2, L = 1, M = 1: slots = 2, 1 + 2 + 2 = 5; f = 3 is capped at 2
-    assert traced(Fraction(2, 10), [root]).remaining_bound == 5
+    # f = 2, L = 1, M = 1, K = 2 row classes: a tree has at most K leaves,
+    # so f is capped at K - L = 1 and the sum is perm(2, 0) + perm(2, 1),
+    # 1 + 2 = 3; f = 3 is capped alike
+    assert traced(Fraction(2, 10), [root]).remaining_bound == 3
     both = traced(Fraction(3, 10), [root, root])
-    assert both.remaining_bound == 10 and both.log10_remaining_bound == 1
+    assert both.remaining_bound == 6 and both.log10_remaining_bound == 0
 
 
 def test_total_evaluations_bound():

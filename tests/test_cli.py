@@ -604,12 +604,13 @@ def test_unknown_subcommand_exit_code():
 
 
 def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
-    # 3^30 unused leaves and, under the root's incumbent, room for
-    # hundreds more leaves: the remaining-evaluations bound that the
-    # trace reports has thousands of digits
+    # 3^30 unused leaves and, under the root's incumbent and with 400
+    # distinct rows, room for hundreds more leaves: the
+    # remaining-evaluations bound that the trace reports has thousands of
+    # digits
     rng = random.Random(11)
     names = [f"f{j}" for j in range(30)] + ["y"]
-    rows = [[rng.randint(0, 1) for _ in names] for _ in range(100)]
+    rows = [[rng.randint(0, 1) for _ in names] for _ in range(400)]
     data = tmp_path / "wide.csv"
     data.write_text(",".join(names) + "\n"
                     + "".join(",".join(map(str, r)) + "\n" for r in rows))
@@ -622,6 +623,25 @@ def test_fit_with_a_remaining_bound_beyond_4300_digits(tmp_path, capsys):
     with trace.open() as fh:
         logs = [int(r["log10_remaining_bound"]) for r in csv.DictReader(fh)]
     assert max(logs) > 4300
+
+
+def test_a_tiny_lambda_keeps_the_final_record_within_the_limits(tmp_path,
+                                                               capsys):
+    # at lam = 1/100000 each queued tree could afford thousands of leaves,
+    # but no tree has more leaves than the data has distinct rows, so the
+    # final record's remaining-evaluations sum stays small
+    rng = random.Random(1)
+    names = [f"f{j}" for j in range(10)] + ["y"]
+    rows = [[rng.randint(0, 1) for _ in names] for _ in range(200)]
+    data = tmp_path / "wide.csv"
+    data.write_text(",".join(names) + "\n"
+                    + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    start = time.perf_counter()
+    code = main(["fit", "--data", str(data), "--label", "y",
+                 "--lambda", "1/100000", "--max-trees", "50",
+                 "--time-limit", "1", "--out", str(tmp_path / "m.json")])
+    assert time.perf_counter() - start < 1
+    assert code == 3, capsys.readouterr().err
 
 
 def test_fit_reads_csv_with_byte_order_mark(tmp_path, capsys):

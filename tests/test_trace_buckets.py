@@ -26,7 +26,8 @@ def _scan(run):
     every tree in the heap, each built from its entry, with the remaining
     bound's definition: a tree with lower bound b and L leaves may add up
     to floor((best - b) / lam) of the 3^M - L unused leaves, in any
-    order."""
+    order, and no more than K - L of them when the data has K distinct
+    rows."""
     trees = [build_tree(entry) for entry in run.queue.trees()]
     pool = 3 ** run.ds.n_features
     best = Fraction(run.best_s, run.n * run.q)
@@ -36,7 +37,8 @@ def _scan(run):
         f = 0
         b = lower_bound(tree, run.lam)
         if best > b:
-            f = min(math.floor((best - b) / run.lam), slots)
+            f = min(math.floor((best - b) / run.lam), slots,
+                    run.eq.n_classes - len(tree.leaves))
         remaining += _perm_sum(slots, f)
     log10 = len(str(remaining)) - 1 if remaining else None
     least = min((lower_bound(tree, run.lam) for tree in trees),
