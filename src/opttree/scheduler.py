@@ -136,10 +136,10 @@ class SearchQueue:
         self._counts: dict[tuple[int, int], int] = {}
         self._pushed: Optional[list[tuple]] = []
         self._popped: Optional[list[tuple]] = []
-        # pops since the last read that the pending lists may hold: pushes
-        # grow the heap and the lists alike, and each pop shrinks the heap
-        # by one and grows the lists by one, so they outgrow the heap on
-        # the pop that takes the pops past half the heap read at
+        # a push grows the heap and the pending lists alike, and a pop
+        # moves one entry from the heap to them, so they outgrow the heap
+        # on the pop that takes the pops since the read past half the heap
+        # it read
         self._pop_room = 0
 
     def push(self, entries: Sequence[tuple]) -> None:

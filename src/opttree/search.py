@@ -536,8 +536,8 @@ class _Run:
         self.stats.leaf_cache_hits = self.leaf_cache.hits
         self.stats.tree_cache_size = len(self.tree_cache)
         self.stats.split_tables = len(self.split_tables)
-        # the stores go before total_time is read: freeing a large queue
-        # is part of the fit, and of the time its limits answer for
+        # the stores are freed before total_time is read, so that it
+        # covers their teardown: seconds after millions of queued trees
         self.queue = SearchQueue(self.config.policy, self.ds)
         self.leaf_cache, self.tree_cache = LeafCache(), TreeCache()
         self.split_tables = {}
