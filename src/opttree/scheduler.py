@@ -136,10 +136,9 @@ class SearchQueue:
         self._counts: dict[tuple[int, int], int] = {}
         self._pushed: Optional[list[tuple]] = []
         self._popped: Optional[list[tuple]] = []
-        # a push grows the heap and the pending lists alike, and a pop
-        # moves one entry from the heap to them, so they outgrow the heap
-        # on the pop that takes the pops since the read past half the heap
-        # it read
+        # a read leaves H queued entries and nothing pending; p entries
+        # pushed and k popped since make p + k pending against H + p - k
+        # queued, so the pending lists outgrow the heap once k > H // 2
         self._pop_room = 0
 
     def push(self, entries: Sequence[tuple]) -> None:
