@@ -40,8 +40,9 @@ once for the tree the fit returns, so the work per child is a few integer
 sums and, if it is live, a heap push, whatever the queue or the tree.  A
 built tree's two leaf tuples stay in canonical (leaf-key) order by
 construction: each new leaf is inserted into one of them with
-``bisect``, and a split table puts each new clause in its place among
-its leaf's feature-ordered clauses, so nothing in the loop sorts.  Child
+``bisect``, two new leaves with the same flag in one pass, and a split
+table puts each new clause in its place among its leaf's feature-ordered
+clauses, so nothing in the loop sorts.  Child
 leaves are interned, so the permutation cache keys a tree on the two
 tuples it already holds (see ``caches``).  A trace record reads the
 queue's least bound and sums the remaining-evaluations bound over its
@@ -58,7 +59,9 @@ Each store has one owner.  ``_Run.run`` alone pops, builds and marks
 the popped tree, pushes and purges; ``_Run.expand`` only prices and gates
 the children of the tree it is handed; ``_Run._split_table`` alone fills
 the split tables and, past the root, the leaf cache; ``_Run._set_best``
-alone writes the incumbent.
+alone writes the incumbent.  ``_Run.__init__`` alone reads the bound
+toggles.  The loop checks the limits only when one is set, and pushes no
+empty batch of children.
 
 An expansion costs what is new about its tree, not what is known about
 the leaf it splits.  Which features may split a leaf, its two children
@@ -78,10 +81,11 @@ samples by feature vector once (``build_equivalence_index``), and a
 capture is a non-negative int with one bit per class; a count over it is
 a weighted popcount of the index's count planes (``weighted_count``).
 Leaves and split tables keep counts, not captures.  A leaf's split
-table rebuilds its capture from its clauses (``and_clauses``) and hands
-it to ``make_child_leaf``, which ANDs in the negative literal's class
-column and keeps only the child's counts; the positive child is the
-leaf's minus those.  So no capture outlives the call that made it.
+table rebuilds its capture from its clauses (``and_clauses``), ANDs it
+with each unused feature's negated class column, which the run makes
+once (``_Run.literals``), and hands that negative child's capture to
+``make_child_leaf``, which keeps only its counts; the positive child is
+the leaf's minus those.  So no capture outlives the call that made it.
 """
 
 from __future__ import annotations
@@ -215,7 +219,7 @@ class _Run:
         self._t0 = time.perf_counter()
         self.ds = ds
         self.config = config
-        toggles = self.toggles = config.toggles
+        toggles = config.toggles
         # the run searches only the index it builds; with equivalent points
         # off no leaf of the run has a floor
         eq = build_equivalence_index(ds)
@@ -237,6 +241,10 @@ class _Run:
         self.accuracy_s = lam_s if toggles.leaf_accuracy else 1
         self.gain_s = lam_s if toggles.incremental_accuracy else 0
         self.margin_s = lam_s if toggles.lookahead else 0
+        # the bounds that are switches: similar support, decided per
+        # expansion, and the permutation cache, per loop turn
+        self.similar_support = toggles.similar_support
+        self.permutation_cache = toggles.permutation_cache
         self.leaf_cache = LeafCache()
         self.tree_cache = TreeCache()
         self.queue = SearchQueue(config.policy, ds)
@@ -248,10 +256,12 @@ class _Run:
         # run, since they depend on its thresholds and a leaf may
         # outlive it
         self.split_tables: dict[Leaf, list] = {}
-        # each feature's negative and positive literal as a key, made once
-        # for every split table of the run
-        self.literals = [((Clause(f, False),), (Clause(f, True),))
-                         for f in range(ds.n_features)]
+        # each feature's negative and positive literal as a key, and the
+        # negative literal's class column, made once for every split table
+        # of the run
+        self.literals = [((Clause(f, False),), (Clause(f, True),),
+                          self.eq.all_classes & ~column)
+                         for f, column in enumerate(self.eq.columns)]
         # the trace records' memo: they repeat most (slots, f) pairs, and
         # it goes with the run
         self.cumulative_perm = functools.cache(cumulative_perm)
@@ -312,7 +322,7 @@ class _Run:
         # children priced in, added to the run's count before each new
         # incumbent reads it and at the end
         evaluated = 0
-        similar_support = self.toggles.similar_support
+        similar_support = self.similar_support
         if similar_support:
             capture = and_clauses(self.eq, self.eq.all_classes, leaf.clauses)
             # floors of the splits already proven hopeless, compared with
@@ -374,26 +384,28 @@ class _Run:
         the expansion prices any child.  The table adds at most two leaves
         per unused feature to the leaf cache, which bounds how far past
         ``max_cache_entries`` one expansion can take it.  The leaf's
-        capture, from which the negative children are made, is not kept.
+        capture, from which the negative children are counted, is not kept.
         """
         eq, intern, clauses = self.eq, self.leaf_cache.intern, leaf.clauses
+        child_leaf = make_child_leaf
         capture = and_clauses(eq, eq.all_classes, clauses)
         n_captured, n_ones, n_correct, b0_count = (
             leaf.n_captured, leaf.n_ones, leaf.n_correct, leaf.b0_count)
         q, support_s = self.q, self.support_s
         accuracy_s, gain_s = self.accuracy_s, self.gain_s
         splits = []
-        # the clauses are in feature order: clauses[:i] are on features
-        # below f, and clauses[i] is on f when the leaf uses it
-        i = 0
-        for f, (negative, positive) in enumerate(self.literals):
-            if i < len(clauses) and clauses[i].feature == f:
+        # the clauses are in feature order: head holds those on features
+        # below f and tail the rest, of which clauses[i] is on f when the
+        # leaf uses it
+        i, n_used, head, tail = 0, len(clauses), (), clauses
+        for f, (negative, positive, negated) in enumerate(self.literals):
+            if i < n_used and clauses[i].feature == f:
                 i += 1
+                head, tail = clauses[:i], clauses[i:]
                 continue
             # the leaf's key with each literal on f in its place
-            head, tail = clauses[:i], clauses[i:]
             k1, k2 = head + negative + tail, head + positive + tail
-            c1 = intern(k1, make_child_leaf, k1, capture, f, eq)
+            c1 = intern(k1, child_leaf, k1, capture & negated, eq)
             # the leaf's counts minus c1's
             c2 = intern(k2, Leaf, k2, n_captured - c1.n_captured,
                         n_ones - c1.n_ones, b0_count - c1.b0_count)
@@ -425,46 +437,57 @@ class _Run:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SearchResult:
-        """Each loop turn pops, marks, expands, purges and pushes, in order."""
+        """Each loop turn pops, marks, expands, purges and pushes, in order.
+
+        The queue, the tree cache, the stats and the permutation-cache
+        switch are read into locals once; the objects stay the run's until
+        ``_finish``.  The limits are checked only when some limit is set,
+        and an empty batch of children is not pushed."""
+        queue, stats, tree_cache = self.queue, self.stats, self.tree_cache
         root = root_tree(self.ds, self.eq)
         (leaf,) = root.split
         self.leaf_cache.intern(leaf.key, lambda: leaf)
         entry = as_entry(root, self.lam)
         # the root counts itself, as a child incumbent does
-        self.stats.trees_evaluated = 1
+        stats.trees_evaluated = 1
         self._set_best(entry)
         # node support may close the root; every other leaf to split was
         # found open by its parent's split table
         if self._live([entry])[0] \
                 and self.q * leaf.n_captured >= self.support_s:
-            self.queue.push([entry])
+            queue.push([entry])
 
-        interval = self.config.trace_interval
+        config = self.config
+        limited = not (config.time_limit is None and config.max_trees is None
+                       and config.max_cache_entries is None)
+        permutation_cache = self.permutation_cache
+        interval = config.trace_interval
         next_trace = math.inf if interval is None else interval
         # the loop's one exit: no work left, or a limit checked before each
         # expansion, which always finishes, so the queue holds all work left
-        while self.queue and not self._limit_tripped():
-            entry = self.queue.pop()
+        while queue and not (limited and self._limit_tripped()):
+            entry = queue.pop()
             tree = build_tree(entry)
             # the permutation bound: a tree that a second split order
             # reached is expanded once
-            if self.toggles.permutation_cache and self.tree_cache.seen_or_mark(
+            if permutation_cache and tree_cache.seen_or_mark(
                     tree_key(tree), entry[B_S]):
-                self.stats.duplicates_skipped += 1
+                stats.duplicates_skipped += 1
             else:
-                self.stats.expansions += 1
+                stats.expansions += 1
                 best_s = self.best_s
                 children = self.expand(tree, entry)
                 # one pass each drops the kept children (a closed new
                 # incumbent too), queued and stored trees now hopeless
                 if self.best_s < best_s:
                     children = list(compress(children, self._live(children)))
-                    self.stats.queue_purged += self.queue.retain(self._live)
-                    self.stats.tree_cache_purged += \
-                        self.tree_cache.garbage_collect(self.live_limit_s)
-                self.queue.push(children)
+                    stats.queue_purged += queue.retain(self._live)
+                    stats.tree_cache_purged += \
+                        tree_cache.garbage_collect(self.live_limit_s)
+                if children:
+                    queue.push(children)
             # a duplicate's turn steps next_trace as well
-            if self.stats.trees_evaluated >= next_trace:
+            if stats.trees_evaluated >= next_trace:
                 next_trace += interval
                 self._record_trace()
         return self._finish()

@@ -24,9 +24,10 @@ is short whatever the sample count.  A leaf keeps counts, not its
 capture; the search rebuilds a capture from the leaf's clauses and the
 class columns (``and_clauses``) when it first splits the leaf.  The two
 children of a leaf on one feature partition its classes, and every
-count adds over classes, so only the negative child is counted from the
-capture (``make_child_leaf``): the positive one is the parent's counts
-minus the negative one's.
+count adds over classes, so only the negative child is counted from a
+capture: the search ANDs the leaf's capture with the literal's class
+column and ``make_child_leaf`` counts the result.  The positive child
+is the parent's counts minus the negative one's.
 """
 
 from __future__ import annotations
@@ -110,27 +111,21 @@ def and_clauses(data: Dataset | EquivalenceIndex, capture: int,
     return capture
 
 
-def _counted(key: LeafKey, capture: int, eq: EquivalenceIndex) -> Leaf:
-    """The leaf ``key`` that captures the row classes ``capture``."""
-    return Leaf(key, weighted_count(capture, eq.size_planes),
-                weighted_count(capture, eq.one_planes),
-                weighted_count(capture, eq.minority_planes))
-
-
 def make_leaf(clauses: Sequence[Clause], eq: EquivalenceIndex) -> Leaf:
     """Build a leaf from scratch."""
     key = canonical_clauses(list(clauses))
-    return _counted(key, and_clauses(eq, eq.all_classes, key), eq)
+    return make_child_leaf(key, and_clauses(eq, eq.all_classes, key), eq)
 
 
-def make_child_leaf(key: LeafKey, parent_capture: int, feature: int,
+def make_child_leaf(key: LeafKey, capture: int,
                     eq: EquivalenceIndex) -> Leaf:
-    """The leaf ``key``, its parent's key with the negative literal on
-    ``feature`` added: ``parent_capture``, the parent's row classes, ANDed
-    with that literal's class column, of which the leaf keeps only the
-    counts."""
-    return _counted(key, and_literal(eq, parent_capture, feature, False),
-                    eq)
+    """The leaf ``key`` that captures the row classes ``capture``, of
+    which it keeps only the counts.  The search hands it a split's
+    negative child: the parent's capture ANDed with the negative literal's
+    class column."""
+    return Leaf(key, weighted_count(capture, eq.size_planes),
+                weighted_count(capture, eq.one_planes),
+                weighted_count(capture, eq.minority_planes))
 
 
 @dataclass(slots=True)
@@ -209,20 +204,35 @@ def _inserted(leaves: tuple[Leaf, ...], leaf: Leaf) -> tuple[Leaf, ...]:
     return leaves[:j] + (leaf,) + leaves[j:]
 
 
+def _inserted_pair(leaves: tuple[Leaf, ...], c1: Leaf,
+                   c2: Leaf) -> tuple[Leaf, ...]:
+    """``leaves``, in canonical order, with ``c1`` and ``c2``, whose key
+    sorts after ``c1``'s, each in its place, in one pass."""
+    j = bisect_left(leaves, c1.clauses, key=_clauses)
+    k = bisect_left(leaves, c2.clauses, j, key=_clauses)
+    return (*leaves[:j], c1, *leaves[j:k], c2, *leaves[k:])
+
+
 def build_tree(entry: tuple) -> TreeState:
     """The tree a queue entry stands for.  A child's two new leaves are
     inserted into its parent's unchanged leaves and the split leaves after
     ``split[0]``, which stay in canonical order, with ``bisect``, so
-    nothing sorts."""
+    nothing sorts.  The new leaves differ only in the literal on their
+    split's feature, the negative one first, so ``c1``'s key sorts before
+    ``c2``'s; two with the same flag go into their tuple in one pass."""
     parent, c1, c2, s1, s2 = entry[5:]
     if c1 is None:
         return parent
     unchanged, split = parent.unchanged, parent.split[1:]
-    for leaf, s in ((c1, s1), (c2, s2)):
-        if s:
-            split = _inserted(split, leaf)
+    if s1 == s2:
+        if s1:
+            split = _inserted_pair(split, c1, c2)
         else:
-            unchanged = _inserted(unchanged, leaf)
+            unchanged = _inserted_pair(unchanged, c1, c2)
+    elif s1:
+        split, unchanged = _inserted(split, c1), _inserted(unchanged, c2)
+    else:
+        unchanged, split = _inserted(unchanged, c1), _inserted(split, c2)
     return TreeState(unchanged, split, parent.ds)
 
 

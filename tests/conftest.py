@@ -123,7 +123,7 @@ def expand_priced(run: _Run, tree: TreeState,
         out = _EXPAND(run, tree, entry)
     finally:
         del run._similar_skip
-    toggles = run.toggles
+    toggles = run.config.toggles
     margin_s = run.lam_s if toggles.lookahead else 0
     skipped = iter(skipped)
     priced, live = [], []

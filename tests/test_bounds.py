@@ -15,7 +15,7 @@ import opttree.search
 from opttree.bounds import (BoundToggles, count_trees, cumulative_perm,
                             floor_log10, max_leaves_apriori,
                             symmetry_savings, total_evaluations_bound_log10)
-from opttree.dataset import build_equivalence_index, from_rows
+from opttree.dataset import and_literal, build_equivalence_index, from_rows
 from opttree.oracle import exhaustive_optimum
 from opttree.search import SearchConfig, _Run, fit
 from opttree.tree import (B0_S, B_S, R_S, Clause, and_clauses, as_entry,
@@ -196,7 +196,8 @@ def test_split_gain_nonnegative_random():
         parent = make_leaf([], eq)
         f = rng.randrange(ds.n_features)
         k1, k2 = child_keys(parent, f)
-        left = make_child_leaf(k1, eq.all_classes, f, eq)
+        left = make_child_leaf(
+            k1, and_literal(eq, eq.all_classes, f, False), eq)
         right = make_leaf(k2, eq)
         left_capture, right_capture = (and_clauses(eq, eq.all_classes, k)
                                        for k in (k1, k2))

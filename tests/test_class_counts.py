@@ -3,9 +3,9 @@
 The search counts a capture, a set of row classes, by weighted popcounts
 of the equivalence index's planes.  These properties build leaves with the
 code the search runs (``make_leaf``; the children a split table interns,
-the negative one by ``make_child_leaf`` from the leaf's capture, which
-``and_clauses`` rebuilds, and the positive one as the leaf's counts minus
-the negative one's; node
+the negative one counted by ``make_child_leaf`` from the leaf's capture,
+which ``and_clauses`` rebuilds, ANDed with the literal's class column,
+and the positive one as the leaf's counts minus the negative one's; node
 support's comparison against ``_Run.support_s``; ``_Run._similar_skip``)
 on data with many duplicate rows, and recount every figure per sample
 through ``and_literal`` on the dataset's columns.
@@ -96,7 +96,8 @@ def test_leaf_counts_match_a_per_sample_recount(drawn):
         negative, positive = (
             _recount(ds, _samples(ds, clauses + [Clause(f, polarity)]), lam)
             for polarity in (False, True))
-        assert _counts(make_child_leaf(k1, capture, f, eq), run) == negative
+        assert _counts(make_child_leaf(
+            k1, and_literal(eq, capture, f, False), eq), run) == negative
         # the children the table interned: the negative one counted from
         # the capture, the positive one as the leaf's counts minus those
         c1, c2 = (run.leaf_cache.intern(k, pytest.fail) for k in (k1, k2))

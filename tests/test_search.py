@@ -23,6 +23,7 @@ from opttree.tree import (B0_S, B_S, Clause, as_entry, build_tree, objective,
                           root_tree)
 from tests.conftest import (expand, expand_priced, expanded_trees,
                             lower_bound, random_dataset)
+from tests.fit_digest import fit_digest
 
 
 def _flags(tree):
@@ -597,7 +598,7 @@ def test_the_stores_hold_only_live_trees_after_every_turn(monkeypatch):
         nonlocal turns, pushed_in, stored
         # the incumbent less lam under lookahead; no floor without
         # equivalent points
-        toggles = run.toggles
+        toggles = run.config.toggles
         limit_s = run.best_s - (run.lam_s if toggles.lookahead else 0)
         assert all(e[B_S] + (e[B0_S] if toggles.equivalent_points else 0)
                    < limit_s for e in list(run.queue.trees()) + pushed)
@@ -783,3 +784,9 @@ def test_row_order_does_not_change_a_result():
     again = fit(shuffled, config)
     again.best_tree.check_partition()
     assert _outcome(again) == _outcome(res)
+
+
+def test_a_fit_digest_slice_repeats():
+    # tests/fit_digest.py digests every figure of its fits but their times;
+    # the same 20 seeded fits, run twice, digest alike
+    assert fit_digest(20) == fit_digest(20)

@@ -18,7 +18,7 @@ from opttree.dataset import build_equivalence_index, from_rows
 from opttree.scheduler import Policy
 from opttree.search import SearchConfig, _Run
 from opttree.tree import (N_LEAVES, Clause, TreeState, as_entry, build_tree,
-                          make_leaf, root_tree)
+                          canonical_clauses, make_leaf, root_tree)
 from tests.conftest import child_keys, expand_priced, random_dataset
 
 TOGGLE_SETS = (
@@ -203,3 +203,37 @@ def test_tables_do_not_outlive_their_run(monkeypatch):
     # every child splits the 30-sample leaf, keeping the other
     assert want and all(keys[1] in leaf_keys for leaf_keys, *_ in want)
     assert all(keys[0] not in leaf_keys for leaf_keys, *_ in want)
+
+
+def test_table_children_match_leaves_made_from_scratch():
+    # every 5-feature row is present, so with the threshold bounds off no
+    # side of a split is empty and the table holds every unused feature.
+    # Leaves that use no feature, feature 0, the last feature, a run of
+    # consecutive features and both ends: each child's key is the leaf's
+    # clauses with the literal in its place, and its counts are those of
+    # the leaf made from scratch
+    m = 5
+    rng = random.Random(31)
+    rows = [[r >> j & 1 for j in range(m)] for r in range(2 ** m)] * 3
+    ds = from_rows([f"f{j}" for j in range(m)], rows,
+                   [rng.randint(0, 1) for _ in rows])
+    toggles = BoundToggles(node_support=False, leaf_accuracy=False,
+                           incremental_accuracy=False)
+    run = _Run(ds, SearchConfig(lam=Fraction(1, 50), toggles=toggles))
+
+    def counts(leaf):
+        return (leaf.n_captured, leaf.n_ones, leaf.n_correct, leaf.mistakes,
+                leaf.prediction, leaf.b0_count)
+    for lits in ((), ((0, True),), ((m - 1, False),),
+                 ((1, True), (2, False), (3, True)),
+                 ((0, False), (m - 1, True))):
+        leaf = make_leaf([Clause(f, p) for f, p in lits], run.eq)
+        used = {f for f, _ in lits}
+        table = run._split_table(leaf)
+        assert [f for f, _, _, _ in table] \
+            == [f for f in range(m) if f not in used]
+        for f, c1, c2, _ in table:
+            for child, polarity in ((c1, False), (c2, True)):
+                key = canonical_clauses(leaf.clauses + (Clause(f, polarity),))
+                assert child.key == key
+                assert counts(child) == counts(make_leaf(key, run.eq))

@@ -52,11 +52,12 @@ def _least_live(run):
     lookahead and, when that bound is on, the equivalent-points floor of
     its leaves to split, is below the incumbent."""
     best = Fraction(run.best_s, run.n * run.q)
+    toggles = run.config.toggles
     bounds = []
     for tree in map(build_tree, run.queue.trees()):
         b = lower_bound(tree, run.lam)
-        margin = run.lam if run.toggles.lookahead else 0
-        if run.toggles.equivalent_points:
+        margin = run.lam if toggles.lookahead else 0
+        if toggles.equivalent_points:
             margin += Fraction(sum(l.b0_count for l in tree.split), run.n)
         if b + margin < best:
             bounds.append(b)

@@ -3,11 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from opttree.dataset import build_equivalence_index, from_rows
+from opttree.dataset import and_literal, build_equivalence_index, from_rows
 from opttree.search import SearchConfig, _Run
-from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, Clause, and_clauses,
-                          as_entry, build_tree, canonical_clauses,
-                          make_child_leaf, make_leaf, objective, root_tree)
+from opttree.tree import (B0_S, B_S, N_LEAVES, R_S, Clause, TreeState,
+                          and_clauses, as_entry, build_tree,
+                          canonical_clauses, make_child_leaf, make_leaf,
+                          objective, root_tree, sort_leaves)
 from tests.conftest import (child_keys, expand, lower_bound, make_tree,
                             random_dataset)
 
@@ -54,7 +55,8 @@ def test_make_child_leaf_counts():
     parent = make_leaf([], eq)
     assert parent.n_captured == 10
     key = child_keys(parent, 0)[0]
-    child = make_child_leaf(key, eq.all_classes, 0, eq)
+    child = make_child_leaf(
+        key, and_literal(eq, eq.all_classes, 0, False), eq)
     assert child.key is key and key == (Clause(0, False),)
     assert child.n_captured == 6
     assert child.prediction == 1
@@ -92,6 +94,36 @@ def test_dead_threshold_arithmetic():
         <= run.q * other.n_captured
 
 
+def test_build_tree_inserts_around_a_leaf_between_the_new_ones():
+    # the leaf x3 split on x1: its children !x1&x3 and x1&x3 have the
+    # unchanged leaves x1&!x2&!x3 and x1&x2&!x3 between them in canonical
+    # order, and !x1&!x3 before both; each flag pair puts the children
+    # where a from-scratch sort does
+    rng = random.Random(5)
+    ds = random_dataset(rng, 64, 4)
+    eq = _eq(ds)
+
+    def leaf(*lits):
+        return make_leaf([Clause(f, p) for f, p in lits], eq)
+    parent = leaf((3, True))
+    others = (leaf((1, False), (3, False)),
+              leaf((1, True), (2, False), (3, False)),
+              leaf((1, True), (2, True), (3, False)))
+    c1, c2 = leaf((1, False), (3, True)), leaf((1, True), (3, True))
+    assert c1.key < others[1].key < others[2].key < c2.key
+    tree = TreeState(sort_leaves(others), (parent,), ds)
+    tree.check_partition()
+    for s1 in (False, True):
+        for s2 in (False, True):
+            child = build_tree((None,) * 5 + (tree, c1, c2, s1, s2))
+            new = ((c1, s1), (c2, s2))
+            assert child.unchanged == sort_leaves(
+                others + tuple(c for c, s in new if not s))
+            assert child.split == sort_leaves(tuple(c for c, s in new if s))
+            assert child.leaves == sort_leaves(others + (c1, c2))
+            child.check_partition()
+
+
 def test_objective_examples():
     ds = from_rows(["a"], [[0]] * 8, [1, 1, 0, 0, 1, 1, 1, 1])
     lam = Fraction(1, 100)
@@ -126,7 +158,8 @@ def _random_tree(ds, eq, rng):
         parent = leaves.pop(i)
         capture = and_clauses(eq, eq.all_classes, parent.clauses)
         k1, k2 = child_keys(parent, f)
-        leaves += [make_child_leaf(k1, capture, f, eq), make_leaf(k2, eq)]
+        leaves += [make_child_leaf(k1, and_literal(eq, capture, f, False),
+                                   eq), make_leaf(k2, eq)]
     rng.shuffle(leaves)
     k = rng.randint(1, len(leaves))
     return make_tree(ds, unchanged=leaves[k:], split=leaves[:k])
